@@ -10,6 +10,15 @@ cmake -B build -S .
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
+# End-to-end benchmark smokes (bench/e2e/README.md): each workload runs at
+# smoke size with its checks armed — Leaf Set and digest equality on the
+# study workloads; parsed, signature-checked OCSP answers and "never good
+# after a visible revocation" on the serve workloads. A library change that
+# breaks one of those checks fails here, not first in a benchmark run.
+cmake -S bench/e2e -B build/e2e -DCMAKE_BUILD_TYPE=Release
+cmake --build build/e2e -j4 --target rev_bench
+ctest --test-dir build/e2e --output-on-failure
+
 # TSan pass in a separate build tree: races in util::ThreadPool, the
 # parallel Pipeline::Finalize(), and the parallel RevocationCrawler::CrawlAll
 # (including the CachingClient / SimNet synchronization) surface here.
@@ -89,4 +98,4 @@ grep -q "serve.request" "$trace_dir"/trees.txt || {
   echo "stitched trees never crossed onto a replica node" >&2; exit 1; }
 rm -rf "$trace_dir"
 
-echo "tier-1 OK (unit suites + TSan determinism + chaos smoke + cascade smoke + paper-scale corpus smoke + fleet failover smoke + stitched-trace smoke)"
+echo "tier-1 OK (unit suites + e2e smokes + TSan determinism + chaos smoke + cascade smoke + paper-scale corpus smoke + fleet failover smoke + stitched-trace smoke)"

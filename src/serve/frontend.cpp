@@ -120,24 +120,14 @@ class Frontend::CompletionGate {
   std::size_t remaining_ = 0;
 };
 
-// One queued unit of work. Ops live on the submitting caller's stack (or
-// in ServeBatch's op array); the queue carries pointers, and the gate
-// handshake guarantees the combiner is finished with an op before the
-// caller's frame unwinds.
-struct Frontend::Op {
-  const ocsp::OcspRequest* request = nullptr;
-  const ocsp::Responder* responder = nullptr;
-  // Status key storage: inline when it fits (the common case — 32-byte
-  // issuer hash plus a short serial), so the hot path never heap-allocates
-  // a key. Consumers read it through key(), a borrowed view either way.
+// A status key (issuer key hash ‖ serial) in a fixed inline buffer when it
+// fits — the common case, a 32-byte issuer hash plus a short serial — so
+// the hot path never heap-allocates a key. Readers take it through key(),
+// a borrowed view either way.
+struct Frontend::KeyBuffer {
   std::array<std::uint8_t, 64> key_inline;
   std::uint8_t key_len = 0;  // 0 = key lives in key_heap
   StatusKey key_heap;
-  util::Timestamp now = 0;
-  std::size_t shard = 0;
-  bool cacheable = false;  // single-cert, no nonce: precomputed-response path
-  ServeResult result;
-  CompletionGate* gate = nullptr;
 
   BytesView key() const {
     return key_len != 0 ? BytesView(key_inline.data(), key_len)
@@ -156,6 +146,20 @@ struct Frontend::Op {
       key_len = 0;
     }
   }
+};
+
+// One queued unit of work. Ops live on the submitting caller's stack (or
+// in ServeBatch's op array); the queue carries pointers, and the gate
+// handshake guarantees the combiner is finished with an op before the
+// caller's frame unwinds.
+struct Frontend::Op : KeyBuffer {
+  const ocsp::OcspRequest* request = nullptr;
+  const ocsp::Responder* responder = nullptr;
+  util::Timestamp now = 0;
+  std::size_t shard = 0;
+  bool cacheable = false;  // single-cert, no nonce: precomputed-response path
+  ServeResult result;
+  CompletionGate* gate = nullptr;
 };
 
 struct Frontend::ShardState {
@@ -269,17 +273,25 @@ void Frontend::MaybeFlush() {
 }
 
 void Frontend::Flush() {
+  // `has_pending_` is cleared only after the batch is applied AND its cache
+  // entries are invalidated. A request that reads it clear can therefore
+  // serve a cache hit without missing an earlier mutation, and one that
+  // reads it set waits here for the flush in progress.
+  std::lock_guard flush(flush_mu_);
   std::vector<StatusIndex::Update> batch;
   {
     std::lock_guard lock(pending_mu_);
     batch.swap(pending_);
-    has_pending_.store(false, std::memory_order_release);
   }
-  if (batch.empty()) return;
-  index_.Apply(batch);
-  // Any precomputed response for a touched key is now suspect.
-  for (const StatusIndex::Update& update : batch) cache_.Invalidate(update.key);
-  metrics_->status_updates.Add(batch.size());
+  if (!batch.empty()) {
+    index_.Apply(batch);
+    // Any precomputed response for a touched key is now suspect.
+    for (const StatusIndex::Update& update : batch)
+      cache_.Invalidate(update.key);
+    metrics_->status_updates.Add(batch.size());
+  }
+  std::lock_guard lock(pending_mu_);
+  if (pending_.empty()) has_pending_.store(false, std::memory_order_release);
 }
 
 std::size_t Frontend::ImportStatusRecords(
@@ -397,7 +409,7 @@ Frontend::ServeResult Frontend::Serve(BytesView request_der,
       metrics_->unauthorized.Increment();
       return {200, unauthorized_der_, 0, false};
     }
-    return EnqueueOne(nullptr, responder, view.serial, true, now, start, ctx);
+    return ServeOne(nullptr, responder, view.serial, true, now, start, ctx);
   }
   auto request = ocsp::ParseOcspRequest(request_der);
   if (!request) {
@@ -442,25 +454,42 @@ Frontend::ServeResult Frontend::ServeParsed(const ocsp::OcspRequest& request,
     }
   }
 
-  return EnqueueOne(&request, responder, request.cert_ids.front().serial,
-                    request.cert_ids.size() == 1 && request.nonce.empty(), now,
-                    start, ctx);
+  return ServeOne(&request, responder, request.cert_ids.front().serial,
+                  request.cert_ids.size() == 1 && request.nonce.empty(), now,
+                  start, ctx);
 }
 
-Frontend::ServeResult Frontend::EnqueueOne(
+Frontend::ServeResult Frontend::ServeOne(
     const ocsp::OcspRequest* request, const ocsp::Responder* responder,
     BytesView serial, bool cacheable, util::Timestamp now,
     std::chrono::steady_clock::time_point start, const obs::SpanContext* ctx) {
-  const bool traced =
-      ctx != nullptr && obs::DistTraceCollector::Global().enabled();
+  const obs::SpanContext* traced =
+      ctx != nullptr && obs::DistTraceCollector::Global().enabled() ? ctx
+                                                                    : nullptr;
   Op op;
   op.SetKey(responder->issuer_key_hash(), serial);
+  if (cacheable) {
+    // Cache hit: answered on this thread. Combining only pays where it
+    // coalesces signatures, so a hit takes no queue slot (and skips
+    // admission, like Staple). The flush first makes a mutation that
+    // returned before this request started visible, exactly as the
+    // combiner's flush does. A miss or expiry is tallied by the combiner
+    // alone, against the entry it finds.
+    MaybeFlush();
+    ResponseCache::LookupResult cached = cache_.Get(op.key(), now);
+    if (cached.outcome == ResponseCache::Outcome::kHit) {
+      metrics_->cache_hits.Increment();
+      RecordServed(start, traced, 200, now);
+      return {200, std::move(cached.der), 0, true};
+    }
+  }
+
   const std::size_t shard = index_.ShardOf(op.key());
   if (!TryEnterShard(shard)) {
     metrics_->shed.Increment();
     if (traced)
-      RecordServerSpan(*ctx, "serve.request", obs::InternName(metrics_label_),
-                       503, now);
+      RecordServerSpan(*traced, "serve.request",
+                       obs::InternName(metrics_label_), 503, now);
     return {503, try_later_der_, options_.retry_after_seconds, false};
   }
 
@@ -480,24 +509,29 @@ Frontend::ServeResult Frontend::EnqueueOne(
     return {503, try_later_der_, options_.retry_after_seconds, false};
   }
   RunUntil(gate, &shard, 1);
+  RecordServed(start, traced, op.result.http_status, now);
+  return std::move(op.result);
+}
 
+void Frontend::RecordServed(std::chrono::steady_clock::time_point start,
+                            const obs::SpanContext* traced_ctx,
+                            int http_status, util::Timestamp now) {
   if (options_.record_latency) {
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    if (traced) {
+    if (traced_ctx != nullptr) {
       // The trace id becomes the bucket's exemplar: "the p99 bucket" now
       // names a reconstructable slow request.
       metrics_->latency_ns.RecordSecondsWithExemplar(
-          seconds, {ctx->trace.hi, ctx->trace.lo});
+          seconds, {traced_ctx->trace.hi, traced_ctx->trace.lo});
     } else {
       metrics_->latency_ns.RecordSeconds(seconds);
     }
   }
-  if (traced)
-    RecordServerSpan(*ctx, "serve.request", obs::InternName(metrics_label_),
-                     op.result.http_status, now);
-  return std::move(op.result);
+  if (traced_ctx != nullptr)
+    RecordServerSpan(*traced_ctx, "serve.request",
+                     obs::InternName(metrics_label_), http_status, now);
 }
 
 std::vector<Frontend::ServeResult> Frontend::ServeBatch(
@@ -858,12 +892,15 @@ std::shared_ptr<const Bytes> Frontend::Staple(BytesView issuer_key_hash,
   metrics_->staples.Increment();
   MaybeFlush();
 
-  const StatusKey key = MakeStatusKey(issuer_key_hash, serial);
-  const ResponseCache::LookupResult cached = cache_.Get(key, now);
+  KeyBuffer buffer;
+  buffer.SetKey(issuer_key_hash, serial);
+  const BytesView key = buffer.key();
+  ResponseCache::LookupResult cached = cache_.Get(key, now);
   if (cached.outcome == ResponseCache::Outcome::kHit) {
     metrics_->cache_hits.Increment();
-    return cached.der;
+    return std::move(cached.der);
   }
+  cache_.CountOutcome(cached.outcome);
   (cached.outcome == ResponseCache::Outcome::kExpired
        ? metrics_->cache_expired
        : metrics_->cache_misses)
@@ -875,7 +912,8 @@ std::shared_ptr<const Bytes> Frontend::Staple(BytesView issuer_key_hash,
   std::shared_ptr<const Bytes> der = entry.der;
   // Same record decides signature and cachability; same epoch guard as the
   // batch path.
-  if (record && index_.epoch() == epoch0) cache_.Put(key, std::move(entry));
+  if (record && index_.epoch() == epoch0)
+    cache_.Put(StatusKey(key.begin(), key.end()), std::move(entry));
   return der;
 }
 

@@ -1,25 +1,32 @@
 // The revocation-status serving frontend: turns per-CA `ocsp::Responder`
 // state into a service that sustains heavy query load.
 //
-//   request ──► admission (queue-depth watermark per shard; 503 +
-//   Retry-After when over capacity) ──► lock-free MPSC enqueue onto the
-//   key's shard, carrying a completion slot ──► shard drain: whichever
-//   caller wins the shard's drain lock becomes the combiner and pops a
-//   batch, paying one pending-mutation flush, one StatusIndex snapshot
-//   copy, and one ResponseCache lock for the whole batch ──► hit = pointer
-//   copy; miss = batched re-sign that coalesces same-key misses, installed
-//   epoch-guarded.
+//   request ──► route ──► pending-mutation flush (if any) ──► one
+//   ResponseCache lookup with a stack-built key ──► hit: answered on the
+//   caller's thread, a shared_ptr copy of the precomputed DER, no queue
+//   slot taken.
+//   miss / expired / nonced / multi-cert ──► admission (queue-depth
+//   watermark per shard; 503 + Retry-After when over capacity) ──►
+//   lock-free MPSC enqueue onto the key's shard, carrying a completion
+//   slot ──► shard drain: whichever caller wins the shard's drain lock
+//   becomes the combiner and pops a batch, paying one pending-mutation
+//   flush, one StatusIndex snapshot copy, and one ResponseCache lock for
+//   the whole batch ──► batched re-sign that coalesces same-key misses,
+//   installed epoch-guarded.
 //
 // There are no dedicated worker threads: the run loop is flat-combining,
-// softirq-style. An uncontended caller wins its shard's drain lock
-// immediately and processes its own request inline; under contention the
-// losing callers' requests queue up and the current combiner drains them
+// softirq-style. Combining pays for itself only where there is signing to
+// amortize, so cache hits never enter it. An uncontended miss wins its
+// shard's drain lock immediately and is processed inline; under contention
+// the losing callers' misses queue up and the current combiner drains them
 // as a batch — batching emerges exactly when there is load to amortize.
 //
 // The index is fed by Responder mutation observers through a pending
 // buffer that is flushed as one epoch-swap batch, so a burst of
 // revocations costs one snapshot rebuild per shard instead of one per
-// record. Responses are deterministic: signing is a pure function of
+// record. Every request flushes before it reads, so a mutation that
+// returned before the request started is applied and its cache entry
+// invalidated. Responses are deterministic: signing is a pure function of
 // (record, now), so cache contents are byte-identical no matter which
 // combiner batch-signed them. See docs/serving.md.
 #pragma once
@@ -47,10 +54,12 @@ namespace rev::serve {
 
 struct FrontendOptions {
   std::size_t num_shards = 16;
-  // Admission watermark: maximum requests queued-or-in-flight per shard
-  // before the frontend sheds load. Also sizes the shard's MPSC ring
-  // (rounded up to a power of two), so an admitted request always finds a
-  // free cell. Generous by default; benches/tests tighten it.
+  // Admission watermark: maximum queued requests (misses, expired entries,
+  // nonced and multi-cert requests) in flight per shard before the frontend
+  // sheds load. Cache hits are answered on the caller's thread and take no
+  // slot. Also sizes the shard's MPSC ring (rounded up to a power of two),
+  // so an admitted request always finds a free cell. Generous by default;
+  // benches/tests tighten it.
   std::size_t per_shard_queue = 128;
   // Retry-After hint attached to 503 responses, seconds.
   std::int64_t retry_after_seconds = 2;
@@ -93,8 +102,9 @@ class Frontend {
     bool cache_hit = false;
   };
 
-  // POST form: a DER OCSP request. Thread-safe; blocks until a combiner
-  // (possibly this thread) has produced the response. A non-null `ctx`
+  // POST form: a DER OCSP request. Thread-safe. A cache hit is answered
+  // on the calling thread; anything else blocks until a combiner (possibly
+  // this thread) has produced the response. A non-null `ctx`
   // (the caller's distributed-trace context, usually extracted from the
   // traceparent header by HandleHttp) records a server span for the
   // request and tags the latency histogram bucket with the trace id as an
@@ -153,7 +163,7 @@ class Frontend {
   std::size_t RefreshStale(util::Timestamp now);
 
   // Applies buffered responder mutations to the index now (normally done
-  // lazily by the next drained batch).
+  // lazily by the next request).
   void Flush();
 
   // --- replication hooks (src/fleet) --------------------------------------
@@ -217,6 +227,7 @@ class Frontend {
 
  private:
   struct Instruments;
+  struct KeyBuffer;
   struct Op;
   class CompletionGate;
   struct ShardState;
@@ -242,17 +253,24 @@ class Frontend {
       const std::optional<StatusIndex::Record>& record, util::Timestamp now);
   ServeResult ServeParsed(const ocsp::OcspRequest& request, util::Timestamp now,
                           const obs::SpanContext* ctx);
-  // Common tail of the single-request entry points: admission, enqueue on
-  // the key's shard, drive the combiner protocol to completion, record
-  // latency from `start`. The status key is built inline in the op from
-  // the responder's issuer hash and `serial` (no heap key on the hot
-  // path). `request` may be null iff `cacheable` (the zero-allocation
-  // single-cert fast path never needs the parsed form).
-  ServeResult EnqueueOne(const ocsp::OcspRequest* request,
-                         const ocsp::Responder* responder, BytesView serial,
-                         bool cacheable, util::Timestamp now,
-                         std::chrono::steady_clock::time_point start,
-                         const obs::SpanContext* ctx);
+  // Common tail of the single-request entry points. The status key is
+  // built inline in the op from the responder's issuer hash and `serial`
+  // (no heap key on the hot path). A `cacheable` request whose
+  // precomputed response is servable at `now` is answered right here;
+  // everything else goes through admission, enqueue on the key's shard
+  // and the combiner protocol. Records latency from `start` either way.
+  // `request` may be null iff `cacheable` (the zero-allocation single-cert
+  // fast path never needs the parsed form).
+  ServeResult ServeOne(const ocsp::OcspRequest* request,
+                       const ocsp::Responder* responder, BytesView serial,
+                       bool cacheable, util::Timestamp now,
+                       std::chrono::steady_clock::time_point start,
+                       const obs::SpanContext* ctx);
+  // Latency sample (with the trace id as exemplar when traced) and the
+  // traced request's server span, for a request served from `start`.
+  void RecordServed(std::chrono::steady_clock::time_point start,
+                    const obs::SpanContext* traced_ctx, int http_status,
+                    util::Timestamp now);
   // Combiner: pops batches off `shard`'s queue and processes them until the
   // queue is empty. Caller must hold the shard's drain lock.
   void DrainShard(std::size_t shard);
@@ -278,7 +296,10 @@ class Frontend {
   std::mutex attach_mu_;
   std::atomic<bool> serving_started_{false};
 
-  // Buffered observer events, applied as one Apply() batch.
+  // Buffered observer events, applied as one Apply() batch. `flush_mu_`
+  // admits one flusher at a time; `has_pending_` stays set until that
+  // flush has invalidated its cache entries (see Flush).
+  std::mutex flush_mu_;
   std::mutex pending_mu_;
   std::vector<StatusIndex::Update> pending_;
   std::atomic<bool> has_pending_{false};

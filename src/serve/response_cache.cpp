@@ -26,19 +26,13 @@ ResponseCache::ResponseCache(std::size_t num_shards, std::uint64_t instance)
       expired_(obs::MetricsRegistry::Global().GetCounter(
           CacheMetricName("expired", instance))) {}
 
-ResponseCache::LookupResult ResponseCache::Get(const StatusKey& key,
+ResponseCache::LookupResult ResponseCache::Get(BytesView key,
                                                util::Timestamp now) const {
   const Shard& shard = shards_[ShardOf(key)];
   std::shared_lock lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    misses_.Increment();
-    return {Outcome::kMiss, nullptr};
-  }
-  if (now >= it->second.serve_until) {
-    expired_.Increment();
-    return {Outcome::kExpired, nullptr};
-  }
+  const auto it = shard.map.find(key);
+  if (it == shard.map.end()) return {Outcome::kMiss, nullptr};
+  if (now >= it->second.serve_until) return {Outcome::kExpired, nullptr};
   hits_.Increment();
   return {Outcome::kHit, it->second.der};
 }

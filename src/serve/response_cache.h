@@ -40,13 +40,20 @@ class ResponseCache {
 
   explicit ResponseCache(std::size_t num_shards = 16);
 
-  // Expiry boundary (audited for ISSUE 6): `serve_until` is exclusive.
-  // A query at exactly `serve_until` — e.g. a revocation scheduled at t,
-  // queried at t — must observe kExpired, never a hit; both Get and
-  // PeekBatch callers compare with `now >= serve_until`, and KeysStaleBy
-  // uses `serve_until <= deadline` so an entry is a refresh candidate at
-  // the first instant it can no longer be served.
-  LookupResult Get(const StatusKey& key, util::Timestamp now) const;
+  // Single lookup under the key's shard shared lock. The key is a borrowed
+  // view (heterogeneous find), so a caller can build it in a stack buffer.
+  // Only a hit is tallied here: a miss or expired outcome is tallied by the
+  // caller that resolves it (through CountOutcome), because the serve path
+  // hands those to the combiner, which classifies them again against the
+  // entry it finds — counting here too would count one request twice.
+  //
+  // Expiry boundary: `serve_until` is exclusive. A query at exactly
+  // `serve_until` — e.g. a revocation scheduled at t, queried at t — must
+  // observe kExpired, never a hit; both Get and PeekBatch callers compare
+  // with `now >= serve_until`, and KeysStaleBy uses `serve_until <=
+  // deadline` so an entry is a refresh candidate at the first instant it
+  // can no longer be served.
+  LookupResult Get(BytesView key, util::Timestamp now) const;
 
   // Batched raw lookup for the serve run loop: copies the entry (or leaves
   // a null-der Entry) for every key under ONE shared-lock acquisition.
@@ -60,11 +67,12 @@ class ResponseCache {
   void PeekBatch(const std::vector<BytesView>& keys,
                  std::vector<Entry>* out) const;
 
-  // Tallies outcomes classified outside Get (the batched path). Keeps
-  // hits()/misses()/expired() strictly monotonic and consistent with the
-  // per-request path: a batch-coalesced request — served from the entry
-  // the same batch just signed — counts as a hit, exactly as it would had
-  // the requests arrived one at a time.
+  // Tallies outcomes Get does not: the batched path's hits, misses and
+  // expiries, and the misses/expiries a Get caller resolves itself. Keeps
+  // hits()/misses()/expired() strictly monotonic with one tally per
+  // request: a batch-coalesced request — served from the entry the same
+  // batch just signed — counts as a hit, exactly as it would had the
+  // requests arrived one at a time.
   void CountOutcome(Outcome outcome, std::uint64_t n = 1);
 
   void Put(const StatusKey& key, Entry entry);

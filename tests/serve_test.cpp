@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -676,6 +677,216 @@ TEST(FrontendBatchAdmission, WatermarkShedsExcessOpsWithRetryAfter) {
   const auto all_shed = frontend.ServeBatch(batch, kNow);
   for (const auto& result : all_shed) EXPECT_EQ(result.http_status, 503);
   frontend.ExitShard(0);
+}
+
+// ---------------------------------------------------- inline cache hits ----
+
+// A cache hit is answered on the caller's thread and never enters the
+// combining queue, so it needs no admission slot; a miss still does.
+TEST(FrontendAdmission, CachedHitIsServedWhileAdmissionIsSaturated) {
+  x509::Certificate issuer = MakeIssuerCert("hit-shed-issuer");
+  ocsp::Responder responder(issuer, TestKey("hit-shed-issuer"));
+  FrontendOptions options;
+  options.num_shards = 1;
+  options.per_shard_queue = 1;
+  options.retry_after_seconds = 5;
+  Frontend frontend(options);
+  frontend.AttachResponder(&responder);
+  responder.AddCertificate(x509::Serial{0x01});
+  ASSERT_EQ(frontend.RebuildAll(kNow), 1u);
+  responder.AddCertificate(x509::Serial{0x02});  // indexed, never cached
+
+  const auto encode = [&](std::uint8_t serial) {
+    ocsp::OcspRequest request;
+    request.cert_ids = {ocsp::MakeCertId(issuer, x509::Serial{serial})};
+    return ocsp::EncodeOcspRequest(request);
+  };
+  ASSERT_TRUE(frontend.TryEnterShard(0));  // saturate the only slot
+
+  const auto hit = frontend.Serve(encode(0x01), kNow);
+  EXPECT_EQ(hit.http_status, 200);
+  EXPECT_TRUE(hit.cache_hit);
+  ASSERT_TRUE(hit.body);
+  auto parsed = ocsp::ParseOcspResponse(*hit.body);
+  ASSERT_TRUE(parsed);
+  EXPECT_EQ(parsed->single.status, ocsp::CertStatus::kGood);
+
+  const auto shed = frontend.Serve(encode(0x02), kNow);
+  EXPECT_EQ(shed.http_status, 503);
+  EXPECT_EQ(shed.retry_after, 5);
+  EXPECT_FALSE(shed.cache_hit);
+  auto shed_parsed = ocsp::ParseOcspResponse(*shed.body);
+  ASSERT_TRUE(shed_parsed);
+  EXPECT_EQ(shed_parsed->status, ocsp::ResponseStatus::kTryLater);
+
+  const Frontend::Counters counters = frontend.counters();
+  EXPECT_EQ(counters.cache_hits, 1u);
+  EXPECT_EQ(counters.shed, 1u);
+  EXPECT_EQ(counters.cache_misses, 0u);  // shed before the combiner saw it
+  frontend.ExitShard(0);
+}
+
+TEST_F(FrontendTest, RevokeAfterInlineHitIsAnsweredOnTheSameThread) {
+  responder_.AddCertificate(x509::Serial{0x63});
+  frontend_.RebuildAll(kNow);
+  const auto hit = Post(x509::Serial{0x63});
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(StatusOf(hit), ocsp::CertStatus::kGood);
+
+  // The revocation returned before the next request started: that request
+  // flushes it and must not serve the cached good.
+  responder_.Revoke(x509::Serial{0x63}, kNow - 10,
+                    x509::ReasonCode::kKeyCompromise);
+  const auto after = Post(x509::Serial{0x63});
+  EXPECT_FALSE(after.cache_hit);
+  EXPECT_EQ(StatusOf(after), ocsp::CertStatus::kRevoked);
+}
+
+TEST_F(FrontendTest, ExpiredEntryIsCountedOnceAsExpired) {
+  responder_.AddCertificate(x509::Serial{0x64});
+  frontend_.RebuildAll(kNow);
+  const util::Timestamp next_update = kNow + 4 * util::kSecondsPerDay;
+  EXPECT_TRUE(Post(x509::Serial{0x64}, next_update - 1).cache_hit);
+
+  const Frontend::Counters before = frontend_.counters();
+  const std::uint64_t cache_misses = frontend_.cache().misses();
+  const std::uint64_t cache_expired = frontend_.cache().expired();
+  // now == serve_until: the inline lookup sees an expired entry and falls
+  // through to the combiner, which re-signs. One request, one tally.
+  const auto at_boundary = Post(x509::Serial{0x64}, next_update);
+  EXPECT_FALSE(at_boundary.cache_hit);
+  EXPECT_EQ(StatusOf(at_boundary), ocsp::CertStatus::kGood);
+
+  const Frontend::Counters after = frontend_.counters();
+  EXPECT_EQ(after.cache_expired - before.cache_expired, 1u);
+  EXPECT_EQ(after.cache_misses - before.cache_misses, 0u);
+  EXPECT_EQ(after.cache_hits - before.cache_hits, 0u);
+  EXPECT_EQ(after.signed_on_demand - before.signed_on_demand, 1u);
+  EXPECT_EQ(frontend_.cache().expired() - cache_expired, 1u);
+  EXPECT_EQ(frontend_.cache().misses() - cache_misses, 0u);
+}
+
+TEST_F(FrontendTest, TracedInlineHitRecordsServerSpanAndExemplar) {
+  responder_.AddCertificate(x509::Serial{0x65});
+  frontend_.RebuildAll(kNow);
+  obs::DistTraceCollector& collector = obs::DistTraceCollector::Global();
+  collector.Clear();
+  collector.Enable();
+  obs::SpanContext ctx;
+  ctx.trace = obs::MakeTraceId(0x5EED, 65);
+  ctx.span = obs::RootSpanId(ctx.trace);
+
+  const auto hit = frontend_.Serve(
+      ocsp::EncodeOcspRequest(RequestFor(x509::Serial{0x65})), kNow, &ctx);
+  collector.Disable();
+  EXPECT_TRUE(hit.cache_hit);
+
+  const std::vector<obs::DistSpan> spans = collector.SnapshotTrace(ctx.trace);
+  collector.Clear();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].name, "serve.request");
+  EXPECT_EQ(spans[0].kind, obs::SpanKind::kServer);
+  EXPECT_EQ(spans[0].parent, ctx.span);
+  EXPECT_EQ(spans[0].status, 200);
+
+  const obs::HistogramSnapshot latency = frontend_.latency_histogram();
+  EXPECT_EQ(latency.count, 1u);
+  const bool tagged = std::ranges::any_of(
+      latency.exemplars, [&](const obs::Exemplar& exemplar) {
+        return exemplar.trace_hi == ctx.trace.hi &&
+               exemplar.trace_lo == ctx.trace.lo;
+      });
+  EXPECT_TRUE(tagged) << "no latency bucket carries the trace exemplar";
+}
+
+// Readers hammer cached keys while a writer revokes them one by one and
+// serves each until it reads revoked. A reader request that starts after
+// the writer saw "revoked" must never answer good. And because every
+// request flushes pending mutations before its cache lookup — waiting for
+// a flush another thread has in progress — the writer's very first request
+// after Revoke returns already answers revoked. Filler records that are
+// never queried make each index swap copy thousands of entries, so a
+// reader's flush is still in progress when the writer's request starts.
+TEST(ServeStress, InlineHitsNeverGoodAfterVisibleRevocation) {
+  const x509::Certificate issuer = MakeIssuerCert("visible-issuer");
+  ocsp::Responder responder(issuer, TestKey("visible-issuer"));
+  FrontendOptions options;
+  options.num_shards = 4;
+  Frontend frontend(options);
+  frontend.AttachResponder(&responder);
+
+  constexpr int kSerials = 16;
+  constexpr int kFiller = 32000;
+  for (int i = 0; i < kFiller; ++i) {
+    responder.AddCertificate(
+        x509::Serial{static_cast<std::uint8_t>(0x40 + i / 256),
+                     static_cast<std::uint8_t>(i % 256)});
+  }
+  std::vector<Bytes> requests;
+  for (int i = 1; i <= kSerials; ++i) {
+    const x509::Serial serial{static_cast<std::uint8_t>(i)};
+    responder.AddCertificate(serial);
+    ocsp::OcspRequest request;
+    request.cert_ids = {ocsp::MakeCertId(issuer, serial)};
+    requests.push_back(ocsp::EncodeOcspRequest(request));
+    EXPECT_FALSE(frontend.Serve(requests.back(), kNow).cache_hit);  // caches it
+  }
+
+  const auto status_of = [](const Frontend::ServeResult& result) {
+    if (result.http_status != 200 || !result.body)
+      return ocsp::CertStatus::kUnknown;
+    const auto parsed = ocsp::ParseOcspResponse(*result.body);
+    return parsed ? parsed->single.status : ocsp::CertStatus::kUnknown;
+  };
+
+  std::vector<std::atomic<bool>> visible(kSerials);
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> wrong{0}, not_ok{0}, hits{0};
+  constexpr int kMinIterations = 300;
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = 0;
+           i < kMinIterations || !writer_done.load(std::memory_order_acquire);
+           ++i) {
+        const int target = (i * 5 + t) % kSerials;
+        const bool was_visible =
+            visible[target].load(std::memory_order_acquire);
+        const auto result = frontend.Serve(requests[target], kNow);
+        const ocsp::CertStatus status = status_of(result);
+        if (status != ocsp::CertStatus::kGood &&
+            status != ocsp::CertStatus::kRevoked)
+          ++not_ok;
+        if (was_visible && status != ocsp::CertStatus::kRevoked) ++wrong;
+        if (result.cache_hit) ++hits;
+      }
+    });
+  }
+
+  int first_try_revoked = 0;
+  for (int target = 0; target < kSerials; ++target) {
+    responder.Revoke(x509::Serial{static_cast<std::uint8_t>(target + 1)},
+                     kNow - 60, x509::ReasonCode::kKeyCompromise);
+    // Give the readers time to pick up the pending revocation first.
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    bool seen = false;
+    for (int attempt = 0; attempt < 1000 && !seen; ++attempt) {
+      seen = status_of(frontend.Serve(requests[target], kNow)) ==
+             ocsp::CertStatus::kRevoked;
+      if (seen && attempt == 0) ++first_try_revoked;
+    }
+    EXPECT_TRUE(seen) << "revocation of serial " << target + 1
+                      << " never became visible";
+    visible[target].store(true, std::memory_order_release);
+    std::this_thread::yield();
+  }
+  writer_done.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+
+  EXPECT_EQ(wrong.load(), 0) << "a reader saw good after visible revoked";
+  EXPECT_EQ(not_ok.load(), 0);
+  EXPECT_EQ(first_try_revoked, kSerials);
+  EXPECT_GT(hits.load(), 0);
 }
 
 // -------------------------------------------- batch/serial equivalence ----
