@@ -416,7 +416,7 @@ int main() {
           chain[1] = ca.cert;
           const core::CertCorpus::Row row = pipeline.Observe(chain);
           if (ca.row == core::CertCorpus::kNoRow)
-            ca.row = pipeline.corpus().Find(ca.cert->Fingerprint());
+            ca.row = pipeline.corpus().FindDer(ca.cert->der);
 
           if (revoked_at != 0) {
             core::RevocationInfo info;
@@ -482,7 +482,7 @@ int main() {
           chain[1] = u.cert;
           const core::CertCorpus::Row row = pipeline.Observe(chain);
           if (u.row == core::CertCorpus::kNoRow)
-            u.row = pipeline.corpus().Find(u.cert->Fingerprint());
+            u.row = pipeline.corpus().FindDer(u.cert->der);
 
           const int death = std::max(s, scan_of(tbs.not_after));
           ++observed;

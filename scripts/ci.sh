@@ -3,7 +3,8 @@
 # then a ThreadSanitizer pass over the concurrency-sensitive targets —
 # the thread pool, the parallel pipeline/crawler, the serving frontend,
 # and the metrics/trace instruments (tests + a small bench_serve load) —
-# then an observability smoke: bench_serve must answer GET /metrics and
+# then an ASan+UBSan pass over the corpus, fuzz, property, core and serve
+# suites, then an observability smoke: bench_serve must answer GET /metrics and
 # land the registry snapshot in BENCH_serve.json, plus a QPS-regression
 # smoke against the baseline committed in BENCH_serve.json. Fails on any
 # ctest regression, TSan report, or QPS collapse.
@@ -59,6 +60,17 @@ rm -rf "$fleet_tsan_dir"
 REV_SERVE_CERTS=2000 REV_SERVE_OPS=2000 REV_SERVE_THREADS=4 \
   REV_SERVE_FLOOR=0 ./build-tsan/bench/bench_serve > /dev/null || {
     echo "bench_serve under TSan failed" >&2; exit 1; }
+
+echo "== ASan+UBSan: parsers, fuzzing, corpus ingest/dedup, serving cache =="
+# Every parser and wire format must fail closed without an over-read, and
+# the corpus's word-wise DER hashing (util::HashBytes) loads tails with a
+# bounded memcpy: these suites drive both under AddressSanitizer and
+# UndefinedBehaviorSanitizer (any report aborts the run).
+cmake -B build-asan -S . -DREV_SANITIZE_ADDRESS=ON
+cmake --build build-asan -j"$(nproc)" --target corpus_test fuzz_test property_test core_test serve_test
+for suite in corpus_test fuzz_test property_test core_test serve_test; do
+  ./build-asan/tests/"$suite"
+done
 
 echo "== observability smoke: /metrics endpoint + BENCH json metrics block =="
 smoke_dir=$(mktemp -d)
@@ -126,4 +138,4 @@ print(f"slo: {slo['alerts']} alerts, all in the storm phase: ok")
 PY
 rm -rf "$fleet_dir"
 
-echo "ci OK (tier-1 + TSan: unit suites, obs suite, serve stress, fleet suite + soak, bench_serve load + /metrics smoke + QPS regression + fleet zero-wrong-answers + slo burn-rate gates)"
+echo "ci OK (tier-1 + TSan + ASan/UBSan: unit suites, obs suite, serve stress, fleet suite + soak, bench_serve load + /metrics smoke + QPS regression + fleet zero-wrong-answers + slo burn-rate gates)"

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "crypto/sha256.h"
+#include "util/hash.h"
 
 namespace rev::core {
 
@@ -16,13 +17,29 @@ BytesView AsBytes(std::string_view s) {
 
 }  // namespace
 
-CertCorpus::Row CertCorpus::Find(BytesView fingerprint) const {
-  const std::uint64_t hash = FingerprintIndex::HashOf(fingerprint);
+CertCorpus::Row CertCorpus::FindDer(BytesView der) const {
+  return FindDer(der, util::HashBytes(der));
+}
+
+CertCorpus::Row CertCorpus::FindDer(BytesView der, std::uint64_t hash) const {
   return index_.Find(hash, [&](std::uint32_t row) {
-    const BytesView stored = this->fingerprint(row);
-    return stored.size() == fingerprint.size() &&
-           std::memcmp(stored.data(), fingerprint.data(), stored.size()) == 0;
+    const BytesView stored = this->der(row);
+    return std::equal(stored.begin(), stored.end(), der.begin(), der.end());
   });
+}
+
+CertCorpus::Row CertCorpus::Find(BytesView fingerprint) const {
+  if (fingerprint.size() != 32) return kNoRow;
+  const std::vector<Row>& rows = SortedRows();
+  const std::uint8_t* fps = fps_.data();
+  const auto it = std::lower_bound(
+      rows.begin(), rows.end(), fingerprint, [fps](Row r, BytesView fp) {
+        return std::memcmp(fps + std::size_t{r} * 32, fp.data(), 32) < 0;
+      });
+  if (it == rows.end() ||
+      std::memcmp(fps + std::size_t{*it} * 32, fingerprint.data(), 32) != 0)
+    return kNoRow;
+  return *it;
 }
 
 CertCorpus::UrlRef CertCorpus::InternUrlLists(
@@ -41,8 +58,10 @@ CertCorpus::UrlRef CertCorpus::InternUrlLists(
   return ref;
 }
 
-CertCorpus::Row CertCorpus::AppendRow(BytesView fingerprint, const DerRef& ref,
-                                      const x509::CertView& view) {
+CertCorpus::Row CertCorpus::AppendRow(BytesView fingerprint,
+                                      std::uint64_t hash, const DerRef& ref,
+                                      const x509::CertView& view,
+                                      bool view_parsed) {
   assert(refs_.size() < kNoRow);
   const Row row = static_cast<Row>(refs_.size());
 
@@ -70,35 +89,20 @@ CertCorpus::Row CertCorpus::AppendRow(BytesView fingerprint, const DerRef& ref,
   std::uint8_t flags = 0;
   if (view.is_ca) flags |= kFlagCa;
   if (view.is_ev) flags |= kFlagEv;
+  if (view_parsed) flags |= kFlagViewParsed;
   flags_.push_back(flags);
   valid_.push_back(0);
 
-  index_.Insert(FingerprintIndex::HashOf(fingerprint), row);
+  index_.Insert(hash, row);
   return row;
 }
 
 CertCorpus::Row CertCorpus::Intern(const x509::CertPtr& cert) {
-  const Bytes& fp = cert->Fingerprint();
-  const Row existing = Find(fp);
+  const std::uint64_t hash = util::HashBytes(cert->der);
+  const Row existing = FindDer(cert->der, hash);
   if (existing != kNoRow) return existing;
-
-  const BytesView arena_der = arena_.Copy(cert->der);
-  DerRef ref;
-  ref.base = arena_der.data();
-  ref.der_len = static_cast<std::uint32_t>(arena_der.size());
-
-  if (auto view = x509::ParseCertView(arena_der)) {
-    ref.tbs_off =
-        static_cast<std::uint32_t>(view->tbs_der.data() - arena_der.data());
-    ref.tbs_len = static_cast<std::uint32_t>(view->tbs_der.size());
-    ref.sig_off =
-        static_cast<std::uint32_t>(view->signature.data() - arena_der.data());
-    ref.sig_len = static_cast<std::uint16_t>(view->signature.size());
-    ref.serial_off =
-        static_cast<std::uint32_t>(view->serial.data() - arena_der.data());
-    ref.serial_len = static_cast<std::uint16_t>(view->serial.size());
-    return AppendRow(fp, ref, *view);
-  }
+  if (const auto view = x509::ParseCertView(cert->der))
+    return AppendView(*view, hash);
 
   // Fallback: the DER does not view-parse (hand-built Certificate objects in
   // tests can carry unparseable bytes). Append the parsed pieces behind the
@@ -113,13 +117,12 @@ CertCorpus::Row CertCorpus::Intern(const x509::CertPtr& cert) {
     if (!b.empty()) std::memcpy(p, b.data(), b.size());
     p += b.size();
   };
-  // The arena_der copy above is abandoned (a few hundred wasted bytes on a
-  // path only tests hit); the block is self-contained.
   append(cert->der);
   append(cert->tbs_der);
   append(cert->signature);
   append(cert->tbs.serial);
 
+  DerRef ref;
   ref.base = block.data();
   ref.der_len = static_cast<std::uint32_t>(cert->der.size());
   ref.tbs_off = ref.der_len;
@@ -143,20 +146,35 @@ CertCorpus::Row CertCorpus::Intern(const x509::CertPtr& cert) {
   view.is_ev = cert->IsEv();
   for (const std::string& u : cert->tbs.crl_urls) view.crl_urls.push_back(u);
   for (const std::string& u : cert->tbs.ocsp_urls) view.ocsp_urls.push_back(u);
-  return AppendRow(fp, ref, view);
+  return AppendRow(cert->Fingerprint(), hash, ref, view, /*view_parsed=*/false);
 }
 
 CertCorpus::Row CertCorpus::InternDer(BytesView der) {
-  // Validate against the caller's buffer BEFORE touching any corpus state:
-  // a rejected certificate must leave the store bit-identical.
-  const auto probe = x509::ParseCertView(der);
-  if (!probe) return kNoRow;
+  // Known bytes need no parse unless they entered through Intern's
+  // unparseable fallback, which the raw-DER path still rejects. New bytes
+  // are validated against the caller's buffer BEFORE touching any corpus
+  // state: a rejected certificate must leave the store bit-identical.
+  const std::uint64_t hash = util::HashBytes(der);
+  if (const Row existing = FindDer(der, hash); existing != kNoRow)
+    return view_parsed(existing) ? existing : kNoRow;
+  const auto view = x509::ParseCertView(der);
+  if (!view) return kNoRow;
+  return AppendView(*view, hash);
+}
 
+CertCorpus::Row CertCorpus::InternView(const x509::CertView& view) {
+  // Re-probed: an earlier element of the same chain may have interned
+  // these bytes since the caller's FindDer missed.
+  const std::uint64_t hash = util::HashBytes(view.der);
+  if (const Row existing = FindDer(view.der, hash); existing != kNoRow)
+    return existing;
+  return AppendView(view, hash);
+}
+
+CertCorpus::Row CertCorpus::AppendView(const x509::CertView& parsed,
+                                       std::uint64_t hash) {
+  const BytesView der = parsed.der;
   const crypto::Sha256Digest digest = crypto::Sha256::Hash(der);
-  const BytesView fp{digest.data(), digest.size()};
-  const Row existing = Find(fp);
-  if (existing != kNoRow) return existing;
-
   const BytesView arena_der = arena_.Copy(der);
   // Rebase the views onto the arena copy by offset arithmetic — the copy is
   // byte-identical, so no second parse is needed.
@@ -166,21 +184,22 @@ CertCorpus::Row CertCorpus::InternDer(BytesView der) {
   DerRef ref;
   ref.base = arena_der.data();
   ref.der_len = static_cast<std::uint32_t>(arena_der.size());
-  ref.tbs_off = off(probe->tbs_der);
-  ref.tbs_len = static_cast<std::uint32_t>(probe->tbs_der.size());
-  ref.sig_off = off(probe->signature);
-  ref.sig_len = static_cast<std::uint16_t>(probe->signature.size());
-  ref.serial_off = off(probe->serial);
-  ref.serial_len = static_cast<std::uint16_t>(probe->serial.size());
+  ref.tbs_off = off(parsed.tbs_der);
+  ref.tbs_len = static_cast<std::uint32_t>(parsed.tbs_der.size());
+  ref.sig_off = off(parsed.signature);
+  ref.sig_len = static_cast<std::uint16_t>(parsed.signature.size());
+  ref.serial_off = off(parsed.serial);
+  ref.serial_len = static_cast<std::uint16_t>(parsed.serial.size());
 
-  x509::CertView view = *probe;
+  x509::CertView view = parsed;
   view.der = arena_der;
   view.tbs_der = BytesView{arena_der.data() + ref.tbs_off, ref.tbs_len};
   view.signature = BytesView{arena_der.data() + ref.sig_off, ref.sig_len};
   view.serial = BytesView{arena_der.data() + ref.serial_off, ref.serial_len};
   // issuer/subject/url views still alias the caller buffer; AppendRow interns
   // (copies) them, so that is safe.
-  return AppendRow(fp, ref, view);
+  return AppendRow(BytesView{digest.data(), digest.size()}, hash, ref, view,
+                   /*view_parsed=*/true);
 }
 
 x509::CertPtr CertCorpus::cert(Row r) const {
@@ -199,19 +218,27 @@ x509::CertPtr CertCorpus::cert(Row r) const {
 }
 
 std::vector<CertCorpus::Row> CertCorpus::RowsByFingerprint() const {
+  return SortedRows();
+}
+
+const std::vector<CertCorpus::Row>& CertCorpus::SortedRows() const {
   // The sorted order is cached: at paper scale every analysis pass calls
-  // LeafSet(), and re-sorting 38M rows each time would dominate. AppendRow
-  // invalidates the cache; not safe against concurrent ingest (no reader of
-  // this order runs during ingest).
-  if (sorted_rows_.size() != size()) {
-    std::vector<Row> rows(size());
-    for (Row r = 0; r < rows.size(); ++r) rows[r] = r;
-    const std::uint8_t* fps = fps_.data();
-    std::sort(rows.begin(), rows.end(), [fps](Row a, Row b) {
-      return std::memcmp(fps + std::size_t{a} * 32, fps + std::size_t{b} * 32,
-                         32) < 0;
-    });
-    sorted_rows_ = std::move(rows);
+  // LeafSet(), and re-sorting 38M rows each time would dominate. Appending
+  // a row makes the cache stale; not safe against concurrent ingest (no
+  // reader of this order runs during ingest).
+  if (sorted_size_.load(std::memory_order_acquire) != size()) {
+    std::lock_guard<std::mutex> lock(sort_mu_);
+    if (sorted_size_.load(std::memory_order_relaxed) != size()) {
+      std::vector<Row> rows(size());
+      for (Row r = 0; r < rows.size(); ++r) rows[r] = r;
+      const std::uint8_t* fps = fps_.data();
+      std::sort(rows.begin(), rows.end(), [fps](Row a, Row b) {
+        return std::memcmp(fps + std::size_t{a} * 32,
+                           fps + std::size_t{b} * 32, 32) < 0;
+      });
+      sorted_rows_ = std::move(rows);
+      sorted_size_.store(sorted_rows_.size(), std::memory_order_release);
+    }
   }
   return sorted_rows_;
 }
@@ -251,7 +278,9 @@ bool CertCorpus::CheckInvariants() const {
     const crypto::Sha256Digest digest = crypto::Sha256::Hash(der(r));
     if (std::memcmp(digest.data(), fps_.data() + std::size_t{r} * 32, 32) != 0)
       return false;
-    if (Find(BytesView{digest.data(), digest.size()}) != r) return false;
+    if (FindDer(der(r)) != r || Find(fingerprint(r)) != r) return false;
+    if (view_parsed(r) != x509::ParseCertView(der(r)).has_value())
+      return false;
 
     if (issuer_id_[r] >= names_.size() || subject_id_[r] >= names_.size())
       return false;

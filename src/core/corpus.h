@@ -11,8 +11,13 @@
 //     (util::StringInterner) — columns hold 4-byte ids;
 //   - lifetimes/observations/flags are fixed-width columns, contiguous for
 //     ParallelFor;
-//   - a fingerprint-keyed open-addressing index (FingerprintIndex) maps
-//     SHA-256 fingerprints to rows;
+//   - identity is the certificate's bytes: one open-addressing index
+//     (FingerprintIndex) keyed by util::HashBytes of the DER maps it to its
+//     row, confirmed by memcmp against the arena copy. A re-sighted
+//     certificate is found without a parse or a SHA-256;
+//   - the SHA-256 fingerprint column is computed once per new row; it is
+//     the sort key of RowsByFingerprint (the Leaf Set order) and of the
+//     cold-path Find(fingerprint);
 //   - the "in latest scan" view is epoch-based: starting a newer scan is one
 //     counter bump, not an O(rows) flag sweep.
 //
@@ -21,6 +26,7 @@
 // rows and cold paths like OCSP queries; the analyses read columns).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -45,15 +51,26 @@ class CertCorpus {
   using Row = std::uint32_t;
   static constexpr Row kNoRow = 0xFFFF'FFFFu;
 
-  // Interns a parsed certificate (dedup by fingerprint); returns its row.
+  // Interns a parsed certificate (dedup by DER bytes); returns its row.
   Row Intern(const x509::CertPtr& cert);
 
-  // Interns raw DER (the streaming-ingest path): view-parses, dedups, and
-  // copies into the arena. Returns kNoRow on malformed input, leaving the
-  // corpus untouched (fuzz-tested invariant).
+  // Interns raw DER (the streaming-ingest path): dedups by bytes, and only
+  // DER the corpus does not hold is view-parsed and copied into the arena.
+  // Returns kNoRow on malformed input — including bytes that entered
+  // through Intern's unparseable fallback — leaving the corpus untouched
+  // (fuzz-tested invariant).
   Row InternDer(BytesView der);
 
-  // Row for a fingerprint, or kNoRow.
+  // Row holding exactly these DER bytes, or kNoRow: one word-wise hash of
+  // the DER, an index probe and a memcmp against the arena copy. The ingest
+  // dedup lookup.
+  Row FindDer(BytesView der) const;
+
+  // Row for a SHA-256 fingerprint, or kNoRow: a binary search over the
+  // cached RowsByFingerprint order, which is re-sorted first if rows were
+  // appended since (O(rows log rows)). A post-ingest query; an ingest-time
+  // lookup uses FindDer. Like RowsByFingerprint, must not run concurrently
+  // with ingest.
   Row Find(BytesView fingerprint) const;
 
   std::size_t size() const { return refs_.size(); }
@@ -144,7 +161,8 @@ class CertCorpus {
   // All rows sorted by fingerprint bytes — the iteration order of the
   // std::map<Bytes, CertRecord> this store replaced, so downstream results
   // stay byte-identical. Cached between ingests (analyses call this per
-  // pass); recomputed lazily when rows have been appended since.
+  // pass); recomputed lazily when rows have been appended since. Must not
+  // run concurrently with ingest.
   std::vector<Row> RowsByFingerprint() const;
 
   // Memory accounting --------------------------------------------------------
@@ -156,12 +174,22 @@ class CertCorpus {
   }
 
   // Structural invariants (fingerprints match stored DER, offsets in
-  // bounds, index agrees, columns aligned). O(rows); for tests.
+  // bounds, FindDer and Find resolve every row to itself, the view-parse
+  // flag agrees with ParseCertView, columns aligned). O(rows log rows);
+  // for tests.
   bool CheckInvariants() const;
 
  private:
+  // Pipeline::ObserveDer probes every chain element with FindDer, parses
+  // only the misses and hands their views to InternView.
+  friend class Pipeline;
+
   static constexpr std::uint8_t kFlagCa = 1;
   static constexpr std::uint8_t kFlagEv = 2;
+  // The row's DER passed x509::ParseCertView when it was interned; unset
+  // only for Intern(CertPtr)'s unparseable fallback. A re-sighting of a
+  // flagged row needs no parse to be accepted.
+  static constexpr std::uint8_t kFlagViewParsed = 4;
 
   // One arena block per row: [der | fallback tbs | fallback sig | fallback
   // serial]. On the fast path tbs/sig/serial alias ranges *inside* der and
@@ -183,8 +211,18 @@ class CertCorpus {
     std::uint16_t num_ocsp = 0;
   };
 
-  Row AppendRow(BytesView fingerprint, const DerRef& ref,
-                const x509::CertView& view);
+  bool view_parsed(Row r) const { return (flags_[r] & kFlagViewParsed) != 0; }
+  Row FindDer(BytesView der, std::uint64_t hash) const;
+  // Interns DER the caller has already view-parsed (`view.der`): dedups by
+  // bytes, then appends. No second parse.
+  Row InternView(const x509::CertView& view);
+  // Appends a view-parsed row; `hash` is util::HashBytes(view.der) and the
+  // bytes must be absent.
+  Row AppendView(const x509::CertView& view, std::uint64_t hash);
+  Row AppendRow(BytesView fingerprint, std::uint64_t hash, const DerRef& ref,
+                const x509::CertView& view, bool view_parsed);
+  // RowsByFingerprint's cache, re-sorted first if stale.
+  const std::vector<Row>& SortedRows() const;
   UrlRef InternUrlLists(const std::vector<std::uint32_t>& crl_ids,
                         const std::vector<std::uint32_t>& ocsp_ids);
 
@@ -206,6 +244,8 @@ class CertCorpus {
   std::vector<std::uint8_t> valid_;
   std::uint32_t current_epoch_ = 1;
 
+  // util::HashBytes(der(row)) -> row; tag matches are confirmed by memcmp
+  // against the arena DER.
   FingerprintIndex index_;
   util::StringInterner names_;
   util::StringInterner urls_;
@@ -217,9 +257,12 @@ class CertCorpus {
 
   mutable std::mutex cert_mu_;
   mutable std::map<Row, x509::CertPtr> cert_cache_;
-  // Cache for RowsByFingerprint; stale iff its length differs from size()
-  // (rows are append-only, fingerprints immutable). Not guarded: callers
-  // never read the sorted order concurrently with ingest.
+  // Cache for RowsByFingerprint and Find; stale iff `sorted_size_` differs
+  // from size() (rows are append-only, fingerprints immutable). The re-sort
+  // runs under `sort_mu_`, so concurrent post-ingest readers are safe;
+  // readers never run concurrently with ingest.
+  mutable std::mutex sort_mu_;
+  mutable std::atomic<std::size_t> sorted_size_{0};
   mutable std::vector<Row> sorted_rows_;
 };
 

@@ -1,12 +1,15 @@
-// Open-addressing index from certificate fingerprints to corpus rows.
+// Open-addressing index from 64-bit key hashes to corpus rows.
 //
 // The index stores only a 64-bit hash tag and the row id per slot (12 bytes
-// versus the ~100 bytes per node of the std::map it replaces); the full
-// 32-byte fingerprint lives in the corpus column, and lookups resolve rare
-// tag collisions through a caller-supplied equality predicate against that
-// column. Linear probing over a power-of-two table, grown at 3/4 load.
-// Agreement with a std::map oracle (including after rehash) is
-// property-tested in tests/property_test.cpp.
+// versus the ~100 bytes per node of the std::map it replaces); the full key
+// lives in a corpus column, and lookups resolve rare tag collisions through
+// a caller-supplied equality predicate against that column. CertCorpus keys
+// it by util::HashBytes of each row's DER and confirms tag matches against
+// the arena copy; HashOf serves keys that are already uniform hashes
+// (SHA-256 fingerprints). Linear probing over a power-of-two table, grown
+// at 3/4 load. Agreement with a std::map oracle (including after rehash) is
+// property-tested in tests/property_test.cpp, directly and through
+// CertCorpus::FindDer.
 #pragma once
 
 #include <cstdint>

@@ -84,13 +84,31 @@ std::optional<CertCorpus::Row> Pipeline::ObserveDer(
   if (chain.empty()) return std::nullopt;
   // Validate every element before interning any: a rejected observation
   // must leave the corpus bit-identical (fuzz-tested), so no element may be
-  // folded before the last one has passed the parse.
-  for (const BytesView der : chain) {
-    if (!x509::ParseCertView(der)) return std::nullopt;
+  // folded before the last one has passed. Bytes the corpus already holds
+  // passed ParseCertView when they were interned and need no parse — unless
+  // they entered through Intern(CertPtr)'s unparseable fallback, which this
+  // path still rejects. Only new DER is parsed, once; its view goes
+  // straight to the intern step.
+  chain_rows_.resize(chain.size());
+  new_views_.clear();
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    const CertCorpus::Row row = corpus_.FindDer(chain[i]);
+    if (row == CertCorpus::kNoRow) {
+      std::optional<x509::CertView> view = x509::ParseCertView(chain[i]);
+      if (!view) return std::nullopt;
+      new_views_.push_back(*std::move(view));
+    } else if (!corpus_.view_parsed(row)) {
+      return std::nullopt;
+    }
+    chain_rows_[i] = row;
   }
   CertCorpus::Row leaf_row = CertCorpus::kNoRow;
+  std::size_t next_view = 0;
   for (std::size_t i = 0; i < chain.size(); ++i) {
-    const CertCorpus::Row row = corpus_.InternDer(chain[i]);
+    const CertCorpus::Row row =
+        chain_rows_[i] != CertCorpus::kNoRow
+            ? chain_rows_[i]
+            : corpus_.InternView(new_views_[next_view++]);
     corpus_.FoldSeen(row, scan_time_);
     if (i == 0) {
       leaf_row = row;

@@ -5,9 +5,10 @@
 //
 // Storage is the columnar core::CertCorpus (ROADMAP item 2): ingest streams
 // observations into arena/interned columns — a full scan snapshot never
-// needs to be resident — and Finalize() batches leaf verification with
-// ParallelFor over contiguous columns plus precomputed per-issuer HMAC
-// verifiers, so output is bit-identical at any thread count
+// needs to be resident — deduplicating certificates by their DER bytes, so
+// a re-sighting is a hash probe, not a parse. Finalize() batches leaf
+// verification with ParallelFor over contiguous columns plus precomputed
+// per-issuer HMAC verifiers, so output is bit-identical at any thread count
 // (docs/parallelism.md, docs/corpus.md). Equivalence with the pre-columnar
 // serial path is locked down by tests/corpus_test.cpp.
 #pragma once
@@ -20,6 +21,7 @@
 #include "util/bytes.h"
 #include "util/time.h"
 #include "x509/verify.h"
+#include "x509/view.h"
 
 namespace rev::core {
 
@@ -46,7 +48,11 @@ class Pipeline {
   CertCorpus::Row Observe(std::span<const x509::CertPtr> chain);
   // Raw-DER variant: every element must parse (borrowed-view parse); if any
   // is malformed the whole observation is rejected (nullopt) and the corpus
-  // is left untouched. This is the path fuzzed in tests/fuzz_test.cpp.
+  // is left untouched. Elements are deduplicated by their bytes first
+  // (CertCorpus::FindDer), so a re-sighted certificate costs one word-wise
+  // hash and a memcmp; only DER the corpus does not hold is parsed (once)
+  // and SHA-256 fingerprinted. This is the path fuzzed in
+  // tests/fuzz_test.cpp.
   std::optional<CertCorpus::Row> ObserveDer(std::span<const BytesView> chain);
   // Replay fast path for chains already interned (bench_paper_scale): folds
   // lifetime/observation columns only.
@@ -101,6 +107,10 @@ class Pipeline {
   double finalize_wall_seconds_ = 0;
   double intermediate_wall_seconds_ = 0;
   double verify_wall_seconds_ = 0;
+  // ObserveDer scratch, reused across calls: each element's known row (or
+  // kNoRow) and the views of the new elements, in chain order.
+  std::vector<CertCorpus::Row> chain_rows_;
+  std::vector<x509::CertView> new_views_;
 };
 
 }  // namespace rev::core

@@ -797,13 +797,14 @@ void Frontend::ProcessBatch(std::size_t shard, Op** ops, std::size_t count) {
   // Install the batch's freshly signed entries unless the index moved
   // under us — an epoch bump means some key's record may have changed
   // since `view` was pinned, and a stale install would undo the
-  // invalidation that bump performed.
-  if (!fresh.empty() && index_.epoch() == epoch0) {
+  // invalidation that bump performed. The check runs under each cache
+  // shard's lock, so no flush can land between it and the install.
+  if (!fresh.empty()) {
     std::vector<std::pair<StatusKey, ResponseCache::Entry>> install;
     install.reserve(fresh.size());
     for (auto& [key, entry] : fresh)
       install.emplace_back(key, std::move(entry));
-    cache_.PutBatch(std::move(install));
+    cache_.PutBatchIfEpoch(std::move(install), index_, epoch0);
   }
 
   // Release the admission slots, then publish the new depth (single
@@ -912,8 +913,11 @@ std::shared_ptr<const Bytes> Frontend::Staple(BytesView issuer_key_hash,
   std::shared_ptr<const Bytes> der = entry.der;
   // Same record decides signature and cachability; same epoch guard as the
   // batch path.
-  if (record && index_.epoch() == epoch0)
-    cache_.Put(StatusKey(key.begin(), key.end()), std::move(entry));
+  if (record) {
+    std::vector<std::pair<StatusKey, ResponseCache::Entry>> install;
+    install.emplace_back(StatusKey(key.begin(), key.end()), std::move(entry));
+    cache_.PutBatchIfEpoch(std::move(install), index_, epoch0);
+  }
   return der;
 }
 

@@ -72,16 +72,35 @@ void ResponseCache::Put(const StatusKey& key, Entry entry) {
 }
 
 void ResponseCache::PutBatch(std::vector<std::pair<StatusKey, Entry>> entries) {
+  Install(entries, nullptr, 0);
+}
+
+std::size_t ResponseCache::PutBatchIfEpoch(
+    std::vector<std::pair<StatusKey, Entry>> entries, const StatusIndex& index,
+    std::uint64_t epoch) {
+  return Install(entries, &index, epoch);
+}
+
+std::size_t ResponseCache::Install(
+    std::vector<std::pair<StatusKey, Entry>>& entries,
+    const StatusIndex* index, std::uint64_t epoch) {
   // One lock acquisition per affected shard, not per entry.
   std::vector<std::vector<std::pair<StatusKey, Entry>*>> by_shard(
       shards_.size());
   for (auto& entry : entries) by_shard[ShardOf(entry.first)].push_back(&entry);
+  std::size_t installed = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (by_shard[s].empty()) continue;
     std::unique_lock lock(shards_[s].mu);
+    // StatusIndex::Apply bumps the epoch before the flush invalidates, and
+    // the invalidation needs this lock: reading the old epoch here means
+    // the invalidation has not run yet and will drop what we install.
+    if (index != nullptr && index->epoch() != epoch) break;
     for (auto* entry : by_shard[s])
       shards_[s].map[entry->first] = std::move(entry->second);
+    installed += by_shard[s].size();
   }
+  return installed;
 }
 
 void ResponseCache::Invalidate(const StatusKey& key) {

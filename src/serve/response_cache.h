@@ -78,6 +78,17 @@ class ResponseCache {
   void Put(const StatusKey& key, Entry entry);
   void PutBatch(std::vector<std::pair<StatusKey, Entry>> entries);
 
+  // Epoch-guarded install for entries signed from an index snapshot pinned
+  // at `epoch`: per affected shard, takes the unique lock and installs that
+  // shard's entries only if `index.epoch()` still equals `epoch`; once the
+  // epoch has moved, the remaining entries are refused. Checking under the
+  // same lock a flush's Invalidate takes closes the window in which a
+  // stale install could land after that invalidation: either the install
+  // precedes the invalidation (which then drops it) or it sees the bumped
+  // epoch. Returns the number of entries installed.
+  std::size_t PutBatchIfEpoch(std::vector<std::pair<StatusKey, Entry>> entries,
+                              const StatusIndex& index, std::uint64_t epoch);
+
   void Invalidate(const StatusKey& key);
   void InvalidateBatch(const std::vector<StatusKey>& keys);
   void Clear();
@@ -116,6 +127,12 @@ class ResponseCache {
   }
 
   ResponseCache(std::size_t num_shards, std::uint64_t instance);
+
+  // Moves `entries` into their shards, one lock per affected shard; with a
+  // non-null `index`, stops at the first shard that finds its epoch moved
+  // past `epoch` (the PutBatchIfEpoch check).
+  std::size_t Install(std::vector<std::pair<StatusKey, Entry>>& entries,
+                      const StatusIndex* index, std::uint64_t epoch);
 
   std::vector<Shard> shards_;
   obs::Counter& hits_;

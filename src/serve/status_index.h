@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -22,6 +21,7 @@
 
 #include "ocsp/responder.h"
 #include "util/bytes.h"
+#include "util/hash.h"
 #include "x509/certificate.h"
 
 namespace rev::serve {
@@ -46,25 +46,11 @@ BytesView IssuerHashOfKey(BytesView key);
 struct StatusKeyHash {
   using is_transparent = void;
   std::size_t operator()(BytesView key) const noexcept {
-    // Word-at-a-time multiply-xor mix. Keys embed a cryptographic hash, so
-    // cheap mixing is plenty — but it must be word-wise: byte-serial FNV
-    // over a 40-byte key costs ~3 cycles/byte and was the single largest
-    // line item on the serve hot path (hashed up to 3x per request).
-    std::uint64_t h = 0x9E3779B97F4A7C15ull ^ key.size();
-    std::size_t i = 0;
-    for (; i + 8 <= key.size(); i += 8) {
-      std::uint64_t w;
-      std::memcpy(&w, key.data() + i, 8);
-      h = (h ^ w) * 0x9DDFEA08EB382D69ull;
-      h ^= h >> 32;
-    }
-    if (i < key.size()) {
-      std::uint64_t tail = 0;
-      std::memcpy(&tail, key.data() + i, key.size() - i);
-      h = (h ^ tail) * 0x9DDFEA08EB382D69ull;
-      h ^= h >> 32;
-    }
-    return static_cast<std::size_t>(h);
+    // Keys embed a cryptographic hash, so cheap mixing is plenty — but it
+    // must be word-wise: byte-serial FNV over a 40-byte key costs ~3
+    // cycles/byte and was the single largest line item on the serve hot
+    // path (hashed up to 3x per request).
+    return static_cast<std::size_t>(util::HashBytes(key));
   }
   std::size_t operator()(const StatusKey& key) const noexcept {
     return (*this)(BytesView(key));

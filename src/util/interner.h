@@ -14,6 +14,7 @@
 
 #include "util/arena.h"
 #include "util/bytes.h"
+#include "util/hash.h"
 
 namespace rev::util {
 
@@ -75,14 +76,9 @@ class StringInterner {
     return {reinterpret_cast<const char*>(b.data()), b.size()};
   }
 
-  // FNV-1a 64.
   static std::uint64_t Hash(std::string_view s) {
-    std::uint64_t h = 0xcbf2'9ce4'8422'2325ull;
-    for (const char c : s) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= 0x0000'0100'0000'01B3ull;
-    }
-    return h;
+    return HashBytes(
+        {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
   }
 
   void Grow() {

@@ -4,7 +4,8 @@
 // every analysis-visible output — Leaf Set, Intermediate Set, per-record
 // lifetime/verdict fields — must match byte for byte, at 1 thread and at 8.
 // Also locks down the PR 1 ingest-ordering regressions, corpus view/row-id
-// stability, and the Observe/ObserveDer round trip.
+// stability, the Observe/ObserveDer round trip, and ObserveDer's dedup by
+// bytes (re-sightings, in-chain duplicates, fallback-interned DER).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "crypto/signer.h"
 #include "scan/scanner.h"
 #include "x509/verify.h"
+#include "x509/view.h"
 
 namespace rev::core {
 namespace {
@@ -222,6 +224,59 @@ TEST(CorpusEquivalence, SecondSeed) {
   RunEcosystemEquivalence(/*seed=*/29, /*threads=*/8);
 }
 
+// ObserveDer re-sightings against the reference: every observation reaches
+// ObserveDer as fresh copies of its DER, so dedup must go by the bytes, not
+// by buffer identity; each scan also opens with one chain holding the same
+// DER twice (both elements new on the first scan, so the second is
+// deduplicated against the row the first just interned).
+void RunDerResightingEquivalence(std::uint64_t seed, unsigned threads) {
+  EcosystemConfig config;
+  config.scale = 0.001;
+  config.seed = seed;
+  std::unique_ptr<Ecosystem> eco = Ecosystem::Build(config);
+  const EcosystemConfig& c = eco->config();
+
+  ReferencePipeline reference(eco->roots());
+  Pipeline pipeline(eco->roots(), threads);
+  std::size_t resightings = 0;
+  for (util::Timestamp t = c.study_start; t <= c.study_end; t += 14 * kDay) {
+    scan::CertScanSnapshot snapshot = scan::RunCertScan(eco->internet(), t);
+    ASSERT_FALSE(snapshot.observations.empty());
+    scan::CertObservation doubled;
+    const x509::CertPtr twice = snapshot.observations.front().chain.front();
+    doubled.chain = {twice, twice};
+    snapshot.observations.insert(snapshot.observations.begin(), doubled);
+    reference.IngestScan(snapshot);
+
+    pipeline.BeginScan(snapshot.time);
+    for (const scan::CertObservation& obs : snapshot.observations) {
+      std::vector<Bytes> copies;
+      for (const x509::CertPtr& cert : obs.chain) {
+        ASSERT_NE(cert, nullptr);
+        copies.push_back(cert->der);
+      }
+      const std::vector<BytesView> chain(copies.begin(), copies.end());
+      const std::size_t size_before = pipeline.corpus().size();
+      ASSERT_TRUE(pipeline.ObserveDer(chain).has_value());
+      if (pipeline.corpus().size() == size_before) ++resightings;
+    }
+    pipeline.EndScan();
+  }
+  reference.Finalize();
+  pipeline.Finalize();
+  ExpectEquivalent(reference, pipeline);
+  EXPECT_GT(resightings, 0u);
+  EXPECT_TRUE(pipeline.corpus().CheckInvariants());
+}
+
+TEST(CorpusEquivalence, DerResightingsSerial) {
+  RunDerResightingEquivalence(/*seed=*/11, /*threads=*/1);
+}
+
+TEST(CorpusEquivalence, DerResightingsEightThreads) {
+  RunDerResightingEquivalence(/*seed=*/11, /*threads=*/8);
+}
+
 // ------------------------------------------------------- ingest ordering ----
 
 x509::CertPtr MakeTestLeaf(const std::string& cn) {
@@ -375,6 +430,75 @@ TEST(Corpus, ObserveDerMatchesObserve) {
       EXPECT_EQ(a.url(a.ocsp_url_ids(r)[u]), b.url(b.ocsp_url_ids(r)[u]));
   }
   EXPECT_TRUE(b.CheckInvariants());
+}
+
+// A chain that names the same new DER twice interns one row, counted as
+// one leaf observation.
+TEST(Corpus, ChainHoldingTheSameDerTwiceInternsOneRow) {
+  Pipeline pipeline{x509::CertPool{}};
+  const x509::CertPtr leaf = MakeTestLeaf("twice.sim");
+  const Bytes first_copy = leaf->der;
+  const Bytes second_copy = leaf->der;
+  const BytesView chain[2] = {BytesView(first_copy), BytesView(second_copy)};
+  pipeline.BeginScan(util::MakeDate(2014, 2, 1));
+  const auto row = pipeline.ObserveDer(chain);
+  pipeline.EndScan();
+
+  const CertCorpus& corpus = pipeline.corpus();
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ(corpus.size(), 1u);
+  EXPECT_EQ(corpus.observations(*row), 1u);
+  EXPECT_EQ(corpus.FindDer(leaf->der), *row);
+  EXPECT_EQ(corpus.Find(leaf->Fingerprint()), *row);
+  EXPECT_TRUE(corpus.CheckInvariants());
+}
+
+// Bytes that entered through Intern(CertPtr)'s unparseable fallback are a
+// known row, but ObserveDer must still reject them — alone or inside a chain
+// — and leave every column as it was.
+TEST(Corpus, ObserveDerRejectsDerInternedThroughTheFallback) {
+  const x509::CertPtr source = MakeTestLeaf("fallback.sim");
+  auto broken = std::make_shared<x509::Certificate>();
+  broken->tbs = source->tbs;
+  broken->sig_type = source->sig_type;
+  broken->tbs_der = source->tbs_der;
+  broken->signature = source->signature;
+  broken->der.assign(source->der.begin(), source->der.end() - 3);
+  ASSERT_FALSE(x509::ParseCertView(broken->der).has_value());
+
+  Pipeline pipeline{x509::CertPool{}};
+  pipeline.BeginScan(util::MakeDate(2014, 4, 1));
+  const x509::CertPtr broken_ptr = broken;
+  const CertCorpus::Row row = pipeline.Observe({&broken_ptr, 1});
+  ASSERT_NE(row, CertCorpus::kNoRow);
+  const CertCorpus& corpus = pipeline.corpus();
+  ASSERT_EQ(corpus.FindDer(broken->der), row);
+
+  struct Columns {
+    std::size_t size;
+    util::Timestamp first_seen, last_seen;
+    std::uint64_t observations;
+    bool in_latest;
+    bool operator==(const Columns&) const = default;
+  };
+  const auto columns = [&] {
+    return Columns{corpus.size(), corpus.first_seen(row), corpus.last_seen(row),
+                   corpus.observations(row), corpus.in_latest_scan(row)};
+  };
+  const Columns before = columns();
+
+  const Bytes copy = broken->der;
+  const BytesView alone = copy;
+  EXPECT_FALSE(pipeline.ObserveDer({&alone, 1}).has_value());
+  // A pristine new element ahead of it is not interned either.
+  const x509::CertPtr fresh = MakeTestLeaf("fresh.sim");
+  const BytesView chain[2] = {BytesView(fresh->der), alone};
+  EXPECT_FALSE(pipeline.ObserveDer(chain).has_value());
+  pipeline.EndScan();
+
+  EXPECT_EQ(columns(), before);
+  EXPECT_EQ(corpus.FindDer(fresh->der), CertCorpus::kNoRow);
+  EXPECT_TRUE(corpus.CheckInvariants());
 }
 
 // Lazy materialization re-parses the arena DER into the same certificate.

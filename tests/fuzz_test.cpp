@@ -11,9 +11,11 @@
 #include "core/pipeline.h"
 #include "crl/crl.h"
 #include "crlset/crlset.h"
+#include "crypto/sha256.h"
 #include "ocsp/ocsp.h"
 #include "util/rng.h"
 #include "x509/certificate.h"
+#include "x509/view.h"
 
 namespace rev {
 namespace {
@@ -306,6 +308,55 @@ TEST_P(FuzzSeeds, StreamingIngestRejectsWithoutCorpusCorruption) {
   EXPECT_FALSE(pipeline.ObserveDer(chain).has_value());
   EXPECT_EQ(corpus.size(), size_before);
   EXPECT_TRUE(corpus.CheckInvariants());
+  pipeline.EndScan();
+}
+
+// One-byte mutations of DER the corpus already holds: ObserveDer's byte
+// dedup misses on every mutant, so each takes the parse path — accepted
+// exactly when ParseCertView accepts it, as a new row fingerprinted by its
+// own SHA-256, and rejected without touching the corpus otherwise.
+TEST_P(FuzzSeeds, OneByteMutationsOfInternedDerTakeTheParsePath) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 11);
+  const Bytes valid = ValidCertDer();
+
+  core::Pipeline pipeline{x509::CertPool{}};
+  pipeline.BeginScan(kNow);
+  const BytesView valid_view(valid);
+  const auto original = pipeline.ObserveDer({&valid_view, 1});
+  ASSERT_TRUE(original.has_value());
+
+  const core::CertCorpus& corpus = pipeline.corpus();
+  std::size_t accepted = 0;
+  for (int i = 0; i < 300; ++i) {
+    Bytes mutated = valid;
+    mutated[rng.NextBelow(mutated.size())] ^=
+        static_cast<std::uint8_t>(1 + rng.NextBelow(255));
+    const bool parses = x509::ParseCertView(mutated).has_value();
+    const core::CertCorpus::Row known = corpus.FindDer(mutated);
+    const std::size_t size_before = corpus.size();
+    const BytesView view(mutated);
+    const auto row = pipeline.ObserveDer({&view, 1});
+    ASSERT_EQ(row.has_value(), parses) << "mutant " << i;
+    if (row.has_value()) {
+      ++accepted;
+      EXPECT_NE(*row, *original);
+      if (known == core::CertCorpus::kNoRow) {
+        EXPECT_EQ(*row, size_before);
+        EXPECT_EQ(corpus.size(), size_before + 1);
+      } else {
+        EXPECT_EQ(*row, known);  // a repeat of an earlier accepted mutant
+        EXPECT_EQ(corpus.size(), size_before);
+      }
+      const BytesView fp = corpus.fingerprint(*row);
+      EXPECT_EQ(Bytes(fp.begin(), fp.end()), crypto::Sha256Bytes(mutated));
+    } else {
+      EXPECT_EQ(corpus.size(), size_before);
+    }
+    ASSERT_TRUE(corpus.CheckInvariants()) << "after mutant " << i;
+  }
+  // Signature and string-content bytes are not structural: some mutants
+  // must parse, or the accept branch above went unexercised.
+  EXPECT_GT(accepted, 0u);
   pipeline.EndScan();
 }
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "browser/client.h"
+#include "core/corpus.h"
 #include "core/fingerprint_index.h"
 #include "net/retry.h"
 #include "browser/profiles.h"
@@ -648,6 +649,80 @@ TEST_P(FingerprintIndexProperty, MatchesMapOracleAcrossRehashes) {
   }
 }
 
+// CertCorpus::FindDer vs a std::map<Bytes, Row> oracle: a corpus keyed by
+// its certificates' bytes must resolve every interned DER to its row and
+// miss everything else, across index rehashes. Near-duplicates are the hard
+// case for a tag-plus-memcmp index: fresh certificates whose serials differ
+// only in the last byte (equal length, mostly equal bytes) and one-byte
+// flips of stored DER, some interned (through Intern's view-parse or
+// unparseable-fallback path) and some only probed.
+class CorpusFindDerProperty : public Seeded {};
+
+TEST_P(CorpusFindDerProperty, MatchesMapOracleAcrossRehashes) {
+  core::CertCorpus corpus;
+  std::map<Bytes, core::CertCorpus::Row> oracle;
+  std::vector<Bytes> stored;
+  const crypto::KeyPair ca_key = crypto::SimKeyFromLabel("find-der-ca");
+  x509::TbsCertificate tbs;
+  tbs.issuer = x509::Name::Make("FindDer CA", "Property");
+  tbs.not_before = kNow - kDay;
+  tbs.not_after = kNow + 365 * kDay;
+  tbs.public_key = crypto::SimKeyFromLabel("find-der-leaf").Public();
+  tbs.ocsp_urls = {"http://ocsp.find-der.sim/"};
+  const x509::Certificate pristine = x509::SignCertificate(tbs, ca_key);
+
+  for (int i = 0; i < 3000; ++i) {
+    auto cert = std::make_shared<x509::Certificate>();
+    const std::uint64_t pick = rng_.NextBelow(4);
+    if (pick == 0 && !stored.empty()) {
+      // A one-byte flip of stored DER: equal length, one byte apart.
+      *cert = pristine;
+      cert->der = stored[rng_.NextBelow(stored.size())];
+      cert->der[rng_.NextBelow(cert->der.size())] ^=
+          static_cast<std::uint8_t>(1 + rng_.NextBelow(255));
+    } else if (pick == 1 && !stored.empty()) {
+      *cert = pristine;
+      cert->der = stored[rng_.NextBelow(stored.size())];  // a fresh copy
+    } else {
+      // Serials of one length, 256 per prefix: neighbours differ in the
+      // last serial byte (and the signature).
+      tbs.serial = x509::Serial{0x01, static_cast<std::uint8_t>(i >> 8),
+                                static_cast<std::uint8_t>(i)};
+      tbs.subject = x509::Name::FromCommonName(
+          "host" + std::to_string(i % 7) + ".find-der.sim");
+      *cert = x509::SignCertificate(tbs, ca_key);
+    }
+
+    const core::CertCorpus::Row got = corpus.FindDer(cert->der);
+    const auto it = oracle.find(cert->der);
+    if (it != oracle.end()) {
+      ASSERT_EQ(got, it->second) << "miss/mismatch at " << i;
+      continue;
+    }
+    ASSERT_EQ(got, core::CertCorpus::kNoRow) << "false hit at " << i;
+    // Some flips are only probed, never interned.
+    if (pick == 0 && rng_.NextBelow(2) == 0) continue;
+    const core::CertCorpus::Row row = corpus.Intern(cert);
+    ASSERT_EQ(row, stored.size());
+    stored.push_back(cert->der);
+    oracle.emplace(cert->der, row);
+  }
+
+  // Post-growth sweep (3000 probes from an empty table: many rehashes):
+  // every stored DER resolves to its row, and flips of it that were never
+  // interned still miss.
+  for (const auto& [der, row] : oracle) EXPECT_EQ(corpus.FindDer(der), row);
+  for (int i = 0; i < 500; ++i) {
+    Bytes der = stored[rng_.NextBelow(stored.size())];
+    der[rng_.NextBelow(der.size())] ^= 0x80;
+    const auto it = oracle.find(der);
+    EXPECT_EQ(corpus.FindDer(der),
+              it == oracle.end() ? core::CertCorpus::kNoRow : it->second);
+  }
+  EXPECT_TRUE(corpus.CheckInvariants());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CorpusFindDerProperty, ::testing::Range(0, 6));
 INSTANTIATE_TEST_SUITE_P(Seeds, InternerProperty, ::testing::Range(0, 6));
 INSTANTIATE_TEST_SUITE_P(Seeds, FingerprintIndexProperty,
                          ::testing::Range(0, 6));

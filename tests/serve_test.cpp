@@ -97,6 +97,42 @@ TEST(ResponseCache, ServeUntilIsExclusive) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+// The combiner's install race, forced deterministically: an entry signed
+// from a snapshot pinned at epoch e0 must not land after a flush (index
+// swap to e0+1, then invalidation of the key) has run — it would undo the
+// invalidation and serve the pre-revocation "good".
+TEST(ResponseCache, InstallFromBeforeAnInvalidationIsRefused) {
+  StatusIndex index(4);
+  ResponseCache cache(4);
+  const StatusKey key = MakeStatusKey(Bytes(32, 0x0A), x509::Serial{0x0B});
+  const StatusKey other = MakeStatusKey(Bytes(32, 0x0A), x509::Serial{0x0C});
+  auto stale_entries = [&] {
+    ResponseCache::Entry entry;
+    entry.der = std::make_shared<const Bytes>(Bytes{0x0D});
+    entry.signed_at = kNow;
+    entry.serve_until = kNow + 100;
+    std::vector<std::pair<StatusKey, ResponseCache::Entry>> entries;
+    entries.emplace_back(key, entry);
+    entries.emplace_back(other, entry);
+    return entries;
+  };
+
+  const std::uint64_t pinned = index.epoch();
+  // The flush lands between the combiner's signing and its install.
+  index.Apply({{key, StatusIndex::Record{ocsp::CertStatus::kRevoked, kNow - 10,
+                                         x509::ReasonCode::kKeyCompromise}}});
+  cache.Invalidate(key);
+
+  EXPECT_EQ(cache.PutBatchIfEpoch(stale_entries(), index, pinned), 0u);
+  EXPECT_EQ(cache.Get(key, kNow).outcome, ResponseCache::Outcome::kMiss);
+  EXPECT_EQ(cache.size(), 0u);
+
+  // An install pinned at the current epoch goes through.
+  EXPECT_EQ(cache.PutBatchIfEpoch(stale_entries(), index, index.epoch()), 2u);
+  EXPECT_EQ(cache.Get(key, kNow).outcome, ResponseCache::Outcome::kHit);
+  EXPECT_EQ(cache.Get(other, kNow).outcome, ResponseCache::Outcome::kHit);
+}
+
 // ------------------------------------------------------------- Frontend ----
 
 class FrontendTest : public ::testing::Test {
