@@ -184,10 +184,14 @@ struct World {
         // Streaming ingest: observations flow straight into the columnar
         // corpus; the snapshot is never resident.
         world.pipeline->BeginScan(t);
-        scan::StreamCertScan(world.eco->internet(), t,
-                             [&](const scan::CertObservation& obs) {
-                               world.pipeline->Observe(obs.chain);
-                             });
+        scan::StreamCertScan(
+            world.eco->internet(), t, [&](const scan::CertObservation& obs) {
+              if (!world.pipeline->ObserveDer(obs.Der())) {
+                std::fprintf(stderr, "[world] scan rejected ip %u's chain\n",
+                             obs.ip);
+                std::abort();
+              }
+            });
         world.pipeline->EndScan();
         ++world.num_scans;
       }

@@ -11,7 +11,8 @@
 // streaming every observation into the pipeline scan by scan:
 //
 //   scan s: re-observe alive rows (Pipeline::ObserveRows replay fast path),
-//           then synthesize + Observe the certs first advertised in scan s.
+//           then synthesize the certs first advertised in scan s and
+//           stream their DER through Pipeline::ObserveDer.
 //
 // Revocations are written straight into a RevocationDb during synthesis and
 // per-shard CRL tallies become the CrlSizeSample set, so ComputeTable1,
@@ -35,7 +36,6 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <array>
 #include <cctype>
 #include <cmath>
 #include <cstring>
@@ -320,7 +320,18 @@ int main() {
   std::uint64_t total_observations = 0;
   {
     bench::BenchRun::Phase phase("ingest_scans");
-    std::array<x509::CertPtr, 2> chain;
+    // Every synthesized chain parses; a rejection is a generator bug.
+    const auto observe = [&pipeline](const x509::Certificate& leaf,
+                                     const x509::Certificate& issuer) {
+      const BytesView chain[2] = {leaf.der, issuer.der};
+      const std::optional<core::CertCorpus::Row> row =
+          pipeline.ObserveDer(chain);
+      if (!row) {
+        std::fprintf(stderr, "synthesized chain rejected by ObserveDer\n");
+        std::abort();
+      }
+      return *row;
+    };
     x509::TbsCertificate tbs;
     tbs.public_key = leaf_key;
     for (int s = 0; s < num_scans; ++s) {
@@ -411,10 +422,8 @@ int main() {
           }
           revoked_at = std::min(revoked_at, tbs.not_after);
 
-          chain[0] = std::make_shared<const x509::Certificate>(
-              x509::SignCertificate(tbs, ca.ca->key()));
-          chain[1] = ca.cert;
-          const core::CertCorpus::Row row = pipeline.Observe(chain);
+          const core::CertCorpus::Row row =
+              observe(x509::SignCertificate(tbs, ca.ca->key()), *ca.cert);
           if (ca.row == core::CertCorpus::kNoRow)
             ca.row = pipeline.corpus().FindDer(ca.cert->der);
 
@@ -477,10 +486,8 @@ int main() {
           tbs.ocsp_urls.clear();
           tbs.policies.clear();
 
-          chain[0] = std::make_shared<const x509::Certificate>(
-              x509::SignCertificate(tbs, u.key));
-          chain[1] = u.cert;
-          const core::CertCorpus::Row row = pipeline.Observe(chain);
+          const core::CertCorpus::Row row =
+              observe(x509::SignCertificate(tbs, u.key), *u.cert);
           if (u.row == core::CertCorpus::kNoRow)
             u.row = pipeline.corpus().FindDer(u.cert->der);
 

@@ -38,7 +38,14 @@ int main(int argc, char** argv) {
   for (util::Timestamp t = c.study_start; t <= c.study_end; t += 7 * kDay) {
     const scan::CertScanSnapshot snapshot = scan::RunCertScan(eco->internet(), t);
     archive.AddSnapshot(snapshot);
-    pipeline.IngestScan(snapshot);
+    pipeline.BeginScan(t);
+    for (const scan::CertObservation& obs : snapshot.observations) {
+      if (!pipeline.ObserveDer(obs.Der())) {
+        std::fprintf(stderr, "scan ingest rejected ip %u's chain\n", obs.ip);
+        return 1;
+      }
+    }
+    pipeline.EndScan();
     ++scans;
   }
   pipeline.Finalize();

@@ -3,11 +3,10 @@
 # then a ThreadSanitizer pass over the concurrency-sensitive targets —
 # the thread pool, the parallel pipeline/crawler, the serving frontend,
 # and the metrics/trace instruments (tests + a small bench_serve load) —
-# then an ASan+UBSan pass over the corpus, fuzz, property, core and serve
-# suites, then an observability smoke: bench_serve must answer GET /metrics and
+# then the full ctest under ASan+UBSan, then an observability smoke: bench_serve must answer GET /metrics and
 # land the registry snapshot in BENCH_serve.json, plus a QPS-regression
 # smoke against the baseline committed in BENCH_serve.json. Fails on any
-# ctest regression, TSan report, or QPS collapse.
+# ctest regression, TSan or ASan/UBSan report, or QPS collapse.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,16 +60,14 @@ REV_SERVE_CERTS=2000 REV_SERVE_OPS=2000 REV_SERVE_THREADS=4 \
   REV_SERVE_FLOOR=0 ./build-tsan/bench/bench_serve > /dev/null || {
     echo "bench_serve under TSan failed" >&2; exit 1; }
 
-echo "== ASan+UBSan: parsers, fuzzing, corpus ingest/dedup, serving cache =="
+echo "== ASan+UBSan: full test suite =="
 # Every parser and wire format must fail closed without an over-read, and
 # the corpus's word-wise DER hashing (util::HashBytes) loads tails with a
-# bounded memcpy: these suites drive both under AddressSanitizer and
-# UndefinedBehaviorSanitizer (any report aborts the run).
+# bounded memcpy: the whole ctest runs under AddressSanitizer and
+# UndefinedBehaviorSanitizer (any report fails its suite).
 cmake -B build-asan -S . -DREV_SANITIZE_ADDRESS=ON
-cmake --build build-asan -j"$(nproc)" --target corpus_test fuzz_test property_test core_test serve_test
-for suite in corpus_test fuzz_test property_test core_test serve_test; do
-  ./build-asan/tests/"$suite"
-done
+cmake --build build-asan -j"$(nproc)"
+ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 
 echo "== observability smoke: /metrics endpoint + BENCH json metrics block =="
 smoke_dir=$(mktemp -d)

@@ -58,16 +58,54 @@ CertCorpus::UrlRef CertCorpus::InternUrlLists(
   return ref;
 }
 
-CertCorpus::Row CertCorpus::AppendRow(BytesView fingerprint,
-                                      std::uint64_t hash, const DerRef& ref,
-                                      const x509::CertView& view,
-                                      bool view_parsed) {
+CertCorpus::Row CertCorpus::InternDer(BytesView der) {
+  // Known bytes passed ParseCertView when they were interned and need no
+  // parse. New bytes are validated against the caller's buffer BEFORE
+  // touching any corpus state: a rejected certificate must leave the store
+  // bit-identical.
+  const std::uint64_t hash = util::HashBytes(der);
+  if (const Row existing = FindDer(der, hash); existing != kNoRow)
+    return existing;
+  const auto view = x509::ParseCertView(der);
+  if (!view) return kNoRow;
+  return AppendView(*view, hash);
+}
+
+CertCorpus::Row CertCorpus::InternView(const x509::CertView& view) {
+  // Re-probed: an earlier element of the same chain may have interned
+  // these bytes since the caller's FindDer missed.
+  const std::uint64_t hash = util::HashBytes(view.der);
+  if (const Row existing = FindDer(view.der, hash); existing != kNoRow)
+    return existing;
+  return AppendView(view, hash);
+}
+
+CertCorpus::Row CertCorpus::AppendView(const x509::CertView& view,
+                                       std::uint64_t hash) {
   assert(refs_.size() < kNoRow);
   const Row row = static_cast<Row>(refs_.size());
 
-  fps_.insert(fps_.end(), fingerprint.begin(), fingerprint.end());
+  const BytesView der = view.der;
+  const crypto::Sha256Digest digest = crypto::Sha256::Hash(der);
+  fps_.insert(fps_.end(), digest.begin(), digest.end());
+  // tbs/sig/serial become offsets into the arena copy, which is
+  // byte-identical to the parsed buffer, so no second parse is needed.
+  const BytesView arena_der = arena_.Copy(der);
+  const auto off = [&](BytesView field) {
+    return static_cast<std::uint32_t>(field.data() - der.data());
+  };
+  DerRef ref;
+  ref.base = arena_der.data();
+  ref.der_len = static_cast<std::uint32_t>(arena_der.size());
+  ref.tbs_off = off(view.tbs_der);
+  ref.tbs_len = static_cast<std::uint32_t>(view.tbs_der.size());
+  ref.sig_off = off(view.signature);
+  ref.sig_len = static_cast<std::uint16_t>(view.signature.size());
+  ref.serial_off = off(view.serial);
+  ref.serial_len = static_cast<std::uint16_t>(view.serial.size());
   refs_.push_back(ref);
 
+  // Names and URLs still alias the caller's buffer; interning copies them.
   issuer_id_.push_back(names_.Intern(view.issuer_der));
   subject_id_.push_back(names_.Intern(view.subject_der));
 
@@ -89,117 +127,11 @@ CertCorpus::Row CertCorpus::AppendRow(BytesView fingerprint,
   std::uint8_t flags = 0;
   if (view.is_ca) flags |= kFlagCa;
   if (view.is_ev) flags |= kFlagEv;
-  if (view_parsed) flags |= kFlagViewParsed;
   flags_.push_back(flags);
   valid_.push_back(0);
 
   index_.Insert(hash, row);
   return row;
-}
-
-CertCorpus::Row CertCorpus::Intern(const x509::CertPtr& cert) {
-  const std::uint64_t hash = util::HashBytes(cert->der);
-  const Row existing = FindDer(cert->der, hash);
-  if (existing != kNoRow) return existing;
-  if (const auto view = x509::ParseCertView(cert->der))
-    return AppendView(*view, hash);
-
-  // Fallback: the DER does not view-parse (hand-built Certificate objects in
-  // tests can carry unparseable bytes). Append the parsed pieces behind the
-  // DER in one stable block and synthesize the view from the parsed object.
-  const Bytes issuer_der = cert->tbs.issuer.Encode();
-  const Bytes subject_der = cert->tbs.subject.Encode();
-  const std::size_t total = cert->der.size() + cert->tbs_der.size() +
-                            cert->signature.size() + cert->tbs.serial.size();
-  std::span<std::uint8_t> block = arena_.Allocate(total);
-  std::uint8_t* p = block.data();
-  auto append = [&p](const Bytes& b) {
-    if (!b.empty()) std::memcpy(p, b.data(), b.size());
-    p += b.size();
-  };
-  append(cert->der);
-  append(cert->tbs_der);
-  append(cert->signature);
-  append(cert->tbs.serial);
-
-  DerRef ref;
-  ref.base = block.data();
-  ref.der_len = static_cast<std::uint32_t>(cert->der.size());
-  ref.tbs_off = ref.der_len;
-  ref.tbs_len = static_cast<std::uint32_t>(cert->tbs_der.size());
-  ref.sig_off = ref.tbs_off + ref.tbs_len;
-  ref.sig_len = static_cast<std::uint16_t>(cert->signature.size());
-  ref.serial_off = ref.sig_off + ref.sig_len;
-  ref.serial_len = static_cast<std::uint16_t>(cert->tbs.serial.size());
-
-  x509::CertView view;
-  view.der = BytesView{block.data(), ref.der_len};
-  view.tbs_der = BytesView{block.data() + ref.tbs_off, ref.tbs_len};
-  view.signature = BytesView{block.data() + ref.sig_off, ref.sig_len};
-  view.serial = BytesView{block.data() + ref.serial_off, ref.serial_len};
-  view.issuer_der = issuer_der;
-  view.subject_der = subject_der;
-  view.not_before = cert->tbs.not_before;
-  view.not_after = cert->tbs.not_after;
-  view.sig_type = cert->sig_type;
-  view.is_ca = cert->IsCa();
-  view.is_ev = cert->IsEv();
-  for (const std::string& u : cert->tbs.crl_urls) view.crl_urls.push_back(u);
-  for (const std::string& u : cert->tbs.ocsp_urls) view.ocsp_urls.push_back(u);
-  return AppendRow(cert->Fingerprint(), hash, ref, view, /*view_parsed=*/false);
-}
-
-CertCorpus::Row CertCorpus::InternDer(BytesView der) {
-  // Known bytes need no parse unless they entered through Intern's
-  // unparseable fallback, which the raw-DER path still rejects. New bytes
-  // are validated against the caller's buffer BEFORE touching any corpus
-  // state: a rejected certificate must leave the store bit-identical.
-  const std::uint64_t hash = util::HashBytes(der);
-  if (const Row existing = FindDer(der, hash); existing != kNoRow)
-    return view_parsed(existing) ? existing : kNoRow;
-  const auto view = x509::ParseCertView(der);
-  if (!view) return kNoRow;
-  return AppendView(*view, hash);
-}
-
-CertCorpus::Row CertCorpus::InternView(const x509::CertView& view) {
-  // Re-probed: an earlier element of the same chain may have interned
-  // these bytes since the caller's FindDer missed.
-  const std::uint64_t hash = util::HashBytes(view.der);
-  if (const Row existing = FindDer(view.der, hash); existing != kNoRow)
-    return existing;
-  return AppendView(view, hash);
-}
-
-CertCorpus::Row CertCorpus::AppendView(const x509::CertView& parsed,
-                                       std::uint64_t hash) {
-  const BytesView der = parsed.der;
-  const crypto::Sha256Digest digest = crypto::Sha256::Hash(der);
-  const BytesView arena_der = arena_.Copy(der);
-  // Rebase the views onto the arena copy by offset arithmetic — the copy is
-  // byte-identical, so no second parse is needed.
-  const auto off = [&](BytesView field) {
-    return static_cast<std::uint32_t>(field.data() - der.data());
-  };
-  DerRef ref;
-  ref.base = arena_der.data();
-  ref.der_len = static_cast<std::uint32_t>(arena_der.size());
-  ref.tbs_off = off(parsed.tbs_der);
-  ref.tbs_len = static_cast<std::uint32_t>(parsed.tbs_der.size());
-  ref.sig_off = off(parsed.signature);
-  ref.sig_len = static_cast<std::uint16_t>(parsed.signature.size());
-  ref.serial_off = off(parsed.serial);
-  ref.serial_len = static_cast<std::uint16_t>(parsed.serial.size());
-
-  x509::CertView view = parsed;
-  view.der = arena_der;
-  view.tbs_der = BytesView{arena_der.data() + ref.tbs_off, ref.tbs_len};
-  view.signature = BytesView{arena_der.data() + ref.sig_off, ref.sig_len};
-  view.serial = BytesView{arena_der.data() + ref.serial_off, ref.serial_len};
-  // issuer/subject/url views still alias the caller buffer; AppendRow interns
-  // (copies) them, so that is safe.
-  return AppendRow(BytesView{digest.data(), digest.size()}, hash, ref, view,
-                   /*view_parsed=*/true);
 }
 
 x509::CertPtr CertCorpus::cert(Row r) const {
@@ -267,20 +199,17 @@ bool CertCorpus::CheckInvariants() const {
   for (Row r = 0; r < n; ++r) {
     const DerRef& ref = refs_[r];
     if (ref.base == nullptr || ref.der_len == 0) return false;
-    // tbs/sig/serial must land inside the row's block (der plus any
-    // fallback appendix — offsets are monotone on that path).
-    const std::uint64_t block_end =
-        std::max<std::uint64_t>(ref.der_len,
-                                std::uint64_t{ref.serial_off} + ref.serial_len);
-    if (std::uint64_t{ref.tbs_off} + ref.tbs_len > block_end) return false;
-    if (std::uint64_t{ref.sig_off} + ref.sig_len > block_end) return false;
+    // tbs/sig/serial must land inside the row's DER.
+    if (std::uint64_t{ref.tbs_off} + ref.tbs_len > ref.der_len) return false;
+    if (std::uint64_t{ref.sig_off} + ref.sig_len > ref.der_len) return false;
+    if (std::uint64_t{ref.serial_off} + ref.serial_len > ref.der_len)
+      return false;
 
     const crypto::Sha256Digest digest = crypto::Sha256::Hash(der(r));
     if (std::memcmp(digest.data(), fps_.data() + std::size_t{r} * 32, 32) != 0)
       return false;
     if (FindDer(der(r)) != r || Find(fingerprint(r)) != r) return false;
-    if (view_parsed(r) != x509::ParseCertView(der(r)).has_value())
-      return false;
+    if (!x509::ParseCertView(der(r))) return false;
 
     if (issuer_id_[r] >= names_.size() || subject_id_[r] >= names_.size())
       return false;

@@ -3,10 +3,10 @@
 // CertRecord> of heap CertPtrs.
 //
 // Layout (docs/corpus.md has the full diagram and invariants):
-//   - DER bytes live in a util::Arena (chunked, pointer-stable: views never
-//     dangle as rows are appended);
-//   - tbs/signature/serial are offsets into each row's arena block, not
-//     copies;
+//   - every row enters as raw DER that passed x509::ParseCertView; the DER
+//     lives in a util::Arena (chunked, pointer-stable: views never dangle as
+//     rows are appended), one block per row holding just those bytes;
+//   - tbs/signature/serial are offsets into the row's DER, not copies;
 //   - issuer/subject name DER and CRL/OCSP URLs are interned
 //     (util::StringInterner) — columns hold 4-byte ids;
 //   - lifetimes/observations/flags are fixed-width columns, contiguous for
@@ -51,13 +51,9 @@ class CertCorpus {
   using Row = std::uint32_t;
   static constexpr Row kNoRow = 0xFFFF'FFFFu;
 
-  // Interns a parsed certificate (dedup by DER bytes); returns its row.
-  Row Intern(const x509::CertPtr& cert);
-
-  // Interns raw DER (the streaming-ingest path): dedups by bytes, and only
-  // DER the corpus does not hold is view-parsed and copied into the arena.
-  // Returns kNoRow on malformed input — including bytes that entered
-  // through Intern's unparseable fallback — leaving the corpus untouched
+  // Interns raw DER, the only way into the corpus: dedups by bytes, and
+  // only DER the corpus does not hold is view-parsed and copied into the
+  // arena. Returns kNoRow on malformed input, leaving the corpus untouched
   // (fuzz-tested invariant).
   Row InternDer(BytesView der);
 
@@ -154,8 +150,8 @@ class CertCorpus {
 
   // Lazy materialization -----------------------------------------------------
   // Full Certificate for a row, re-parsed from arena DER and cached.
-  // Thread-safe; returns nullptr only if the stored DER fails the full parse
-  // (cannot happen for rows interned from parsed certificates).
+  // Thread-safe; returns nullptr only if the stored DER, which passed
+  // ParseCertView, fails the full parse.
   x509::CertPtr cert(Row r) const;
 
   // All rows sorted by fingerprint bytes — the iteration order of the
@@ -173,10 +169,9 @@ class CertCorpus {
     return names_.arena_bytes() + urls_.arena_bytes();
   }
 
-  // Structural invariants (fingerprints match stored DER, offsets in
-  // bounds, FindDer and Find resolve every row to itself, the view-parse
-  // flag agrees with ParseCertView, columns aligned). O(rows log rows);
-  // for tests.
+  // Structural invariants (fingerprints match stored DER, offsets inside
+  // the DER, FindDer and Find resolve every row to itself, every row's DER
+  // passes ParseCertView, columns aligned). O(rows log rows); for tests.
   bool CheckInvariants() const;
 
  private:
@@ -186,15 +181,9 @@ class CertCorpus {
 
   static constexpr std::uint8_t kFlagCa = 1;
   static constexpr std::uint8_t kFlagEv = 2;
-  // The row's DER passed x509::ParseCertView when it was interned; unset
-  // only for Intern(CertPtr)'s unparseable fallback. A re-sighting of a
-  // flagged row needs no parse to be accepted.
-  static constexpr std::uint8_t kFlagViewParsed = 4;
 
-  // One arena block per row: [der | fallback tbs | fallback sig | fallback
-  // serial]. On the fast path tbs/sig/serial alias ranges *inside* der and
-  // the block is just the DER; the fallback (view-parse failed but a full
-  // parse exists) appends the pieces after it.
+  // One arena block per row, just the DER; tbs/sig/serial alias ranges
+  // inside it.
   struct DerRef {
     const std::uint8_t* base = nullptr;
     std::uint32_t der_len = 0;
@@ -211,7 +200,6 @@ class CertCorpus {
     std::uint16_t num_ocsp = 0;
   };
 
-  bool view_parsed(Row r) const { return (flags_[r] & kFlagViewParsed) != 0; }
   Row FindDer(BytesView der, std::uint64_t hash) const;
   // Interns DER the caller has already view-parsed (`view.der`): dedups by
   // bytes, then appends. No second parse.
@@ -219,8 +207,6 @@ class CertCorpus {
   // Appends a view-parsed row; `hash` is util::HashBytes(view.der) and the
   // bytes must be absent.
   Row AppendView(const x509::CertView& view, std::uint64_t hash);
-  Row AppendRow(BytesView fingerprint, std::uint64_t hash, const DerRef& ref,
-                const x509::CertView& view, bool view_parsed);
   // RowsByFingerprint's cache, re-sorted first if stale.
   const std::vector<Row>& SortedRows() const;
   UrlRef InternUrlLists(const std::vector<std::uint32_t>& crl_ids,

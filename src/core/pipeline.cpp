@@ -61,34 +61,14 @@ void Pipeline::BeginScan(util::Timestamp t) {
   scan_time_ = t;
 }
 
-CertCorpus::Row Pipeline::Observe(std::span<const x509::CertPtr> chain) {
-  CertCorpus::Row leaf_row = CertCorpus::kNoRow;
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    const x509::CertPtr& cert = chain[i];
-    if (!cert) continue;
-    const CertCorpus::Row row = corpus_.Intern(cert);
-    corpus_.FoldSeen(row, scan_time_);
-    // Count server-observations for the leaf position only (used for
-    // weighted statistics); chain elements are shared.
-    if (i == 0) {
-      leaf_row = row;
-      corpus_.AddLeafObservation(row);
-      if (scan_in_latest_) corpus_.MarkInLatestScan(row);
-    }
-  }
-  return leaf_row;
-}
-
 std::optional<CertCorpus::Row> Pipeline::ObserveDer(
     std::span<const BytesView> chain) {
   if (chain.empty()) return std::nullopt;
   // Validate every element before interning any: a rejected observation
   // must leave the corpus bit-identical (fuzz-tested), so no element may be
   // folded before the last one has passed. Bytes the corpus already holds
-  // passed ParseCertView when they were interned and need no parse — unless
-  // they entered through Intern(CertPtr)'s unparseable fallback, which this
-  // path still rejects. Only new DER is parsed, once; its view goes
-  // straight to the intern step.
+  // passed ParseCertView when they were interned and need no parse. Only
+  // new DER is parsed, once; its view goes straight to the intern step.
   chain_rows_.resize(chain.size());
   new_views_.clear();
   for (std::size_t i = 0; i < chain.size(); ++i) {
@@ -97,8 +77,6 @@ std::optional<CertCorpus::Row> Pipeline::ObserveDer(
       std::optional<x509::CertView> view = x509::ParseCertView(chain[i]);
       if (!view) return std::nullopt;
       new_views_.push_back(*std::move(view));
-    } else if (!corpus_.view_parsed(row)) {
-      return std::nullopt;
     }
     chain_rows_[i] = row;
   }
@@ -132,14 +110,6 @@ void Pipeline::ObserveRows(std::span<const CertCorpus::Row> chain) {
 }
 
 void Pipeline::EndScan() {}
-
-void Pipeline::IngestScan(const scan::CertScanSnapshot& snapshot) {
-  obs::Span span("pipeline.ingest_scan");
-  BeginScan(snapshot.time);
-  for (const scan::CertObservation& obs : snapshot.observations)
-    Observe(obs.chain);
-  EndScan();
-}
 
 void Pipeline::Finalize() {
   if (finalized_) return;

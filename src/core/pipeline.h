@@ -4,9 +4,9 @@
 // root store, and validates leaves with date errors ignored.
 //
 // Storage is the columnar core::CertCorpus (ROADMAP item 2): ingest streams
-// observations into arena/interned columns — a full scan snapshot never
-// needs to be resident — deduplicating certificates by their DER bytes, so
-// a re-sighting is a hash probe, not a parse. Finalize() batches leaf
+// each observation's raw DER into arena/interned columns — a full scan
+// snapshot never needs to be resident — deduplicating certificates by their
+// bytes, so a re-sighting is a hash probe, not a parse. Finalize() batches leaf
 // verification with ParallelFor over contiguous columns plus precomputed
 // per-issuer HMAC verifiers, so output is bit-identical at any thread count
 // (docs/parallelism.md, docs/corpus.md). Equivalence with the pre-columnar
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/corpus.h"
-#include "scan/scanner.h"
 #include "util/bytes.h"
 #include "util/time.h"
 #include "x509/verify.h"
@@ -32,27 +31,21 @@ class Pipeline {
   explicit Pipeline(x509::CertPool roots, unsigned threads = 0)
       : roots_(std::move(roots)), threads_(threads) {}
 
-  // Folds one scan into the store. Snapshots should arrive in chronological
-  // order; a snapshot with the same timestamp as the latest merges into the
-  // latest-scan view (it does NOT clear previously set flags), and an older
-  // snapshot is folded into lifetimes/observations but never touches the
-  // latest-scan view — such regressions are counted in out_of_order_scans().
-  // Equivalent to BeginScan + one Observe per observation + EndScan.
-  void IngestScan(const scan::CertScanSnapshot& snapshot);
-
-  // Streaming ingest: fold observations one at a time without materializing
-  // a snapshot. Timestamp semantics are identical to IngestScan.
+  // Ingest is streaming, one scan at a time: BeginScan, one ObserveDer per
+  // observation, EndScan. Scans should arrive in chronological order; a
+  // scan with the same timestamp as the latest merges into the latest-scan
+  // view (it does NOT clear previously set flags), and an older scan is
+  // folded into lifetimes/observations but never touches the latest-scan
+  // view — such regressions are counted in out_of_order_scans().
   void BeginScan(util::Timestamp t);
-  // One observation (chain leaf-first); null chain elements are skipped.
-  // Returns the leaf's row (kNoRow for an empty/null-leaf chain).
-  CertCorpus::Row Observe(std::span<const x509::CertPtr> chain);
-  // Raw-DER variant: every element must parse (borrowed-view parse); if any
-  // is malformed the whole observation is rejected (nullopt) and the corpus
-  // is left untouched. Elements are deduplicated by their bytes first
-  // (CertCorpus::FindDer), so a re-sighted certificate costs one word-wise
-  // hash and a memcmp; only DER the corpus does not hold is parsed (once)
-  // and SHA-256 fingerprinted. This is the path fuzzed in
-  // tests/fuzz_test.cpp.
+  // One observation: the advertised chain's DER, leaf first. Returns the
+  // leaf's row. Every element must parse (borrowed-view parse); if the
+  // chain is empty or any element is malformed the whole observation is
+  // rejected (nullopt) and the corpus is left untouched. Elements are
+  // deduplicated by their bytes first (CertCorpus::FindDer), so a
+  // re-sighted certificate costs one word-wise hash and a memcmp; only DER
+  // the corpus does not hold is parsed (once) and SHA-256 fingerprinted.
+  // This is the path fuzzed in tests/fuzz_test.cpp.
   std::optional<CertCorpus::Row> ObserveDer(std::span<const BytesView> chain);
   // Replay fast path for chains already interned (bench_paper_scale): folds
   // lifetime/observation columns only.

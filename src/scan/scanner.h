@@ -6,8 +6,8 @@
 // support (§4.3), including the repeat-connection protocol behind Fig. 3.
 //
 // Observations reference shared Certificate objects (scans of a 13M-server
-// population would otherwise duplicate gigabytes of DER); the DER wire
-// format is exercised end-to-end by the browser test harness instead.
+// population would otherwise duplicate gigabytes of DER); the pipeline
+// ingests their DER, borrowed through CertObservation::Der().
 #pragma once
 
 #include <cstdint>
@@ -24,6 +24,15 @@ struct CertObservation {
   std::uint32_t ip = 0;
   // Advertised chain, leaf first (excluding the root).
   std::vector<x509::CertPtr> chain;
+
+  // The chain's DER, leaf first, borrowed from `chain` (the input of
+  // core::Pipeline::ObserveDer).
+  std::vector<BytesView> Der() const {
+    std::vector<BytesView> der;
+    der.reserve(chain.size());
+    for (const x509::CertPtr& cert : chain) der.push_back(cert->der);
+    return der;
+  }
 };
 
 struct CertScanSnapshot {
@@ -33,13 +42,14 @@ struct CertScanSnapshot {
 
 // Streaming scan: invokes `fn` with each alive server's observation as it is
 // harvested, never materializing the whole snapshot. This is the ingest path
-// for Pipeline::BeginScan/Observe — a 13M-server snapshot stays O(1)
+// for Pipeline::BeginScan/ObserveDer — a 13M-server snapshot stays O(1)
 // resident instead of O(servers).
 void StreamCertScan(const Internet& internet, util::Timestamp t,
                     const std::function<void(const CertObservation&)>& fn);
 
 // Scans every alive server, harvesting advertised chains into one resident
-// snapshot (tests and archival replay; large populations should stream).
+// snapshot (core::ScanArchive, the corpus_test reference oracle and tests;
+// ingest streams).
 CertScanSnapshot RunCertScan(const Internet& internet, util::Timestamp t);
 
 struct HandshakeObservation {

@@ -929,6 +929,10 @@ std::size_t Frontend::RebuildAll(util::Timestamp now) {
   StartServing();
   std::lock_guard maintenance(maintenance_mu_);
   Flush();
+  // Entries are signed from the live index; a flush by another thread's
+  // request before the install moves the epoch, and the install is then
+  // refused (those keys are signed on demand).
+  const std::uint64_t epoch0 = index_.epoch();
   const std::vector<StatusKey> keys = index_.SortedKeys();
   if (keys.empty()) return 0;
   EnsurePool();
@@ -939,7 +943,7 @@ std::size_t Frontend::RebuildAll(util::Timestamp now) {
         FindResponder(IssuerHashOfKey(keys[i]));
     slots[i] = {keys[i], SignEntry(*responder, keys[i], now)};
   });
-  cache_.PutBatch(std::move(slots));
+  cache_.PutBatchIfEpoch(std::move(slots), index_, epoch0);
   metrics_->batch_signed.Add(keys.size());
   return keys.size();
 }
@@ -948,6 +952,7 @@ std::size_t Frontend::RefreshStale(util::Timestamp now) {
   StartServing();
   std::lock_guard maintenance(maintenance_mu_);
   Flush();
+  const std::uint64_t epoch0 = index_.epoch();  // as in RebuildAll
   const std::vector<StatusKey> stale =
       cache_.KeysStaleBy(now + options_.refresh_headroom_seconds);
   if (stale.empty()) return 0;
@@ -969,7 +974,7 @@ std::size_t Frontend::RefreshStale(util::Timestamp now) {
   std::erase_if(slots, [](const auto& slot) { return slot.second.der == nullptr; });
   for (const StatusKey& key : stale)
     if (!index_.Lookup(key)) cache_.Invalidate(key);
-  cache_.PutBatch(std::move(slots));
+  cache_.PutBatchIfEpoch(std::move(slots), index_, epoch0);
   const std::size_t refreshed = stale.size() - dropped;
   metrics_->refreshed.Add(refreshed);
   return refreshed;
@@ -990,14 +995,6 @@ Frontend::Counters Frontend::counters() const {
   out.staples = metrics_->staples.Value();
   out.status_updates = metrics_->status_updates.Value();
   return out;
-}
-
-util::Accumulator Frontend::latency() const {
-  const obs::HistogramSnapshot snap = metrics_->latency_ns.Snapshot();
-  if (snap.count == 0) return {};
-  return util::Accumulator::FromSummary(
-      snap.count, snap.Mean() / 1e9, static_cast<double>(snap.min) / 1e9,
-      static_cast<double>(snap.max) / 1e9);
 }
 
 obs::HistogramSnapshot Frontend::latency_histogram() const {

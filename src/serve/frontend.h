@@ -47,7 +47,6 @@
 #include "serve/response_cache.h"
 #include "serve/status_index.h"
 #include "util/mpsc_queue.h"
-#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace rev::serve {
@@ -153,13 +152,17 @@ class Frontend {
                                       util::Timestamp now);
 
   // Batch-signs a response for every record in the index (thread-pool
-  // fan-out, deterministic output). Returns the number signed.
+  // fan-out, deterministic output). The batch is installed only while no
+  // mutation has been applied since signing began: a flush in between
+  // refuses the install, and those keys are signed on demand. Returns the
+  // number signed.
   std::size_t RebuildAll(util::Timestamp now);
 
   // Staleness-driven refresh: re-signs cached responses whose validity
   // window ends within `refresh_headroom_seconds` of `now`. Returns the
-  // number re-signed. Intended to run from a maintenance tick so the hot
-  // path never pays for re-signing.
+  // number re-signed. Installed under the same epoch guard as RebuildAll.
+  // Intended to run from a maintenance tick so the hot path never pays for
+  // re-signing.
   std::size_t RefreshStale(util::Timestamp now);
 
   // Applies buffered responder mutations to the index now (normally done
@@ -201,12 +204,6 @@ class Frontend {
     std::uint64_t status_updates = 0;  // observer events applied
   };
   Counters counters() const;
-
-  // Compatibility shim over the lock-free latency histogram: count, mean,
-  // min, and max of served-request latency in seconds (variance reports 0 —
-  // the histogram keeps moments, not samples). Empty when record_latency is
-  // off. Prefer latency_histogram() for quantiles.
-  util::Accumulator latency() const;
 
   // The per-request latency distribution in nanoseconds.
   obs::HistogramSnapshot latency_histogram() const;

@@ -103,17 +103,6 @@ void Accumulator::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-Accumulator Accumulator::FromSummary(std::size_t count, double mean,
-                                     double min, double max) {
-  Accumulator out;
-  out.n_ = count;
-  out.mean_ = count == 0 ? 0 : mean;
-  out.min_ = count == 0 ? 0 : min;
-  out.max_ = count == 0 ? 0 : max;
-  out.m2_ = 0;  // variance not recoverable from summary moments
-  return out;
-}
-
 double Accumulator::Variance() const {
   return n_ < 2 ? 0 : m2_ / static_cast<double>(n_ - 1);
 }

@@ -48,12 +48,6 @@ class Accumulator {
  public:
   void Add(double x);
 
-  // Rebuilds an accumulator from summary moments (count/mean/min/max) when
-  // the per-sample stream is gone — e.g. the serve frontend's latency()
-  // compatibility shim reading an obs::Histogram snapshot. Variance is
-  // unavailable from those moments and reports 0.
-  static Accumulator FromSummary(std::size_t count, double mean, double min,
-                                 double max);
   std::size_t Count() const { return n_; }
   double Mean() const { return mean_; }
   double Variance() const;

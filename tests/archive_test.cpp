@@ -7,6 +7,7 @@
 #include "core/archive.h"
 #include "core/ecosystem.h"
 #include "core/pipeline.h"
+#include "ingest_util.h"
 #include "scan/scanner.h"
 
 namespace rev::core {
@@ -83,7 +84,7 @@ TEST_F(ArchiveWorld, ReplayMatchesLiveIngestion) {
   for (int i = 0; i < 6; ++i) {
     const scan::CertScanSnapshot snapshot = scan::RunCertScan(
         Eco().internet(), c.study_start + i * 60 * kDay);
-    live.IngestScan(snapshot);
+    IngestSnapshot(live, snapshot);
     archive.AddSnapshot(snapshot);
   }
   live.Finalize();
@@ -92,7 +93,7 @@ TEST_F(ArchiveWorld, ReplayMatchesLiveIngestion) {
   ASSERT_TRUE(restored);
   Pipeline replayed(Eco().roots());
   for (const scan::CertScanSnapshot& snapshot : restored->Snapshots())
-    replayed.IngestScan(snapshot);
+    IngestSnapshot(replayed, snapshot);
   replayed.Finalize();
 
   EXPECT_EQ(replayed.LeafSet().size(), live.LeafSet().size());

@@ -23,6 +23,7 @@
 #include "core/crawler.h"
 #include "core/ecosystem.h"
 #include "core/pipeline.h"
+#include "ingest_util.h"
 #include "net/cache.h"
 #include "net/fault.h"
 #include "net/retry.h"
@@ -118,7 +119,7 @@ TEST(ChaosStorm, DeterministicAcrossThreadCountsAndRuns) {
     const core::EcosystemConfig& c = run.eco->config();
     run.pipeline = std::make_unique<core::Pipeline>(run.eco->roots(), threads);
     for (util::Timestamp t = c.study_start; t <= c.study_end; t += 14 * kDay)
-      run.pipeline->IngestScan(scan::RunCertScan(run.eco->internet(), t));
+      IngestSnapshot(*run.pipeline, scan::RunCertScan(run.eco->internet(), t));
     run.pipeline->Finalize();
 
     run.plan = std::make_unique<net::FaultPlan>(StormSeed());

@@ -12,6 +12,7 @@
 #include "core/report.h"
 #include "core/stapling_audit.h"
 #include "core/timeline.h"
+#include "ingest_util.h"
 
 namespace rev::core {
 namespace {
@@ -43,7 +44,7 @@ class World {
     const EcosystemConfig& c = eco->config();
     for (util::Timestamp t = c.study_start; t <= c.study_end; t += 7 * kDay) {
       scan_times.push_back(t);
-      pipeline->IngestScan(scan::RunCertScan(eco->internet(), t));
+      IngestSnapshot(*pipeline, scan::RunCertScan(eco->internet(), t));
     }
     pipeline->Finalize();
 
@@ -104,8 +105,8 @@ TEST(Pipeline, SameTimestampSnapshotsMergeIntoLatestView) {
   const x509::CertPtr b = MakeTestLeaf("b.ingest.sim");
 
   Pipeline pipeline{x509::CertPool{}};
-  pipeline.IngestScan(MakeSnapshot(t, {a}));
-  pipeline.IngestScan(MakeSnapshot(t, {b}));
+  IngestSnapshot(pipeline, MakeSnapshot(t, {a}));
+  IngestSnapshot(pipeline, MakeSnapshot(t, {b}));
 
   EXPECT_EQ(pipeline.latest_scan_time(), t);
   EXPECT_TRUE(InLatestScan(pipeline, a));
@@ -113,7 +114,7 @@ TEST(Pipeline, SameTimestampSnapshotsMergeIntoLatestView) {
   EXPECT_EQ(pipeline.out_of_order_scans(), 0u);
 
   // A strictly newer snapshot still starts a fresh view.
-  pipeline.IngestScan(MakeSnapshot(t + kDay, {b}));
+  IngestSnapshot(pipeline, MakeSnapshot(t + kDay, {b}));
   EXPECT_FALSE(InLatestScan(pipeline, a));
   EXPECT_TRUE(InLatestScan(pipeline, b));
 }
@@ -125,10 +126,10 @@ TEST(Pipeline, OutOfOrderSnapshotIsFlaggedAndDoesNotTouchLatestView) {
   const x509::CertPtr b = MakeTestLeaf("b.ooo.sim");
 
   Pipeline pipeline{x509::CertPool{}};
-  pipeline.IngestScan(MakeSnapshot(t2, {a}));
+  IngestSnapshot(pipeline, MakeSnapshot(t2, {a}));
   // Late-arriving older scan: lifetimes/observations fold in, but the
   // latest-scan view must not change, and the regression is counted.
-  pipeline.IngestScan(MakeSnapshot(t1, {a, b}));
+  IngestSnapshot(pipeline, MakeSnapshot(t1, {a, b}));
 
   EXPECT_EQ(pipeline.out_of_order_scans(), 1u);
   EXPECT_EQ(pipeline.latest_scan_time(), t2);
@@ -286,7 +287,7 @@ TEST(Parallelism, FinalizeAndCrawlDeterministicAcrossThreadCounts) {
     const EcosystemConfig& c = run.eco->config();
     run.pipeline = std::make_unique<Pipeline>(run.eco->roots(), threads);
     for (util::Timestamp t = c.study_start; t <= c.study_end; t += 14 * kDay)
-      run.pipeline->IngestScan(scan::RunCertScan(run.eco->internet(), t));
+      IngestSnapshot(*run.pipeline, scan::RunCertScan(run.eco->internet(), t));
     run.pipeline->Finalize();
     run.crawler =
         std::make_unique<RevocationCrawler>(&run.eco->net(), threads);

@@ -3,9 +3,10 @@
 // runs side by side with core::Pipeline on the same seeded ecosystems, and
 // every analysis-visible output — Leaf Set, Intermediate Set, per-record
 // lifetime/verdict fields — must match byte for byte, at 1 thread and at 8.
-// Also locks down the PR 1 ingest-ordering regressions, corpus view/row-id
-// stability, the Observe/ObserveDer round trip, and ObserveDer's dedup by
-// bytes (re-sightings, in-chain duplicates, fallback-interned DER).
+// The pipeline ingests each observation's DER through ObserveDer, the
+// reference the parsed certificates. Also locks down the ingest-ordering
+// regressions, corpus view/row-id stability, and ObserveDer's dedup by
+// bytes (re-sightings, in-chain duplicates).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "core/ecosystem.h"
 #include "core/pipeline.h"
 #include "crypto/signer.h"
+#include "ingest_util.h"
 #include "scan/scanner.h"
 #include "x509/verify.h"
 #include "x509/view.h"
@@ -154,6 +156,9 @@ void ExpectEquivalent(const ReferencePipeline& reference,
     EXPECT_EQ(record.cert->tbs_der, Bytes(tbs.begin(), tbs.end()));
     const BytesView sig = corpus.signature(row);
     EXPECT_EQ(record.cert->signature, Bytes(sig.begin(), sig.end()));
+    const BytesView serial = corpus.serial(row);
+    EXPECT_EQ(record.cert->tbs.serial, Bytes(serial.begin(), serial.end()));
+    EXPECT_EQ(record.cert->sig_type, corpus.sig_type(row));
     const BytesView issuer = corpus.name_der(corpus.issuer_id(row));
     EXPECT_EQ(record.cert->tbs.issuer.Encode(),
               Bytes(issuer.begin(), issuer.end()));
@@ -204,7 +209,7 @@ void RunEcosystemEquivalence(std::uint64_t seed, unsigned threads) {
     const scan::CertScanSnapshot snapshot =
         scan::RunCertScan(eco->internet(), t);
     reference.IngestScan(snapshot);
-    pipeline.IngestScan(snapshot);
+    IngestSnapshot(pipeline, snapshot);
   }
   reference.Finalize();
   pipeline.Finalize();
@@ -325,7 +330,7 @@ TEST(CorpusEquivalence, OutOfOrderAndSameTimestampIngest) {
   Pipeline pipeline{x509::CertPool{}};
   for (const scan::CertScanSnapshot& snapshot : scans) {
     reference.IngestScan(snapshot);
-    pipeline.IngestScan(snapshot);
+    IngestSnapshot(pipeline, snapshot);
   }
   reference.Finalize();
   pipeline.Finalize();
@@ -343,10 +348,13 @@ TEST(Corpus, RowIdsAndViewsStableAcrossIngest) {
   Pipeline pipeline{x509::CertPool{}};
   const util::Timestamp t = util::MakeDate(2014, 1, 1);
   const x509::CertPtr first = MakeTestLeaf("stable.sim");
+  const BytesView first_der(first->der);
   pipeline.BeginScan(t);
-  const CertCorpus::Row row = pipeline.Observe({&first, 1});
+  const std::optional<CertCorpus::Row> observed =
+      pipeline.ObserveDer({&first_der, 1});
   pipeline.EndScan();
-  ASSERT_NE(row, CertCorpus::kNoRow);
+  ASSERT_TRUE(observed.has_value());
+  const CertCorpus::Row row = *observed;
 
   const CertCorpus& corpus = pipeline.corpus();
   const BytesView der_before = corpus.der(row);
@@ -358,8 +366,9 @@ TEST(Corpus, RowIdsAndViewsStableAcrossIngest) {
   // index rehashes.
   for (int i = 0; i < 3000; ++i) {
     const x509::CertPtr leaf = MakeTestLeaf("churn-" + std::to_string(i));
+    const BytesView der(leaf->der);
     pipeline.BeginScan(t + i);
-    pipeline.Observe({&leaf, 1});
+    ASSERT_TRUE(pipeline.ObserveDer({&der, 1}).has_value());
     pipeline.EndScan();
   }
 
@@ -370,66 +379,6 @@ TEST(Corpus, RowIdsAndViewsStableAcrossIngest) {
   EXPECT_EQ(corpus.Find(fp_before), row);
   EXPECT_EQ(first->der, Bytes(corpus.der(row).begin(), corpus.der(row).end()));
   EXPECT_TRUE(corpus.CheckInvariants());
-}
-
-// ------------------------------------------------- DER/parsed round trip ----
-
-// ObserveDer (the streaming raw-DER path) must produce exactly the columns
-// Observe produces from the parsed certificate.
-TEST(Corpus, ObserveDerMatchesObserve) {
-  const util::Timestamp t = util::MakeDate(2014, 3, 1);
-  std::vector<x509::CertPtr> leaves;
-  for (int i = 0; i < 50; ++i)
-    leaves.push_back(MakeTestLeaf("roundtrip-" + std::to_string(i)));
-
-  Pipeline from_certs{x509::CertPool{}};
-  Pipeline from_der{x509::CertPool{}};
-  from_certs.BeginScan(t);
-  from_der.BeginScan(t);
-  for (const x509::CertPtr& leaf : leaves) {
-    const CertCorpus::Row row = from_certs.Observe({&leaf, 1});
-    const BytesView der(leaf->der);
-    const auto der_row = from_der.ObserveDer({&der, 1});
-    ASSERT_TRUE(der_row.has_value());
-    ASSERT_EQ(row, *der_row);
-  }
-  from_certs.EndScan();
-  from_der.EndScan();
-  from_certs.Finalize();
-  from_der.Finalize();
-
-  const CertCorpus& a = from_certs.corpus();
-  const CertCorpus& b = from_der.corpus();
-  ASSERT_EQ(a.size(), b.size());
-  for (CertCorpus::Row r = 0; r < a.size(); ++r) {
-    EXPECT_EQ(Bytes(a.fingerprint(r).begin(), a.fingerprint(r).end()),
-              Bytes(b.fingerprint(r).begin(), b.fingerprint(r).end()));
-    EXPECT_EQ(Bytes(a.der(r).begin(), a.der(r).end()),
-              Bytes(b.der(r).begin(), b.der(r).end()));
-    EXPECT_EQ(Bytes(a.tbs_der(r).begin(), a.tbs_der(r).end()),
-              Bytes(b.tbs_der(r).begin(), b.tbs_der(r).end()));
-    EXPECT_EQ(Bytes(a.signature(r).begin(), a.signature(r).end()),
-              Bytes(b.signature(r).begin(), b.signature(r).end()));
-    EXPECT_EQ(Bytes(a.serial(r).begin(), a.serial(r).end()),
-              Bytes(b.serial(r).begin(), b.serial(r).end()));
-    EXPECT_EQ(a.sig_type(r), b.sig_type(r));
-    EXPECT_EQ(a.is_ca(r), b.is_ca(r));
-    EXPECT_EQ(a.is_ev(r), b.is_ev(r));
-    EXPECT_EQ(a.not_before(r), b.not_before(r));
-    EXPECT_EQ(a.not_after(r), b.not_after(r));
-    EXPECT_EQ(a.valid(r), b.valid(r));
-    EXPECT_EQ(Bytes(a.name_der(a.issuer_id(r)).begin(),
-                    a.name_der(a.issuer_id(r)).end()),
-              Bytes(b.name_der(b.issuer_id(r)).begin(),
-                    b.name_der(b.issuer_id(r)).end()));
-    ASSERT_EQ(a.crl_url_ids(r).size(), b.crl_url_ids(r).size());
-    for (std::size_t u = 0; u < a.crl_url_ids(r).size(); ++u)
-      EXPECT_EQ(a.url(a.crl_url_ids(r)[u]), b.url(b.crl_url_ids(r)[u]));
-    ASSERT_EQ(a.ocsp_url_ids(r).size(), b.ocsp_url_ids(r).size());
-    for (std::size_t u = 0; u < a.ocsp_url_ids(r).size(); ++u)
-      EXPECT_EQ(a.url(a.ocsp_url_ids(r)[u]), b.url(b.ocsp_url_ids(r)[u]));
-  }
-  EXPECT_TRUE(b.CheckInvariants());
 }
 
 // A chain that names the same new DER twice interns one row, counted as
@@ -453,70 +402,24 @@ TEST(Corpus, ChainHoldingTheSameDerTwiceInternsOneRow) {
   EXPECT_TRUE(corpus.CheckInvariants());
 }
 
-// Bytes that entered through Intern(CertPtr)'s unparseable fallback are a
-// known row, but ObserveDer must still reject them — alone or inside a chain
-// — and leave every column as it was.
-TEST(Corpus, ObserveDerRejectsDerInternedThroughTheFallback) {
-  const x509::CertPtr source = MakeTestLeaf("fallback.sim");
-  auto broken = std::make_shared<x509::Certificate>();
-  broken->tbs = source->tbs;
-  broken->sig_type = source->sig_type;
-  broken->tbs_der = source->tbs_der;
-  broken->signature = source->signature;
-  broken->der.assign(source->der.begin(), source->der.end() - 3);
-  ASSERT_FALSE(x509::ParseCertView(broken->der).has_value());
-
-  Pipeline pipeline{x509::CertPool{}};
-  pipeline.BeginScan(util::MakeDate(2014, 4, 1));
-  const x509::CertPtr broken_ptr = broken;
-  const CertCorpus::Row row = pipeline.Observe({&broken_ptr, 1});
-  ASSERT_NE(row, CertCorpus::kNoRow);
-  const CertCorpus& corpus = pipeline.corpus();
-  ASSERT_EQ(corpus.FindDer(broken->der), row);
-
-  struct Columns {
-    std::size_t size;
-    util::Timestamp first_seen, last_seen;
-    std::uint64_t observations;
-    bool in_latest;
-    bool operator==(const Columns&) const = default;
-  };
-  const auto columns = [&] {
-    return Columns{corpus.size(), corpus.first_seen(row), corpus.last_seen(row),
-                   corpus.observations(row), corpus.in_latest_scan(row)};
-  };
-  const Columns before = columns();
-
-  const Bytes copy = broken->der;
-  const BytesView alone = copy;
-  EXPECT_FALSE(pipeline.ObserveDer({&alone, 1}).has_value());
-  // A pristine new element ahead of it is not interned either.
-  const x509::CertPtr fresh = MakeTestLeaf("fresh.sim");
-  const BytesView chain[2] = {BytesView(fresh->der), alone};
-  EXPECT_FALSE(pipeline.ObserveDer(chain).has_value());
-  pipeline.EndScan();
-
-  EXPECT_EQ(columns(), before);
-  EXPECT_EQ(corpus.FindDer(fresh->der), CertCorpus::kNoRow);
-  EXPECT_TRUE(corpus.CheckInvariants());
-}
-
 // Lazy materialization re-parses the arena DER into the same certificate.
 TEST(Corpus, LazyCertMatchesSource) {
   Pipeline pipeline{x509::CertPool{}};
   const x509::CertPtr leaf = MakeTestLeaf("lazy.sim");
+  const BytesView der(leaf->der);
   pipeline.BeginScan(util::MakeDate(2014, 1, 1));
-  const CertCorpus::Row row = pipeline.Observe({&leaf, 1});
+  const std::optional<CertCorpus::Row> row = pipeline.ObserveDer({&der, 1});
   pipeline.EndScan();
+  ASSERT_TRUE(row.has_value());
 
-  const x509::CertPtr parsed = pipeline.corpus().cert(row);
+  const x509::CertPtr parsed = pipeline.corpus().cert(*row);
   ASSERT_NE(parsed, nullptr);
   EXPECT_EQ(parsed->der, leaf->der);
   EXPECT_EQ(parsed->tbs_der, leaf->tbs_der);
   EXPECT_EQ(parsed->Fingerprint(), leaf->Fingerprint());
   EXPECT_TRUE(parsed->tbs.subject == leaf->tbs.subject);
   // Cached: the same shared object comes back.
-  EXPECT_EQ(parsed.get(), pipeline.corpus().cert(row).get());
+  EXPECT_EQ(parsed.get(), pipeline.corpus().cert(*row).get());
 }
 
 }  // namespace

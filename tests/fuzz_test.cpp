@@ -301,12 +301,21 @@ TEST_P(FuzzSeeds, StreamingIngestRejectsWithoutCorpusCorruption) {
   EXPECT_LE(corpus.size(), accepted);
 
   // Multi-element chains are all-or-nothing: one bad element rejects the
-  // whole observation even when the others are pristine.
+  // whole observation even when the others are pristine, and a never-seen
+  // valid leaf ahead of it is not interned.
+  x509::TbsCertificate tbs = x509::ParseCertificate(valid)->tbs;
+  tbs.serial = x509::Serial{0x7E, 0x57};
+  const Bytes fresh =
+      x509::SignCertificate(tbs, crypto::SimKeyFromLabel("fuzz-ca")).der;
+  ASSERT_EQ(corpus.FindDer(fresh), core::CertCorpus::kNoRow);
   Bytes truncated(valid.begin(), valid.begin() + valid.size() / 2);
   const std::size_t size_before = corpus.size();
-  const BytesView chain[2] = {BytesView(valid), BytesView(truncated)};
-  EXPECT_FALSE(pipeline.ObserveDer(chain).has_value());
-  EXPECT_EQ(corpus.size(), size_before);
+  for (const Bytes* leaf : {&valid, &fresh}) {
+    const BytesView chain[2] = {BytesView(*leaf), BytesView(truncated)};
+    EXPECT_FALSE(pipeline.ObserveDer(chain).has_value());
+    EXPECT_EQ(corpus.size(), size_before);
+  }
+  EXPECT_EQ(corpus.FindDer(fresh), core::CertCorpus::kNoRow);
   EXPECT_TRUE(corpus.CheckInvariants());
   pipeline.EndScan();
 }

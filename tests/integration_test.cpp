@@ -14,6 +14,7 @@
 #include "core/timeline.h"
 #include "crlset/bloom.h"
 #include "crlset/generator.h"
+#include "ingest_util.h"
 #include "net/cache.h"
 #include "scan/scanner.h"
 
@@ -204,7 +205,7 @@ TEST(FullLoop, ScanValidateCrawlAnalyze) {
 
   core::Pipeline pipeline(eco->roots());
   for (util::Timestamp t = c.study_start; t <= c.study_end; t += 14 * kDay)
-    pipeline.IngestScan(scan::RunCertScan(eco->internet(), t));
+    IngestSnapshot(pipeline, scan::RunCertScan(eco->internet(), t));
   pipeline.Finalize();
   ASSERT_GT(pipeline.LeafSet().size(), 200u);
 
@@ -238,7 +239,8 @@ TEST(FullLoop, CrawlerCachingReducesTraffic) {
   const core::EcosystemConfig& c = eco->config();
 
   core::Pipeline pipeline(eco->roots());
-  pipeline.IngestScan(scan::RunCertScan(eco->internet(), c.study_end - kDay));
+  IngestSnapshot(pipeline,
+                 scan::RunCertScan(eco->internet(), c.study_end - kDay));
   pipeline.Finalize();
 
   core::RevocationCrawler crawler(&eco->net());

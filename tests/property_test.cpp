@@ -654,8 +654,8 @@ TEST_P(FingerprintIndexProperty, MatchesMapOracleAcrossRehashes) {
 // miss everything else, across index rehashes. Near-duplicates are the hard
 // case for a tag-plus-memcmp index: fresh certificates whose serials differ
 // only in the last byte (equal length, mostly equal bytes) and one-byte
-// flips of stored DER, some interned (through Intern's view-parse or
-// unparseable-fallback path) and some only probed.
+// flips of stored DER, some offered to InternDer and some only probed. A
+// flip that fails ParseCertView must be refused without touching the corpus.
 class CorpusFindDerProperty : public Seeded {};
 
 TEST_P(CorpusFindDerProperty, MatchesMapOracleAcrossRehashes) {
@@ -669,20 +669,17 @@ TEST_P(CorpusFindDerProperty, MatchesMapOracleAcrossRehashes) {
   tbs.not_after = kNow + 365 * kDay;
   tbs.public_key = crypto::SimKeyFromLabel("find-der-leaf").Public();
   tbs.ocsp_urls = {"http://ocsp.find-der.sim/"};
-  const x509::Certificate pristine = x509::SignCertificate(tbs, ca_key);
 
   for (int i = 0; i < 3000; ++i) {
-    auto cert = std::make_shared<x509::Certificate>();
+    Bytes der;
     const std::uint64_t pick = rng_.NextBelow(4);
     if (pick == 0 && !stored.empty()) {
       // A one-byte flip of stored DER: equal length, one byte apart.
-      *cert = pristine;
-      cert->der = stored[rng_.NextBelow(stored.size())];
-      cert->der[rng_.NextBelow(cert->der.size())] ^=
+      der = stored[rng_.NextBelow(stored.size())];
+      der[rng_.NextBelow(der.size())] ^=
           static_cast<std::uint8_t>(1 + rng_.NextBelow(255));
     } else if (pick == 1 && !stored.empty()) {
-      *cert = pristine;
-      cert->der = stored[rng_.NextBelow(stored.size())];  // a fresh copy
+      der = stored[rng_.NextBelow(stored.size())];  // a fresh copy
     } else {
       // Serials of one length, 256 per prefix: neighbours differ in the
       // last serial byte (and the signature).
@@ -690,22 +687,29 @@ TEST_P(CorpusFindDerProperty, MatchesMapOracleAcrossRehashes) {
                                 static_cast<std::uint8_t>(i)};
       tbs.subject = x509::Name::FromCommonName(
           "host" + std::to_string(i % 7) + ".find-der.sim");
-      *cert = x509::SignCertificate(tbs, ca_key);
+      der = x509::SignCertificate(tbs, ca_key).der;
     }
 
-    const core::CertCorpus::Row got = corpus.FindDer(cert->der);
-    const auto it = oracle.find(cert->der);
+    const core::CertCorpus::Row got = corpus.FindDer(der);
+    const auto it = oracle.find(der);
     if (it != oracle.end()) {
       ASSERT_EQ(got, it->second) << "miss/mismatch at " << i;
       continue;
     }
     ASSERT_EQ(got, core::CertCorpus::kNoRow) << "false hit at " << i;
-    // Some flips are only probed, never interned.
+    // Some flips are only probed, never offered.
     if (pick == 0 && rng_.NextBelow(2) == 0) continue;
-    const core::CertCorpus::Row row = corpus.Intern(cert);
+    const std::size_t size_before = corpus.size();
+    const core::CertCorpus::Row row = corpus.InternDer(der);
+    if (!x509::ParseCertView(der)) {
+      ASSERT_EQ(row, core::CertCorpus::kNoRow) << "accepted at " << i;
+      ASSERT_EQ(corpus.size(), size_before);
+      ASSERT_EQ(corpus.FindDer(der), core::CertCorpus::kNoRow);
+      continue;
+    }
     ASSERT_EQ(row, stored.size());
-    stored.push_back(cert->der);
-    oracle.emplace(cert->der, row);
+    stored.push_back(der);
+    oracle.emplace(der, row);
   }
 
   // Post-growth sweep (3000 probes from an empty table: many rehashes):

@@ -925,6 +925,95 @@ TEST(ServeStress, InlineHitsNeverGoodAfterVisibleRevocation) {
   EXPECT_GT(hits.load(), 0);
 }
 
+// A rebuild signs every record from the live index and installs the batch
+// afterwards. A revocation that another thread's request flushes in
+// between drops the serial's cache entry, and the serial is then served
+// revoked; the rebuild's install must not put back the good response it
+// signed before the flush. One thread loops RebuildAll over thousands of
+// filler records (the target serials sort first, so they are signed long
+// before each install), the writer revokes the targets one at a time, and
+// readers check that no serial is served good once any of them has read
+// it revoked.
+TEST(ServeStress, RebuildNeverReinstallsGoodAfterRevocation) {
+  const x509::Certificate issuer = MakeIssuerCert("rebuild-issuer");
+  ocsp::Responder responder(issuer, TestKey("rebuild-issuer"));
+  FrontendOptions options;
+  options.num_shards = 4;
+  Frontend frontend(options);
+  frontend.AttachResponder(&responder);
+
+  constexpr int kSerials = 32;
+  constexpr int kFiller = 4000;
+  for (int i = 0; i < kFiller; ++i) {
+    responder.AddCertificate(
+        x509::Serial{static_cast<std::uint8_t>(0x40 + i / 256),
+                     static_cast<std::uint8_t>(i % 256)});
+  }
+  std::vector<Bytes> requests;
+  for (int i = 1; i <= kSerials; ++i) {
+    const x509::Serial serial{static_cast<std::uint8_t>(i)};
+    responder.AddCertificate(serial);
+    ocsp::OcspRequest request;
+    request.cert_ids = {ocsp::MakeCertId(issuer, serial)};
+    requests.push_back(ocsp::EncodeOcspRequest(request));
+  }
+  frontend.RebuildAll(kNow);
+
+  const auto status_of = [&](int target) {
+    const Frontend::ServeResult result =
+        frontend.Serve(requests[target], kNow);
+    if (result.http_status != 200 || !result.body)
+      return ocsp::CertStatus::kUnknown;
+    const auto parsed = ocsp::ParseOcspResponse(*result.body);
+    return parsed ? parsed->single.status : ocsp::CertStatus::kUnknown;
+  };
+
+  // The rebuilder runs two more rebuilds after the last revocation, so a
+  // good reinstalled by the rebuild in flight stays cached for a whole
+  // rebuild while the readers are still reading.
+  std::vector<std::atomic<bool>> seen_revoked(kSerials);
+  std::atomic<bool> writer_done{false}, done{false};
+  std::atomic<int> wrong{0};
+  std::thread rebuilder([&] {
+    int after_writer = 0;
+    while (after_writer < 2) {
+      const bool writer_was_done =
+          writer_done.load(std::memory_order_acquire);
+      frontend.RebuildAll(kNow);
+      if (writer_was_done) ++after_writer;
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = t; !done.load(std::memory_order_acquire); ++i) {
+        const int target = i % kSerials;
+        const bool was_revoked =
+            seen_revoked[target].load(std::memory_order_acquire);
+        if (status_of(target) == ocsp::CertStatus::kRevoked)
+          seen_revoked[target].store(true, std::memory_order_release);
+        else if (was_revoked)
+          ++wrong;
+      }
+    });
+  }
+
+  for (int target = 0; target < kSerials; ++target) {
+    responder.Revoke(x509::Serial{static_cast<std::uint8_t>(target + 1)},
+                     kNow - 60, x509::ReasonCode::kKeyCompromise);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  writer_done.store(true, std::memory_order_release);
+  rebuilder.join();
+  for (auto& reader : readers) reader.join();
+
+  EXPECT_EQ(wrong.load(), 0)
+      << "a serial was served good after it read revoked";
+  for (int target = 0; target < kSerials; ++target)
+    EXPECT_EQ(status_of(target), ocsp::CertStatus::kRevoked) << target + 1;
+}
+
 // -------------------------------------------- batch/serial equivalence ----
 
 // The equivalence fixture drives the SAME deterministic request mix —

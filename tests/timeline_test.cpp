@@ -7,6 +7,7 @@
 #include "core/crawler.h"
 #include "core/pipeline.h"
 #include "core/timeline.h"
+#include "ingest_util.h"
 #include "scan/internet.h"
 #include "scan/scanner.h"
 #include "util/rng.h"
@@ -57,7 +58,7 @@ class TimelineWorld : public ::testing::Test {
                                            util::Timestamp sample_to) {
     pipeline_ = std::make_unique<Pipeline>(roots_);
     for (util::Timestamp t = scan_from; t <= scan_to; t += 7 * kDay)
-      pipeline_->IngestScan(scan::RunCertScan(internet_, t));
+      IngestSnapshot(*pipeline_, scan::RunCertScan(internet_, t));
     pipeline_->Finalize();
     crawler_ = std::make_unique<RevocationCrawler>(&net_);
     crawler_->CollectUrls(*pipeline_);

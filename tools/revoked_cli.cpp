@@ -116,8 +116,19 @@ int Audit(double scale) {
   const core::EcosystemConfig& c = eco->config();
 
   core::Pipeline pipeline(eco->roots());
-  for (util::Timestamp t = c.study_start; t <= c.study_end; t += 7 * kDay)
-    pipeline.IngestScan(scan::RunCertScan(eco->internet(), t));
+  bool rejected = false;
+  for (util::Timestamp t = c.study_start; t <= c.study_end; t += 7 * kDay) {
+    pipeline.BeginScan(t);
+    scan::StreamCertScan(eco->internet(), t,
+                         [&](const scan::CertObservation& obs) {
+                           if (!pipeline.ObserveDer(obs.Der())) rejected = true;
+                         });
+    pipeline.EndScan();
+  }
+  if (rejected) {
+    std::fprintf(stderr, "scan ingest rejected a chain\n");
+    return 1;
+  }
   pipeline.Finalize();
 
   core::RevocationCrawler crawler(&eco->net());
