@@ -243,7 +243,7 @@ int Main() {
   }
 
   const cascade::Fleet::Totals& totals = fleet.totals();
-  const cascade::Publisher::Counters& served = publisher.counters();
+  const cascade::Publisher::Counters served = publisher.counters();
   const util::Distribution& staleness = fleet.staleness();
   const util::Distribution& windows = fleet.vulnerability_windows();
   const util::Distribution end_staleness = fleet.EndStaleness();

@@ -21,8 +21,8 @@
 #include "core/report.h"
 #include "core/stapling_audit.h"
 #include "core/timeline.h"
+#include "obs/distrace.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "scan/scanner.h"
 
 namespace rev::bench {
@@ -58,8 +58,9 @@ inline void PrintHeader(const char* experiment, const char* paper_result) {
 // the top of main and every bench emits the same BENCH_<name>.json shape —
 // wall-time phases, the bench's own results payload, and a snapshot of the
 // global metrics registry — and honors REV_TRACE=<file> by exporting the
-// Chrome trace at exit. Phases are recorded by the RAII Phase below (World::
-// Build opens its own), so a bench only adds phases for its analysis steps.
+// collected spans at exit. Phases are recorded by the RAII Phase below
+// (World::Build opens its own), so a bench only adds phases for its
+// analysis steps.
 class BenchRun {
  public:
   explicit BenchRun(std::string name)
@@ -73,7 +74,7 @@ class BenchRun {
   ~BenchRun() {
     if (current_ == this) current_ = nullptr;
     WriteJson();
-    obs::TraceCollector::Global().ExportFromEnv();
+    obs::DistTraceCollector::Global().ExportFromEnv();
   }
 
   static BenchRun* Current() { return current_; }
@@ -89,7 +90,7 @@ class BenchRun {
   const std::string& json_path() const { return json_path_; }
 
   // RAII phase: wall time into the enclosing BenchRun (if any) plus an
-  // obs::Span so the phase shows up on the REV_TRACE timeline. `name` must
+  // obs::Span so the phase shows up in the REV_TRACE spans. `name` must
   // be a string literal.
   class Phase {
    public:

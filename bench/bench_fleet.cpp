@@ -837,8 +837,8 @@ int main() {
                   traced.fleet_metrics.histograms.size());
     results_json += fleet_metrics_entry;
 
-    // REV_DIST_TRACE=<path> exports the raw showcase spans for
-    // tools/trace2txt -d (the tier-1 stitched-trace smoke drives this).
+    // REV_TRACE=<path> exports the raw showcase spans for
+    // `tools/trace2txt <path>` (the tier-1 stitched-trace smoke drives this).
     collector.ExportFromEnv();
     collector.Disable();
   }

@@ -29,7 +29,8 @@ cmake --build build-tsan -j"$(nproc)" --target util_test core_test corpus_test s
 # raciest additions of the event-driven core.
 ./build-tsan/tests/serve_test
 # The whole obs suite runs under TSan: sharded counters, the lock-free
-# histogram, trace ring buffers, and the 8-thread exposition stress.
+# histogram, the span collector with 8 ParallelFor workers nesting local
+# spans, and the 8-thread exposition stress.
 ./build-tsan/tests/obs_test
 # The chaos suite under TSan: fault injection + retries drive the 8-thread
 # crawler through the shared FaultPlan tallies, the caching client, and the

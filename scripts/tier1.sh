@@ -76,25 +76,25 @@ rm -rf "$paper_dir"
 REV_CHAOS_SEED=0xC0FFEE ./build/tests/fleet_test \
   --gtest_filter='FleetClient.*:FleetSoak.*'
 
-# Fixed-seed stitched-trace smoke: a small fleet soak exports its
-# distributed spans (REV_DIST_TRACE), and trace2txt must stitch them into
-# cross-node causal trees with a critical-path column
-# (docs/observability.md). The seed is pinned, so the trace ids — and the
-# trees — are replayable verbatim.
+# Fixed-seed stitched-trace smoke: a small fleet soak exports its spans
+# (REV_TRACE), and trace2txt must stitch them into cross-node causal trees
+# with a critical-path column (docs/observability.md). The seed is pinned,
+# so the trace ids — and the trees — are replayable verbatim. The span
+# greps match indented tree rows only, never the flat profile above them.
 trace_dir=$(mktemp -d)
 ( cd "$trace_dir" &&
   REV_FLEET_CERTS=400 REV_FLEET_CLIENTS=2 REV_FLEET_TICKS=8 \
     REV_FLEET_QPT=4 REV_FLEET_FACTORS=3 REV_CHAOS_SEED=0xCAFEBABE \
-    REV_DIST_TRACE="$trace_dir"/dist_trace.json \
+    REV_TRACE="$trace_dir"/dist_trace.json \
     "$OLDPWD"/build/bench/bench_fleet > bench_fleet.out )
 test -s "$trace_dir"/dist_trace.json || {
-  echo "bench_fleet did not export REV_DIST_TRACE spans" >&2; exit 1; }
+  echo "bench_fleet did not export REV_TRACE spans" >&2; exit 1; }
 ./build/tools/trace2txt "$trace_dir"/dist_trace.json > "$trace_dir"/trees.txt
 grep -q "critical path" "$trace_dir"/trees.txt || {
   echo "trace2txt did not render a critical path" >&2; exit 1; }
-grep -q "fleet.query" "$trace_dir"/trees.txt || {
+grep -Eq "^ +fleet\.query " "$trace_dir"/trees.txt || {
   echo "stitched trees are missing the client root span" >&2; exit 1; }
-grep -q "serve.request" "$trace_dir"/trees.txt || {
+grep -Eq "^ +serve\.request " "$trace_dir"/trees.txt || {
   echo "stitched trees never crossed onto a replica node" >&2; exit 1; }
 rm -rf "$trace_dir"
 

@@ -44,6 +44,16 @@ Publisher::Publisher(PublisherOptions options)
 
 Publisher::~Publisher() = default;
 
+Publisher::Counters Publisher::counters() const {
+  Counters out;
+  out.builds = metrics_->builds.Value();
+  out.snapshot_serves = metrics_->snapshot_serves.Value();
+  out.delta_serves = metrics_->delta_serves.Value();
+  out.up_to_date_serves = metrics_->up_to_date_serves.Value();
+  out.bytes_served = metrics_->bytes_served.Value();
+  return out;
+}
+
 PublishStats Publisher::Publish(
     std::shared_ptr<const std::vector<Bytes>> universe,
     std::vector<Bytes> revoked, util::Timestamp now) {
@@ -107,7 +117,6 @@ PublishStats Publisher::Publish(
   stats.removed = epoch.removed;
   stats.revoked = epoch.revoked->size();
 
-  counters_.builds++;
   metrics_->builds.Increment();
   metrics_->delta_bytes.Add(epoch.delta_blob.size());
   metrics_->levels.Set(static_cast<std::int64_t>(stats.levels));
@@ -157,7 +166,6 @@ net::HttpResponse Publisher::Respond(const UpdateResponse& response) {
   net::HttpResponse http;
   http.status = 200;
   http.body = response.Serialize();
-  counters_.bytes_served += http.body.size();
   metrics_->bytes_served.Add(http.body.size());
   return http;
 }
@@ -174,7 +182,6 @@ net::HttpResponse Publisher::HandleHttp(const net::HttpRequest& request,
     UpdateResponse response;
     response.kind = UpdateResponse::Kind::kSnapshot;
     response.snapshot = *snapshot_blob_;
-    counters_.snapshot_serves++;
     metrics_->snapshot_serves.Increment();
     return Respond(response);
   }
@@ -190,7 +197,6 @@ net::HttpResponse Publisher::HandleHttp(const net::HttpRequest& request,
 
     if (parsed && from == sequence_) {
       UpdateResponse response;  // kUpToDate
-      counters_.up_to_date_serves++;
       metrics_->up_to_date_serves.Increment();
       return Respond(response);
     }
@@ -215,7 +221,6 @@ net::HttpResponse Publisher::HandleHttp(const net::HttpRequest& request,
       if (usable && static_cast<double>(total) <=
                         options_.snapshot_fallback_fraction *
                             static_cast<double>(snapshot_blob_->size())) {
-        counters_.delta_serves++;
         metrics_->delta_serves.Increment();
         return Respond(response);
       }
@@ -224,7 +229,6 @@ net::HttpResponse Publisher::HandleHttp(const net::HttpRequest& request,
     UpdateResponse response;
     response.kind = UpdateResponse::Kind::kSnapshot;
     response.snapshot = *snapshot_blob_;
-    counters_.snapshot_serves++;
     metrics_->snapshot_serves.Increment();
     return Respond(response);
   }

@@ -94,7 +94,8 @@ class Publisher {
     std::uint64_t up_to_date_serves = 0;
     std::uint64_t bytes_served = 0;
   };
-  const Counters& counters() const { return counters_; }
+  // Read from the registry instruments.
+  Counters counters() const;
 
  private:
   struct Epoch {
@@ -116,7 +117,6 @@ class Publisher {
   std::shared_ptr<const FilterCascade> current_;
   std::shared_ptr<const Bytes> snapshot_blob_;
   std::deque<Epoch> history_;  // ascending sequence, bounded
-  Counters counters_;
 
   struct Instruments;
   std::string metrics_label_;

@@ -4,8 +4,8 @@
 
 #include "net/retry.h"
 #include "net/url.h"
+#include "obs/distrace.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace rev::core {
 

@@ -6,8 +6,8 @@
 #include <set>
 
 #include "crypto/hmac.h"
+#include "obs/distrace.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/thread_pool.h"
 
 namespace rev::core {

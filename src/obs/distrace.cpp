@@ -1,6 +1,7 @@
 #include "obs/distrace.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -38,6 +39,13 @@ char HexDigit(std::uint64_t v) {
 void AppendHex64(std::string& out, std::uint64_t v) {
   for (int shift = 60; shift >= 0; shift -= 4)
     out.push_back(HexDigit((v >> shift) & 0xF));
+}
+
+std::uint64_t SteadyNowNs() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
 bool ParseHex64(std::string_view s, std::uint64_t* out) {
@@ -127,6 +135,10 @@ std::uint64_t VirtualNs(util::Timestamp now, double offset_seconds) {
   return base + static_cast<std::uint64_t>(offset_seconds * 1e9 + 0.5);
 }
 
+const char* SpanClockName(SpanClock clock) {
+  return clock == SpanClock::kWall ? "wall" : "sim";
+}
+
 const char* SpanKindName(SpanKind kind) {
   switch (kind) {
     case SpanKind::kInternal: return "internal";
@@ -136,8 +148,8 @@ const char* SpanKindName(SpanKind kind) {
   return "?";
 }
 
-DistTraceCollector::DistTraceCollector() {
-  const char* env = std::getenv("REV_DIST_TRACE");
+DistTraceCollector::DistTraceCollector() : base_ns_(SteadyNowNs()) {
+  const char* env = std::getenv("REV_TRACE");
   if (env != nullptr && env[0] != '\0') Enable();
 }
 
@@ -148,15 +160,37 @@ DistTraceCollector& DistTraceCollector::Global() {
   return *collector;
 }
 
+namespace {
+// Constructs the collector before main so REV_TRACE arms it even when the
+// first span is a local one, which reads only the enabled flag.
+[[maybe_unused]] const DistTraceCollector& kArmFromEnv =
+    DistTraceCollector::Global();
+}  // namespace
+
 void DistTraceCollector::Clear() {
   std::lock_guard lock(mu_);
   spans_.clear();
+  dropped_ = 0;
 }
 
 void DistTraceCollector::Record(const DistSpan& span) {
   if (!enabled()) return;
   std::lock_guard lock(mu_);
-  spans_.push_back(span);
+  if (spans_.size() < kCapacity) {
+    spans_.push_back(span);
+  } else {
+    ++dropped_;
+  }
+}
+
+std::uint64_t DistTraceCollector::dropped() const {
+  std::lock_guard lock(mu_);
+  return dropped_;
+}
+
+std::uint64_t DistTraceCollector::NowNs() const {
+  const std::uint64_t now = SteadyNowNs();
+  return now > base_ns_ ? now - base_ns_ : 0;
 }
 
 std::size_t DistTraceCollector::size() const {
@@ -199,7 +233,8 @@ std::vector<DistSpan> DistTraceCollector::SnapshotTrace(
   return out;
 }
 
-std::string DistTraceCollector::DumpJson(const std::vector<DistSpan>& spans) {
+std::string DistTraceCollector::DumpJson(const std::vector<DistSpan>& spans,
+                                         std::uint64_t dropped) {
   std::string out = "{\"spans\":[\n";
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const DistSpan& s = spans[i];
@@ -211,12 +246,12 @@ std::string DistTraceCollector::DumpJson(const std::vector<DistSpan>& spans) {
     AppendHex64(out, s.parent);
     AppendF(out,
             "\",\"name\":\"%s\",\"node\":\"%s\",\"kind\":\"%s\","
-            "\"status\":%" PRId32 ",\"start_ns\":%" PRIu64
+            "\"clock\":\"%s\",\"status\":%" PRId32 ",\"start_ns\":%" PRIu64
             ",\"dur_ns\":%" PRIu64 "}%s\n",
-            s.name, s.node, SpanKindName(s.kind), s.status, s.start_ns,
-            s.dur_ns(), i + 1 < spans.size() ? "," : "");
+            s.name, s.node, SpanKindName(s.kind), SpanClockName(s.clock),
+            s.status, s.start_ns, s.dur_ns(), i + 1 < spans.size() ? "," : "");
   }
-  out += "]}\n";
+  AppendF(out, "],\"dropped\":%" PRIu64 "}\n", dropped);
   return out;
 }
 
@@ -230,9 +265,61 @@ bool DistTraceCollector::WriteJson(const std::string& path) const {
 }
 
 bool DistTraceCollector::ExportFromEnv() const {
-  const char* path = std::getenv("REV_DIST_TRACE");
+  const char* path = std::getenv("REV_TRACE");
   if (path == nullptr || path[0] == '\0') return false;
   return WriteJson(path);
+}
+
+namespace {
+
+// The calling thread's innermost open local span; invalid when none is open.
+thread_local SpanContext tl_current;
+// The calling thread's node name, assigned at its first enabled span.
+thread_local const char* tl_node = nullptr;
+
+// Feeds local trace and span ids; process-wide, so ids never repeat.
+std::atomic<std::uint64_t> local_ids{0};
+std::atomic<std::uint32_t> next_thread_number{1};
+
+constexpr std::uint64_t kLocalTraceSeed = 0x10CA17;
+
+}  // namespace
+
+void Span::Open(const char* name) {
+  const std::uint64_t n = local_ids.fetch_add(1, std::memory_order_relaxed);
+  if (tl_current.valid()) {
+    parent_ = tl_current.span;
+    context_ = {tl_current.trace, DeriveSpanId(tl_current, n)};
+  } else {
+    context_.trace = MakeTraceId(kLocalTraceSeed, n);
+    context_.span = RootSpanId(context_.trace);
+  }
+  if (tl_node == nullptr) {
+    const std::uint32_t number =
+        next_thread_number.fetch_add(1, std::memory_order_relaxed);
+    tl_node = InternName("thread-" + std::to_string(number));
+  }
+  tl_current = context_;
+  name_ = name;
+  start_ns_ = DistTraceCollector::Global().NowNs();
+}
+
+void Span::Close() {
+  DistTraceCollector& collector = DistTraceCollector::Global();
+  DistSpan span;
+  span.trace = context_.trace;
+  span.span = context_.span;
+  span.parent = parent_;
+  span.name = name_;
+  span.node = tl_node;
+  span.kind = SpanKind::kInternal;
+  span.clock = SpanClock::kWall;
+  span.start_ns = start_ns_;
+  span.end_ns = collector.NowNs();
+  tl_current = parent_ != 0 ? SpanContext{context_.trace, parent_}
+                            : SpanContext{};
+  // Tracing may have been disabled mid-span; Record() then drops it.
+  collector.Record(span);
 }
 
 namespace {

@@ -1,30 +1,34 @@
-// Distributed tracing over the simulated fleet: one causal tree per
-// request, stitched across every node it touched.
+// Tracing: one span model for the whole process. Every span is a DistSpan
+// in one causal tree, recorded into the one DistTraceCollector.
 //
-// The per-process TraceCollector (trace.h) answers "where did the wall
-// clock go inside this process". This layer answers the cross-node
-// question the fleet raised: a hedged OCSP query crosses a client, two or
-// three replicas, and the retry stack — which hop, queue, or backoff ate
-// the latency? Spans here live on the *virtual* clock (SimNet seconds),
-// carry explicit 128-bit trace ids + 64-bit span ids, and propagate over
-// the wire in a W3C-traceparent-style header on net::HttpRequest, so the
-// merged Snapshot() of all simulated nodes stitches into one tree.
+// Two producers share it. Over the simulated fleet, a hedged OCSP query
+// crosses a client, two or three replicas and the retry stack; those
+// spans live on the *virtual* clock (SimNet seconds), carry explicit
+// 128-bit trace ids + 64-bit span ids, and propagate over the wire in a
+// W3C-traceparent-style header on net::HttpRequest, so the merged
+// Snapshot() of all simulated nodes stitches into one tree. Inside the
+// process, the RAII obs::Span below times real work (pipeline.verify,
+// crawl.fetch, ...) on the *wall* clock; its spans nest through a
+// thread-local current span and form their own traces. One trace never
+// mixes the two clocks: a local span never parents a virtual-clock span
+// and never reaches a traceparent header.
 //
-// Determinism is a hard requirement (the fleet bench byte-compares its
-// artifacts across thread counts): ids are derived from seeded
-// per-request state via splitmix64 — never from wall clock, thread ids,
-// or allocation order — and Snapshot() sorts by (trace, start, span), so
-// the same seed yields the same trace at any thread count.
+// Determinism is a hard requirement for virtual-clock spans (the fleet
+// bench byte-compares its artifacts across thread counts): ids are
+// derived from seeded per-request state via splitmix64 — never from wall
+// clock, thread ids, or allocation order — and Snapshot() sorts by
+// (trace, start, span), so the same seed yields the same trace at any
+// thread count.
 //
 // Span/node names may be dynamic ("replica-3.fleet.sim"): InternName()
 // maps equal contents to one stable const char* for the process lifetime,
 // so spans stay POD and recording stays allocation-free after warm-up.
 //
-// Export: DumpJson() ({"spans":[...]}, rendered by tools/trace2txt -d) and
-// CriticalPath(), which tiles a root span's [start, end] into segments
-// attributed to the deepest span covering each instant — the segments sum
-// to the root's duration exactly by construction. See
-// docs/observability.md.
+// Export: DumpJson() ({"spans":[...],"dropped":N}, rendered by
+// `tools/trace2txt <file>`) and CriticalPath(), which tiles a root span's
+// [start, end] into segments attributed to the deepest span covering each
+// instant — the segments sum to the root's duration exactly by
+// construction. See docs/observability.md.
 #pragma once
 
 #include <atomic>
@@ -96,6 +100,13 @@ enum class SpanKind : std::uint8_t {
 };
 const char* SpanKindName(SpanKind kind);
 
+// The clock a span's times are on. Every span of one trace shares it.
+enum class SpanClock : std::uint8_t {
+  kVirtual = 0,  // SimNet virtual time (VirtualNs)
+  kWall = 1,     // steady-clock ns since the collector's time base
+};
+const char* SpanClockName(SpanClock clock);  // "sim" | "wall"
+
 struct DistSpan {
   TraceId trace;
   std::uint64_t span = 0;
@@ -103,10 +114,11 @@ struct DistSpan {
   const char* name = "";       // interned (InternName) or a literal
   const char* node = "";       // which simulated node recorded it
   SpanKind kind = SpanKind::kInternal;
+  SpanClock clock = SpanClock::kVirtual;
   // HTTP status of the hop (0 = none/n.a.); negative values carry a
   // net::FetchError for failed exchanges (-1 - int(error)).
   std::int32_t status = 0;
-  std::uint64_t start_ns = 0;  // virtual clock (VirtualNs)
+  std::uint64_t start_ns = 0;  // on `clock`
   std::uint64_t end_ns = 0;
 
   std::uint64_t dur_ns() const {
@@ -114,23 +126,33 @@ struct DistSpan {
   }
 };
 
-// Process-wide collector for distributed spans. Disabled by default (one
-// relaxed load per would-be span); REV_DIST_TRACE=<path> in the
-// environment arms it at startup, benches enable it around showcase runs.
+// The process-wide span collector. Disabled by default (one relaxed load
+// per would-be span); REV_TRACE=<path> in the environment arms it at
+// startup, benches enable it around showcase runs. It stores at most
+// kCapacity spans; later ones are counted in dropped(), not stored.
 class DistTraceCollector {
  public:
+  static constexpr std::size_t kCapacity = std::size_t{1} << 18;
+
   static DistTraceCollector& Global();
 
   DistTraceCollector(const DistTraceCollector&) = delete;
   DistTraceCollector& operator=(const DistTraceCollector&) = delete;
 
-  void Enable() { enabled_.store(true, std::memory_order_relaxed); }
-  void Disable() { enabled_.store(false, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  // The flag is a constant-initialized static, so checking it never runs
+  // Global()'s initialization guard.
+  static void Enable() { enabled_.store(true, std::memory_order_relaxed); }
+  static void Disable() { enabled_.store(false, std::memory_order_relaxed); }
+  static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
 
+  // Drops every stored span and resets dropped().
   void Clear();
   void Record(const DistSpan& span);
   std::size_t size() const;
+  std::uint64_t dropped() const;
+
+  // Wall-clock nanoseconds since the collector's time base.
+  std::uint64_t NowNs() const;
 
   // All spans, sorted by (trace, start_ns, span id) — a deterministic
   // order for a deterministic id/timestamp scheme, independent of the
@@ -140,19 +162,54 @@ class DistTraceCollector {
   std::vector<DistSpan> SnapshotTrace(const TraceId& trace) const;
 
   // {"spans":[{"trace":…,"span":…,"parent":…,"name":…,"node":…,"kind":…,
-  //   "status":…,"start_ns":…,"dur_ns":…},…]}
-  static std::string DumpJson(const std::vector<DistSpan>& spans);
-  std::string DumpJson() const { return DumpJson(Snapshot()); }
+  //   "clock":"sim"|"wall","status":…,"start_ns":…,"dur_ns":…},…],
+  //  "dropped":N}
+  static std::string DumpJson(const std::vector<DistSpan>& spans,
+                              std::uint64_t dropped = 0);
+  std::string DumpJson() const { return DumpJson(Snapshot(), dropped()); }
   bool WriteJson(const std::string& path) const;
-  // Writes DumpJson() to $REV_DIST_TRACE if set; returns whether it wrote.
+  // Writes DumpJson() to $REV_TRACE if set; returns whether it wrote.
   bool ExportFromEnv() const;
 
  private:
   DistTraceCollector();
 
-  std::atomic<bool> enabled_{false};
+  static inline std::atomic<bool> enabled_{false};
+  std::uint64_t base_ns_ = 0;  // steady_clock at construction
   mutable std::mutex mu_;
   std::vector<DistSpan> spans_;
+  std::uint64_t dropped_ = 0;
+};
+
+// RAII wall-clock span: `{ obs::Span span("pipeline.verify"); … }`. `name`
+// must have static lifetime (a literal or an InternName() pointer).
+//
+// Disabled at entry, the span costs one relaxed load of enabled() and
+// nothing else. Enabled, it nests under the calling thread's open local
+// span — or starts a new trace when there is none — and on close records
+// a kInternal, kWall DistSpan whose node is the thread ("thread-N").
+// Spans must close in the reverse order they opened on a thread, which
+// RAII scoping guarantees.
+class Span {
+ public:
+  explicit Span(const char* name) {
+    if (DistTraceCollector::enabled()) Open(name);
+  }
+  ~Span() {
+    if (name_ != nullptr) Close();
+  }
+
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+
+ private:
+  void Open(const char* name);
+  void Close();
+
+  const char* name_ = nullptr;  // nullptr when tracing was off at entry
+  SpanContext context_;
+  std::uint64_t parent_ = 0;
+  std::uint64_t start_ns_ = 0;
 };
 
 // One tile of a root span's critical path: [start_ns, end_ns) attributed

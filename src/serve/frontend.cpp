@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "obs/trace.h"
 
 namespace rev::serve {
 
@@ -397,7 +396,6 @@ Frontend::ServeResult Frontend::Serve(BytesView request_der,
   // to the allocating parser for classification.
   ocsp::OcspRequestView view;
   if (ocsp::ParseSingleCertRequestView(request_der, &view)) {
-    obs::Span span("serve.request");
     const auto start = options_.record_latency
                            ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
@@ -434,7 +432,6 @@ Frontend::ServeResult Frontend::ServeGetPath(std::string_view path,
 Frontend::ServeResult Frontend::ServeParsed(const ocsp::OcspRequest& request,
                                             util::Timestamp now,
                                             const obs::SpanContext* ctx) {
-  obs::Span span("serve.request");
   const auto start = options_.record_latency
                          ? std::chrono::steady_clock::now()
                          : std::chrono::steady_clock::time_point{};
@@ -537,7 +534,6 @@ void Frontend::RecordServed(std::chrono::steady_clock::time_point start,
 std::vector<Frontend::ServeResult> Frontend::ServeBatch(
     const std::vector<BytesView>& requests, util::Timestamp now,
     const obs::SpanContext* ctx) {
-  obs::Span span("serve.batch");
   const auto start = options_.record_latency
                          ? std::chrono::steady_clock::now()
                          : std::chrono::steady_clock::time_point{};

@@ -2,8 +2,8 @@
 
 #include <chrono>
 
+#include "obs/distrace.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace rev::util {
 

@@ -637,6 +637,73 @@ TEST(SimNet, TraceparentRewritesPerExchangeAndRecordsSpan) {
   collector.Clear();
 }
 
+TEST(SimNet, LocalSpanNeverReachesTheWire) {
+  obs::DistTraceCollector& collector = obs::DistTraceCollector::Global();
+  collector.Clear();
+  collector.Enable();
+
+  bool saw_traceparent = false;
+  SimNet net;
+  net.AddHost("local.sim", [&](const HttpRequest& request, util::Timestamp) {
+    saw_traceparent = request.headers.count(obs::kTraceparentHeader) > 0;
+    return HttpResponse{};
+  });
+  HttpRequest request;
+  request.host = "local.sim";
+  request.path = "/";
+  {
+    obs::Span span("test.local");
+    ASSERT_TRUE(net.Fetch(request, 2000).ok());
+  }
+  collector.Disable();
+
+  // An untraced fetch stays untraced inside a wall-clock span: no header
+  // on the wire and no virtual-clock exchange span.
+  EXPECT_FALSE(saw_traceparent);
+  const auto spans = collector.Snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].name, "test.local");
+  EXPECT_EQ(spans[0].clock, obs::SpanClock::kWall);
+  collector.Clear();
+}
+
+TEST(SimNet, TracedFetchInsideLocalSpanStaysOnVirtualClock) {
+  obs::DistTraceCollector& collector = obs::DistTraceCollector::Global();
+  collector.Clear();
+  collector.Enable();
+
+  SimNet net;
+  net.AddHost("traced.sim", [](const HttpRequest&, util::Timestamp) {
+    return HttpResponse{};
+  });
+  const obs::TraceId trace = obs::MakeTraceId(0x7E57, 3);
+  const obs::SpanContext root{trace, obs::RootSpanId(trace)};
+  HttpRequest request;
+  request.host = "traced.sim";
+  request.path = "/";
+  request.headers[obs::kTraceparentHeader] = obs::FormatTraceparent(root);
+  {
+    obs::Span span("test.local");
+    ASSERT_TRUE(net.Fetch(request, 2000).ok());
+  }
+  collector.Disable();
+
+  const auto traced = collector.SnapshotTrace(trace);
+  ASSERT_EQ(traced.size(), 1u);
+  EXPECT_STREQ(traced[0].name, "net.exchange");
+  for (const auto& span : traced)
+    EXPECT_EQ(span.clock, obs::SpanClock::kVirtual) << span.name;
+  // The local span is a trace of its own.
+  const auto all = collector.Snapshot();
+  ASSERT_EQ(all.size(), 2u);
+  for (const auto& span : all) {
+    if (std::string_view(span.name) != "test.local") continue;
+    EXPECT_NE(span.trace, trace);
+    EXPECT_EQ(span.clock, obs::SpanClock::kWall);
+  }
+  collector.Clear();
+}
+
 TEST(Retry, AttemptAndBackoffSpansCoverTheLadder) {
   obs::DistTraceCollector& collector = obs::DistTraceCollector::Global();
   collector.Clear();

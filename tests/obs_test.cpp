@@ -1,5 +1,5 @@
 // Observability tests: counter/gauge/histogram exactness under concurrent
-// writers, span nesting and ring-buffer overflow accounting, the DumpJson()
+// writers, local span nesting and capacity accounting, the DumpJson()
 // schema round-trip (parsed with a minimal JSON reader below), the
 // `GET /metrics` exposition over SimNet, and the monotonic-counter
 // regression for the caches. `ObsStress.*` is the target scripts/ci.sh runs
@@ -10,7 +10,9 @@
 #include <cctype>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -19,17 +21,17 @@
 #include "obs/distrace.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "obs/trace.h"
 #include "ocsp/ocsp.h"
 #include "ocsp/responder.h"
 #include "serve/frontend.h"
+#include "util/thread_pool.h"
 #include "x509/name.h"
 
 namespace rev::obs {
 namespace {
 
 // ------------------------------------------------- minimal JSON reader ----
-// Just enough JSON to round-trip the DumpJson()/ChromeTraceJson() schemas:
+// Just enough JSON to round-trip the DumpJson() schemas:
 // objects, arrays, strings with escapes, numbers, literals.
 
 struct JsonValue {
@@ -340,10 +342,18 @@ TEST(Metrics, DumpJsonRoundTrip) {
 
 // ---------------------------------------------------------------- spans ----
 
-TEST(Trace, SpanNestingRecordsDepths) {
-  TraceCollector& collector = TraceCollector::Global();
-  collector.Enable(1024);
+// Spans named `name`, from a snapshot of the one collector.
+std::vector<DistSpan> SpansNamed(const char* name) {
+  std::vector<DistSpan> out;
+  for (const DistSpan& span : DistTraceCollector::Global().Snapshot())
+    if (std::string_view(span.name) == name) out.push_back(span);
+  return out;
+}
+
+TEST(Trace, SpanNestingSetsParentIds) {
+  DistTraceCollector& collector = DistTraceCollector::Global();
   collector.Clear();
+  collector.Enable();
   {
     Span outer("test.outer");
     {
@@ -353,72 +363,148 @@ TEST(Trace, SpanNestingRecordsDepths) {
   }
   collector.Disable();
 
-  const std::vector<TraceEvent> events = collector.Snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  std::map<std::string, const TraceEvent*> by_name;
-  for (const TraceEvent& e : events) by_name[e.name] = &e;
-  ASSERT_TRUE(by_name.count("test.outer"));
-  ASSERT_TRUE(by_name.count("test.middle"));
-  ASSERT_TRUE(by_name.count("test.inner"));
-  EXPECT_EQ(by_name["test.outer"]->depth, 0);
-  EXPECT_EQ(by_name["test.middle"]->depth, 1);
-  EXPECT_EQ(by_name["test.inner"]->depth, 2);
-  // Children start no earlier and end no later than the parent.
-  const TraceEvent& outer = *by_name["test.outer"];
-  for (const char* child : {"test.middle", "test.inner"}) {
-    const TraceEvent& e = *by_name[child];
-    EXPECT_GE(e.start_ns, outer.start_ns);
-    EXPECT_LE(e.start_ns + e.dur_ns, outer.start_ns + outer.dur_ns);
+  ASSERT_EQ(collector.size(), 3u);
+  const std::vector<DistSpan> outer = SpansNamed("test.outer");
+  const std::vector<DistSpan> middle = SpansNamed("test.middle");
+  const std::vector<DistSpan> inner = SpansNamed("test.inner");
+  ASSERT_EQ(outer.size(), 1u);
+  ASSERT_EQ(middle.size(), 1u);
+  ASSERT_EQ(inner.size(), 1u);
+  EXPECT_EQ(outer[0].parent, 0u);
+  EXPECT_EQ(middle[0].parent, outer[0].span);
+  EXPECT_EQ(inner[0].parent, middle[0].span);
+  EXPECT_STREQ(outer[0].node, inner[0].node);
+  EXPECT_EQ(std::string_view(outer[0].node).substr(0, 7), "thread-");
+  for (const DistSpan* span : {&middle[0], &inner[0]}) {
+    EXPECT_EQ(span->trace, outer[0].trace);
+    // Children start no earlier and end no later than the root.
+    EXPECT_GE(span->start_ns, outer[0].start_ns);
+    EXPECT_LE(span->end_ns, outer[0].end_ns);
   }
+  for (const DistSpan* span : {&outer[0], &middle[0], &inner[0]}) {
+    EXPECT_EQ(span->clock, SpanClock::kWall);
+    EXPECT_EQ(span->kind, SpanKind::kInternal);
+  }
+
+  // The next top-level span starts a new trace.
+  collector.Enable();
+  { Span next("test.next"); }
+  collector.Disable();
+  const std::vector<DistSpan> next = SpansNamed("test.next");
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0].parent, 0u);
+  EXPECT_NE(next[0].trace, outer[0].trace);
   collector.Clear();
 }
 
-TEST(Trace, RingOverflowKeepsNewestAndCountsDropped) {
-  TraceCollector& collector = TraceCollector::Global();
-  collector.Enable(8);
+TEST(Trace, OverflowStoresCapacityAndCountsDropped) {
+  DistTraceCollector& collector = DistTraceCollector::Global();
   collector.Clear();
-  for (int i = 0; i < 20; ++i) Span span("test.overflow");
+  collector.Enable();
+  for (std::size_t i = 0; i < DistTraceCollector::kCapacity + 12; ++i)
+    Span span("test.overflow");
   collector.Disable();
 
-  EXPECT_EQ(collector.Snapshot().size(), 8u);
+  EXPECT_EQ(collector.size(), DistTraceCollector::kCapacity);
   EXPECT_EQ(collector.dropped(), 12u);
   collector.Clear();
-  collector.Enable(1 << 15);  // restore default capacity for later tests
-  collector.Disable();
+  EXPECT_EQ(collector.size(), 0u);
+  EXPECT_EQ(collector.dropped(), 0u);
 }
 
-TEST(Trace, ChromeTraceJsonParsesAndProfileAggregates) {
-  TraceCollector& collector = TraceCollector::Global();
-  collector.Enable(1024);
+TEST(Trace, DumpJsonCarriesWallClock) {
+  DistTraceCollector& collector = DistTraceCollector::Global();
   collector.Clear();
+  collector.Enable();
   { Span span("test.export"); }
   { Span span("test.export"); }
   collector.Disable();
 
   JsonValue doc;
-  ASSERT_TRUE(JsonParser(collector.ChromeTraceJson()).Parse(doc))
-      << "ChromeTraceJson() is not valid JSON";
-  const JsonValue& events = doc.at("traceEvents");
-  ASSERT_EQ(events.type, JsonValue::Type::kArray);
-  ASSERT_EQ(events.array.size(), 2u);
-  for (const JsonValue& event : events.array) {
-    EXPECT_EQ(event.at("name").string, "test.export");
-    EXPECT_EQ(event.at("ph").string, "X");
-    EXPECT_GE(event.at("dur").number, 0);
+  ASSERT_TRUE(JsonParser(collector.DumpJson()).Parse(doc))
+      << "DumpJson() is not valid JSON";
+  const JsonValue& spans = doc.at("spans");
+  ASSERT_EQ(spans.type, JsonValue::Type::kArray);
+  ASSERT_EQ(spans.array.size(), 2u);
+  for (const JsonValue& span : spans.array) {
+    EXPECT_EQ(span.at("name").string, "test.export");
+    EXPECT_EQ(span.at("clock").string, "wall");
+    EXPECT_EQ(span.at("kind").string, "internal");
+    EXPECT_GE(span.at("dur_ns").number, 0);
   }
-  EXPECT_EQ(doc.at("otherData").at("dropped").number, 0);
-
-  const std::string profile = collector.TextProfile();
-  EXPECT_NE(profile.find("test.export"), std::string::npos);
+  EXPECT_EQ(doc.at("dropped").type, JsonValue::Type::kNumber);
+  EXPECT_EQ(doc.at("dropped").number, 0);
   collector.Clear();
 }
 
 TEST(Trace, DisabledSpanRecordsNothing) {
-  TraceCollector& collector = TraceCollector::Global();
+  DistTraceCollector& collector = DistTraceCollector::Global();
   collector.Disable();
   collector.Clear();
   { Span span("test.disabled"); }
-  EXPECT_TRUE(collector.Snapshot().empty());
+  EXPECT_EQ(collector.size(), 0u);
+  EXPECT_EQ(collector.dropped(), 0u);
+
+  // A span opened while disabled is no parent: a span opened inside it
+  // after enabling starts its own trace.
+  {
+    Span disabled("test.disabled");
+    collector.Enable();
+    Span enabled("test.enabled");
+  }
+  collector.Disable();
+  const std::vector<DistSpan> enabled = SpansNamed("test.enabled");
+  ASSERT_EQ(enabled.size(), 1u);
+  EXPECT_EQ(enabled[0].parent, 0u);
+  EXPECT_TRUE(SpansNamed("test.disabled").empty());
+  collector.Clear();
+}
+
+TEST(Trace, ParallelForWorkersKeepTracesOnOneClock) {
+  DistTraceCollector& collector = DistTraceCollector::Global();
+  collector.Clear();
+  collector.Enable();
+  util::ThreadPool pool(8);
+  pool.ParallelFor(64, [&collector](std::size_t i) {
+    Span task("test.task");
+    Span step("test.step");
+    { Span leaf("test.leaf"); }
+    // A virtual-clock span recorded under open local spans stays in its
+    // own trace: local context never leaks into virtual traces.
+    DistSpan sim;
+    sim.trace = MakeTraceId(0x51A1, i);
+    sim.span = RootSpanId(sim.trace);
+    sim.name = "test.sim";
+    sim.node = "sim-node";
+    sim.start_ns = VirtualNs(1000, 0);
+    sim.end_ns = VirtualNs(1000, 0.5);
+    collector.Record(sim);
+  });
+  collector.Disable();
+
+  const std::vector<DistSpan> spans = collector.Snapshot();
+  std::map<std::uint64_t, const DistSpan*> by_id;
+  std::map<TraceId, std::set<SpanClock>> clocks_of;
+  for (const DistSpan& span : spans) {
+    by_id[span.span] = &span;
+    clocks_of[span.trace].insert(span.clock);
+  }
+  EXPECT_EQ(SpansNamed("test.task").size(), 64u);
+  EXPECT_EQ(SpansNamed("test.leaf").size(), 64u);
+  EXPECT_EQ(SpansNamed("test.sim").size(), 64u);
+  std::size_t children = 0;
+  for (const DistSpan& span : spans) {
+    if (span.parent == 0) continue;
+    ++children;
+    const auto parent = by_id.find(span.parent);
+    ASSERT_NE(parent, by_id.end()) << span.name;
+    EXPECT_EQ(parent->second->trace, span.trace) << span.name;
+    EXPECT_STREQ(parent->second->node, span.node) << span.name;
+  }
+  EXPECT_GE(children, 128u);  // every test.step and test.leaf
+  for (const auto& [trace, clocks] : clocks_of)
+    EXPECT_EQ(clocks.size(), 1u) << trace.Hex();
+  collector.Clear();
 }
 
 // ------------------------------------------------------ serve exposition ----
@@ -617,7 +703,7 @@ TEST(Monotonic, ResponseCacheCountersSurviveRefreshAndEpochSwap) {
 // ------------------------------------------------- distributed tracing ----
 
 TEST(DistTrace, InternNameStableAcrossThreads) {
-  // The regression this pins: TraceEvent::name used to require string
+  // The regression this pins: span names used to require string
   // literals; dynamic names (e.g. "replica-3.fleet.sim") must intern to
   // one stable pointer, no matter which thread interns first.
   constexpr int kThreads = 8;

@@ -1,26 +1,22 @@
-// trace2txt: render trace JSON written by the obs collectors as a
-// terminal-friendly report.
+// trace2txt: render span JSON written by obs::DistTraceCollector
+// (REV_TRACE=<file>) as a terminal-friendly report:
+//  - a flat profile per span name and clock: count, total, mean and max
+//    duration — where the time went;
+//  - each trace rendered as its causal tree, its clock ("sim" or "wall")
+//    in the header, with a per-hop critical-path column — the share of the
+//    root's latency attributed to each span by obs::CriticalPath, '*'
+//    marking the spans on the path.
 //
-// Two input shapes, auto-detected:
-//  - Chrome trace-event JSON (REV_TRACE=<file>, TraceCollector): a flat
-//    profile aggregated by span name and, with -t, a per-thread timeline
-//    of the slowest spans.
-//  - Distributed-span JSON (REV_DIST_TRACE=<file>, DistTraceCollector):
-//    each trace rendered as its cross-node causal tree with a per-hop
-//    critical-path column — the share of the root's latency attributed to
-//    each span by obs::CriticalPath, '*' marking the spans on the path.
+//   trace2txt trace.json
 //
-//   trace2txt trace.json            # flat profile (or dist trees)
-//   trace2txt -t trace.json        # + timeline of the 40 longest spans
-//
-// The parser targets the collectors' own output: one complete event/span
-// object per line. It is not a general JSON parser; feeding it traces
-// from other producers may miss events.
+// The parser targets the collector's own output: one span object per
+// line. It is not a general JSON parser; feeding it traces from other
+// producers may miss spans.
 #include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -29,15 +25,7 @@
 
 namespace {
 
-struct Event {
-  std::string name;
-  double ts_us = 0;
-  double dur_us = 0;
-  unsigned tid = 0;
-  unsigned depth = 0;
-};
-
-// Extracts `"key":<value>` from one event line. Returns false if absent.
+// Extracts `"key":<value>` from one span line. Returns false if absent.
 bool FindRaw(const std::string& line, const char* key, std::string& out) {
   const std::string needle = std::string("\"") + key + "\":";
   const std::size_t at = line.find(needle);
@@ -54,69 +42,6 @@ bool FindRaw(const std::string& line, const char* key, std::string& out) {
   out = line.substr(begin, end - begin);
   return true;
 }
-
-bool ParseEventLine(const std::string& line, Event& event) {
-  std::string value;
-  if (!FindRaw(line, "ph", value) || value != "X") return false;
-  if (!FindRaw(line, "name", event.name)) return false;
-  if (FindRaw(line, "ts", value)) event.ts_us = std::atof(value.c_str());
-  if (FindRaw(line, "dur", value)) event.dur_us = std::atof(value.c_str());
-  if (FindRaw(line, "tid", value))
-    event.tid = static_cast<unsigned>(std::atoi(value.c_str()));
-  if (FindRaw(line, "depth", value))
-    event.depth = static_cast<unsigned>(std::atoi(value.c_str()));
-  return true;
-}
-
-void PrintProfile(const std::vector<Event>& events) {
-  struct Agg {
-    std::uint64_t count = 0;
-    double total_us = 0;
-    double max_us = 0;
-  };
-  std::map<std::string, Agg> by_name;
-  for (const Event& e : events) {
-    Agg& agg = by_name[e.name];
-    ++agg.count;
-    agg.total_us += e.dur_us;
-    agg.max_us = std::max(agg.max_us, e.dur_us);
-  }
-  std::vector<std::pair<std::string, Agg>> rows(by_name.begin(), by_name.end());
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return a.second.total_us > b.second.total_us;
-  });
-
-  std::printf("%-36s %10s %12s %12s %12s\n", "span", "count", "total(ms)",
-              "mean(us)", "max(us)");
-  for (const auto& [name, agg] : rows) {
-    std::printf("%-36s %10" PRIu64 " %12.3f %12.2f %12.2f\n", name.c_str(),
-                agg.count, agg.total_us / 1e3,
-                agg.count == 0 ? 0.0
-                               : agg.total_us / static_cast<double>(agg.count),
-                agg.max_us);
-  }
-}
-
-void PrintTimeline(std::vector<Event> events, std::size_t limit) {
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    return a.dur_us > b.dur_us;
-  });
-  if (events.size() > limit) events.resize(limit);
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    return a.ts_us < b.ts_us;
-  });
-
-  std::printf("\n%-12s %-6s %-36s %12s %12s\n", "start(ms)", "tid", "span",
-              "dur(us)", "depth");
-  for (const Event& e : events) {
-    std::printf("%-12.3f %-6u %*s%-*s %12.2f %12u\n", e.ts_us / 1e3, e.tid,
-                static_cast<int>(e.depth * 2), "",
-                static_cast<int>(36 - e.depth * 2), e.name.c_str(), e.dur_us,
-                e.depth);
-  }
-}
-
-// ------------------------------------------------- distributed traces ----
 
 bool ParseHex64(const std::string& hex, std::uint64_t* out) {
   if (hex.empty() || hex.size() > 16) return false;
@@ -152,6 +77,8 @@ bool ParseDistSpanLine(const std::string& line, rev::obs::DistSpan& span) {
                 : value == "server" ? rev::obs::SpanKind::kServer
                                     : rev::obs::SpanKind::kInternal;
   }
+  if (FindRaw(line, "clock", value) && value == "wall")
+    span.clock = rev::obs::SpanClock::kWall;
   if (FindRaw(line, "status", value))
     span.status = static_cast<std::int32_t>(std::atol(value.c_str()));
   if (FindRaw(line, "start_ns", value))
@@ -159,6 +86,37 @@ bool ParseDistSpanLine(const std::string& line, rev::obs::DistSpan& span) {
   if (FindRaw(line, "dur_ns", value))
     span.end_ns = span.start_ns + std::strtoull(value.c_str(), nullptr, 10);
   return true;
+}
+
+void PrintProfile(const std::vector<rev::obs::DistSpan>& spans) {
+  struct Agg {
+    std::uint64_t count = 0;
+    std::uint64_t total_ns = 0;
+    std::uint64_t max_ns = 0;
+  };
+  std::map<std::pair<std::string, std::string>, Agg> by_name;
+  for (const auto& span : spans) {
+    Agg& agg = by_name[{span.name, rev::obs::SpanClockName(span.clock)}];
+    ++agg.count;
+    agg.total_ns += span.dur_ns();
+    agg.max_ns = std::max(agg.max_ns, span.dur_ns());
+  }
+  std::vector<std::pair<std::pair<std::string, std::string>, Agg>> rows(
+      by_name.begin(), by_name.end());
+  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    return a.second.total_ns > b.second.total_ns;
+  });
+
+  std::printf("%-36s %-5s %10s %12s %12s %12s\n", "span", "clock", "count",
+              "total(ms)", "mean(us)", "max(us)");
+  for (const auto& [key, agg] : rows) {
+    std::printf("%-36s %-5s %10" PRIu64 " %12.3f %12.2f %12.2f\n",
+                key.first.c_str(), key.second.c_str(), agg.count,
+                static_cast<double>(agg.total_ns) / 1e6,
+                static_cast<double>(agg.total_ns) /
+                    static_cast<double>(agg.count) / 1e3,
+                static_cast<double>(agg.max_ns) / 1e3);
+  }
 }
 
 void PrintDistTree(const std::vector<rev::obs::DistSpan>& spans,
@@ -222,10 +180,12 @@ void PrintDistTraces(const std::vector<rev::obs::DistSpan>& all,
     for (const auto& span : spans)
       trace_start = std::min(trace_start, span.start_ns);
 
-    std::printf("\ntrace %s: %zu spans, critical path %zu hop%s / %.3fms\n",
-                spans.front().trace.Hex().c_str(), spans.size(), path.size(),
-                path.size() == 1 ? "" : "s",
-                static_cast<double>(path_total) / 1e6);
+    std::printf(
+        "\ntrace %s (%s): %zu spans, critical path %zu hop%s / %.3fms\n",
+        spans.front().trace.Hex().c_str(),
+        rev::obs::SpanClockName(spans.front().clock), spans.size(),
+        path.size(), path.size() == 1 ? "" : "s",
+        static_cast<double>(path_total) / 1e6);
     std::printf("  %-28s %-22s %-8s %6s %11s %11s %11s\n", "span", "node",
                 "kind", "status", "start(ms)", "dur(ms)", "crit(ms)");
     for (const auto& span : spans) {
@@ -238,38 +198,25 @@ void PrintDistTraces(const std::vector<rev::obs::DistSpan>& all,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool timeline = false;
-  const char* path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "-t") == 0) {
-      timeline = true;
-    } else if (path == nullptr) {
-      path = argv[i];
-    }
-  }
-  if (path == nullptr) {
-    std::fprintf(stderr, "usage: trace2txt [-t] <trace.json>\n");
+  if (argc != 2) {
+    std::fprintf(stderr, "usage: trace2txt <trace.json>\n");
     return 2;
   }
-
+  const char* path = argv[1];
   FILE* f = std::fopen(path, "r");
   if (f == nullptr) {
     std::fprintf(stderr, "trace2txt: cannot open %s\n", path);
     return 1;
   }
 
-  std::vector<Event> events;
-  std::vector<rev::obs::DistSpan> dist_spans;
+  std::vector<rev::obs::DistSpan> spans;
   std::uint64_t dropped = 0;
   char buffer[4096];
   while (std::fgets(buffer, sizeof buffer, f) != nullptr) {
     const std::string line = buffer;
-    Event event;
     rev::obs::DistSpan span;
-    if (ParseEventLine(line, event)) {
-      events.push_back(std::move(event));
-    } else if (ParseDistSpanLine(line, span)) {
-      dist_spans.push_back(span);
+    if (ParseDistSpanLine(line, span)) {
+      spans.push_back(span);
     } else {
       std::string value;
       if (FindRaw(line, "dropped", value))
@@ -278,20 +225,17 @@ int main(int argc, char** argv) {
   }
   std::fclose(f);
 
-  if (!dist_spans.empty()) {
-    std::printf("%s: %zu distributed spans, ", path, dist_spans.size());
-    PrintDistTraces(dist_spans, 20);
-    return 0;
-  }
-  if (events.empty()) {
-    std::fprintf(stderr, "trace2txt: no trace events in %s\n", path);
+  if (spans.empty()) {
+    std::fprintf(stderr, "trace2txt: no spans in %s\n", path);
     return 1;
   }
-  std::printf("%s: %zu events", path, events.size());
+  std::printf("%s: %zu spans", path, spans.size());
   if (dropped > 0)
-    std::printf(" (%" PRIu64 " dropped — oldest were overwritten)", dropped);
+    std::printf(" (%" PRIu64 " dropped past the collector's capacity)",
+                dropped);
   std::printf("\n\n");
-  PrintProfile(events);
-  if (timeline) PrintTimeline(events, 40);
+  PrintProfile(spans);
+  std::printf("\n");
+  PrintDistTraces(spans, 20);
   return 0;
 }
