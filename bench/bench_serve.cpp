@@ -1,28 +1,24 @@
-// Load bench for the serving frontend, three modes in one binary:
+// Load bench for the serving frontend, in three parts:
 //
-//   1. Per-request closed loop (legacy sweep): N client threads call
-//      Serve() back-to-back — measures the synchronous path.
-//   2. Batched closed loop (headline): the same mix submitted through
-//      ServeBatch() in batches, sweeping the thread count. Latency is the
-//      amortized per-request cost (batch wall / batch size) — the quantity
-//      the batch path exists to optimize.
-//   3. Open loop: one paced submitter offers batches at a target rate and
-//      the achieved rate is recorded against it (offered above capacity
-//      degenerates to closed-loop and reports the capacity ceiling).
+//   1. Per-request closed loop: N client threads call Serve() back-to-back,
+//      sweeping the thread count. Reports QPS, latency quantiles
+//      (p50/p95/p99) and the cache hit-rate per point.
+//   2. Faults mode: the same loop through a SimNet host under a seeded
+//      FaultPlan, once clean and once under a storm, with SLO burn-rate
+//      gates and a traced retry probe whose critical path must tile the
+//      measured latency (docs/fault-injection.md).
+//   3. Metrics endpoint smoke: GET /metrics must carry the frontend's
+//      labelled request counter.
 //
-// Reports QPS, latency quantiles (p50/p95/p99), and the cache hit-rate,
-// and writes every sweep plus the pre-refactor baseline trajectory to
-// BENCH_serve.json (scripts/ci.sh greps that file for the QPS-regression
-// smoke).
+// Writes every point to BENCH_serve.json (scripts/ci.sh checks the sweep
+// peak of a smoke run against a QPS-regression floor) and exits non-zero
+// when the sweep peak is below REV_SERVE_FLOOR or a gate fails.
 //
 // Environment knobs:
 //   REV_SERVE_CERTS    population size per run        (default 20000)
 //   REV_SERVE_OPS      requests per client thread     (default 50000)
 //   REV_SERVE_THREADS  comma list for the sweep       (default "1,2,4,8")
 //   REV_SERVE_SHED     per-shard admission budget     (default 128)
-//   REV_SERVE_BATCH    ServeBatch submission size     (default 256)
-//   REV_SERVE_RATES    open-loop offered QPS list     (default
-//                      "1000000,2000000,4000000,8000000")
 //   REV_SERVE_FLOOR    QPS floor for the exit code    (default 100000;
 //                      0 disables — for sanitizer builds)
 //   REV_SERVE_FAULTS   faults mode: 0 disables        (default 1)
@@ -125,117 +121,9 @@ struct Mix {
   double unknown = 0.02;   // serials the CA never issued
 };
 
-SweepPoint RunOnce(unsigned clients, std::size_t num_certs,
-                   std::size_t ops_per_client, std::size_t shed_budget) {
-  const x509::Certificate issuer = MakeIssuerCert();
-  ocsp::Responder responder(issuer, crypto::SimKeyFromLabel("serve-bench"));
-
-  const Mix mix;
-  const auto num_revoked =
-      static_cast<std::size_t>(static_cast<double>(num_certs) * mix.revoked);
-  for (std::size_t i = 0; i < num_certs; ++i) {
-    responder.AddCertificate(SerialOf(i));
-    if (i < num_revoked)
-      responder.Revoke(SerialOf(i), kNow - 1000,
-                       x509::ReasonCode::kKeyCompromise);
-  }
-
-  serve::FrontendOptions options;
-  options.per_shard_queue = shed_budget;
-  options.threads = clients;
-  // Server-side accounting stays on: since the lock-free histogram replaced
-  // the mutex-guarded accumulator it no longer serializes the hot path, and
-  // the bench doubles as its overhead regression check.
-  options.record_latency = true;
-  serve::Frontend frontend(options);
-  frontend.AttachResponder(&responder);
-  frontend.RebuildAll(kNow);  // precompute: steady-state responder
-
-  // Pre-encode the request population so the closed loop measures the
-  // server, not the client's encoder. Unknown serials sit past num_certs.
-  const std::size_t population =
-      num_certs + static_cast<std::size_t>(
-                      static_cast<double>(num_certs) * mix.unknown);
-  std::vector<Bytes> requests(population);
-  for (std::size_t i = 0; i < population; ++i) {
-    ocsp::OcspRequest request;
-    request.cert_ids = {ocsp::MakeCertId(issuer, SerialOf(i))};
-    requests[i] = ocsp::EncodeOcspRequest(request);
-  }
-
-  std::vector<std::vector<double>> latencies(clients);
-  for (auto& samples : latencies) samples.reserve(ops_per_client);
-  std::vector<std::thread> threads;
-  const auto wall_start = std::chrono::steady_clock::now();
-  for (unsigned t = 0; t < clients; ++t) {
-    threads.emplace_back([&, t] {
-      // Deterministic per-thread walk with a large co-prime stride, so
-      // every client touches the whole population in a different order.
-      std::size_t at = (t * 7919) % population;
-      for (std::size_t op = 0; op < ops_per_client; ++op) {
-        // Conditional subtract, not `%`: a 64-bit divide per op is
-        // measurable against a sub-microsecond server.
-        at += 7919;
-        while (at >= population) at -= population;
-        const auto start = std::chrono::steady_clock::now();
-        const auto result = frontend.Serve(requests[at], kNow);
-        const double micros =
-            std::chrono::duration<double, std::micro>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        latencies[t].push_back(micros);
-        if (result.http_status == 200 && !result.body) std::abort();
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - wall_start)
-                          .count();
-
-  util::Distribution merged;
-  for (const std::vector<double>& samples : latencies)
-    for (double micros : samples) merged.Add(micros);
-
-  const serve::Frontend::Counters counters = frontend.counters();
-  SweepPoint point;
-  point.clients = clients;
-  point.wall_seconds = wall;
-  point.requests = counters.requests;
-  point.shed = counters.shed;
-  point.qps = wall > 0 ? static_cast<double>(counters.requests) / wall : 0;
-  point.p50_us = merged.Quantile(0.50);
-  point.p95_us = merged.Quantile(0.95);
-  point.p99_us = merged.Quantile(0.99);
-  const std::uint64_t lookups = counters.cache_hits + counters.cache_misses +
-                                counters.cache_expired;
-  point.hit_rate = lookups > 0 ? static_cast<double>(counters.cache_hits) /
-                                     static_cast<double>(lookups)
-                               : 0;
-  return point;
-}
-
-// Two pre-refactor reference points, both recorded in BENCH_serve.json so
-// the before/after trajectory survives the refactor:
-//
-//   - The PR 2 *instrumented* sweep (ROADMAP item 1's referent): ~47k QPS
-//     with p99 two orders above p50 — the mutex-guarded latency
-//     accumulator serialized the hot path. The acceptance bar is >= 5x
-//     this at equal-or-better p50 with p99/p50 < 10.
-//   - The synchronous per-request peak re-measured on this box at the
-//     commit immediately before the event-driven core landed (peak of
-//     the 1/2/4/8-client direct closed loop, accounting already
-//     lock-free) — the harsher apples-to-apples comparison.
-//
-// ci.sh greps the summary line below and enforces no regression beneath
-// the committed trajectory.
-constexpr double kInstrumentedBaselineQps = 47000;
-constexpr double kPreRefactorPeakQps = 504126;
-constexpr double kPreRefactorP50Us = 1.33;
-constexpr double kPreRefactorP99Us = 13.81;
-
 // Shared bench world: seeded responder + frontend + pre-encoded request
-// population, so every mode measures the server rather than its own setup.
+// population (unknown serials sit past num_certs), so the sweep measures
+// the server rather than its own setup or the client's encoder.
 struct BenchWorld {
   x509::Certificate issuer;
   std::unique_ptr<ocsp::Responder> responder;
@@ -291,55 +179,36 @@ SweepPoint PointFromCounters(const serve::Frontend& frontend, unsigned clients,
   return point;
 }
 
-// Batched closed loop: each client thread submits its walk through the
-// population as ServeBatch calls of `batch_size`. The latency samples are
-// amortized per-request costs, weighted by batch size in the merged
-// distribution.
-SweepPoint RunBatchOnce(unsigned clients, std::size_t num_certs,
-                        std::size_t ops_per_client, std::size_t shed_budget,
-                        std::size_t batch_size) {
+SweepPoint RunOnce(unsigned clients, std::size_t num_certs,
+                   std::size_t ops_per_client, std::size_t shed_budget) {
   serve::FrontendOptions options;
-  // Few shards = large per-shard sub-batches = better amortization of the
-  // snapshot copy and cache lock; the watermark is sized so a full burst
-  // of every client's in-flight batch never sheds (throughput bench, not
-  // an overload test).
-  options.num_shards = 4;
-  options.per_shard_queue =
-      std::max<std::size_t>(shed_budget, clients * batch_size);
-  options.max_batch = 256;
+  options.per_shard_queue = shed_budget;
   options.threads = clients;
-  options.record_latency = true;
   BenchWorld world(num_certs, options);
   const std::size_t population = world.requests.size();
-  const std::size_t batches_per_client =
-      std::max<std::size_t>(1, ops_per_client / batch_size);
 
-  // Per-thread (amortized-latency, batch-weight) samples, merged after the
-  // run.
-  std::vector<std::vector<std::pair<double, double>>> latencies(clients);
-  for (auto& samples : latencies) samples.reserve(batches_per_client);
+  std::vector<std::vector<double>> latencies(clients);
+  for (auto& samples : latencies) samples.reserve(ops_per_client);
   std::vector<std::thread> threads;
   const auto wall_start = std::chrono::steady_clock::now();
   for (unsigned t = 0; t < clients; ++t) {
     threads.emplace_back([&, t] {
+      // Deterministic per-thread walk with a large co-prime stride, so
+      // every client touches the whole population in a different order.
       std::size_t at = (t * 7919) % population;
-      std::vector<BytesView> batch(batch_size);
-      for (std::size_t b = 0; b < batches_per_client; ++b) {
-        for (std::size_t i = 0; i < batch_size; ++i) {
-          at += 7919;
-          while (at >= population) at -= population;
-          batch[i] = BytesView(world.requests[at]);
-        }
+      for (std::size_t op = 0; op < ops_per_client; ++op) {
+        // Conditional subtract, not `%`: a 64-bit divide per op is
+        // measurable against a sub-microsecond server.
+        at += 7919;
+        while (at >= population) at -= population;
         const auto start = std::chrono::steady_clock::now();
-        const auto results = world.frontend->ServeBatch(batch, kNow);
+        const auto result = world.frontend->Serve(world.requests[at], kNow);
         const double micros =
             std::chrono::duration<double, std::micro>(
                 std::chrono::steady_clock::now() - start)
                 .count();
-        latencies[t].emplace_back(micros / static_cast<double>(batch_size),
-                                  static_cast<double>(batch_size));
-        for (const auto& result : results)
-          if (result.http_status == 200 && !result.body) std::abort();
+        latencies[t].push_back(micros);
+        if (result.http_status == 200 && !result.body) std::abort();
       }
     });
   }
@@ -349,94 +218,9 @@ SweepPoint RunBatchOnce(unsigned clients, std::size_t num_certs,
                           .count();
 
   util::Distribution merged;
-  for (const auto& samples : latencies)
-    for (const auto& [micros, weight] : samples) merged.Add(micros, weight);
+  for (const std::vector<double>& samples : latencies)
+    for (double micros : samples) merged.Add(micros);
   return PointFromCounters(*world.frontend, clients, wall, merged);
-}
-
-// Open loop: batches are offered at `offered_qps` by one paced submitter.
-// When the target inter-batch gap exceeds the service time the submitter
-// waits out the difference (achieved ~= offered); past the capacity knee
-// the pacing deadline is always in the past and the run reports the
-// capacity ceiling instead.
-struct OpenLoopPoint {
-  double offered_qps = 0;
-  double achieved_qps = 0;
-  double p50_us = 0, p99_us = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t shed = 0;
-};
-
-OpenLoopPoint RunOpenLoopOnce(double offered_qps, std::size_t num_certs,
-                              std::size_t total_ops, std::size_t shed_budget,
-                              std::size_t batch_size) {
-  serve::FrontendOptions options;
-  options.num_shards = 4;
-  options.per_shard_queue = std::max<std::size_t>(shed_budget, batch_size);
-  options.max_batch = 256;
-  options.record_latency = true;
-  BenchWorld world(num_certs, options);
-  const std::size_t population = world.requests.size();
-  const std::size_t batches = std::max<std::size_t>(1, total_ops / batch_size);
-
-  util::Distribution merged;
-  std::size_t at = 0;
-  std::vector<BytesView> batch(batch_size);
-  const auto wall_start = std::chrono::steady_clock::now();
-  for (std::size_t b = 0; b < batches; ++b) {
-    // Pace: batch b is due at b * batch / offered; never submit early.
-    const auto due =
-        wall_start + std::chrono::duration_cast<
-                         std::chrono::steady_clock::duration>(
-                         std::chrono::duration<double>(
-                             static_cast<double>(b * batch_size) /
-                             offered_qps));
-    while (std::chrono::steady_clock::now() < due) {
-    }
-    for (std::size_t i = 0; i < batch_size; ++i) {
-      at += 7919;
-      while (at >= population) at -= population;
-      batch[i] = BytesView(world.requests[at]);
-    }
-    const auto start = std::chrono::steady_clock::now();
-    world.frontend->ServeBatch(batch, kNow);
-    const double micros = std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-    merged.Add(micros / static_cast<double>(batch_size),
-               static_cast<double>(batch_size));
-  }
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - wall_start)
-                          .count();
-
-  const serve::Frontend::Counters counters = world.frontend->counters();
-  OpenLoopPoint point;
-  point.offered_qps = offered_qps;
-  point.requests = counters.requests;
-  point.shed = counters.shed;
-  point.achieved_qps =
-      wall > 0 ? static_cast<double>(counters.requests) / wall : 0;
-  point.p50_us = merged.Quantile(0.50);
-  point.p99_us = merged.Quantile(0.99);
-  return point;
-}
-
-std::vector<double> RatesFromEnv() {
-  const char* env = std::getenv("REV_SERVE_RATES");
-  const std::string spec =
-      env != nullptr ? env : "1000000,2000000,4000000,8000000";
-  std::vector<double> rates;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const double v = std::atof(spec.substr(pos, comma - pos).c_str());
-    if (v > 0) rates.push_back(v);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (rates.empty()) rates = {1'000'000};
-  return rates;
 }
 
 // -------------------------------------------------------- faults mode ----
@@ -658,47 +442,6 @@ int main() {
     }
   }
 
-  // Batched closed loop — the headline sweep for the event-driven core.
-  const std::size_t batch_size = SizeFromEnv("REV_SERVE_BATCH", 256);
-  std::printf("\nbatched closed loop (ServeBatch, batch=%zu, amortized "
-              "per-request latency):\n",
-              batch_size);
-  std::printf("%8s %12s %10s %10s %10s %10s %9s %8s\n", "clients", "QPS",
-              "p50(us)", "p95(us)", "p99(us)", "hit-rate", "requests", "shed");
-  std::vector<SweepPoint> batch_points;
-  {
-    bench::BenchRun::Phase phase("serve.batch_sweep");
-    for (unsigned clients : sweep) {
-      const SweepPoint point =
-          RunBatchOnce(clients, num_certs, ops, shed_budget, batch_size);
-      batch_points.push_back(point);
-      std::printf("%8u %12.0f %10.2f %10.2f %10.2f %9.1f%% %9llu %8llu\n",
-                  point.clients, point.qps, point.p50_us, point.p95_us,
-                  point.p99_us, point.hit_rate * 100,
-                  static_cast<unsigned long long>(point.requests),
-                  static_cast<unsigned long long>(point.shed));
-    }
-  }
-
-  // Open loop: offered vs achieved, past and below the capacity knee.
-  std::printf("\nopen loop (batch=%zu, single paced submitter):\n", batch_size);
-  std::printf("%14s %14s %10s %10s %9s %8s\n", "offered", "achieved",
-              "p50(us)", "p99(us)", "requests", "shed");
-  std::vector<OpenLoopPoint> open_points;
-  {
-    bench::BenchRun::Phase phase("serve.open_loop");
-    for (double rate : RatesFromEnv()) {
-      const OpenLoopPoint point =
-          RunOpenLoopOnce(rate, num_certs, ops, shed_budget, batch_size);
-      open_points.push_back(point);
-      std::printf("%14.0f %14.0f %10.2f %10.2f %9llu %8llu\n",
-                  point.offered_qps, point.achieved_qps, point.p50_us,
-                  point.p99_us,
-                  static_cast<unsigned long long>(point.requests),
-                  static_cast<unsigned long long>(point.shed));
-    }
-  }
-
   std::string results = "{\"certs\": " + std::to_string(num_certs) +
                         ", \"ops_per_client\": " + std::to_string(ops) +
                         ", \"sweep\": [";
@@ -715,74 +458,7 @@ int main() {
                   static_cast<unsigned long long>(p.shed));
     results += buffer;
   }
-  results += "], \"batch_sweep\": [";
-  for (std::size_t i = 0; i < batch_points.size(); ++i) {
-    const SweepPoint& p = batch_points[i];
-    char buffer[256];
-    std::snprintf(buffer, sizeof buffer,
-                  "%s{\"clients\": %u, \"qps\": %.0f, \"p50_us\": %.2f, "
-                  "\"p95_us\": %.2f, \"p99_us\": %.2f, \"hit_rate\": %.4f, "
-                  "\"requests\": %llu, \"shed\": %llu}",
-                  i == 0 ? "" : ", ", p.clients, p.qps, p.p50_us, p.p95_us,
-                  p.p99_us, p.hit_rate,
-                  static_cast<unsigned long long>(p.requests),
-                  static_cast<unsigned long long>(p.shed));
-    results += buffer;
-  }
-  results += "], \"open_loop\": [";
-  for (std::size_t i = 0; i < open_points.size(); ++i) {
-    const OpenLoopPoint& p = open_points[i];
-    char buffer[256];
-    std::snprintf(buffer, sizeof buffer,
-                  "%s{\"offered_qps\": %.0f, \"achieved_qps\": %.0f, "
-                  "\"p50_us\": %.2f, \"p99_us\": %.2f, \"requests\": %llu, "
-                  "\"shed\": %llu}",
-                  i == 0 ? "" : ", ", p.offered_qps, p.achieved_qps, p.p50_us,
-                  p.p99_us, static_cast<unsigned long long>(p.requests),
-                  static_cast<unsigned long long>(p.shed));
-    results += buffer;
-  }
-
-  // The before/after trajectory: the committed pre-refactor peaks against
-  // this run's best batched point. "Best" is throughput at the tail SLO —
-  // the highest-QPS point whose p99/p50 stays under 10 — because a
-  // closed-loop point that wins on raw QPS while context-switch noise
-  // blows out its tail (routine with more clients than cores) is not an
-  // operating point anyone would pick. Raw max is the fallback if no
-  // point meets the SLO; every point is in the JSON either way.
-  double batch_peak_qps = 0;
-  double batch_peak_p50 = 0, batch_peak_p99 = 0;
-  bool peak_meets_slo = false;
-  for (const SweepPoint& p : batch_points) {
-    const bool meets_slo = p.p50_us > 0 && p.p99_us / p.p50_us < 10;
-    const bool better = peak_meets_slo == meets_slo ? p.qps > batch_peak_qps
-                                                    : meets_slo;
-    if (better) {
-      batch_peak_qps = p.qps;
-      batch_peak_p50 = p.p50_us;
-      batch_peak_p99 = p.p99_us;
-      peak_meets_slo = meets_slo;
-    }
-  }
-  const double speedup_instrumented =
-      batch_peak_qps / kInstrumentedBaselineQps;
-  const double speedup_peak = batch_peak_qps / kPreRefactorPeakQps;
-  {
-    char buffer[768];
-    std::snprintf(
-        buffer, sizeof buffer,
-        "], \"batch_size\": %zu, "
-        "\"baseline_instrumented_pr2\": {\"qps\": %.0f}, "
-        "\"baseline_pre_refactor_peak\": {\"qps\": %.0f, \"p50_us\": %.2f, "
-        "\"p99_us\": %.2f, \"clients\": 8}, "
-        "\"batch_peak\": {\"qps\": %.0f, \"p50_us\": %.2f, \"p99_us\": %.2f}, "
-        "\"speedup_vs_instrumented_baseline\": %.2f, "
-        "\"speedup_vs_pre_refactor_peak\": %.2f",
-        batch_size, kInstrumentedBaselineQps, kPreRefactorPeakQps,
-        kPreRefactorP50Us, kPreRefactorP99Us, batch_peak_qps, batch_peak_p50,
-        batch_peak_p99, speedup_instrumented, speedup_peak);
-    results += buffer;
-  }
+  results += "]";
 
   // Faults mode: clean vs storm through the same SimNet path.
   bool faults_ok = true;
@@ -1012,19 +688,11 @@ int main() {
   if (!metrics_ok) std::printf("metrics endpoint: FAILED\n");
 
   // The acceptance floor for the precomputed hot path: >=100k lookups/sec
-  // at some point of any sweep (sanitizer builds disable it).
+  // at some point of the sweep (sanitizer builds disable it).
   double floor = 100'000;
   if (const char* env = std::getenv("REV_SERVE_FLOOR")) floor = std::atof(env);
   double best = 0;
   for (const SweepPoint& p : points) best = std::max(best, p.qps);
-  for (const SweepPoint& p : batch_points) best = std::max(best, p.qps);
-  const double p99_p50 =
-      batch_peak_p50 > 0 ? batch_peak_p99 / batch_peak_p50 : 0;
-  std::printf(
-      "batch peak QPS %.0f (%.1fx PR 2 instrumented baseline %.0f, %.2fx "
-      "pre-refactor peak %.0f; p50 %.2fus, p99/p50 %.2f)\n",
-      batch_peak_qps, speedup_instrumented, kInstrumentedBaselineQps,
-      speedup_peak, kPreRefactorPeakQps, batch_peak_p50, p99_p50);
   std::printf("peak QPS %.0f (floor %.0f/s: %s)\n", best, floor,
               best >= floor ? "meets" : "BELOW");
   if (!faults_ok) std::printf("faults-mode observability gates: FAILED\n");

@@ -149,15 +149,11 @@ class Histogram {
  public:
   void Record(std::uint64_t value);
   // Records `value` `count` times with one pass over the atomics — the
-  // batched serve path reports a whole batch's amortized per-request
-  // latency without paying per-request fetch_adds.
+  // cascade fleet records one exposure window for every serial an epoch
+  // added without paying per-serial fetch_adds.
   void RecordMany(std::uint64_t value, std::uint64_t count);
   void RecordSeconds(double seconds) {
     Record(seconds <= 0 ? 0 : static_cast<std::uint64_t>(seconds * 1e9));
-  }
-  void RecordSecondsMany(double seconds, std::uint64_t count) {
-    RecordMany(seconds <= 0 ? 0 : static_cast<std::uint64_t>(seconds * 1e9),
-               count);
   }
 
   // Record() plus an exemplar: remember `trace` as the most recent traced

@@ -17,7 +17,7 @@ namespace {
 // carried by the traceparent header).
 constexpr std::uint64_t kServeSalt = 0x5E44E1F7ull;
 
-// Records the frontend-side server span for a traced request/batch. The
+// Records the frontend-side server span for a traced request. The
 // simulated handler is instantaneous on the virtual clock (the cost model
 // charges the exchange, not the handler), so the span is zero-duration:
 // a causality marker carrying node + status, never a critical-path tile.
@@ -82,41 +82,36 @@ struct Frontend::Instruments {
   obs::Histogram& batch_size;
 };
 
-// Completion slot carried by every queued op. The notify happens while the
-// mutex is held: a waiter that has observed remaining_ == 0 can destroy
-// the gate (it lives on the caller's stack) only after Done() has released
-// the lock, so the combiner never touches a dead gate.
+// Completion slot carried by every queued op, one per op. The notify
+// happens while the mutex is held: a waiter that has observed done_ can
+// destroy the gate (it lives on the caller's stack) only after Done() has
+// released the lock, so the combiner never touches a dead gate.
 class Frontend::CompletionGate {
  public:
-  void Arm(std::size_t n) {
+  void Done() {
     std::lock_guard lock(mu_);
-    remaining_ += n;
-  }
-
-  void Done(std::size_t n) {
-    std::lock_guard lock(mu_);
-    remaining_ -= n;
-    if (remaining_ == 0) cv_.notify_all();
+    done_ = true;
+    cv_.notify_all();
   }
 
   bool IsDone() {
     std::lock_guard lock(mu_);
-    return remaining_ == 0;
+    return done_;
   }
 
-  // True once all armed ops completed; false on timeout. The timeout is a
+  // True once the op completed; false on timeout. The timeout is a
   // liveness backstop for the push-after-drain window (an op published
   // just as the previous combiner released the drain lock): the waiter
   // wakes, wins the lock, and drains its own op.
   bool WaitFor(std::chrono::microseconds timeout) {
     std::unique_lock lock(mu_);
-    return cv_.wait_for(lock, timeout, [this] { return remaining_ == 0; });
+    return cv_.wait_for(lock, timeout, [this] { return done_; });
   }
 
  private:
   std::mutex mu_;
   std::condition_variable cv_;
-  std::size_t remaining_ = 0;
+  bool done_ = false;
 };
 
 // A status key (issuer key hash ‖ serial) in a fixed inline buffer when it
@@ -147,15 +142,13 @@ struct Frontend::KeyBuffer {
   }
 };
 
-// One queued unit of work. Ops live on the submitting caller's stack (or
-// in ServeBatch's op array); the queue carries pointers, and the gate
-// handshake guarantees the combiner is finished with an op before the
-// caller's frame unwinds.
+// One queued unit of work. Ops live on the submitting caller's stack; the
+// queue carries pointers, and the gate handshake guarantees the combiner
+// is finished with an op before the caller's frame unwinds.
 struct Frontend::Op : KeyBuffer {
   const ocsp::OcspRequest* request = nullptr;
   const ocsp::Responder* responder = nullptr;
   util::Timestamp now = 0;
-  std::size_t shard = 0;
   bool cacheable = false;  // single-cert, no nonce: precomputed-response path
   ServeResult result;
   CompletionGate* gate = nullptr;
@@ -396,9 +389,7 @@ Frontend::ServeResult Frontend::Serve(BytesView request_der,
   // to the allocating parser for classification.
   ocsp::OcspRequestView view;
   if (ocsp::ParseSingleCertRequestView(request_der, &view)) {
-    const auto start = options_.record_latency
-                           ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point{};
+    const auto start = std::chrono::steady_clock::now();
     StartServing();
     const ocsp::Responder* responder = FindResponder(view.issuer_key_hash);
     if (responder == nullptr ||
@@ -432,9 +423,7 @@ Frontend::ServeResult Frontend::ServeGetPath(std::string_view path,
 Frontend::ServeResult Frontend::ServeParsed(const ocsp::OcspRequest& request,
                                             util::Timestamp now,
                                             const obs::SpanContext* ctx) {
-  const auto start = options_.record_latency
-                         ? std::chrono::steady_clock::now()
-                         : std::chrono::steady_clock::time_point{};
+  const auto start = std::chrono::steady_clock::now();
   StartServing();
 
   const ocsp::Responder* responder =
@@ -491,11 +480,9 @@ Frontend::ServeResult Frontend::ServeOne(
   }
 
   CompletionGate gate;
-  gate.Arm(1);
   op.request = request;
   op.responder = responder;
   op.now = now;
-  op.shard = shard;
   op.cacheable = cacheable;
   op.gate = &gate;
   if (!shard_states_[shard]->queue.TryPush(&op)) {
@@ -505,7 +492,7 @@ Frontend::ServeResult Frontend::ServeOne(
     metrics_->shed.Increment();
     return {503, try_later_der_, options_.retry_after_seconds, false};
   }
-  RunUntil(gate, &shard, 1);
+  RunUntil(gate, shard);
   RecordServed(start, traced, op.result.http_status, now);
   return std::move(op.result);
 }
@@ -513,174 +500,29 @@ Frontend::ServeResult Frontend::ServeOne(
 void Frontend::RecordServed(std::chrono::steady_clock::time_point start,
                             const obs::SpanContext* traced_ctx,
                             int http_status, util::Timestamp now) {
-  if (options_.record_latency) {
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    if (traced_ctx != nullptr) {
-      // The trace id becomes the bucket's exemplar: "the p99 bucket" now
-      // names a reconstructable slow request.
-      metrics_->latency_ns.RecordSecondsWithExemplar(
-          seconds, {traced_ctx->trace.hi, traced_ctx->trace.lo});
-    } else {
-      metrics_->latency_ns.RecordSeconds(seconds);
-    }
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  if (traced_ctx != nullptr) {
+    // The trace id becomes the bucket's exemplar: "the p99 bucket" now
+    // names a reconstructable slow request.
+    metrics_->latency_ns.RecordSecondsWithExemplar(
+        seconds, {traced_ctx->trace.hi, traced_ctx->trace.lo});
+  } else {
+    metrics_->latency_ns.RecordSeconds(seconds);
   }
   if (traced_ctx != nullptr)
     RecordServerSpan(*traced_ctx, "serve.request",
                      obs::InternName(metrics_label_), http_status, now);
 }
 
-std::vector<Frontend::ServeResult> Frontend::ServeBatch(
-    const std::vector<BytesView>& requests, util::Timestamp now,
-    const obs::SpanContext* ctx) {
-  const auto start = options_.record_latency
-                         ? std::chrono::steady_clock::now()
-                         : std::chrono::steady_clock::time_point{};
-  const std::size_t n = requests.size();
-  std::vector<ServeResult> results(n);
-  if (n == 0) return results;
-  metrics_->requests.Add(n);
-  StartServing();
-
-  // Ops and parsed requests need stable addresses until their gate fires:
-  // both vectors are sized once and never reallocate.
-  std::vector<std::optional<ocsp::OcspRequest>> parsed(n);
-  std::vector<Op> ops(n);
-  CompletionGate gate;
-
-  std::size_t accepted = 0;
-  // One-entry route memo: real traffic is dominated by runs of requests
-  // for the same CA, so a 32-byte compare usually replaces the hash-map
-  // probe.
-  const ocsp::Responder* last_responder = nullptr;
-  for (std::size_t i = 0; i < n; ++i) {
-    Op& op = ops[i];
-    const ocsp::Responder* responder = nullptr;
-    const ocsp::OcspRequest* request = nullptr;
-    bool cacheable = false;
-    // Same zero-allocation fast path as Serve(); anything the view parser
-    // rejects goes through the allocating parser for classification.
-    ocsp::OcspRequestView view;
-    if (ocsp::ParseSingleCertRequestView(requests[i], &view)) {
-      responder = last_responder != nullptr &&
-                          std::ranges::equal(view.issuer_key_hash,
-                                             last_responder->issuer_key_hash())
-                      ? last_responder
-                      : FindResponder(view.issuer_key_hash);
-      if (responder == nullptr ||
-          !std::ranges::equal(view.issuer_name_hash,
-                              responder->issuer_name_hash())) {
-        metrics_->unauthorized.Increment();
-        results[i] = {200, unauthorized_der_, 0, false};
-        continue;
-      }
-      last_responder = responder;
-      op.SetKey(view.issuer_key_hash, view.serial);
-      cacheable = true;
-    } else {
-      parsed[i] = ocsp::ParseOcspRequest(requests[i]);
-      if (!parsed[i]) {
-        metrics_->malformed.Increment();
-        results[i] = {200, malformed_der_, 0, false};
-        continue;
-      }
-      request = &*parsed[i];
-      responder = FindResponder(request->cert_ids.front().issuer_key_hash);
-      bool authorized = responder != nullptr;
-      if (authorized) {
-        for (const ocsp::CertId& id : request->cert_ids) {
-          if (id.issuer_name_hash != responder->issuer_name_hash() ||
-              id.issuer_key_hash != responder->issuer_key_hash()) {
-            authorized = false;
-            break;
-          }
-        }
-      }
-      if (!authorized) {
-        metrics_->unauthorized.Increment();
-        results[i] = {200, unauthorized_der_, 0, false};
-        continue;
-      }
-      op.SetKey(responder->issuer_key_hash(),
-                request->cert_ids.front().serial);
-      cacheable =
-          request->cert_ids.size() == 1 && request->nonce.empty();
-    }
-    const std::size_t shard = index_.ShardOf(op.key());
-    if (!TryEnterShard(shard)) {
-      metrics_->shed.Increment();
-      results[i] = {503, try_later_der_, options_.retry_after_seconds, false};
-      continue;
-    }
-    op.request = request;
-    op.responder = responder;
-    op.now = now;
-    op.shard = shard;
-    op.cacheable = cacheable;
-    op.gate = &gate;
-    ++accepted;
-  }
-  if (accepted == 0) return results;
-
-  // Arm for the whole batch BEFORE the first push: a combiner completing
-  // early ops must not see the gate hit zero while pushes are in flight.
-  gate.Arm(accepted);
-  std::vector<std::size_t> touched;
-  for (std::size_t i = 0; i < n; ++i) {
-    Op& op = ops[i];
-    if (op.gate == nullptr) continue;
-    if (!shard_states_[op.shard]->queue.TryPush(&op)) {
-      ExitShard(op.shard);
-      gate.Done(1);
-      metrics_->shed.Increment();
-      results[i] = {503, try_later_der_, options_.retry_after_seconds, false};
-      op.gate = nullptr;
-      continue;
-    }
-    if (std::find(touched.begin(), touched.end(), op.shard) == touched.end())
-      touched.push_back(op.shard);
-  }
-  RunUntil(gate, touched.data(), touched.size());
-
-  for (std::size_t i = 0; i < n; ++i)
-    if (ops[i].gate != nullptr) results[i] = std::move(ops[i].result);
-
-  const bool traced =
-      ctx != nullptr && obs::DistTraceCollector::Global().enabled();
-  if (options_.record_latency) {
-    // Amortized per-request latency: the batch's wall time spread over the
-    // ops it completed — the quantity the batch path optimizes.
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    const double per = elapsed / static_cast<double>(accepted);
-    if (traced) {
-      // One sample carries the batch's trace id as an exemplar; the rest
-      // go through the batched path as before.
-      if (accepted > 1) metrics_->latency_ns.RecordSecondsMany(per, accepted - 1);
-      metrics_->latency_ns.RecordSecondsWithExemplar(
-          per, {ctx->trace.hi, ctx->trace.lo});
-    } else {
-      metrics_->latency_ns.RecordSecondsMany(per, accepted);
-    }
-  }
-  if (traced)
-    RecordServerSpan(*ctx, "serve.batch", obs::InternName(metrics_label_), 200,
-                     now);
-  return results;
-}
-
-void Frontend::RunUntil(CompletionGate& gate, const std::size_t* touched,
-                        std::size_t count) {
+void Frontend::RunUntil(CompletionGate& gate, std::size_t shard) {
+  ShardState& state = *shard_states_[shard];
   for (;;) {
     if (gate.IsDone()) return;
-    for (std::size_t i = 0; i < count; ++i) {
-      ShardState& state = *shard_states_[touched[i]];
-      if (state.drain_mu.try_lock()) {
-        DrainShard(touched[i]);
-        state.drain_mu.unlock();
-      }
+    if (state.drain_mu.try_lock()) {
+      DrainShard(shard);
+      state.drain_mu.unlock();
     }
     if (gate.WaitFor(std::chrono::microseconds(100))) return;
   }
@@ -688,12 +530,13 @@ void Frontend::RunUntil(CompletionGate& gate, const std::size_t* touched,
 
 void Frontend::DrainShard(std::size_t shard) {
   ShardState& state = *shard_states_[shard];
-  constexpr std::size_t kMaxDrain = 256;
+  // Upper bound on ops a combiner pops per drain iteration: larger batches
+  // amortize better, smaller ones bound the time a caller spends combining
+  // for others.
+  constexpr std::size_t kMaxDrain = 128;
   Op* ops[kMaxDrain];
-  const std::size_t cap =
-      std::clamp<std::size_t>(options_.max_batch, 1, kMaxDrain);
   for (;;) {
-    const std::size_t popped = state.queue.PopBatch(ops, cap);
+    const std::size_t popped = state.queue.PopBatch(ops, kMaxDrain);
     if (popped == 0) return;
     ProcessBatch(shard, ops, popped);
   }
@@ -734,12 +577,13 @@ void Frontend::ProcessBatch(std::size_t shard, Op** ops, std::size_t count) {
   std::vector<ResponseCache::Entry> peeked;
   cache_.PeekBatch(keys, &peeked);
 
-  // Entries signed by THIS batch. A later op for the same key is served
-  // from here and counted as a cache hit — exactly what the serial path
-  // reports when the first miss Puts and the rest hit, which keeps the
-  // counter totals identical between ServeBatch and per-request Serve.
-  // Only known serials enter (caching `unknown` would let arbitrary query
-  // strings grow the cache without bound).
+  // Entries signed by THIS batch. Concurrent misses on one key coalesce
+  // here: a later op for the same key is served from this map and counted
+  // as a cache hit — what a single caller sees when its first miss
+  // installs and the rest hit, so counter totals do not depend on how
+  // concurrent requests fell into batches. Only known serials enter
+  // (caching `unknown` would let arbitrary query strings grow the cache
+  // without bound).
   std::unordered_map<StatusKey, ResponseCache::Entry, StatusKeyHash,
                      StatusKeyEq>
       fresh;
@@ -810,16 +654,9 @@ void Frontend::ProcessBatch(std::size_t shard, Op** ops, std::size_t count) {
       state.depth.fetch_sub(count, std::memory_order_acq_rel) - count;
   state.depth_gauge->Set(static_cast<std::int64_t>(depth_after));
 
-  // Wake the waiters last, grouping consecutive ops that share a gate into
-  // one Done call. Past this point the ops (and their gates) may be gone.
-  std::size_t run_start = 0;
-  while (run_start < count) {
-    CompletionGate* gate = ops[run_start]->gate;
-    std::size_t run_end = run_start + 1;
-    while (run_end < count && ops[run_end]->gate == gate) ++run_end;
-    gate->Done(run_end - run_start);
-    run_start = run_end;
-  }
+  // Wake the waiters last. Past this point an op (and its gate) may be
+  // gone.
+  for (std::size_t i = 0; i < count; ++i) ops[i]->gate->Done();
 }
 
 net::HttpResponse Frontend::HandleHttp(const net::HttpRequest& request,

@@ -67,14 +67,6 @@ struct FrontendOptions {
   // Worker threads for batch signing (RebuildAll/RefreshStale); 1 = inline
   // serial execution (no worker threads spawned), 0 = hardware concurrency.
   unsigned threads = 1;
-  // Upper bound on ops a combiner pops per drain iteration (capped at 256,
-  // the drain loop's stack batch). Larger batches amortize better; smaller
-  // ones bound the worst-case time a caller spends combining for others.
-  std::size_t max_batch = 128;
-  // Per-request latency accounting (steady_clock) into a lock-free
-  // obs::Histogram — cheap enough to leave on under full load; disable to
-  // shave the last nanoseconds off the hot path.
-  bool record_latency = true;
 };
 
 class Frontend {
@@ -89,8 +81,8 @@ class Frontend {
   // index and installs a mutation observer so later Revoke()/Remove()/
   // AddCertificate() calls invalidate the affected cache entry. The
   // responder must outlive this frontend, and attachment must finish
-  // before serving starts: the first Serve/ServeBatch/Staple/maintenance
-  // call latches the routing table read-only, and a later attach throws
+  // before serving starts: the first Serve/Staple/maintenance call
+  // latches the routing table read-only, and a later attach throws
   // std::logic_error rather than racing the readers.
   void AttachResponder(ocsp::Responder* responder);
 
@@ -114,16 +106,6 @@ class Frontend {
   // RFC 6960 Appendix A GET form: "/{base64(request)}". Thread-safe.
   ServeResult ServeGetPath(std::string_view path, util::Timestamp now,
                            const obs::SpanContext* ctx = nullptr);
-
-  // Batch entry point: admits and enqueues every request up front, then
-  // drains the touched shards until all have completed. Results line up
-  // index-for-index with `requests`. Shedding, malformed and unauthorized
-  // handling are identical to per-request Serve — the batch path yields
-  // byte-identical bodies and identical counter totals. `ctx` covers the
-  // whole batch (one server span, one exemplar).
-  std::vector<ServeResult> ServeBatch(const std::vector<BytesView>& requests,
-                                      util::Timestamp now,
-                                      const obs::SpanContext* ctx = nullptr);
 
   // Adapter for net::SimNet host handlers (GET and POST). Also serves the
   // observability exposition: `GET /metrics` is the global registry text
@@ -273,12 +255,11 @@ class Frontend {
   void DrainShard(std::size_t shard);
   void ProcessBatch(std::size_t shard, Op** ops, std::size_t count);
   void ExecuteDirect(Op& op);
-  // Drives the combiner protocol until `gate` reports all ops complete:
-  // try-lock and drain each touched shard, then briefly timed-wait for
-  // another combiner to finish our ops (the timeout covers the rare
-  // push-after-drain window).
-  void RunUntil(CompletionGate& gate, const std::size_t* touched,
-                std::size_t count);
+  // Drives the combiner protocol until `gate` reports the op complete:
+  // try-lock and drain `shard`, then briefly timed-wait for another
+  // combiner to finish the op (the timeout covers the rare push-after-drain
+  // window).
+  void RunUntil(CompletionGate& gate, std::size_t shard);
   void EnsurePool();
 
   FrontendOptions options_;

@@ -967,7 +967,7 @@ TEST(Slo, UnknownObjectiveAndEmptyWindowsAreSilent) {
 
 // ---------------------------------------- exposition under concurrency ----
 
-TEST(ObsStress, MetricsEndpointsConcurrentWithServeBatch) {
+TEST(ObsStress, MetricsEndpointsConcurrentWithServe) {
   const x509::Certificate issuer = MakeIssuerCert();
   ocsp::Responder responder(issuer, crypto::SimKeyFromLabel("obs-issuer"));
   constexpr std::size_t kCerts = 32;
@@ -978,33 +978,40 @@ TEST(ObsStress, MetricsEndpointsConcurrentWithServeBatch) {
   frontend.AttachResponder(&responder);
   frontend.RebuildAll(kNow);
 
+  // Every fourth request carries a nonce: hits are answered inline, so
+  // only the nonced ones reach the combiner, whose drains write
+  // serve.batch_size and the queue-depth gauges while the scrapes read.
   std::vector<Bytes> bodies;
-  for (std::size_t i = 0; i < kCerts; ++i)
-    bodies.push_back(EncodeRequestFor(
-        issuer, x509::Serial{0x60, static_cast<std::uint8_t>(i)}));
+  for (std::size_t i = 0; i < kCerts; ++i) {
+    ocsp::OcspRequest request;
+    request.cert_ids = {ocsp::MakeCertId(
+        issuer, x509::Serial{0x60, static_cast<std::uint8_t>(i)})};
+    if (i % 4 == 0) request.nonce = Bytes{0x4E, static_cast<std::uint8_t>(i)};
+    bodies.push_back(ocsp::EncodeOcspRequest(request));
+  }
 
-  // Writers hammer the batch path while readers scrape both expositions
+  // Writers hammer the serve path while readers scrape both expositions
   // through the same HandleHttp adapter — the TSan target for the scrape
   // path (ci.sh runs ObsStress.* under -fsanitize=thread).
   constexpr int kWriters = 4;
   constexpr int kReaders = 2;
-  constexpr std::size_t kBatches = 200;
+  constexpr std::size_t kRounds = 200;
   std::vector<std::thread> threads;
   for (int t = 0; t < kWriters; ++t) {
     threads.emplace_back([&, t] {
-      for (std::size_t round = 0; round < kBatches; ++round) {
-        std::vector<BytesView> batch;
-        for (std::size_t i = 0; i < 8; ++i)
-          batch.push_back(bodies[(t * 13 + round + i) % kCerts]);
-        const auto results = frontend.ServeBatch(batch, kNow);
-        EXPECT_EQ(results.size(), batch.size());
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < 8; ++i) {
+          const auto result =
+              frontend.Serve(bodies[(t * 13 + round + i) % kCerts], kNow);
+          EXPECT_EQ(result.http_status, 200);
+        }
       }
     });
   }
   std::atomic<std::uint64_t> scrapes{0};
   for (int t = 0; t < kReaders; ++t) {
     threads.emplace_back([&] {
-      for (std::size_t round = 0; round < kBatches; ++round) {
+      for (std::size_t round = 0; round < kRounds; ++round) {
         net::HttpRequest text_request;
         text_request.method = "GET";
         text_request.path = "/metrics";
@@ -1026,7 +1033,7 @@ TEST(ObsStress, MetricsEndpointsConcurrentWithServeBatch) {
     });
   }
   for (auto& thread : threads) thread.join();
-  EXPECT_EQ(scrapes.load(), kReaders * kBatches);
+  EXPECT_EQ(scrapes.load(), kReaders * kRounds);
 
   // Settled scrape agrees with the struct counters exactly.
   net::HttpRequest final_request;

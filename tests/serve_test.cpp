@@ -523,11 +523,11 @@ TEST(FrontendAttach, StapleAndMaintenanceAlsoLatch) {
   }
 }
 
-// Regression: a route registered after the first ServeBatch must fail
+// Regression: a route registered after the first Serve must fail
 // loudly, and the error must NAME the offending path — with several
 // subsystems registering routes (cascade distribution, fleet replication)
 // an anonymous "serving already started" left the caller unidentifiable.
-TEST(FrontendAttach, LateAddRouteAfterServeBatchNamesThePath) {
+TEST(FrontendAttach, LateAddRouteAfterServeNamesThePath) {
   x509::Certificate issuer = MakeIssuerCert("latch-issuer-g");
   ocsp::Responder responder(issuer, TestKey("latch-issuer-g"));
   Frontend frontend;
@@ -536,9 +536,8 @@ TEST(FrontendAttach, LateAddRouteAfterServeBatchNamesThePath) {
 
   ocsp::OcspRequest request;
   request.cert_ids = {ocsp::MakeCertId(issuer, x509::Serial{0x31})};
-  const Bytes der = ocsp::EncodeOcspRequest(request);
-  const std::vector<BytesView> batch{BytesView(der)};
-  ASSERT_EQ(frontend.ServeBatch(batch, kNow).size(), 1u);
+  ASSERT_EQ(frontend.Serve(ocsp::EncodeOcspRequest(request), kNow).http_status,
+            200);
 
   try {
     frontend.AddRoute("/fleet/snapshot",
@@ -627,92 +626,6 @@ TEST_F(FrontendTest, ExactBoundaryNextUpdateIsNeverServed) {
   const auto at_boundary = Post(x509::Serial{0x61}, next_update);
   EXPECT_FALSE(at_boundary.cache_hit);
   EXPECT_EQ(StatusOf(at_boundary), ocsp::CertStatus::kGood);  // re-signed
-}
-
-TEST(FrontendBatchBoundary, BatchPathRespectsScheduledRevocationInstant) {
-  x509::Certificate issuer = MakeIssuerCert("boundary-issuer");
-  ocsp::Responder responder(issuer, TestKey("boundary-issuer"));
-  Frontend frontend;
-  frontend.AttachResponder(&responder);
-  responder.AddCertificate(x509::Serial{0x62});
-  const util::Timestamp t = kNow + 777;
-  responder.Revoke(x509::Serial{0x62}, t, x509::ReasonCode::kKeyCompromise);
-
-  ocsp::OcspRequest request;
-  request.cert_ids = {ocsp::MakeCertId(issuer, x509::Serial{0x62})};
-  const Bytes der = ocsp::EncodeOcspRequest(request);
-  const std::vector<BytesView> batch{BytesView(der), BytesView(der)};
-
-  const auto before = frontend.ServeBatch(batch, kNow);
-  ASSERT_EQ(before.size(), 2u);
-  for (const auto& result : before) {
-    ASSERT_TRUE(result.body);
-    auto parsed = ocsp::ParseOcspResponse(*result.body);
-    ASSERT_TRUE(parsed);
-    EXPECT_EQ(parsed->single.status, ocsp::CertStatus::kGood);
-  }
-  // First is the signing miss, second coalesces into a hit.
-  EXPECT_FALSE(before[0].cache_hit);
-  EXPECT_TRUE(before[1].cache_hit);
-
-  const auto at_boundary = frontend.ServeBatch(batch, t);
-  ASSERT_EQ(at_boundary.size(), 2u);
-  EXPECT_FALSE(at_boundary[0].cache_hit);  // expired at exactly t
-  for (const auto& result : at_boundary) {
-    auto parsed = ocsp::ParseOcspResponse(*result.body);
-    ASSERT_TRUE(parsed);
-    EXPECT_EQ(parsed->single.status, ocsp::CertStatus::kRevoked);
-  }
-}
-
-// ------------------------------------------------------- batch admission ----
-
-TEST(FrontendBatchAdmission, WatermarkShedsExcessOpsWithRetryAfter) {
-  x509::Certificate issuer = MakeIssuerCert("batch-shed-issuer");
-  ocsp::Responder responder(issuer, TestKey("batch-shed-issuer"));
-  FrontendOptions options;
-  options.num_shards = 1;
-  options.per_shard_queue = 1;
-  options.retry_after_seconds = 9;
-  Frontend frontend(options);
-  frontend.AttachResponder(&responder);
-  responder.AddCertificate(x509::Serial{0x03});
-
-  ocsp::OcspRequest request;
-  request.cert_ids = {ocsp::MakeCertId(issuer, x509::Serial{0x03})};
-  const Bytes der = ocsp::EncodeOcspRequest(request);
-
-  // A batch wider than the shard watermark: one op is admitted, the rest
-  // shed with the same 503 + Retry-After contract as the serial path.
-  const std::vector<BytesView> batch{BytesView(der), BytesView(der),
-                                     BytesView(der)};
-  const auto results = frontend.ServeBatch(batch, kNow);
-  ASSERT_EQ(results.size(), 3u);
-  int served = 0, shed = 0;
-  for (const auto& result : results) {
-    if (result.http_status == 200) {
-      ++served;
-      auto parsed = ocsp::ParseOcspResponse(*result.body);
-      ASSERT_TRUE(parsed);
-      EXPECT_EQ(parsed->single.status, ocsp::CertStatus::kGood);
-    } else {
-      ++shed;
-      EXPECT_EQ(result.http_status, 503);
-      EXPECT_EQ(result.retry_after, 9);
-      auto parsed = ocsp::ParseOcspResponse(*result.body);
-      ASSERT_TRUE(parsed);
-      EXPECT_EQ(parsed->status, ocsp::ResponseStatus::kTryLater);
-    }
-  }
-  EXPECT_EQ(served, 1);
-  EXPECT_EQ(shed, 2);
-  EXPECT_EQ(frontend.counters().shed, 2u);
-
-  // With externally saturated admission the whole batch sheds.
-  ASSERT_TRUE(frontend.TryEnterShard(0));
-  const auto all_shed = frontend.ServeBatch(batch, kNow);
-  for (const auto& result : all_shed) EXPECT_EQ(result.http_status, 503);
-  frontend.ExitShard(0);
 }
 
 // ---------------------------------------------------- inline cache hits ----
@@ -1014,17 +927,22 @@ TEST(ServeStress, RebuildNeverReinstallsGoodAfterRevocation) {
     EXPECT_EQ(status_of(target), ocsp::CertStatus::kRevoked) << target + 1;
 }
 
-// -------------------------------------------- batch/serial equivalence ----
+// ------------------------------------------------------- equivalence ----
 
 // The equivalence fixture drives the SAME deterministic request mix —
 // duplicates, revoked, unknown, nonced, multi-cert, malformed, foreign
-// issuer — through per-request Serve on one frontend and ServeBatch on an
+// issuer — through Serve at 1 client thread on one frontend and at N on an
 // identically seeded second one, then insists on byte-identical bodies and
-// identical counter totals. Runs at 1 and at 8 client threads (the
-// threaded variant is a ci.sh TSan target).
-class BatchEquivalence : public ::testing::Test {
+// identical counter totals. A second phase queries a serial revoked at `t`
+// at exactly `t` from every thread at once: its cached "good" is clamped to
+// `t`, so each request must answer revoked, and the concurrent same-key
+// misses coalesce in the combiner into one signature. The 8-thread variant
+// is a ci.sh TSan target.
+class ServeEquivalence : public ::testing::Test {
  protected:
   static constexpr int kSerials = 20;
+  static constexpr std::uint8_t kBoundarySerial = kSerials + 1;
+  static constexpr util::Timestamp kRevokedAt = kNow + 777;
 
   void SeedResponder(ocsp::Responder& responder) {
     for (int i = 1; i <= kSerials; ++i) {
@@ -1034,6 +952,15 @@ class BatchEquivalence : public ::testing::Test {
         responder.Revoke(serial, kNow - i, x509::ReasonCode::kKeyCompromise);
       if (i % 7 == 0) responder.Remove(serial);  // served as `unknown`
     }
+    responder.AddCertificate(x509::Serial{kBoundarySerial});
+    responder.Revoke(x509::Serial{kBoundarySerial}, kRevokedAt,
+                     x509::ReasonCode::kKeyCompromise);
+  }
+
+  static Bytes Encode(const x509::Certificate& issuer, std::uint8_t serial) {
+    ocsp::OcspRequest request;
+    request.cert_ids = {ocsp::MakeCertId(issuer, x509::Serial{serial})};
+    return ocsp::EncodeOcspRequest(request);
   }
 
   std::vector<Bytes> BuildMix(const x509::Certificate& issuer,
@@ -1049,6 +976,7 @@ class BatchEquivalence : public ::testing::Test {
         request.cert_ids.push_back(
             ocsp::MakeCertId(issuer, x509::Serial{0x02}));
       mix.push_back(ocsp::EncodeOcspRequest(request));
+      if (i % 20 == 10) mix.push_back(Encode(issuer, kBoundarySerial));
     }
     mix.push_back(Bytes{0xFF, 0x00, 0x13});  // malformed
     ocsp::OcspRequest alien;
@@ -1064,85 +992,96 @@ class BatchEquivalence : public ::testing::Test {
     return options;
   }
 
-  static void ExpectSameCounters(const Frontend::Counters& serial,
-                                 const Frontend::Counters& batch) {
-    EXPECT_EQ(serial.requests, batch.requests);
-    EXPECT_EQ(serial.cache_hits, batch.cache_hits);
-    EXPECT_EQ(serial.cache_misses, batch.cache_misses);
-    EXPECT_EQ(serial.cache_expired, batch.cache_expired);
-    EXPECT_EQ(serial.signed_on_demand, batch.signed_on_demand);
-    EXPECT_EQ(serial.shed, batch.shed);
-    EXPECT_EQ(serial.malformed, batch.malformed);
-    EXPECT_EQ(serial.unauthorized, batch.unauthorized);
-    EXPECT_EQ(serial.status_updates, batch.status_updates);
+  static void ExpectSameCounters(const Frontend::Counters& want,
+                                 const Frontend::Counters& got) {
+    EXPECT_EQ(want.requests, got.requests);
+    EXPECT_EQ(want.cache_hits, got.cache_hits);
+    EXPECT_EQ(want.cache_misses, got.cache_misses);
+    EXPECT_EQ(want.cache_expired, got.cache_expired);
+    EXPECT_EQ(want.signed_on_demand, got.signed_on_demand);
+    EXPECT_EQ(want.shed, got.shed);
+    EXPECT_EQ(want.malformed, got.malformed);
+    EXPECT_EQ(want.unauthorized, got.unauthorized);
+    EXPECT_EQ(want.status_updates, got.status_updates);
+  }
+
+  // Serves `requests` at `now` from `threads` clients, each taking one
+  // contiguous slice; bodies line up index-for-index with `requests`.
+  static std::vector<std::shared_ptr<const Bytes>> ServeAll(
+      Frontend& frontend, const std::vector<Bytes>& requests,
+      util::Timestamp now, int threads) {
+    const std::size_t n = requests.size();
+    std::vector<std::shared_ptr<const Bytes>> bodies(n);
+    const std::size_t stride = (n + threads - 1) / threads;
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        const std::size_t end = std::min(n, (t + 1) * stride);
+        for (std::size_t i = t * stride; i < end; ++i)
+          bodies[i] = frontend.Serve(requests[i], now).body;
+      });
+    }
+    for (auto& worker : workers) worker.join();
+    return bodies;
   }
 
   void RunAtThreadCount(int threads) {
     const x509::Certificate issuer = MakeIssuerCert("equiv-issuer");
     const x509::Certificate foreign = MakeIssuerCert("equiv-foreign");
-    ocsp::Responder r_serial(issuer, TestKey("equiv-issuer"),
-                             4 * util::kSecondsPerDay);
-    ocsp::Responder r_batch(issuer, TestKey("equiv-issuer"),
-                            4 * util::kSecondsPerDay);
-    SeedResponder(r_serial);
-    SeedResponder(r_batch);
+    ocsp::Responder r_want(issuer, TestKey("equiv-issuer"),
+                           4 * util::kSecondsPerDay);
+    ocsp::Responder r_got(issuer, TestKey("equiv-issuer"),
+                          4 * util::kSecondsPerDay);
+    SeedResponder(r_want);
+    SeedResponder(r_got);
 
-    Frontend f_serial(Options());
-    Frontend f_batch(Options());
-    f_serial.AttachResponder(&r_serial);
-    f_batch.AttachResponder(&r_batch);
+    Frontend f_want(Options());
+    Frontend f_got(Options());
+    f_want.AttachResponder(&r_want);
+    f_got.AttachResponder(&r_got);
     // Apply the bulk load up front so the index epoch is quiescent during
     // the run — hit/miss totals are then a pure function of the mix.
-    f_serial.Flush();
-    f_batch.Flush();
+    f_want.Flush();
+    f_got.Flush();
 
-    const std::vector<Bytes> mix = BuildMix(issuer, foreign);
-    const std::size_t n = mix.size();
-    std::vector<std::shared_ptr<const Bytes>> serial_bodies(n);
-    std::vector<std::shared_ptr<const Bytes>> batch_bodies(n);
+    std::vector<Bytes> requests = BuildMix(issuer, foreign);
+    const std::size_t mix_size = requests.size();
+    std::vector<std::shared_ptr<const Bytes>> want =
+        ServeAll(f_want, requests, kNow, 1);
+    std::vector<std::shared_ptr<const Bytes>> got =
+        ServeAll(f_got, requests, kNow, threads);
 
-    // Contiguous slice per thread; thread t serves [t*stride, ...).
-    const std::size_t stride = (n + threads - 1) / threads;
-    std::vector<std::thread> workers;
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        const std::size_t begin = t * stride;
-        const std::size_t end = std::min(n, begin + stride);
-        for (std::size_t i = begin; i < end; ++i)
-          serial_bodies[i] = f_serial.Serve(mix[i], kNow).body;
-      });
+    const std::vector<Bytes> boundary(8, Encode(issuer, kBoundarySerial));
+    for (auto& body : ServeAll(f_want, boundary, kRevokedAt, 1))
+      want.push_back(std::move(body));
+    for (auto& body : ServeAll(f_got, boundary, kRevokedAt, threads))
+      got.push_back(std::move(body));
+    requests.insert(requests.end(), boundary.begin(), boundary.end());
+
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_TRUE(want[i]) << "1-thread index " << i;
+      ASSERT_TRUE(got[i]) << threads << "-thread index " << i;
+      EXPECT_EQ(*want[i], *got[i]) << "divergent body at index " << i;
+      if (requests[i] != boundary.front()) continue;
+      // Good before the scheduled instant, revoked at exactly it.
+      auto parsed = ocsp::ParseOcspResponse(*got[i]);
+      ASSERT_TRUE(parsed);
+      EXPECT_EQ(parsed->single.status, i < mix_size
+                                           ? ocsp::CertStatus::kGood
+                                           : ocsp::CertStatus::kRevoked)
+          << "boundary serial at index " << i;
     }
-    for (auto& worker : workers) worker.join();
-    workers.clear();
-
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        const std::size_t begin = t * stride;
-        const std::size_t end = std::min(n, begin + stride);
-        if (begin >= end) return;
-        std::vector<BytesView> slice(mix.begin() + begin, mix.begin() + end);
-        const auto results = f_batch.ServeBatch(slice, kNow);
-        for (std::size_t i = 0; i < results.size(); ++i)
-          batch_bodies[begin + i] = results[i].body;
-      });
-    }
-    for (auto& worker : workers) worker.join();
-
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(serial_bodies[i]) << "serial index " << i;
-      ASSERT_TRUE(batch_bodies[i]) << "batch index " << i;
-      EXPECT_EQ(*serial_bodies[i], *batch_bodies[i])
-          << "divergent body at index " << i;
-    }
-    ExpectSameCounters(f_serial.counters(), f_batch.counters());
+    ExpectSameCounters(f_want.counters(), f_got.counters());
+    // The boundary phase found the clamped entry expired exactly once.
+    EXPECT_EQ(f_got.counters().cache_expired, 1u);
   }
 };
 
-TEST_F(BatchEquivalence, SingleThreadByteIdenticalAndSameCounters) {
+TEST_F(ServeEquivalence, SingleThreadByteIdenticalAndSameCounters) {
   RunAtThreadCount(1);
 }
 
-TEST_F(BatchEquivalence, EightThreadsByteIdenticalAndSameCounters) {
+TEST_F(ServeEquivalence, EightThreadsByteIdenticalAndSameCounters) {
   RunAtThreadCount(8);
 }
 
