@@ -37,15 +37,6 @@
 namespace rev {
 namespace {
 
-std::size_t SizeFromEnv(const char* name, std::size_t fallback) {
-  const char* env = std::getenv(name);
-  if (env != nullptr) {
-    const long long v = std::atoll(env);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return fallback;
-}
-
 std::uint64_t SeedFromEnv() {
   const char* env = std::getenv("REV_SEED");
   if (env != nullptr) {
@@ -82,8 +73,9 @@ int Main() {
   bench::BenchRun run("cascade");
   const double scale = bench::ScaleFromEnv();
   const std::uint64_t seed = SeedFromEnv();
-  const std::size_t num_clients = SizeFromEnv("REV_CASCADE_CLIENTS", 12'000);
-  const std::size_t num_days = SizeFromEnv("REV_CASCADE_DAYS", 12);
+  const std::size_t num_clients =
+      bench::SizeFromEnv("REV_CASCADE_CLIENTS", 12'000);
+  const std::size_t num_days = bench::SizeFromEnv("REV_CASCADE_DAYS", 12);
 
   bench::PrintHeader(
       "cascade distribution: publisher + >=10k-client fleet under a storm",

@@ -47,6 +47,36 @@ inline unsigned ThreadsFromEnv() {
   return 0;
 }
 
+// A positive count from env var `name`; unset, zero, negative or
+// non-numeric values give `fallback`.
+inline std::size_t SizeFromEnv(const char* name, std::size_t fallback) {
+  const char* env = std::getenv(name);
+  if (env != nullptr) {
+    const long long v = std::atoll(env);
+    if (v > 0) return static_cast<std::size_t>(v);
+  }
+  return fallback;
+}
+
+// The positive entries of the comma list in env var `name`, e.g. "1,2,4,8";
+// `fallback` when the variable is unset or lists no positive entry.
+inline std::vector<std::size_t> ListFromEnv(const char* name,
+                                            std::vector<std::size_t> fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  const std::string spec = env;
+  std::vector<std::size_t> values;
+  std::size_t pos = 0;
+  while (pos < spec.size()) {
+    const std::size_t comma = spec.find(',', pos);
+    const int v = std::atoi(spec.substr(pos, comma - pos).c_str());
+    if (v > 0) values.push_back(static_cast<std::size_t>(v));
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return values.empty() ? fallback : values;
+}
+
 inline void PrintHeader(const char* experiment, const char* paper_result) {
   std::printf("==============================================================\n");
   std::printf("%s\n", experiment);

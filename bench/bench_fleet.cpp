@@ -78,34 +78,9 @@ namespace {
 constexpr util::Timestamp kNow = 1'427'760'000;  // 2015-03-31
 constexpr util::Timestamp kTick = 60;            // virtual seconds per tick
 
-std::size_t SizeFromEnv(const char* name, std::size_t fallback) {
-  const char* env = std::getenv(name);
-  if (env != nullptr) {
-    const long long v = std::atoll(env);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return fallback;
-}
-
 std::uint64_t SeedFromEnv() {
   const char* env = std::getenv("REV_CHAOS_SEED");
   return env != nullptr ? std::strtoull(env, nullptr, 0) : 0xC0FFEE;
-}
-
-std::vector<std::size_t> FactorsFromEnv() {
-  const char* env = std::getenv("REV_FLEET_FACTORS");
-  const std::string spec = env != nullptr ? env : "1,2,3,5";
-  std::vector<std::size_t> factors;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const int v = std::atoi(spec.substr(pos, comma - pos).c_str());
-    if (v > 0) factors.push_back(static_cast<std::size_t>(v));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (factors.empty()) factors = {1, 2, 3, 5};
-  return factors;
 }
 
 unsigned ClientThreads() {
@@ -569,13 +544,14 @@ int main() {
       "replication keeps status answers available AND never wrong");
 
   const std::uint64_t seed = SeedFromEnv();
-  const std::size_t certs = SizeFromEnv("REV_FLEET_CERTS", 4000);
-  const std::size_t num_clients = SizeFromEnv("REV_FLEET_CLIENTS", 8);
-  const std::size_t ticks = SizeFromEnv("REV_FLEET_TICKS", 24);
-  const std::size_t qpt = SizeFromEnv("REV_FLEET_QPT", 25);
-  const bool strict = SizeFromEnv("REV_FLEET_STRICT", 1) != 0;
+  const std::size_t certs = bench::SizeFromEnv("REV_FLEET_CERTS", 4000);
+  const std::size_t num_clients = bench::SizeFromEnv("REV_FLEET_CLIENTS", 8);
+  const std::size_t ticks = bench::SizeFromEnv("REV_FLEET_TICKS", 24);
+  const std::size_t qpt = bench::SizeFromEnv("REV_FLEET_QPT", 25);
+  const bool strict = bench::SizeFromEnv("REV_FLEET_STRICT", 1) != 0;
   const unsigned threads = ClientThreads();
-  const std::vector<std::size_t> factors = FactorsFromEnv();
+  const std::vector<std::size_t> factors =
+      bench::ListFromEnv("REV_FLEET_FACTORS", {1, 2, 3, 5});
 
   std::printf("seed=0x%llX certs=%zu clients=%zu ticks=%zu qpt=%zu "
               "threads=%u\n\n",

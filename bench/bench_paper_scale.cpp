@@ -50,13 +50,6 @@ using namespace rev;
 
 namespace {
 
-std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return fallback;
-  const std::uint64_t v = std::strtoull(env, nullptr, 10);
-  return v > 0 ? v : fallback;
-}
-
 double EnvDouble(const char* name, double fallback) {
   const char* env = std::getenv(name);
   if (env == nullptr) return fallback;
@@ -136,9 +129,9 @@ int main() {
       "certs revoked; Table 1 per-CA CRL statistics");
 
   const auto total_certs =
-      static_cast<std::size_t>(EnvU64("REV_PAPER_CERTS", 38'500'000));
+      bench::SizeFromEnv("REV_PAPER_CERTS", 38'500'000);
   const int num_scans =
-      std::max(2, static_cast<int>(EnvU64("REV_PAPER_SCANS", 6)));
+      std::max(2, static_cast<int>(bench::SizeFromEnv("REV_PAPER_SCANS", 6)));
   const double valid_fraction =
       std::clamp(EnvDouble("REV_PAPER_VALID", 0.132), 0.01, 1.0);
   const double floor_cps = EnvDouble("REV_PAPER_FLOOR", 0);

@@ -55,31 +55,6 @@ namespace {
 
 constexpr util::Timestamp kNow = 1'427'760'000;  // 2015-03-31
 
-std::size_t SizeFromEnv(const char* name, std::size_t fallback) {
-  const char* env = std::getenv(name);
-  if (env != nullptr) {
-    const long long v = std::atoll(env);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return fallback;
-}
-
-std::vector<unsigned> ThreadSweepFromEnv() {
-  const char* env = std::getenv("REV_SERVE_THREADS");
-  const std::string spec = env != nullptr ? env : "1,2,4,8";
-  std::vector<unsigned> sweep;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const int v = std::atoi(spec.substr(pos, comma - pos).c_str());
-    if (v > 0) sweep.push_back(static_cast<unsigned>(v));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (sweep.empty()) sweep = {1};
-  return sweep;
-}
-
 x509::Certificate MakeIssuerCert() {
   x509::TbsCertificate tbs;
   tbs.serial = x509::Serial{0x77};
@@ -413,10 +388,11 @@ bool MetricsEndpointSmoke() {
 }  // namespace
 
 int main() {
-  const std::size_t num_certs = SizeFromEnv("REV_SERVE_CERTS", 20'000);
-  const std::size_t ops = SizeFromEnv("REV_SERVE_OPS", 50'000);
-  const std::size_t shed_budget = SizeFromEnv("REV_SERVE_SHED", 128);
-  const std::vector<unsigned> sweep = ThreadSweepFromEnv();
+  const std::size_t num_certs = bench::SizeFromEnv("REV_SERVE_CERTS", 20'000);
+  const std::size_t ops = bench::SizeFromEnv("REV_SERVE_OPS", 50'000);
+  const std::size_t shed_budget = bench::SizeFromEnv("REV_SERVE_SHED", 128);
+  const std::vector<std::size_t> sweep =
+      bench::ListFromEnv("REV_SERVE_THREADS", {1, 2, 4, 8});
 
   bench::BenchRun run("serve");
 
@@ -431,8 +407,9 @@ int main() {
   std::vector<SweepPoint> points;
   {
     bench::BenchRun::Phase phase("serve.sweep");
-    for (unsigned clients : sweep) {
-      const SweepPoint point = RunOnce(clients, num_certs, ops, shed_budget);
+    for (std::size_t clients : sweep) {
+      const SweepPoint point = RunOnce(static_cast<unsigned>(clients),
+                                       num_certs, ops, shed_budget);
       points.push_back(point);
       std::printf("%8u %12.0f %10.2f %10.2f %10.2f %9.1f%% %9llu %8llu\n",
                   point.clients, point.qps, point.p50_us, point.p95_us,
@@ -466,10 +443,12 @@ int main() {
   if (const char* env = std::getenv("REV_SERVE_FAULTS"))
     faults_on = std::atoi(env) != 0;
   if (faults_on) {
-    const std::size_t fault_ops = SizeFromEnv("REV_SERVE_FAULT_OPS", 2'000);
+    const std::size_t fault_ops =
+        bench::SizeFromEnv("REV_SERVE_FAULT_OPS", 2'000);
     const std::size_t fault_certs = std::min<std::size_t>(num_certs, 2'000);
     const auto seed =
-        static_cast<std::uint64_t>(SizeFromEnv("REV_SERVE_FAULT_SEED", 0xBEEF));
+        static_cast<std::uint64_t>(
+            bench::SizeFromEnv("REV_SERVE_FAULT_SEED", 0xBEEF));
     net::FaultPlan plan(seed);
     net::FaultRule burst;
     burst.kind = net::FaultKind::kHttpError;

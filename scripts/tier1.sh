@@ -47,6 +47,18 @@ grep -q '"wrong_answers": 0' "$smoke_dir"/BENCH_cascade.json || {
   echo "BENCH_cascade.json records wrong answers" >&2; exit 1; }
 rm -rf "$smoke_dir"
 
+# Fig. 11 exactness gate: the three-way comparison's cascade row must
+# answer its whole build universe with 0 false positives and 0 false
+# negatives (docs/distribution.md); the bench exits non-zero otherwise. The
+# empty filter skips its google-benchmark microbenches.
+fig11_dir=$(mktemp -d)
+( cd "$fig11_dir" &&
+  "$OLDPWD"/build/bench/bench_fig11_bloom_tradeoff --benchmark_filter='^$' \
+    > bench_fig11.out ) || {
+  echo "bench_fig11_bloom_tradeoff: cascade not exact over its universe" >&2
+  exit 1; }
+rm -rf "$fig11_dir"
+
 # Paper-scale corpus smoke: bench_paper_scale at a reduced certificate
 # count, with the throughput floor and peak-RSS ceiling gates armed
 # (docs/corpus.md). The floor catches an accidental return to node-per-cert
@@ -98,4 +110,4 @@ grep -Eq "^ +serve\.request " "$trace_dir"/trees.txt || {
   echo "stitched trees never crossed onto a replica node" >&2; exit 1; }
 rm -rf "$trace_dir"
 
-echo "tier-1 OK (unit suites + e2e smokes + TSan determinism + chaos smoke + cascade smoke + paper-scale corpus smoke + fleet failover smoke + stitched-trace smoke)"
+echo "tier-1 OK (unit suites + e2e smokes + TSan determinism + chaos smoke + cascade smoke + Fig. 11 exactness gate + paper-scale corpus smoke + fleet failover smoke + stitched-trace smoke)"

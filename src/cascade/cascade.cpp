@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "crypto/sha256.h"
+#include "util/hash.h"
 #include "util/thread_pool.h"
 #include "util/wire.h"
 
@@ -16,68 +17,9 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x52434631;  // "RCF1"
 constexpr std::uint16_t kVersion = 1;
-// Deserialize sanity caps: far above anything a real build produces, low
-// enough that a fuzzed header can never trigger a giant allocation beyond
-// what the blob itself already pays for.
-constexpr std::uint64_t kMaxLevels = 4096;
+// Deserialize sanity cap on k: far above anything a build produces (30),
+// low enough that a fuzzed header cannot make a probe loop run away.
 constexpr std::uint32_t kMaxHashes = 64;
-
-std::uint64_t Splitmix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-struct HashPair {
-  std::uint64_t h1;
-  std::uint64_t h2;
-};
-
-// Keys are already cryptographic digests (CertKey is a SHA-256), so a fast
-// word-wise mix keyed by the level salt gives independent, well-distributed
-// bit positions per level — g_i = h1 + i*h2 (Kirsch–Mitzenmacher).
-HashPair LevelHash(std::uint64_t salt, BytesView key) {
-  std::uint64_t a = Splitmix(salt ^ 0x243F6A8885A308D3ull);
-  std::uint64_t b = Splitmix(~salt ^ 0x13198A2E03707344ull);
-  std::size_t i = 0;
-  while (i + 8 <= key.size()) {
-    std::uint64_t word = 0;
-    for (int j = 0; j < 8; ++j) word = (word << 8) | key[i + static_cast<std::size_t>(j)];
-    a = Splitmix(a ^ word);
-    b = Splitmix(b + word);
-    i += 8;
-  }
-  std::uint64_t tail = key.size();  // fold the length so prefixes differ
-  for (; i < key.size(); ++i) tail = (tail << 8) | key[i];
-  a = Splitmix(a ^ tail);
-  b = Splitmix(b + tail);
-  if (b == 0) b = 0x9E3779B97F4A7C15ull;
-  return {a, b};
-}
-
-void InsertKey(CascadeLevel& level, BytesView key) {
-  const HashPair h = LevelHash(level.salt, key);
-  for (std::uint32_t i = 0; i < level.k; ++i) {
-    const std::uint64_t bit = (h.h1 + i * h.h2) % level.m_bits;
-    level.bits[bit / 8] |= static_cast<std::uint8_t>(1u << (bit % 8));
-  }
-}
-
-// Bloom sizing for `n` keys at false-positive rate `p`.
-CascadeLevel SizeLevel(std::size_t n, double p, std::uint64_t salt) {
-  CascadeLevel level;
-  level.salt = salt;
-  level.num_keys = n;
-  const double ln2 = std::log(2.0);
-  const double m = -static_cast<double>(n == 0 ? 1 : n) * std::log(p) / (ln2 * ln2);
-  level.m_bits = std::max<std::uint64_t>(64, static_cast<std::uint64_t>(std::ceil(m)));
-  const double k = std::round(static_cast<double>(level.m_bits) /
-                              static_cast<double>(n == 0 ? 1 : n) * ln2);
-  level.k = static_cast<std::uint32_t>(std::clamp(k, 1.0, 30.0));
-  level.bits.assign((level.m_bits + 7) / 8, 0);
-  return level;
-}
 
 }  // namespace
 
@@ -92,16 +34,6 @@ Bytes CertKey(BytesView issuer_name_der, BytesView serial) {
   return Bytes(d.begin(), d.end());
 }
 
-bool CascadeLevel::MayContain(BytesView key) const {
-  if (m_bits == 0) return false;
-  const HashPair h = LevelHash(salt, key);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    const std::uint64_t bit = (h.h1 + i * h.h2) % m_bits;
-    if ((bits[bit / 8] & (1u << (bit % 8))) == 0) return false;
-  }
-  return true;
-}
-
 FilterCascade FilterCascade::Build(const std::vector<Bytes>& revoked,
                                    const std::vector<Bytes>& not_revoked,
                                    const CascadeOptions& options) {
@@ -111,9 +43,7 @@ FilterCascade FilterCascade::Build(const std::vector<Bytes>& revoked,
 
   const double r = static_cast<double>(revoked.size());
   const double s = static_cast<double>(std::max<std::size_t>(1, not_revoked.size()));
-  double p0 = options.level0_fpr;
-  if (p0 <= 0) p0 = r / (std::sqrt(2.0) * s);
-  p0 = std::clamp(p0, 1e-9, 0.5);
+  const double p0 = std::clamp(r / (std::sqrt(2.0) * s), 1e-9, 0.5);
 
   util::ThreadPool pool(options.threads);
 
@@ -125,14 +55,15 @@ FilterCascade FilterCascade::Build(const std::vector<Bytes>& revoked,
   std::vector<Bytes> carried_include, carried_exclude;
 
   while (!include->empty()) {
-    if (cascade.levels_.size() >= options.max_levels)
+    if (cascade.levels_.size() >= kMaxLevels)
       throw std::runtime_error("FilterCascade::Build: cascade did not converge");
     const std::size_t index = cascade.levels_.size();
     const double p = index == 0 ? p0 : 0.5;
     // Salt is a pure function of the level index so rebuilds of the same
     // inputs serialize identically.
-    CascadeLevel level = SizeLevel(include->size(), p, Splitmix(0xCA5CADEull + index));
-    for (const Bytes& key : *include) InsertKey(level, key);
+    crlset::BloomFilter level = crlset::BloomFilter::ForCapacity(
+        include->size(), p, util::Mix64(0xCA5CADEull + index));
+    for (const Bytes& key : *include) level.Insert(key);
 
     // Probe the exclude side in fixed chunks; per-chunk hit lists merged in
     // chunk order keep the next level's build set identical at any thread
@@ -177,7 +108,7 @@ bool FilterCascade::IsRevoked(BytesView key) const {
 
 std::size_t FilterCascade::FilterBytes() const {
   std::size_t total = 0;
-  for (const CascadeLevel& level : levels_) total += level.bits.size();
+  for (const crlset::BloomFilter& level : levels_) total += level.SizeBytes();
   return total;
 }
 
@@ -188,12 +119,12 @@ Bytes FilterCascade::Serialize() const {
   wire::PutU64(out, sequence);
   wire::PutU64(out, num_revoked_);
   wire::PutU32(out, static_cast<std::uint32_t>(levels_.size()));
-  for (const CascadeLevel& level : levels_) {
-    wire::PutU64(out, level.salt);
-    wire::PutU64(out, level.m_bits);
-    wire::PutU32(out, level.k);
-    wire::PutU64(out, level.num_keys);
-    Append(out, level.bits);
+  for (const crlset::BloomFilter& level : levels_) {
+    wire::PutU64(out, level.salt());
+    wire::PutU64(out, level.SizeBits());
+    wire::PutU32(out, static_cast<std::uint32_t>(level.hash_count()));
+    wire::PutU64(out, level.inserted());
+    Append(out, level.bits());
   }
   wire::SealChecksum(out);
   return out;
@@ -215,30 +146,26 @@ std::optional<FilterCascade> FilterCascade::Deserialize(BytesView data) {
     return std::nullopt;
   cascade.levels_.reserve(num_levels);
   for (std::uint32_t i = 0; i < num_levels; ++i) {
-    CascadeLevel level;
-    if (!wire::GetU64(payload, pos, &level.salt)) return std::nullopt;
-    if (!wire::GetU64(payload, pos, &level.m_bits)) return std::nullopt;
-    if (!wire::GetU32(payload, pos, &level.k) || level.k == 0 ||
-        level.k > kMaxHashes)
+    std::uint64_t salt, m_bits, inserted;
+    std::uint32_t k;
+    if (!wire::GetU64(payload, pos, &salt)) return std::nullopt;
+    if (!wire::GetU64(payload, pos, &m_bits)) return std::nullopt;
+    if (!wire::GetU32(payload, pos, &k) || k == 0 || k > kMaxHashes)
       return std::nullopt;
-    if (!wire::GetU64(payload, pos, &level.num_keys)) return std::nullopt;
+    if (!wire::GetU64(payload, pos, &inserted)) return std::nullopt;
     // The bit array must actually be present: bound m_bits by the bytes
     // remaining before allocating anything.
-    if (level.m_bits == 0) return std::nullopt;
-    const std::uint64_t num_bytes = level.m_bits / 8 + (level.m_bits % 8 != 0);
+    if (m_bits == 0) return std::nullopt;
+    const std::uint64_t num_bytes = m_bits / 8 + (m_bits % 8 != 0);
     if (num_bytes > payload.size() - pos) return std::nullopt;
-    level.bits.assign(payload.begin() + static_cast<std::ptrdiff_t>(pos),
-                      payload.begin() + static_cast<std::ptrdiff_t>(pos + num_bytes));
+    Bytes bits(payload.begin() + static_cast<std::ptrdiff_t>(pos),
+               payload.begin() + static_cast<std::ptrdiff_t>(pos + num_bytes));
     pos += num_bytes;
-    cascade.levels_.push_back(std::move(level));
+    cascade.levels_.push_back(crlset::BloomFilter::FromParts(
+        salt, m_bits, static_cast<int>(k), inserted, std::move(bits)));
   }
   if (pos != payload.size()) return std::nullopt;
   return cascade;
-}
-
-bool operator==(const CascadeLevel& a, const CascadeLevel& b) {
-  return a.salt == b.salt && a.m_bits == b.m_bits && a.k == b.k &&
-         a.num_keys == b.num_keys && a.bits == b.bits;
 }
 
 bool operator==(const FilterCascade& a, const FilterCascade& b) {

@@ -15,6 +15,12 @@
 // tests/cascade_test.cpp. Keys outside that universe get Bloom-grade
 // answers — the browser never asks about a certificate it has not seen.
 //
+// Each level is a crlset::BloomFilter — the same core as the plain §7.4
+// filter — keyed by a per-level salt, so a key's bit pattern is
+// independent across levels. Level 0 is sized with the CRLite rule
+// p0 = r / (sqrt(2) * s) for r revoked among s non-revoked keys; deeper
+// levels use 0.5, halving the carried set per level.
+//
 // Construction is deterministic at any thread count: the expensive probe
 // step fans out across a util::ThreadPool in fixed chunks whose hit lists
 // are merged in chunk order, and filter insertion is order-independent
@@ -27,6 +33,7 @@
 #include <optional>
 #include <vector>
 
+#include "crlset/bloom.h"
 #include "util/bytes.h"
 
 namespace rev::cascade {
@@ -37,31 +44,17 @@ namespace rev::cascade {
 Bytes CertKey(BytesView issuer_name_der, BytesView serial);
 
 struct CascadeOptions {
-  // Level-0 false-positive target; 0 picks the CRLite rule
-  // p0 = r / (sqrt(2) * s) for r revoked among s non-revoked keys (deeper
-  // levels always use 0.5, halving the carried set per level).
-  double level0_fpr = 0;
-  // Defense against a pathological non-converging build; never reached in
-  // practice (the carried set halves per level).
-  std::size_t max_levels = 64;
   // Probe-step fan-out: 0 = hardware concurrency, 1 = exact serial path.
   unsigned threads = 1;
 };
 
-// One level: a Bloom filter with a per-level salt folded into the hash so
-// a key's bit pattern is independent across levels.
-struct CascadeLevel {
-  std::uint64_t salt = 0;
-  std::uint64_t m_bits = 0;
-  std::uint32_t k = 1;
-  std::uint64_t num_keys = 0;  // size of the build set (diagnostics)
-  Bytes bits;
-
-  bool MayContain(BytesView key) const;
-};
-
 class FilterCascade {
  public:
+  // Level cap: Build throws rather than exceed it (never reached in
+  // practice — the carried set halves per level), and Deserialize rejects
+  // a blob that claims more.
+  static constexpr std::size_t kMaxLevels = 64;
+
   // Monotonic publisher sequence this build corresponds to.
   std::uint64_t sequence = 0;
 
@@ -77,7 +70,6 @@ class FilterCascade {
 
   std::size_t NumLevels() const { return levels_.size(); }
   std::uint64_t NumRevoked() const { return num_revoked_; }
-  const std::vector<CascadeLevel>& levels() const { return levels_; }
 
   // Total filter payload (sum of level bit arrays), the number the paper's
   // Fig. 11 size comparison cares about.
@@ -90,10 +82,8 @@ class FilterCascade {
   friend bool operator==(const FilterCascade&, const FilterCascade&);
 
  private:
-  std::vector<CascadeLevel> levels_;
+  std::vector<crlset::BloomFilter> levels_;
   std::uint64_t num_revoked_ = 0;
 };
-
-bool operator==(const CascadeLevel&, const CascadeLevel&);
 
 }  // namespace rev::cascade

@@ -1,44 +1,33 @@
 #include "crlset/bloom.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
-#include "crypto/sha256.h"
+#include "util/rng.h"
 
 namespace rev::crlset {
 
-namespace {
-
-// Two independent 64-bit hashes from a SHA-256 of the key; g_i = h1 + i*h2
-// (Kirsch–Mitzenmacher double hashing).
-struct HashPair {
-  std::uint64_t h1;
-  std::uint64_t h2;
-};
-
-HashPair HashKey(BytesView key) {
-  const crypto::Sha256Digest d = crypto::Sha256::Hash(key);
-  HashPair h{0, 0};
-  for (int i = 0; i < 8; ++i) {
-    h.h1 = (h.h1 << 8) | d[static_cast<std::size_t>(i)];
-    h.h2 = (h.h2 << 8) | d[static_cast<std::size_t>(i + 8)];
-  }
-  if (h.h2 == 0) h.h2 = 0x9E3779B97F4A7C15ull;
-  return h;
-}
-
-}  // namespace
-
-BloomFilter::BloomFilter(std::size_t m_bits, int k)
-    : m_(m_bits == 0 ? 8 : m_bits), k_(k <= 0 ? 1 : k) {
+BloomFilter::BloomFilter(std::size_t m_bits, int k, std::uint64_t salt)
+    : salt_(salt), m_(m_bits == 0 ? 8 : m_bits), k_(k <= 0 ? 1 : k) {
   bits_.assign((m_ + 7) / 8, 0);
 }
 
-BloomFilter BloomFilter::ForCapacity(std::size_t n, double p) {
+BloomFilter BloomFilter::ForCapacity(std::size_t n, double p,
+                                     std::uint64_t salt) {
   if (n == 0) n = 1;
   const double ln2 = std::log(2.0);
   const double m = -static_cast<double>(n) * std::log(p) / (ln2 * ln2);
-  const int k = static_cast<int>(std::ceil(m / static_cast<double>(n) * ln2));
-  return BloomFilter(static_cast<std::size_t>(std::ceil(m)), k);
+  const std::size_t m_bits =
+      std::max<std::size_t>(64, static_cast<std::size_t>(std::ceil(m)));
+  return BloomFilter(m_bits, OptimalHashCount(m_bits, n), salt);
+}
+
+int BloomFilter::OptimalHashCount(std::size_t m_bits, std::size_t n) {
+  const double k = std::round(static_cast<double>(m_bits) /
+                              static_cast<double>(n == 0 ? 1 : n) *
+                              std::log(2.0));
+  return static_cast<int>(std::clamp(k, 1.0, 30.0));
 }
 
 double BloomFilter::ExpectedFpr(std::size_t m_bits, int k, std::size_t n) {
@@ -48,37 +37,22 @@ double BloomFilter::ExpectedFpr(std::size_t m_bits, int k, std::size_t n) {
   return std::pow(1.0 - std::exp(exponent), k);
 }
 
-void BloomFilter::Insert(BytesView key) {
-  const HashPair h = HashKey(key);
-  for (int i = 0; i < k_; ++i) {
-    const std::uint64_t bit =
-        (h.h1 + static_cast<std::uint64_t>(i) * h.h2) % m_;
-    bits_[bit / 8] |= static_cast<std::uint8_t>(1u << (bit % 8));
-  }
-  ++inserted_;
-}
-
-bool BloomFilter::MayContain(BytesView key) const {
-  const HashPair h = HashKey(key);
-  for (int i = 0; i < k_; ++i) {
-    const std::uint64_t bit =
-        (h.h1 + static_cast<std::uint64_t>(i) * h.h2) % m_;
-    if (!(bits_[bit / 8] & (1u << (bit % 8)))) return false;
-  }
-  return true;
+BloomFilter BloomFilter::FromParts(std::uint64_t salt, std::size_t m_bits,
+                                   int k, std::size_t inserted, Bytes bits) {
+  BloomFilter filter(0, k, salt);
+  filter.m_ = m_bits;
+  filter.bits_ = std::move(bits);
+  filter.inserted_ = inserted;
+  return filter;
 }
 
 double BloomFilter::MeasureFpr(std::size_t probes, std::uint64_t seed) const {
   if (probes == 0) return 0;
   std::size_t hits = 0;
+  util::Rng rng(seed);
+  Bytes key(16);
   for (std::size_t i = 0; i < probes; ++i) {
-    Bytes key(16);
-    std::uint64_t v = seed + i * 0xD1B54A32D192ED03ull;
-    for (std::size_t b = 0; b < key.size(); ++b) {
-      v ^= v >> 33;
-      v *= 0xFF51AFD7ED558CCDull;
-      key[b] = static_cast<std::uint8_t>(v >> (8 * (b % 8)));
-    }
+    rng.Fill(key.data(), key.size());
     key[0] = 0xFB;  // distinct namespace from RevocationKey outputs
     if (MayContain(key)) ++hits;
   }

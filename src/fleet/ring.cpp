@@ -3,19 +3,12 @@
 #include <algorithm>
 
 #include "serve/status_index.h"
+#include "util/hash.h"
 #include "util/wire.h"
 
 namespace rev::fleet {
 
 namespace {
-
-// splitmix64 finalizer: turns (name hash, vnode) into a ring point.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 std::uint64_t NameHash(const std::string& name) {
   return util::wire::Fnv1a(
@@ -38,7 +31,7 @@ void HashRing::AddNode(const std::string& name, bool enabled) {
   const auto index = static_cast<std::uint32_t>(nodes_.size() - 1);
   const std::uint64_t base = NameHash(name);
   for (std::size_t v = 0; v < options_.vnodes; ++v)
-    points_.push_back({Mix64(base ^ Mix64(v)), index});
+    points_.push_back({util::Mix64(base ^ util::Mix64(v)), index});
   std::sort(points_.begin(), points_.end(),
             [](const Point& a, const Point& b) {
               return a.where < b.where ||

@@ -1,38 +1,20 @@
 #include "net/fault.h"
 
 #include "obs/metrics.h"
+#include "util/hash.h"
 
 namespace rev::net {
 
 namespace {
 
-// splitmix64 finalizer: the bit mixer behind util::Rng's seeding, reused
-// here as a stateless hash so a decision depends only on its inputs.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t HashString(std::string_view s, std::uint64_t h) {
-  for (char c : s) h = Mix64(h ^ static_cast<std::uint8_t>(c));
-  return h;
-}
-
-// Uniform double in [0, 1) from the decision hash.
-double UnitFromHash(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
 // The per-exchange decision hash: pure function of (seed, rule, url, now).
 std::uint64_t DecisionHash(std::uint64_t seed, std::size_t rule_index,
                            std::string_view host, std::string_view path,
                            util::Timestamp now) {
-  std::uint64_t h = Mix64(seed ^ (0xA5A5A5A5ull + rule_index));
-  h = HashString(host, h);
-  h = HashString(path, h);
-  return Mix64(h ^ static_cast<std::uint64_t>(now));
+  std::uint64_t h = util::Mix64(seed ^ (0xA5A5A5A5ull + rule_index));
+  h = util::MixString(host, h);
+  h = util::MixString(path, h);
+  return util::Mix64(h ^ static_cast<std::uint64_t>(now));
 }
 
 bool TargetMatches(const FaultRule& rule, std::string_view host,
@@ -90,7 +72,7 @@ bool FaultPlan::Fires(const FaultRule& rule, std::size_t index,
   }
   if (rule.probability >= 1.0) return true;
   if (rule.probability <= 0.0) return false;
-  return UnitFromHash(DecisionHash(seed_, index, host, path, now)) <
+  return util::UnitFromHash(DecisionHash(seed_, index, host, path, now)) <
          rule.probability;
 }
 
@@ -168,7 +150,7 @@ void FaultPlan::ApplyAfter(std::string_view host, std::string_view path,
         if (body.empty()) break;
         std::uint64_t h = DecisionHash(seed_ ^ 0xC0DEull, i, host, path, now);
         for (std::size_t b = 0; b < rule.corrupt_bytes; ++b) {
-          h = Mix64(h);
+          h = util::Mix64(h);
           body[h % body.size()] ^= static_cast<std::uint8_t>(1 + (h >> 32) % 255);
         }
         break;

@@ -6,22 +6,11 @@
 #include "net/url.h"
 #include "obs/distrace.h"
 #include "obs/metrics.h"
+#include "util/hash.h"
 
 namespace rev::net {
 
 namespace {
-
-// splitmix64 finalizer, the stateless mixer used across the fault stack.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-double UnitFromHash(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
 
 // Span-id salts: each retry attempt (and each backoff wait) gets a
 // distinct child of the caller's span, so the exchange spans SimNet
@@ -76,10 +65,9 @@ double BackoffDelay(const RetryPolicy& policy, std::string_view key,
     base *= multiplier;
   }
 
-  std::uint64_t h = Mix64(policy.seed ^ 0x5E77ull);
-  for (char c : key) h = Mix64(h ^ static_cast<std::uint8_t>(c));
-  h = Mix64(h ^ static_cast<std::uint64_t>(attempt));
-  const double jittered = base * (1.0 - jitter * UnitFromHash(h));
+  std::uint64_t h = util::MixString(key, util::Mix64(policy.seed ^ 0x5E77ull));
+  h = util::Mix64(h ^ static_cast<std::uint64_t>(attempt));
+  const double jittered = base * (1.0 - jitter * util::UnitFromHash(h));
   return std::min(jittered, policy.max_backoff_seconds);
 }
 

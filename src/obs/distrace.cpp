@@ -9,18 +9,13 @@
 #include <map>
 #include <unordered_set>
 
+#include "util/hash.h"
+
 namespace rev::obs {
 
 namespace {
 
-// splitmix64 finalizer — the same stateless mixer the fault stack uses, so
-// every deterministic id in the repo comes from one well-studied function.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
+using util::Mix64;
 
 void AppendF(std::string& out, const char* fmt, ...) {
   char buf[512];

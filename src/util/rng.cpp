@@ -3,17 +3,11 @@
 #include <cmath>
 #include <numbers>
 
+#include "util/hash.h"
+
 namespace rev::util {
 
 namespace {
-
-std::uint64_t SplitMix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
 
 std::uint64_t Rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
@@ -22,8 +16,8 @@ std::uint64_t Rotl(std::uint64_t x, int k) {
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
-  std::uint64_t sm = seed;
-  for (auto& word : s_) word = SplitMix64(sm);
+  // The first four draws of a splitmix64 stream seeded with `seed`.
+  for (std::size_t i = 0; i < s_.size(); ++i) s_[i] = Mix64(seed + i * kGolden);
   // All-zero state is invalid for xoshiro; splitmix output makes this
   // astronomically unlikely, but guard anyway.
   if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) s_[0] = 1;

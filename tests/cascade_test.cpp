@@ -11,10 +11,13 @@
 #include "cascade/delta.h"
 #include "cascade/fleet.h"
 #include "cascade/publisher.h"
+#include "crypto/sha256.h"
 #include "net/fault.h"
 #include "net/simnet.h"
 #include "serve/frontend.h"
+#include "util/hex.h"
 #include "util/rng.h"
+#include "util/wire.h"
 
 namespace rev::cascade {
 namespace {
@@ -40,6 +43,33 @@ void Split(const std::vector<Bytes>& universe, std::size_t r,
   not_revoked->assign(universe.begin() + static_cast<std::ptrdiff_t>(r),
                       universe.end());
 }
+
+// Writes `value` as the `width`-byte big-endian field at `offset`.
+void SetField(Bytes& out, std::size_t offset, std::size_t width,
+              std::uint64_t value) {
+  for (std::size_t i = 0; i < width; ++i)
+    out[offset + i] = static_cast<std::uint8_t>(value >> (8 * (width - 1 - i)));
+}
+
+// Edits one field of a sealed cascade blob and re-seals it, so only
+// Deserialize's structural checks stand between the edit and a decoded
+// cascade.
+Bytes EditSealed(const Bytes& blob, std::size_t offset, std::size_t width,
+                 std::uint64_t value) {
+  Bytes out(blob.begin(), blob.end() - 8);
+  SetField(out, offset, width, value);
+  util::wire::SealChecksum(out);
+  return out;
+}
+
+// Wire offsets: magic u32, version u16, sequence u64, num_revoked u64,
+// num_levels u32, then per level salt u64, m_bits u64, k u32, inserted u64
+// and the bit array.
+constexpr std::size_t kNumLevelsAt = 22;
+constexpr std::size_t kLevelsAt = 26;
+constexpr std::size_t kMBitsAt = kLevelsAt + 8;
+constexpr std::size_t kHashesAt = kLevelsAt + 16;
+constexpr std::size_t kBitsAt = kLevelsAt + 28;
 
 // ------------------------------------------------------------- cascade ----
 
@@ -165,6 +195,63 @@ TEST(Cascade, DeserializeRejectsDamage) {
   Bytes extended = blob;
   extended.push_back(0);
   EXPECT_FALSE(FilterCascade::Deserialize(extended));
+
+  // Structural damage behind a valid trailer. With no non-revoked keys the
+  // build stops after one level, so the level's fields sit at fixed offsets.
+  const Bytes one = FilterCascade::Build(revoked, {}).Serialize();
+  ASSERT_TRUE(FilterCascade::Deserialize(one));
+  std::size_t pos = kMBitsAt;
+  std::uint64_t m_bits = 0;
+  ASSERT_TRUE(util::wire::GetU64(one, pos, &m_bits));
+  // The re-seal alone changes nothing, and k = 64 is still in range.
+  EXPECT_TRUE(FilterCascade::Deserialize(EditSealed(one, kMBitsAt, 8, m_bits)));
+  EXPECT_TRUE(FilterCascade::Deserialize(EditSealed(one, kHashesAt, 4, 64)));
+  EXPECT_FALSE(FilterCascade::Deserialize(EditSealed(one, kHashesAt, 4, 0)));
+  EXPECT_FALSE(FilterCascade::Deserialize(EditSealed(one, kHashesAt, 4, 65)));
+  EXPECT_FALSE(FilterCascade::Deserialize(EditSealed(one, kMBitsAt, 8, 0)));
+  // m_bits = 0 with the bit array dropped too, so that no size check but
+  // the m_bits one can object.
+  Bytes no_bits(one.begin(), one.begin() + kBitsAt);
+  util::wire::SealChecksum(no_bits);
+  EXPECT_FALSE(
+      FilterCascade::Deserialize(EditSealed(no_bits, kMBitsAt, 8, 0)));
+  // m_bits claiming one byte more than the bit array present.
+  EXPECT_FALSE(
+      FilterCascade::Deserialize(EditSealed(one, kMBitsAt, 8, m_bits + 8)));
+
+  // Level count: kMaxLevels well-formed copies of the level decode, one
+  // more is rejected by the cap alone.
+  const auto repeated = [&](std::size_t levels) {
+    Bytes out(one.begin(), one.begin() + kLevelsAt);
+    for (std::size_t i = 0; i < levels; ++i)
+      out.insert(out.end(), one.begin() + kLevelsAt, one.end() - 8);
+    SetField(out, kNumLevelsAt, 4, levels);
+    util::wire::SealChecksum(out);
+    return out;
+  };
+  EXPECT_TRUE(FilterCascade::Deserialize(repeated(FilterCascade::kMaxLevels)));
+  EXPECT_FALSE(
+      FilterCascade::Deserialize(repeated(FilterCascade::kMaxLevels + 1)));
+}
+
+TEST(Cascade, WireBytesPinned) {
+  // The serialized bytes of a fixed seeded build, recorded before the
+  // cascade levels moved onto crlset::BloomFilter: the wire format, the
+  // salted level hash, the level sizing and the CRLite p0 rule must all
+  // stay bit-for-bit.
+  util::Rng rng(11);
+  const std::vector<Bytes> universe = MakeKeys(rng, 5'000);
+  std::vector<Bytes> revoked, not_revoked;
+  Split(universe, 100, &revoked, &not_revoked);
+  FilterCascade cascade = FilterCascade::Build(revoked, not_revoked);
+  cascade.sequence = 7;
+  const Bytes blob = cascade.Serialize();
+  EXPECT_EQ(cascade.NumLevels(), 6u);
+  EXPECT_EQ(cascade.FilterBytes(), 158u);
+  EXPECT_EQ(blob.size(), 360u);
+  const crypto::Sha256Digest digest = crypto::Sha256::Hash(blob);
+  EXPECT_EQ(util::HexEncode(BytesView(digest.data(), digest.size())),
+            "0a00d0a955829523681149b61a501132aae8e92eabc4353449fafa0d6b8d8e42");
 }
 
 // --------------------------------------------------------------- delta ----
