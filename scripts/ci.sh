@@ -18,16 +18,16 @@ ctest --test-dir build --output-on-failure -j"$(nproc)"
 echo "== TSan: thread pool, parallel pipeline, serving frontend, obs, chaos =="
 cmake -B build-tsan -S . -DREV_SANITIZE_THREAD=ON
 cmake --build build-tsan -j"$(nproc)" --target util_test core_test corpus_test serve_test obs_test chaos_test cascade_test fleet_test bench_serve bench_fleet
-./build-tsan/tests/util_test --gtest_filter='ThreadPool.*:MpscQueue.*'
+./build-tsan/tests/util_test --gtest_filter='ThreadPool.*'
 ./build-tsan/tests/core_test --gtest_filter='Parallelism.*'
 # The corpus equivalence suite under TSan: the columnar store must match
 # the serial map-based reference byte for byte at 1 and 8 threads, with no
 # races in the batched Finalize() verification (docs/corpus.md).
 ./build-tsan/tests/corpus_test
 # Full serve suite under TSan: includes the Serve equivalence tests (1 vs
-# 8 threads, concurrent same-key misses coalescing in the combiner) and
-# the attach-latch regression test, the two raciest parts of the
-# event-driven core.
+# 8 threads, concurrent same-key misses and staples coalescing under the
+# shard's miss lock) and the attach-latch regression test, the two raciest
+# parts of the serving core.
 ./build-tsan/tests/serve_test
 # The whole obs suite runs under TSan: sharded counters, the lock-free
 # histogram, the span collector with 8 ParallelFor workers nesting local
@@ -57,10 +57,14 @@ fleet_tsan_dir=$(mktemp -d)
 rm -rf "$fleet_tsan_dir"
 # Small closed-loop load under TSan: races between concurrent Serve(),
 # observer-driven invalidation, batch refresh, and the lock-free latency
-# histogram surface here.
-REV_SERVE_CERTS=2000 REV_SERVE_OPS=2000 REV_SERVE_THREADS=4 \
-  REV_SERVE_FLOOR=0 ./build-tsan/bench/bench_serve > /dev/null || {
-    echo "bench_serve under TSan failed" >&2; exit 1; }
+# histogram surface here. Run in a temp dir so the BENCH_serve.json it
+# writes never lands on the committed one.
+serve_tsan_dir=$(mktemp -d)
+( cd "$serve_tsan_dir" &&
+  REV_SERVE_CERTS=2000 REV_SERVE_OPS=2000 REV_SERVE_THREADS=4 \
+    REV_SERVE_FLOOR=0 "$OLDPWD"/build-tsan/bench/bench_serve > /dev/null ) || {
+      echo "bench_serve under TSan failed" >&2; exit 1; }
+rm -rf "$serve_tsan_dir"
 
 echo "== ASan+UBSan: full test suite =="
 # Every parser and wire format must fail closed without an over-read, and

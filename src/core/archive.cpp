@@ -2,38 +2,20 @@
 
 #include <cstdio>
 
+#include "util/wire.h"
+
 namespace rev::core {
+
+using util::wire::GetU32;
+using util::wire::GetU64;
+using util::wire::PutBlob;
+using util::wire::PutU32;
+using util::wire::PutU64;
 
 namespace {
 
 constexpr char kMagic[4] = {'R', 'V', 'K', 'A'};
 constexpr std::uint32_t kVersion = 1;
-
-void PutU32(Bytes& out, std::uint32_t v) {
-  for (int i = 3; i >= 0; --i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void PutI64(Bytes& out, std::int64_t v) {
-  const auto u = static_cast<std::uint64_t>(v);
-  for (int i = 7; i >= 0; --i)
-    out.push_back(static_cast<std::uint8_t>(u >> (8 * i)));
-}
-
-bool GetU32(BytesView data, std::size_t& pos, std::uint32_t* v) {
-  if (pos + 4 > data.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) *v = (*v << 8) | data[pos++];
-  return true;
-}
-
-bool GetI64(BytesView data, std::size_t& pos, std::int64_t* v) {
-  if (pos + 8 > data.size()) return false;
-  std::uint64_t u = 0;
-  for (int i = 0; i < 8; ++i) u = (u << 8) | data[pos++];
-  *v = static_cast<std::int64_t>(u);
-  return true;
-}
 
 }  // namespace
 
@@ -83,13 +65,10 @@ Bytes ScanArchive::Serialize() const {
   out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
   PutU32(out, kVersion);
   PutU32(out, static_cast<std::uint32_t>(certs_.size()));
-  for (const x509::CertPtr& cert : certs_) {
-    PutU32(out, static_cast<std::uint32_t>(cert->der.size()));
-    Append(out, cert->der);
-  }
+  for (const x509::CertPtr& cert : certs_) PutBlob(out, cert->der);
   PutU32(out, static_cast<std::uint32_t>(snapshots_.size()));
   for (const Snapshot& snapshot : snapshots_) {
-    PutI64(out, snapshot.time);
+    PutU64(out, static_cast<std::uint64_t>(snapshot.time));
     PutU32(out, static_cast<std::uint32_t>(snapshot.observations.size()));
     for (const Observation& o : snapshot.observations) {
       PutU32(out, o.ip);
@@ -130,10 +109,11 @@ std::optional<ScanArchive> ScanArchive::Deserialize(BytesView data) {
   archive.snapshots_.reserve(snapshot_count);
   for (std::uint32_t s = 0; s < snapshot_count; ++s) {
     Snapshot snapshot;
+    std::uint64_t time;
     std::uint32_t observation_count;
-    if (!GetI64(data, pos, &snapshot.time) ||
-        !GetU32(data, pos, &observation_count))
+    if (!GetU64(data, pos, &time) || !GetU32(data, pos, &observation_count))
       return std::nullopt;
+    snapshot.time = static_cast<std::int64_t>(time);
     snapshot.observations.reserve(observation_count);
     for (std::uint32_t i = 0; i < observation_count; ++i) {
       Observation o;

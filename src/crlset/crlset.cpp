@@ -1,36 +1,13 @@
 #include "crlset/crlset.h"
 
+#include "util/wire.h"
+
 namespace rev::crlset {
 
-namespace {
-
-void PutU32(Bytes& out, std::uint32_t v) {
-  for (int i = 3; i >= 0; --i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-bool GetU32(BytesView data, std::size_t& pos, std::uint32_t* v) {
-  if (pos + 4 > data.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) *v = (*v << 8) | data[pos++];
-  return true;
-}
-
-void PutBlob(Bytes& out, BytesView blob) {
-  PutU32(out, static_cast<std::uint32_t>(blob.size()));
-  Append(out, blob);
-}
-
-bool GetBlob(BytesView data, std::size_t& pos, Bytes* blob) {
-  std::uint32_t len;
-  if (!GetU32(data, pos, &len) || pos + len > data.size()) return false;
-  blob->assign(data.begin() + static_cast<std::ptrdiff_t>(pos),
-               data.begin() + static_cast<std::ptrdiff_t>(pos + len));
-  pos += len;
-  return true;
-}
-
-}  // namespace
+using util::wire::GetBlob;
+using util::wire::GetU32;
+using util::wire::PutBlob;
+using util::wire::PutU32;
 
 void CrlSet::AddEntry(const Bytes& parent_spki_sha256,
                       const x509::Serial& serial) {

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 
@@ -57,9 +56,7 @@ struct Frontend::Instruments {
         staples(Get("serve.staples", label)),
         status_updates(Get("serve.status_updates", label)),
         latency_ns(obs::MetricsRegistry::Global().GetHistogram(
-            "serve.latency_ns{" + label + "}")),
-        batch_size(obs::MetricsRegistry::Global().GetHistogram(
-            "serve.batch_size{" + label + "}")) {}
+            "serve.latency_ns{" + label + "}")) {}
 
   static obs::Counter& Get(const char* name, const std::string& label) {
     return obs::MetricsRegistry::Global().GetCounter(std::string(name) + "{" +
@@ -79,39 +76,6 @@ struct Frontend::Instruments {
   obs::Counter& staples;
   obs::Counter& status_updates;
   obs::Histogram& latency_ns;
-  obs::Histogram& batch_size;
-};
-
-// Completion slot carried by every queued op, one per op. The notify
-// happens while the mutex is held: a waiter that has observed done_ can
-// destroy the gate (it lives on the caller's stack) only after Done() has
-// released the lock, so the combiner never touches a dead gate.
-class Frontend::CompletionGate {
- public:
-  void Done() {
-    std::lock_guard lock(mu_);
-    done_ = true;
-    cv_.notify_all();
-  }
-
-  bool IsDone() {
-    std::lock_guard lock(mu_);
-    return done_;
-  }
-
-  // True once the op completed; false on timeout. The timeout is a
-  // liveness backstop for the push-after-drain window (an op published
-  // just as the previous combiner released the drain lock): the waiter
-  // wakes, wins the lock, and drains its own op.
-  bool WaitFor(std::chrono::microseconds timeout) {
-    std::unique_lock lock(mu_);
-    return cv_.wait_for(lock, timeout, [this] { return done_; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool done_ = false;
 };
 
 // A status key (issuer key hash ‖ serial) in a fixed inline buffer when it
@@ -142,30 +106,16 @@ struct Frontend::KeyBuffer {
   }
 };
 
-// One queued unit of work. Ops live on the submitting caller's stack; the
-// queue carries pointers, and the gate handshake guarantees the combiner
-// is finished with an op before the caller's frame unwinds.
-struct Frontend::Op : KeyBuffer {
-  const ocsp::OcspRequest* request = nullptr;
-  const ocsp::Responder* responder = nullptr;
-  util::Timestamp now = 0;
-  bool cacheable = false;  // single-cert, no nonce: precomputed-response path
-  ServeResult result;
-  CompletionGate* gate = nullptr;
-};
-
 struct Frontend::ShardState {
-  explicit ShardState(std::size_t capacity) : queue(capacity) {}
-
-  util::MpscQueue<Op*> queue;
-  // Combiner lock: whoever try-locks it drains the queue. Never held while
-  // blocking on anything, so contention resolves in bounded time.
-  std::mutex drain_mu;
-  // Admission watermark: ops admitted and not yet completed. Bounded by
-  // per_shard_queue, which also bounds ring occupancy (a cell is freed at
-  // PopBatch, before the op completes).
+  // Serializes this shard's cacheable misses (SignMiss). Held across the
+  // signature, so a miss that queued behind another for the same key finds
+  // the entry that one installed instead of signing it again.
+  std::mutex miss_mu;
+  // Admission watermark: requests admitted and not yet answered. Bounded by
+  // per_shard_queue; mirrored into the serve.queue_depth gauge by
+  // TryEnterShard/ExitShard.
   std::atomic<std::size_t> depth{0};
-  obs::Gauge* depth_gauge = nullptr;  // written only under drain_mu
+  obs::Gauge* depth_gauge = nullptr;
 };
 
 Frontend::Frontend(FrontendOptions options)
@@ -176,7 +126,7 @@ Frontend::Frontend(FrontendOptions options)
       metrics_(std::make_unique<Instruments>(metrics_label_)) {
   shard_states_.reserve(index_.num_shards());
   for (std::size_t s = 0; s < index_.num_shards(); ++s) {
-    auto state = std::make_unique<ShardState>(options_.per_shard_queue);
+    auto state = std::make_unique<ShardState>();
     state->depth_gauge = &obs::MetricsRegistry::Global().GetGauge(
         "serve.queue_depth{" + metrics_label_ + ",shard=" + std::to_string(s) +
         "}");
@@ -366,17 +316,22 @@ std::size_t Frontend::ShardOf(BytesView issuer_key_hash,
 }
 
 bool Frontend::TryEnterShard(std::size_t shard) {
-  auto& depth = shard_states_[shard]->depth;
-  if (depth.fetch_add(1, std::memory_order_acq_rel) >=
+  ShardState& state = *shard_states_[shard];
+  if (state.depth.fetch_add(1, std::memory_order_acq_rel) >=
       options_.per_shard_queue) {
-    depth.fetch_sub(1, std::memory_order_acq_rel);
+    state.depth.fetch_sub(1, std::memory_order_acq_rel);
     return false;
   }
+  // Every admitted request's own thread adjusts the gauge (no single
+  // writer), so it moves by Add/Sub rather than Set.
+  state.depth_gauge->Add(1);
   return true;
 }
 
 void Frontend::ExitShard(std::size_t shard) {
-  shard_states_[shard]->depth.fetch_sub(1, std::memory_order_acq_rel);
+  ShardState& state = *shard_states_[shard];
+  state.depth_gauge->Sub(1);
+  state.depth.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 Frontend::ServeResult Frontend::Serve(BytesView request_der,
@@ -452,17 +407,17 @@ Frontend::ServeResult Frontend::ServeOne(
   const obs::SpanContext* traced =
       ctx != nullptr && obs::DistTraceCollector::Global().enabled() ? ctx
                                                                     : nullptr;
-  Op op;
-  op.SetKey(responder->issuer_key_hash(), serial);
+  // The flush first makes a mutation that returned before this request
+  // started visible to the lookup and to the signer.
+  MaybeFlush();
+  KeyBuffer buffer;
+  buffer.SetKey(responder->issuer_key_hash(), serial);
+  const BytesView key = buffer.key();
   if (cacheable) {
-    // Cache hit: answered on this thread. Combining only pays where it
-    // coalesces signatures, so a hit takes no queue slot (and skips
-    // admission, like Staple). The flush first makes a mutation that
-    // returned before this request started visible, exactly as the
-    // combiner's flush does. A miss or expiry is tallied by the combiner
-    // alone, against the entry it finds.
-    MaybeFlush();
-    ResponseCache::LookupResult cached = cache_.Get(op.key(), now);
+    // Cache hit: answered here, without an admission slot (like Staple). A
+    // miss or expiry is tallied by SignMiss alone, against the entry it
+    // finds under the shard's miss lock.
+    ResponseCache::LookupResult cached = cache_.Get(key, now);
     if (cached.outcome == ResponseCache::Outcome::kHit) {
       metrics_->cache_hits.Increment();
       RecordServed(start, traced, 200, now);
@@ -470,7 +425,7 @@ Frontend::ServeResult Frontend::ServeOne(
     }
   }
 
-  const std::size_t shard = index_.ShardOf(op.key());
+  const std::size_t shard = index_.ShardOf(key);
   if (!TryEnterShard(shard)) {
     metrics_->shed.Increment();
     if (traced)
@@ -478,23 +433,11 @@ Frontend::ServeResult Frontend::ServeOne(
                        obs::InternName(metrics_label_), 503, now);
     return {503, try_later_der_, options_.retry_after_seconds, false};
   }
-
-  CompletionGate gate;
-  op.request = request;
-  op.responder = responder;
-  op.now = now;
-  op.cacheable = cacheable;
-  op.gate = &gate;
-  if (!shard_states_[shard]->queue.TryPush(&op)) {
-    // Unreachable while the admission watermark and ring capacity agree;
-    // shed defensively rather than block on a full ring.
-    ExitShard(shard);
-    metrics_->shed.Increment();
-    return {503, try_later_der_, options_.retry_after_seconds, false};
-  }
-  RunUntil(gate, shard);
-  RecordServed(start, traced, op.result.http_status, now);
-  return std::move(op.result);
+  ServeResult result = cacheable ? SignMiss(*responder, shard, key, now)
+                                 : SignDirect(*request, *responder, now);
+  ExitShard(shard);
+  RecordServed(start, traced, result.http_status, now);
+  return result;
 }
 
 void Frontend::RecordServed(std::chrono::steady_clock::time_point start,
@@ -516,147 +459,66 @@ void Frontend::RecordServed(std::chrono::steady_clock::time_point start,
                      obs::InternName(metrics_label_), http_status, now);
 }
 
-void Frontend::RunUntil(CompletionGate& gate, std::size_t shard) {
-  ShardState& state = *shard_states_[shard];
-  for (;;) {
-    if (gate.IsDone()) return;
-    if (state.drain_mu.try_lock()) {
-      DrainShard(shard);
-      state.drain_mu.unlock();
-    }
-    if (gate.WaitFor(std::chrono::microseconds(100))) return;
-  }
-}
-
-void Frontend::DrainShard(std::size_t shard) {
-  ShardState& state = *shard_states_[shard];
-  // Upper bound on ops a combiner pops per drain iteration: larger batches
-  // amortize better, smaller ones bound the time a caller spends combining
-  // for others.
-  constexpr std::size_t kMaxDrain = 128;
-  Op* ops[kMaxDrain];
-  for (;;) {
-    const std::size_t popped = state.queue.PopBatch(ops, kMaxDrain);
-    if (popped == 0) return;
-    ProcessBatch(shard, ops, popped);
-  }
-}
-
-void Frontend::ExecuteDirect(Op& op) {
+Frontend::ServeResult Frontend::SignDirect(const ocsp::OcspRequest& request,
+                                           const ocsp::Responder& responder,
+                                           util::Timestamp now) {
   // Multi-cert or nonced requests are signed per request (a nonce makes
   // the response unique by construction; RFC 6960 notes pre-produced
-  // responses cannot carry one). Ids may hash anywhere, so these resolve
-  // through the global index, not the batch's shard view.
-  const ocsp::OcspRequest& request = *op.request;
+  // responses cannot carry one), so there is nothing to cache or share.
   std::vector<ocsp::SingleResponse> singles;
   singles.reserve(request.cert_ids.size());
   for (const ocsp::CertId& id : request.cert_ids) {
     const StatusKey id_key =
-        MakeStatusKey(op.responder->issuer_key_hash(), id.serial);
+        MakeStatusKey(responder.issuer_key_hash(), id.serial);
     singles.push_back(
-        op.responder->MakeSingle(id.serial, index_.Lookup(id_key), op.now));
+        responder.MakeSingle(id.serial, index_.Lookup(id_key), now));
   }
-  ocsp::OcspResponse response =
-      op.responder->Sign(singles, op.now, request.nonce);
-  op.result = {200, std::make_shared<const Bytes>(std::move(response.der)), 0,
-               false};
+  ocsp::OcspResponse response = responder.Sign(singles, now, request.nonce);
+  metrics_->signed_on_demand.Increment();
+  return {200, std::make_shared<const Bytes>(std::move(response.der)), 0,
+          false};
 }
 
-void Frontend::ProcessBatch(std::size_t shard, Op** ops, std::size_t count) {
-  metrics_->batch_size.Record(count);
-  // The whole batch shares one pending-mutation flush, one index snapshot
-  // and one cache lock — the amortization this architecture exists for.
-  MaybeFlush();
-  const std::uint64_t epoch0 = index_.epoch();
-  const StatusIndex::ShardView view = index_.ViewOf(shard);
-
-  std::vector<BytesView> keys;
-  keys.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    if (ops[i]->cacheable) keys.push_back(ops[i]->key());
-  std::vector<ResponseCache::Entry> peeked;
-  cache_.PeekBatch(keys, &peeked);
-
-  // Entries signed by THIS batch. Concurrent misses on one key coalesce
-  // here: a later op for the same key is served from this map and counted
-  // as a cache hit — what a single caller sees when its first miss
-  // installs and the rest hit, so counter totals do not depend on how
-  // concurrent requests fell into batches. Only known serials enter
-  // (caching `unknown` would let arbitrary query strings grow the cache
-  // without bound).
-  std::unordered_map<StatusKey, ResponseCache::Entry, StatusKeyHash,
-                     StatusKeyEq>
-      fresh;
-
-  std::uint64_t hits = 0, misses = 0, expired = 0, signed_count = 0;
-  std::size_t peek_index = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    Op& op = *ops[i];
-    if (!op.cacheable) {
-      ExecuteDirect(op);
-      ++signed_count;
-      continue;
-    }
-    const BytesView key = op.key();
-    const ResponseCache::Entry* cached = &peeked[peek_index++];
-    const auto fresh_it = fresh.empty() ? fresh.end() : fresh.find(key);
-    if (fresh_it != fresh.end()) cached = &fresh_it->second;
-    // Expiry is evaluated against each op's own `now`; `serve_until` is
-    // exclusive, so a query at exactly the scheduled revocation instant
-    // re-signs instead of serving the stale "good".
-    if (cached->der && op.now < cached->serve_until) {
-      ++hits;
-      op.result = {200, cached->der, 0, true};
-      continue;
-    }
-    ++(cached->der ? expired : misses);
-    // The caching decision and the signature come from the SAME record:
-    // the serial path's separate post-sign Lookup could observe a record
-    // added after signing and cache a stale `unknown` response.
-    const std::optional<StatusIndex::Record> record = view.Lookup(key);
-    ResponseCache::Entry entry = SignFromRecord(*op.responder, key, record,
-                                                op.now);
-    ++signed_count;
-    op.result = {200, entry.der, 0, false};
-    if (record) {
-      if (fresh_it != fresh.end())
-        fresh_it->second = std::move(entry);
-      else
-        fresh.emplace(StatusKey(key.begin(), key.end()), std::move(entry));
-    }
+Frontend::ServeResult Frontend::SignMiss(const ocsp::Responder& responder,
+                                         std::size_t shard, BytesView key,
+                                         util::Timestamp now) {
+  std::lock_guard lock(shard_states_[shard]->miss_mu);
+  // Concurrent misses on one key coalesce here: a later one finds the entry
+  // the first installed and counts a hit, as it would had the requests
+  // arrived one at a time, so counter totals do not depend on how requests
+  // interleave. `serve_until` is exclusive: a query at exactly the
+  // scheduled revocation instant re-signs instead of serving the stale
+  // "good".
+  ResponseCache::LookupResult cached = cache_.Get(key, now);
+  if (cached.outcome == ResponseCache::Outcome::kHit) {
+    metrics_->cache_hits.Increment();
+    return {200, std::move(cached.der), 0, true};
   }
-
-  metrics_->cache_hits.Add(hits);
-  metrics_->cache_misses.Add(misses);
-  metrics_->cache_expired.Add(expired);
-  metrics_->signed_on_demand.Add(signed_count);
-  cache_.CountOutcome(ResponseCache::Outcome::kHit, hits);
-  cache_.CountOutcome(ResponseCache::Outcome::kMiss, misses);
-  cache_.CountOutcome(ResponseCache::Outcome::kExpired, expired);
-
-  // Install the batch's freshly signed entries unless the index moved
-  // under us — an epoch bump means some key's record may have changed
-  // since `view` was pinned, and a stale install would undo the
-  // invalidation that bump performed. The check runs under each cache
-  // shard's lock, so no flush can land between it and the install.
-  if (!fresh.empty()) {
+  cache_.CountOutcome(cached.outcome);
+  (cached.outcome == ResponseCache::Outcome::kExpired
+       ? metrics_->cache_expired
+       : metrics_->cache_misses)
+      .Increment();
+  // The caching decision and the signature come from the SAME record: a
+  // separate post-sign Lookup could observe a record added after signing
+  // and cache a stale `unknown` response.
+  const std::uint64_t epoch0 = index_.epoch();
+  const std::optional<StatusIndex::Record> record = index_.Lookup(key);
+  ResponseCache::Entry entry = SignFromRecord(responder, key, record, now);
+  metrics_->signed_on_demand.Increment();
+  ServeResult result{200, entry.der, 0, false};
+  // Only known serials are cached (caching `unknown` would let arbitrary
+  // query strings grow the cache without bound). The install is refused if
+  // the index moved since `epoch0`: the record may have changed, and a
+  // stale install would undo the invalidation that flush performed. The
+  // check runs under the cache shard's lock, so no flush can land between
+  // it and the install.
+  if (record) {
     std::vector<std::pair<StatusKey, ResponseCache::Entry>> install;
-    install.reserve(fresh.size());
-    for (auto& [key, entry] : fresh)
-      install.emplace_back(key, std::move(entry));
+    install.emplace_back(StatusKey(key.begin(), key.end()), std::move(entry));
     cache_.PutBatchIfEpoch(std::move(install), index_, epoch0);
   }
-
-  // Release the admission slots, then publish the new depth (single
-  // writer: the gauge is only Set under drain_mu).
-  ShardState& state = *shard_states_[shard];
-  const std::size_t depth_after =
-      state.depth.fetch_sub(count, std::memory_order_acq_rel) - count;
-  state.depth_gauge->Set(static_cast<std::int64_t>(depth_after));
-
-  // Wake the waiters last. Past this point an op (and its gate) may be
-  // gone.
-  for (std::size_t i = 0; i < count; ++i) ops[i]->gate->Done();
+  return result;
 }
 
 net::HttpResponse Frontend::HandleHttp(const net::HttpRequest& request,
@@ -734,24 +596,7 @@ std::shared_ptr<const Bytes> Frontend::Staple(BytesView issuer_key_hash,
     metrics_->cache_hits.Increment();
     return std::move(cached.der);
   }
-  cache_.CountOutcome(cached.outcome);
-  (cached.outcome == ResponseCache::Outcome::kExpired
-       ? metrics_->cache_expired
-       : metrics_->cache_misses)
-      .Increment();
-  const std::uint64_t epoch0 = index_.epoch();
-  const std::optional<StatusIndex::Record> record = index_.Lookup(key);
-  ResponseCache::Entry entry = SignFromRecord(*responder, key, record, now);
-  metrics_->signed_on_demand.Increment();
-  std::shared_ptr<const Bytes> der = entry.der;
-  // Same record decides signature and cachability; same epoch guard as the
-  // batch path.
-  if (record) {
-    std::vector<std::pair<StatusKey, ResponseCache::Entry>> install;
-    install.emplace_back(StatusKey(key.begin(), key.end()), std::move(entry));
-    cache_.PutBatchIfEpoch(std::move(install), index_, epoch0);
-  }
-  return der;
+  return SignMiss(*responder, index_.ShardOf(key), key, now).body;
 }
 
 void Frontend::EnsurePool() {

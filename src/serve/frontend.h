@@ -3,23 +3,22 @@
 //
 //   request ──► route ──► pending-mutation flush (if any) ──► one
 //   ResponseCache lookup with a stack-built key ──► hit: answered on the
-//   caller's thread, a shared_ptr copy of the precomputed DER, no queue
-//   slot taken.
-//   miss / expired / nonced / multi-cert ──► admission (queue-depth
-//   watermark per shard; 503 + Retry-After when over capacity) ──►
-//   lock-free MPSC enqueue onto the key's shard, carrying a completion
-//   slot ──► shard drain: whichever caller wins the shard's drain lock
-//   becomes the combiner and pops a batch, paying one pending-mutation
-//   flush, one StatusIndex snapshot copy, and one ResponseCache lock for
-//   the whole batch ──► batched re-sign that coalesces same-key misses,
-//   installed epoch-guarded.
+//   caller's thread, a shared_ptr copy of the precomputed DER, no
+//   admission slot taken.
+//   miss / expired / nonced / multi-cert ──► admission (depth watermark
+//   per shard; 503 + Retry-After when over capacity) ──► signed on the
+//   caller's thread:
+//     miss / expired ──► SignMiss: the shard's miss lock, the cache looked
+//       up again (a miss that waited behind one for the same key finds its
+//       entry and counts a hit), then sign from the index record and
+//       install epoch-guarded.
+//     nonced / multi-cert ──► SignDirect: signed per request, no lock,
+//       never cached.
 //
-// There are no dedicated worker threads: the run loop is flat-combining,
-// softirq-style. Combining pays for itself only where there is signing to
-// amortize, so cache hits never enter it. An uncontended miss wins its
-// shard's drain lock immediately and is processed inline; under contention
-// the losing callers' misses queue up and the current combiner drains them
-// as a batch — batching emerges exactly when there is load to amortize.
+// There are no worker threads and no queue: the work of a miss is its
+// signature, and the caller that needs it pays for it. Staple takes the
+// same SignMiss path (without admission), so both entry points share one
+// miss path and its same-key coalescing.
 //
 // The index is fed by Responder mutation observers through a pending
 // buffer that is flushed as one epoch-swap batch, so a burst of
@@ -28,12 +27,11 @@
 // returned before the request started is applied and its cache entry
 // invalidated. Responses are deterministic: signing is a pure function of
 // (record, now), so cache contents are byte-identical no matter which
-// combiner batch-signed them. See docs/serving.md.
+// thread signed them. See docs/serving.md.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -46,19 +44,17 @@
 #include "ocsp/responder.h"
 #include "serve/response_cache.h"
 #include "serve/status_index.h"
-#include "util/mpsc_queue.h"
 #include "util/thread_pool.h"
 
 namespace rev::serve {
 
 struct FrontendOptions {
   std::size_t num_shards = 16;
-  // Admission watermark: maximum queued requests (misses, expired entries,
+  // Admission watermark: maximum requests (misses, expired entries,
   // nonced and multi-cert requests) in flight per shard before the frontend
-  // sheds load. Cache hits are answered on the caller's thread and take no
-  // slot. Also sizes the shard's MPSC ring (rounded up to a power of two),
-  // so an admitted request always finds a free cell. Generous by default;
-  // benches/tests tighten it.
+  // sheds load; a slot is held from admission until the answer. Cache hits
+  // are answered on the caller's thread and take no slot. Generous by
+  // default; benches/tests tighten it.
   std::size_t per_shard_queue = 128;
   // Retry-After hint attached to 503 responses, seconds.
   std::int64_t retry_after_seconds = 2;
@@ -93,9 +89,10 @@ class Frontend {
     bool cache_hit = false;
   };
 
-  // POST form: a DER OCSP request. Thread-safe. A cache hit is answered
-  // on the calling thread; anything else blocks until a combiner (possibly
-  // this thread) has produced the response. A non-null `ctx`
+  // POST form: a DER OCSP request. Thread-safe. Answered on the calling
+  // thread: a cache hit from the cache, anything else signed here after
+  // admission (a miss may first wait on its shard's miss lock). A
+  // non-null `ctx`
   // (the caller's distributed-trace context, usually extracted from the
   // traceparent header by HandleHttp) records a server span for the
   // request and tags the latency histogram bucket with the trace id as an
@@ -126,9 +123,10 @@ class Frontend {
   void AddRoute(std::string path_prefix, net::HttpHandler handler);
 
   // Direct in-process API (OCSP stapling, benches): the precomputed or
-  // freshly signed response DER for one serial. Bypasses admission — the
-  // caller is in-process, not a queued network client. Returns nullptr if
-  // no responder is attached for `issuer_key_hash`.
+  // freshly signed response DER for one serial. A miss takes the same
+  // SignMiss path as Serve but bypasses admission — the caller is
+  // in-process, not a network client. Returns nullptr if no responder is
+  // attached for `issuer_key_hash`.
   std::shared_ptr<const Bytes> Staple(BytesView issuer_key_hash,
                                       const x509::Serial& serial,
                                       util::Timestamp now);
@@ -207,8 +205,6 @@ class Frontend {
  private:
   struct Instruments;
   struct KeyBuffer;
-  struct Op;
-  class CompletionGate;
   struct ShardState;
 
   // Transparent hash/eq so FindResponder can probe the routing table with
@@ -233,11 +229,12 @@ class Frontend {
   ServeResult ServeParsed(const ocsp::OcspRequest& request, util::Timestamp now,
                           const obs::SpanContext* ctx);
   // Common tail of the single-request entry points. The status key is
-  // built inline in the op from the responder's issuer hash and `serial`
+  // built in a stack buffer from the responder's issuer hash and `serial`
   // (no heap key on the hot path). A `cacheable` request whose
   // precomputed response is servable at `now` is answered right here;
-  // everything else goes through admission, enqueue on the key's shard
-  // and the combiner protocol. Records latency from `start` either way.
+  // everything else goes through admission on the key's shard, then
+  // SignMiss (cacheable) or SignDirect. Records latency from `start`
+  // either way.
   // `request` may be null iff `cacheable` (the zero-allocation single-cert
   // fast path never needs the parsed form).
   ServeResult ServeOne(const ocsp::OcspRequest* request,
@@ -250,16 +247,18 @@ class Frontend {
   void RecordServed(std::chrono::steady_clock::time_point start,
                     const obs::SpanContext* traced_ctx, int http_status,
                     util::Timestamp now);
-  // Combiner: pops batches off `shard`'s queue and processes them until the
-  // queue is empty. Caller must hold the shard's drain lock.
-  void DrainShard(std::size_t shard);
-  void ProcessBatch(std::size_t shard, Op** ops, std::size_t count);
-  void ExecuteDirect(Op& op);
-  // Drives the combiner protocol until `gate` reports the op complete:
-  // try-lock and drain `shard`, then briefly timed-wait for another
-  // combiner to finish the op (the timeout covers the rare push-after-drain
-  // window).
-  void RunUntil(CompletionGate& gate, std::size_t shard);
+  // The one miss path (Serve's cacheable misses and Staple's): under
+  // `shard`'s miss lock, looks `key` up again — a hit installed meanwhile
+  // is returned and counted as a hit — otherwise tallies the miss or
+  // expiry, signs from the index record and installs the entry
+  // epoch-guarded when the serial is known.
+  ServeResult SignMiss(const ocsp::Responder& responder, std::size_t shard,
+                       BytesView key, util::Timestamp now);
+  // Nonced or multi-cert request: signed for this request alone, no lock,
+  // never cached.
+  ServeResult SignDirect(const ocsp::OcspRequest& request,
+                         const ocsp::Responder& responder,
+                         util::Timestamp now);
   void EnsurePool();
 
   FrontendOptions options_;
@@ -282,17 +281,16 @@ class Frontend {
   std::vector<StatusIndex::Update> pending_;
   std::atomic<bool> has_pending_{false};
 
-  // Per-shard run-loop state: MPSC ring, drain (combiner) lock, and the
-  // admission depth watermark.
+  // Per-shard state: the miss lock and the admission depth watermark.
   std::vector<std::unique_ptr<ShardState>> shard_states_;
 
   // Batch-signing pool, created on first use; maintenance calls serialized.
   std::mutex maintenance_mu_;
   std::unique_ptr<util::ThreadPool> pool_;
 
-  // Registry instruments ("serve.*{frontend=N}"): sharded counters, the
-  // lock-free latency histogram, and the per-drain batch-size histogram —
-  // the hot path never takes a lock for accounting.
+  // Registry instruments ("serve.*{frontend=N}"): sharded counters and the
+  // lock-free latency histogram — the hot path never takes a lock for
+  // accounting.
   std::string metrics_label_;
   std::unique_ptr<Instruments> metrics_;
 

@@ -37,30 +37,16 @@ ResponseCache::LookupResult ResponseCache::Get(BytesView key,
   return {Outcome::kHit, it->second.der};
 }
 
-void ResponseCache::PeekBatch(const std::vector<BytesView>& keys,
-                              std::vector<Entry>* out) const {
-  out->clear();
-  out->resize(keys.size());
-  if (keys.empty()) return;
-  const Shard& shard = shards_[ShardOf(keys.front())];
-  std::shared_lock lock(shard.mu);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    auto it = shard.map.find(keys[i]);
-    if (it != shard.map.end()) (*out)[i] = it->second;
-  }
-}
-
-void ResponseCache::CountOutcome(Outcome outcome, std::uint64_t n) {
-  if (n == 0) return;
+void ResponseCache::CountOutcome(Outcome outcome) {
   switch (outcome) {
     case Outcome::kHit:
-      hits_.Add(n);
+      hits_.Increment();
       break;
     case Outcome::kMiss:
-      misses_.Add(n);
+      misses_.Increment();
       break;
     case Outcome::kExpired:
-      expired_.Add(n);
+      expired_.Increment();
       break;
   }
 }

@@ -44,36 +44,23 @@ class ResponseCache {
   // view (heterogeneous find), so a caller can build it in a stack buffer.
   // Only a hit is tallied here: a miss or expired outcome is tallied by the
   // caller that resolves it (through CountOutcome), because the serve path
-  // hands those to the combiner, which classifies them again against the
-  // entry it finds — counting here too would count one request twice.
+  // hands those to Frontend::SignMiss, which looks the key up again under
+  // its shard's miss lock — counting here too would count one request
+  // twice.
   //
   // Expiry boundary: `serve_until` is exclusive. A query at exactly
   // `serve_until` — e.g. a revocation scheduled at t, queried at t — must
-  // observe kExpired, never a hit; both Get and PeekBatch callers compare
-  // with `now >= serve_until`, and KeysStaleBy uses `serve_until <=
+  // observe kExpired, never a hit, and KeysStaleBy uses `serve_until <=
   // deadline` so an entry is a refresh candidate at the first instant it
   // can no longer be served.
   LookupResult Get(BytesView key, util::Timestamp now) const;
 
-  // Batched raw lookup for the serve run loop: copies the entry (or leaves
-  // a null-der Entry) for every key under ONE shared-lock acquisition.
-  // Keys are borrowed views (heterogeneous find — no heap key per lookup).
-  // Precondition: all keys map to the same shard — the run loop drains one
-  // shard's queue per iteration and the cache shares the index's shard
-  // function, so this holds by construction. No expiry classification and
-  // no tallying happen here: the caller evaluates `serve_until` against
-  // each request's own `now` and reports the per-request outcomes back
-  // through CountOutcome so the monotonic tallies stay exact.
-  void PeekBatch(const std::vector<BytesView>& keys,
-                 std::vector<Entry>* out) const;
-
-  // Tallies outcomes Get does not: the batched path's hits, misses and
-  // expiries, and the misses/expiries a Get caller resolves itself. Keeps
+  // Tallies the misses and expiries a Get caller resolves itself. Keeps
   // hits()/misses()/expired() strictly monotonic with one tally per
-  // request: a batch-coalesced request — served from the entry the same
-  // batch just signed — counts as a hit, exactly as it would had the
-  // requests arrived one at a time.
-  void CountOutcome(Outcome outcome, std::uint64_t n = 1);
+  // request: a miss that waited behind another for the same key and then
+  // finds its entry counts as a hit, exactly as it would had the requests
+  // arrived one at a time.
+  void CountOutcome(Outcome outcome);
 
   void Put(const StatusKey& key, Entry entry);
   void PutBatch(std::vector<std::pair<StatusKey, Entry>> entries);

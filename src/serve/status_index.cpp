@@ -53,10 +53,6 @@ void StatusIndex::Apply(const std::vector<Update>& updates) {
   epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
-StatusIndex::ShardView StatusIndex::ViewOf(std::size_t shard) const {
-  return ShardView(SnapshotOf(shard));
-}
-
 std::optional<StatusIndex::Record> StatusIndex::Lookup(BytesView key) const {
   const Snapshot snap = SnapshotOf(ShardOf(key));
   auto it = snap->find(key);

@@ -41,7 +41,7 @@ x509::Serial SerialOfKey(BytesView key);
 BytesView IssuerHashOfKey(BytesView key);
 
 // Transparent (C++20 heterogeneous-lookup) hash/eq: the serve hot path
-// probes the index and cache maps with a BytesView over an op's inline key
+// probes the index and cache maps with a BytesView over a stack key
 // buffer, so a lookup never materializes a heap StatusKey.
 struct StatusKeyHash {
   using is_transparent = void;
@@ -82,31 +82,6 @@ class StatusIndex {
   // Point read: the record for `key`, or nullopt. Wait-free apart from a
   // brief shared lock taken to copy the shard's snapshot pointer.
   std::optional<Record> Lookup(BytesView key) const;
-
-  // A pinned per-shard snapshot for batched readers: the serve run loop
-  // acquires one view per drained batch and resolves every key in the batch
-  // against it, paying the shared-lock + shared_ptr copy once instead of
-  // once per request. Keys looked up through a view MUST belong to this
-  // view's shard (the run loop guarantees it: a shard's queue only ever
-  // holds that shard's keys). The view keeps its snapshot alive, so a
-  // concurrent Apply() never invalidates it — it merely becomes one epoch
-  // stale, which the epoch() check at publish time accounts for.
-  class ShardView {
-   public:
-    std::optional<Record> Lookup(BytesView key) const {
-      const auto it = snap_->find(key);
-      if (it == snap_->end()) return std::nullopt;
-      return it->second;
-    }
-
-   private:
-    friend class StatusIndex;
-    using Snapshot = std::shared_ptr<const std::unordered_map<
-        StatusKey, Record, StatusKeyHash, StatusKeyEq>>;
-    explicit ShardView(Snapshot snap) : snap_(std::move(snap)) {}
-    Snapshot snap_;
-  };
-  ShardView ViewOf(std::size_t shard) const;
 
   // All keys currently present, sorted (deterministic rebuild order).
   std::vector<StatusKey> SortedKeys() const;

@@ -7,8 +7,10 @@
 #include "core/archive.h"
 #include "core/ecosystem.h"
 #include "core/pipeline.h"
+#include "crypto/sha256.h"
 #include "ingest_util.h"
 #include "scan/scanner.h"
+#include "util/hex.h"
 
 namespace rev::core {
 namespace {
@@ -136,6 +138,25 @@ TEST_F(ArchiveWorld, CorruptionRejected) {
   tampered[tampered.size() - 1] = 0xFF;
   tampered[tampered.size() - 2] = 0xFF;
   EXPECT_FALSE(ScanArchive::Deserialize(tampered));
+}
+
+TEST_F(ArchiveWorld, WireBytesPinned) {
+  // The serialized bytes of a fixed seeded archive, recorded before
+  // Serialize moved onto util::wire. A snapshot before the epoch pins the
+  // i64 time's two's-complement encoding.
+  ScanArchive archive = BuildArchive(2);
+  scan::CertScanSnapshot pre_epoch;
+  pre_epoch.time = -kDay;
+  archive.AddSnapshot(pre_epoch);
+  const Bytes blob = archive.Serialize();
+  EXPECT_EQ(archive.cert_count(), 843u);
+  EXPECT_EQ(blob.size(), 413374u);
+  const crypto::Sha256Digest digest = crypto::Sha256::Hash(blob);
+  EXPECT_EQ(util::HexEncode(BytesView(digest.data(), digest.size())),
+            "1942bfa060750168c59561100cce921b7e096464c8db8a8349b428206249d01c");
+  auto restored = ScanArchive::Deserialize(blob);
+  ASSERT_TRUE(restored);
+  EXPECT_EQ(restored->Snapshots().back().time, -kDay);
 }
 
 TEST(ScanArchiveEmpty, RoundTrips) {

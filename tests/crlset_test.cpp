@@ -7,6 +7,8 @@
 #include "crlset/crlset.h"
 #include "crlset/gcs.h"
 #include "crlset/generator.h"
+#include "crypto/sha256.h"
+#include "util/hex.h"
 #include "util/rng.h"
 
 namespace rev::crlset {
@@ -116,6 +118,25 @@ TEST(CrlSet, SerializedSizeMatchesSerialize) {
     set.AddBlockedSpki(RandomParent(rng));
     EXPECT_EQ(set.SerializedSize(), set.Serialize().size());
   }
+}
+
+TEST(CrlSet, WireBytesPinned) {
+  // The serialized bytes of a fixed seeded set, recorded before Serialize
+  // moved onto util::wire: the big-endian counts and the length-prefixed
+  // parent, serial and SPKI blobs must stay bit-for-bit.
+  util::Rng rng(4);
+  CrlSet set;
+  set.sequence = 77;
+  for (int p = 0; p < 5; ++p) {
+    const Bytes parent = RandomParent(rng);
+    for (int s = 0; s < 20; ++s) set.AddEntry(parent, RandomSerial(rng, 1 + s));
+  }
+  set.AddBlockedSpki(RandomParent(rng));
+  const Bytes blob = set.Serialize();
+  EXPECT_EQ(blob.size(), 1698u);
+  const crypto::Sha256Digest digest = crypto::Sha256::Hash(blob);
+  EXPECT_EQ(util::HexEncode(BytesView(digest.data(), digest.size())),
+            "f972a78839cefac33eb196aeb0898130c7eae83bad4956032320c013da6fab66");
 }
 
 // ----------------------------------------------------------- generator ----

@@ -978,9 +978,10 @@ TEST(ObsStress, MetricsEndpointsConcurrentWithServe) {
   frontend.AttachResponder(&responder);
   frontend.RebuildAll(kNow);
 
-  // Every fourth request carries a nonce: hits are answered inline, so
-  // only the nonced ones reach the combiner, whose drains write
-  // serve.batch_size and the queue-depth gauges while the scrapes read.
+  // Every fourth request carries a nonce: hits are answered without an
+  // admission slot, so only the nonced ones take one, and each writer's
+  // own thread moves its shard's queue-depth gauge (Add on entry, Sub on
+  // exit) while the scrapes read.
   std::vector<Bytes> bodies;
   for (std::size_t i = 0; i < kCerts; ++i) {
     ocsp::OcspRequest request;
@@ -1055,6 +1056,17 @@ TEST(ObsStress, MetricsEndpointsConcurrentWithServe) {
     }
   }
   EXPECT_TRUE(found);
+
+  // Many threads wrote the depth gauges by Add/Sub: settled, each reads 0.
+  const std::string depth_prefix =
+      "serve.queue_depth{" + frontend.metrics_label() + ",shard=";
+  std::size_t depth_gauges = 0;
+  for (const auto& g : MetricsRegistry::Global().Snapshot().gauges) {
+    if (g.name.rfind(depth_prefix, 0) != 0) continue;
+    ++depth_gauges;
+    EXPECT_EQ(g.value, 0) << g.name;
+  }
+  EXPECT_EQ(depth_gauges, frontend.index().num_shards());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -97,7 +98,7 @@ TEST(ResponseCache, ServeUntilIsExclusive) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-// The combiner's install race, forced deterministically: an entry signed
+// The miss path's install race, forced deterministically: an entry signed
 // from a snapshot pinned at epoch e0 must not land after a flush (index
 // swap to e0+1, then invalidation of the key) has run — it would undo the
 // invalidation and serve the pre-revocation "good".
@@ -118,7 +119,7 @@ TEST(ResponseCache, InstallFromBeforeAnInvalidationIsRefused) {
   };
 
   const std::uint64_t pinned = index.epoch();
-  // The flush lands between the combiner's signing and its install.
+  // The flush lands between the miss path's signing and its install.
   index.Apply({{key, StatusIndex::Record{ocsp::CertStatus::kRevoked, kNow - 10,
                                          x509::ReasonCode::kKeyCompromise}}});
   cache.Invalidate(key);
@@ -630,8 +631,8 @@ TEST_F(FrontendTest, ExactBoundaryNextUpdateIsNeverServed) {
 
 // ---------------------------------------------------- inline cache hits ----
 
-// A cache hit is answered on the caller's thread and never enters the
-// combining queue, so it needs no admission slot; a miss still does.
+// A cache hit is answered on the caller's thread without an admission
+// slot; a miss still needs one.
 TEST(FrontendAdmission, CachedHitIsServedWhileAdmissionIsSaturated) {
   x509::Certificate issuer = MakeIssuerCert("hit-shed-issuer");
   ocsp::Responder responder(issuer, TestKey("hit-shed-issuer"));
@@ -671,7 +672,7 @@ TEST(FrontendAdmission, CachedHitIsServedWhileAdmissionIsSaturated) {
   const Frontend::Counters counters = frontend.counters();
   EXPECT_EQ(counters.cache_hits, 1u);
   EXPECT_EQ(counters.shed, 1u);
-  EXPECT_EQ(counters.cache_misses, 0u);  // shed before the combiner saw it
+  EXPECT_EQ(counters.cache_misses, 0u);  // shed before SignMiss saw it
   frontend.ExitShard(0);
 }
 
@@ -701,7 +702,7 @@ TEST_F(FrontendTest, ExpiredEntryIsCountedOnceAsExpired) {
   const std::uint64_t cache_misses = frontend_.cache().misses();
   const std::uint64_t cache_expired = frontend_.cache().expired();
   // now == serve_until: the inline lookup sees an expired entry and falls
-  // through to the combiner, which re-signs. One request, one tally.
+  // through to SignMiss, which re-signs. One request, one tally.
   const auto at_boundary = Post(x509::Serial{0x64}, next_update);
   EXPECT_FALSE(at_boundary.cache_hit);
   EXPECT_EQ(StatusOf(at_boundary), ocsp::CertStatus::kGood);
@@ -936,12 +937,16 @@ TEST(ServeStress, RebuildNeverReinstallsGoodAfterRevocation) {
 // identical counter totals. A second phase queries a serial revoked at `t`
 // at exactly `t` from every thread at once: its cached "good" is clamped to
 // `t`, so each request must answer revoked, and the concurrent same-key
-// misses coalesce in the combiner into one signature. The 8-thread variant
-// is a ci.sh TSan target.
+// misses coalesce under the shard's miss lock into one signature. A third
+// phase has every thread Staple one serial no request touched: Staple takes
+// the same miss path, so it too signs once and hits for the rest. The
+// 8-thread variant is a ci.sh TSan target.
 class ServeEquivalence : public ::testing::Test {
  protected:
   static constexpr int kSerials = 20;
   static constexpr std::uint8_t kBoundarySerial = kSerials + 1;
+  static constexpr std::uint8_t kStapleSerial = kSerials + 2;
+  static constexpr int kStaples = 8;
   static constexpr util::Timestamp kRevokedAt = kNow + 777;
 
   void SeedResponder(ocsp::Responder& responder) {
@@ -955,6 +960,7 @@ class ServeEquivalence : public ::testing::Test {
     responder.AddCertificate(x509::Serial{kBoundarySerial});
     responder.Revoke(x509::Serial{kBoundarySerial}, kRevokedAt,
                      x509::ReasonCode::kKeyCompromise);
+    responder.AddCertificate(x509::Serial{kStapleSerial});
   }
 
   static Bytes Encode(const x509::Certificate& issuer, std::uint8_t serial) {
@@ -1025,6 +1031,34 @@ class ServeEquivalence : public ::testing::Test {
     return bodies;
   }
 
+  // Staples kStapleSerial kStaples times at kNow from `threads` clients
+  // released together, and checks the counters moved by exactly one miss
+  // and one signature, the rest hits.
+  static std::vector<std::shared_ptr<const Bytes>> StapleAll(
+      Frontend& frontend, const ocsp::Responder& responder, int threads) {
+    const Frontend::Counters before = frontend.counters();
+    std::vector<std::shared_ptr<const Bytes>> bodies(kStaples);
+    const int stride = (kStaples + threads - 1) / threads;
+    std::latch start(threads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (int i = t * stride; i < std::min(kStaples, (t + 1) * stride); ++i)
+          bodies[i] = frontend.Staple(responder.issuer_key_hash(),
+                                      x509::Serial{kStapleSerial}, kNow);
+      });
+    }
+    for (auto& worker : workers) worker.join();
+    const Frontend::Counters after = frontend.counters();
+    EXPECT_EQ(after.cache_misses - before.cache_misses, 1u) << threads;
+    EXPECT_EQ(after.signed_on_demand - before.signed_on_demand, 1u)
+        << threads;
+    EXPECT_EQ(after.cache_hits - before.cache_hits, kStaples - 1u) << threads;
+    EXPECT_EQ(after.cache_expired, before.cache_expired) << threads;
+    return bodies;
+  }
+
   void RunAtThreadCount(int threads) {
     const x509::Certificate issuer = MakeIssuerCert("equiv-issuer");
     const x509::Certificate foreign = MakeIssuerCert("equiv-foreign");
@@ -1057,6 +1091,17 @@ class ServeEquivalence : public ::testing::Test {
     for (auto& body : ServeAll(f_got, boundary, kRevokedAt, threads))
       got.push_back(std::move(body));
     requests.insert(requests.end(), boundary.begin(), boundary.end());
+
+    const std::vector<std::shared_ptr<const Bytes>> staples_want =
+        StapleAll(f_want, r_want, 1);
+    const std::vector<std::shared_ptr<const Bytes>> staples_got =
+        StapleAll(f_got, r_got, threads);
+    for (int i = 0; i < kStaples; ++i) {
+      ASSERT_TRUE(staples_want[i]) << "1-thread staple " << i;
+      ASSERT_TRUE(staples_got[i]) << threads << "-thread staple " << i;
+      EXPECT_EQ(*staples_want[i], *staples_want.front()) << "staple " << i;
+      EXPECT_EQ(*staples_got[i], *staples_want.front()) << "staple " << i;
+    }
 
     for (std::size_t i = 0; i < requests.size(); ++i) {
       ASSERT_TRUE(want[i]) << "1-thread index " << i;

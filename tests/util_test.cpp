@@ -11,7 +11,6 @@
 
 #include "util/hash.h"
 #include "util/hex.h"
-#include "util/mpsc_queue.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -465,108 +464,6 @@ TEST(ThreadPool, ReusableAcrossBatches) {
   for (int batch = 0; batch < 50; ++batch)
     pool.ParallelFor(100, [&](std::size_t i) { sum += i; });
   EXPECT_EQ(sum.load(), 50u * (99u * 100u / 2u));
-}
-
-// ---------------------------------------------------------- mpsc queue ----
-
-TEST(MpscQueue, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(MpscQueue<int>(1).capacity(), 2u);
-  EXPECT_EQ(MpscQueue<int>(2).capacity(), 2u);
-  EXPECT_EQ(MpscQueue<int>(3).capacity(), 4u);
-  EXPECT_EQ(MpscQueue<int>(128).capacity(), 128u);
-  EXPECT_EQ(MpscQueue<int>(129).capacity(), 256u);
-}
-
-TEST(MpscQueue, FifoWithinAndAcrossBatches) {
-  MpscQueue<int> queue(8);
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(queue.TryPush(i));
-
-  int out[8];
-  ASSERT_EQ(queue.PopBatch(out, 4), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i], i);
-  ASSERT_EQ(queue.PopBatch(out, 8), 2u);
-  EXPECT_EQ(out[0], 4);
-  EXPECT_EQ(out[1], 5);
-  EXPECT_EQ(queue.PopBatch(out, 8), 0u);
-}
-
-TEST(MpscQueue, FullRingRejectsWithoutBlocking) {
-  MpscQueue<int> queue(4);
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(queue.TryPush(i));
-  EXPECT_FALSE(queue.TryPush(99));
-  EXPECT_EQ(queue.SizeApprox(), 4u);
-
-  // Draining frees the cells for the next lap.
-  int out[4];
-  ASSERT_EQ(queue.PopBatch(out, 2), 2u);
-  EXPECT_TRUE(queue.TryPush(100));
-  EXPECT_TRUE(queue.TryPush(101));
-  EXPECT_FALSE(queue.TryPush(102));
-  ASSERT_EQ(queue.PopBatch(out, 4), 4u);
-  EXPECT_EQ(out[0], 2);
-  EXPECT_EQ(out[1], 3);
-  EXPECT_EQ(out[2], 100);
-  EXPECT_EQ(out[3], 101);
-}
-
-TEST(MpscQueue, PopBatchHonorsCap) {
-  MpscQueue<int> queue(16);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(queue.TryPush(i));
-  int out[16];
-  EXPECT_EQ(queue.PopBatch(out, 3), 3u);
-  EXPECT_EQ(queue.PopBatch(out, 3), 3u);
-  EXPECT_EQ(queue.PopBatch(out, 16), 4u);
-}
-
-// Many producer threads race pushes while one consumer drains in batches:
-// every accepted value must come out exactly once, and each producer's own
-// values in its submission order (per-producer FIFO). Run under TSan via
-// the ci.sh sanitizer pass.
-TEST(MpscQueue, ConcurrentProducersLoseNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 5000;
-  MpscQueue<int> queue(64);
-  std::atomic<int> accepted{0};
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const int value = p * kPerProducer + i;
-        while (!queue.TryPush(value)) std::this_thread::yield();
-        accepted.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  std::vector<int> drained;
-  drained.reserve(kProducers * kPerProducer);
-  int out[64];
-  while (drained.size() <
-         static_cast<std::size_t>(kProducers) * kPerProducer) {
-    const std::size_t n = queue.PopBatch(out, 64);
-    if (n == 0) {
-      std::this_thread::yield();
-      continue;
-    }
-    drained.insert(drained.end(), out, out + n);
-  }
-  for (auto& producer : producers) producer.join();
-
-  ASSERT_EQ(drained.size(),
-            static_cast<std::size_t>(kProducers) * kPerProducer);
-  EXPECT_EQ(queue.PopBatch(out, 64), 0u);
-
-  // Exactly-once delivery, and order preserved within each producer.
-  std::vector<int> last(kProducers, -1);
-  std::vector<bool> seen(kProducers * kPerProducer, false);
-  for (const int value : drained) {
-    ASSERT_FALSE(seen[value]) << "duplicate " << value;
-    seen[value] = true;
-    const int producer = value / kPerProducer;
-    EXPECT_GT(value, last[producer]) << "reordered within producer";
-    last[producer] = value;
-  }
 }
 
 }  // namespace
