@@ -226,7 +226,7 @@ int Main() {
                       .c_str());
       const cascade::Fleet::Totals before = fleet.totals();
       fleet.StepTo(at + util::kSecondsPerDay);
-      const cascade::Fleet::Totals& after = fleet.totals();
+      const cascade::Fleet::Totals after = fleet.totals();
       const std::uint64_t day_polls = after.polls - before.polls;
       const std::uint64_t day_failed =
           after.failed_polls - before.failed_polls;
@@ -234,7 +234,7 @@ int Main() {
     }
   }
 
-  const cascade::Fleet::Totals& totals = fleet.totals();
+  const cascade::Fleet::Totals totals = fleet.totals();
   const cascade::Publisher::Counters served = publisher.counters();
   const util::Distribution& staleness = fleet.staleness();
   const util::Distribution& windows = fleet.vulnerability_windows();

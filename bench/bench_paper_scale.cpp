@@ -10,9 +10,10 @@
 // synthesizes the leaf population directly with x509::SignCertificate,
 // streaming every observation into the pipeline scan by scan:
 //
-//   scan s: re-observe alive rows (Pipeline::ObserveRows replay fast path),
-//           then synthesize the certs first advertised in scan s and
-//           stream their DER through Pipeline::ObserveDer.
+//   scan s: replay the chains still alive through Pipeline::ObserveDer
+//           over their corpus DER (each element a FindDer hit: no parse,
+//           no intern), then synthesize the certs first advertised in
+//           scan s and stream their DER through Pipeline::ObserveDer.
 //
 // Revocations are written straight into a RevocationDb during synthesis and
 // per-shard CRL tallies become the CrlSizeSample set, so ComputeTable1,
@@ -332,12 +333,16 @@ int main() {
       pipeline.BeginScan(now);
       std::uint64_t observed = 0, with_revinfo = 0, chained = 0;
 
-      // Replay fast path: certs advertised in earlier scans and still alive.
+      // Replay: certs advertised in earlier scans and still alive. The
+      // views point into the corpus arena, which a FindDer hit leaves
+      // untouched.
       std::size_t kept = 0;
+      const core::CertCorpus& corpus = pipeline.corpus();
       for (const AliveEntry& entry : alive) {
         if (entry.death_scan < s) continue;
-        const core::CertCorpus::Row rows[2] = {entry.row, entry.ca_row};
-        pipeline.ObserveRows(rows);
+        const BytesView chain[2] = {corpus.der(entry.row),
+                                    corpus.der(entry.ca_row)};
+        pipeline.ObserveDer(chain);
         ++observed;
         with_revinfo += entry.has_revinfo;
         chained += entry.chains_to_root;

@@ -7,23 +7,22 @@
 namespace rev::cascade {
 
 struct Fleet::Instruments {
-  explicit Instruments(const std::string& label)
-      : polls(Get("client.polls", label)),
-        poll_failures(Get("client.poll_failures", label)),
-        retries(Get("client.retries", label)),
-        bytes_downloaded(Get("client.bytes_downloaded", label)),
-        delta_updates(Get("client.delta_updates", label)),
-        snapshot_updates(Get("client.snapshot_updates", label)),
-        wrong_answers(Get("client.wrong_answers", label)),
-        staleness_seconds(obs::MetricsRegistry::Global().GetHistogram(
-            "client.staleness_seconds{" + label + "}")),
-        window_seconds(obs::MetricsRegistry::Global().GetHistogram(
-            "client.vuln_window_seconds{" + label + "}")) {}
-
-  static obs::Counter& Get(const char* name, const std::string& label) {
-    return obs::MetricsRegistry::Global().GetCounter(std::string(name) + "{" +
-                                                     label + "}");
-  }
+  explicit Instruments(
+      std::string_view label,
+      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global())
+      : polls(registry.GetCounter("client.polls", label)),
+        poll_failures(registry.GetCounter("client.poll_failures", label)),
+        retries(registry.GetCounter("client.retries", label)),
+        bytes_downloaded(registry.GetCounter("client.bytes_downloaded", label)),
+        delta_updates(registry.GetCounter("client.delta_updates", label)),
+        snapshot_updates(registry.GetCounter("client.snapshot_updates", label)),
+        up_to_date_polls(registry.GetCounter("client.up_to_date_polls", label)),
+        wrong_answers(registry.GetCounter("client.wrong_answers", label)),
+        verified_lookups(registry.GetCounter("client.verified_lookups", label)),
+        staleness_seconds(
+            registry.GetHistogram("client.staleness_seconds", label)),
+        window_seconds(
+            registry.GetHistogram("client.vuln_window_seconds", label)) {}
 
   obs::Counter& polls;
   obs::Counter& poll_failures;
@@ -31,7 +30,9 @@ struct Fleet::Instruments {
   obs::Counter& bytes_downloaded;
   obs::Counter& delta_updates;
   obs::Counter& snapshot_updates;
+  obs::Counter& up_to_date_polls;
   obs::Counter& wrong_answers;
+  obs::Counter& verified_lookups;
   obs::Histogram& staleness_seconds;
   obs::Histogram& window_seconds;
 };
@@ -62,6 +63,20 @@ Fleet::Fleet(net::SimNet* net, Publisher* publisher, FleetOptions options)
 
 Fleet::~Fleet() = default;
 
+Fleet::Totals Fleet::totals() const {
+  Totals out;
+  out.polls = metrics_->polls.Value();
+  out.failed_polls = metrics_->poll_failures.Value();
+  out.retries = metrics_->retries.Value();
+  out.delta_updates = metrics_->delta_updates.Value();
+  out.snapshot_updates = metrics_->snapshot_updates.Value();
+  out.up_to_date_polls = metrics_->up_to_date_polls.Value();
+  out.bytes_downloaded = metrics_->bytes_downloaded.Value();
+  out.wrong_answers = metrics_->wrong_answers.Value();
+  out.verified_lookups = metrics_->verified_lookups.Value();
+  return out;
+}
+
 void Fleet::StepTo(util::Timestamp now) {
   if (!started_) {
     // First call primes the fleet: every client's first poll lands at a
@@ -86,7 +101,6 @@ void Fleet::StepTo(util::Timestamp now) {
 }
 
 void Fleet::Poll(Client& client, util::Timestamp now) {
-  totals_.polls++;
   metrics_->polls.Increment();
 
   // Per-client jitter stream: decorrelates backoff across the fleet.
@@ -101,13 +115,10 @@ void Fleet::Poll(Client& client, util::Timestamp now) {
         return UpdateResponse::Deserialize(response.body).has_value();
       });
 
-  totals_.retries += static_cast<std::uint64_t>(result.attempts - 1);
   metrics_->retries.Add(static_cast<std::uint64_t>(result.attempts - 1));
-  totals_.bytes_downloaded += result.total_bytes;
   metrics_->bytes_downloaded.Add(result.total_bytes);
 
   if (!result.ok()) {
-    totals_.failed_polls++;
     metrics_->poll_failures.Increment();
     return;  // client rides on its stale state until the next cadence tick
   }
@@ -115,7 +126,6 @@ void Fleet::Poll(Client& client, util::Timestamp now) {
   const util::Timestamp applied_at = result.finished_at;
   auto update = UpdateResponse::Deserialize(result.fetch.response.body);
   if (!update) {  // validator admitted it; cannot happen, but fail closed
-    totals_.failed_polls++;
     metrics_->poll_failures.Increment();
     return;
   }
@@ -123,7 +133,7 @@ void Fleet::Poll(Client& client, util::Timestamp now) {
   const std::uint64_t old_sequence = client.state.sequence();
   switch (update->kind) {
     case UpdateResponse::Kind::kUpToDate:
-      totals_.up_to_date_polls++;
+      metrics_->up_to_date_polls.Increment();
       break;
     case UpdateResponse::Kind::kDeltas: {
       bool applied = true;
@@ -134,18 +144,15 @@ void Fleet::Poll(Client& client, util::Timestamp now) {
         }
       }
       if (!applied) {
-        totals_.failed_polls++;
         metrics_->poll_failures.Increment();
         return;
       }
-      totals_.delta_updates++;
       metrics_->delta_updates.Increment();
       break;
     }
     case UpdateResponse::Kind::kSnapshot: {
       auto cascade = FilterCascade::Deserialize(update->snapshot);
       if (!cascade) {
-        totals_.failed_polls++;
         metrics_->poll_failures.Increment();
         return;
       }
@@ -160,7 +167,6 @@ void Fleet::Poll(Client& client, util::Timestamp now) {
         cached_snapshot_sequence_ = cached_snapshot_->sequence;
       }
       client.state.ResetTo(cached_snapshot_);
-      totals_.snapshot_updates++;
       metrics_->snapshot_updates.Increment();
       break;
     }
@@ -211,22 +217,16 @@ void Fleet::Verify(const Client& client, util::Timestamp /*now*/) {
   for (std::size_t i = 0; i < options_.verify_samples; ++i) {
     const Bytes& key = (*universe)[rng.NextBelow(universe->size())];
     const bool truth = revoked->contains(key);
-    const bool answer = client.state.IsRevoked(key);
-    totals_.verified_lookups++;
-    if (answer != truth) {
-      totals_.wrong_answers++;
+    metrics_->verified_lookups.Increment();
+    if (client.state.IsRevoked(key) != truth)
       metrics_->wrong_answers.Increment();
-    }
   }
   // Revoked side: catches missed revocations (no false negatives).
   if (!revoked_list->empty()) {
     for (std::size_t i = 0; i < options_.verify_samples; ++i) {
       const Bytes& key = (*revoked_list)[rng.NextBelow(revoked_list->size())];
-      totals_.verified_lookups++;
-      if (!client.state.IsRevoked(key)) {
-        totals_.wrong_answers++;
-        metrics_->wrong_answers.Increment();
-      }
+      metrics_->verified_lookups.Increment();
+      if (!client.state.IsRevoked(key)) metrics_->wrong_answers.Increment();
     }
   }
 }

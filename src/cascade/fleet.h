@@ -71,6 +71,8 @@ class Fleet {
   // timestamps, interleaved with Publisher::Publish for the daily builds.
   void StepTo(util::Timestamp now);
 
+  // A value snapshot of this fleet's `client.*{fleet=N}` counters, the one
+  // tally of each poll outcome.
   struct Totals {
     std::uint64_t polls = 0;
     std::uint64_t failed_polls = 0;   // retries exhausted; client stays stale
@@ -82,7 +84,7 @@ class Fleet {
     std::uint64_t wrong_answers = 0;     // ground-truth mismatches (must be 0)
     std::uint64_t verified_lookups = 0;
   };
-  const Totals& totals() const { return totals_; }
+  Totals totals() const;
 
   // Staleness (now - publish time of the client's sequence) sampled at
   // every completed poll, seconds.
@@ -120,7 +122,7 @@ class Fleet {
   std::uint64_t cached_snapshot_sequence_ = 0;
   std::shared_ptr<const FilterCascade> cached_snapshot_;
 
-  Totals totals_;
+  // Exact CDF samples for the bench (the histograms only bucket them).
   util::Distribution staleness_;
   util::Distribution windows_;
 

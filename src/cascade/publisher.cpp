@@ -10,22 +10,18 @@
 namespace rev::cascade {
 
 struct Publisher::Instruments {
-  explicit Instruments(const std::string& label)
-      : builds(Get("cascade.builds", label)),
-        snapshot_serves(Get("cascade.snapshot_serves", label)),
-        delta_serves(Get("cascade.delta_serves", label)),
-        up_to_date_serves(Get("cascade.up_to_date_serves", label)),
-        bytes_served(Get("cascade.bytes_served", label)),
-        delta_bytes(Get("cascade.delta_bytes", label)),
-        levels(obs::MetricsRegistry::Global().GetGauge("cascade.levels{" +
-                                                       label + "}")),
-        bytes(obs::MetricsRegistry::Global().GetGauge("cascade.bytes{" + label +
-                                                      "}")) {}
-
-  static obs::Counter& Get(const char* name, const std::string& label) {
-    return obs::MetricsRegistry::Global().GetCounter(std::string(name) + "{" +
-                                                     label + "}");
-  }
+  explicit Instruments(
+      std::string_view label,
+      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global())
+      : builds(registry.GetCounter("cascade.builds", label)),
+        snapshot_serves(registry.GetCounter("cascade.snapshot_serves", label)),
+        delta_serves(registry.GetCounter("cascade.delta_serves", label)),
+        up_to_date_serves(
+            registry.GetCounter("cascade.up_to_date_serves", label)),
+        bytes_served(registry.GetCounter("cascade.bytes_served", label)),
+        delta_bytes(registry.GetCounter("cascade.delta_bytes", label)),
+        levels(registry.GetGauge("cascade.levels", label)),
+        bytes(registry.GetGauge("cascade.bytes", label)) {}
 
   obs::Counter& builds;
   obs::Counter& snapshot_serves;

@@ -9,43 +9,33 @@
 
 namespace rev::core {
 
-namespace {
+// Per-crawler instruments, labelled "crawler=N" (docs/observability.md):
+// the one tally behind bytes_downloaded(), fetch_failures(), retries() and
+// stale_served(), plus a latency histogram over the *real* wall time of
+// each fetch+parse (the simulated network cost stays in seconds_spent()).
+struct RevocationCrawler::Instruments {
+  explicit Instruments(
+      std::string_view label,
+      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global())
+      : fetch_ok(registry.GetCounter("crawl.fetch_ok", label)),
+        fetch_fail(registry.GetCounter("crawl.fetch_fail", label)),
+        bytes_downloaded(registry.GetCounter("crawl.bytes_downloaded", label)),
+        revocations(
+            registry.GetCounter("crawl.revocations_discovered", label)),
+        ocsp_queries(registry.GetCounter("crawl.ocsp_queries", label)),
+        retries(registry.GetCounter("crawl.retries", label)),
+        stale_served(registry.GetCounter("crawl.stale_served", label)),
+        fetch_ns(registry.GetHistogram("crawl.fetch_ns", label)) {}
 
-// Crawler-wide instruments (docs/observability.md): fetch outcome counters
-// plus a latency histogram over the *real* wall time of each fetch+parse
-// (the simulated network cost stays in seconds_spent()). Aggregated across
-// crawler instances; the per-instance accessors remain exact.
-struct CrawlMetrics {
   obs::Counter& fetch_ok;
   obs::Counter& fetch_fail;
-  obs::Counter& cache_hits;
   obs::Counter& bytes_downloaded;
   obs::Counter& revocations;
   obs::Counter& ocsp_queries;
   obs::Counter& retries;
   obs::Counter& stale_served;
   obs::Histogram& fetch_ns;
-
-  static CrawlMetrics& Get() {
-    static CrawlMetrics* metrics = [] {
-      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-      return new CrawlMetrics{
-          registry.GetCounter("crawl.fetch_ok"),
-          registry.GetCounter("crawl.fetch_fail"),
-          registry.GetCounter("crawl.cache_hits"),
-          registry.GetCounter("crawl.bytes_downloaded"),
-          registry.GetCounter("crawl.revocations_discovered"),
-          registry.GetCounter("crawl.ocsp_queries"),
-          registry.GetCounter("crawl.retries"),
-          registry.GetCounter("crawl.stale_served"),
-          registry.GetHistogram("crawl.fetch_ns"),
-      };
-    }();
-    return *metrics;
-  }
 };
-
-}  // namespace
 
 net::RetryPolicy RevocationCrawler::DefaultRetryPolicy() {
   // A daily crawl can afford to wait out a 5xx burst or a flap: four
@@ -61,7 +51,29 @@ net::RetryPolicy RevocationCrawler::DefaultRetryPolicy() {
 }
 
 RevocationCrawler::RevocationCrawler(net::SimNet* net, unsigned threads)
-    : net_(net), client_(net), threads_(threads) {}
+    : net_(net),
+      client_(net),
+      threads_(threads),
+      metrics_(std::make_unique<Instruments>(
+          "crawler=" + std::to_string(obs::NextInstanceId()))) {}
+
+RevocationCrawler::~RevocationCrawler() = default;
+
+std::uint64_t RevocationCrawler::bytes_downloaded() const {
+  return metrics_->bytes_downloaded.Value();
+}
+
+std::uint64_t RevocationCrawler::fetch_failures() const {
+  return metrics_->fetch_fail.Value();
+}
+
+std::uint64_t RevocationCrawler::retries() const {
+  return metrics_->retries.Value();
+}
+
+std::uint64_t RevocationCrawler::stale_served() const {
+  return metrics_->stale_served.Value();
+}
 
 void RevocationCrawler::set_threads(unsigned threads) {
   threads_ = threads;
@@ -114,7 +126,7 @@ std::size_t RevocationCrawler::CrawlAll(util::Timestamp now) {
                              });
     if (out.result.fetch.ok())
       out.parsed = crl::ParseCrl(out.result.fetch.response.body);
-    CrawlMetrics::Get().fetch_ns.RecordSeconds(
+    metrics_->fetch_ns.RecordSeconds(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       fetch_start)
             .count());
@@ -125,22 +137,18 @@ std::size_t RevocationCrawler::CrawlAll(util::Timestamp now) {
   // seconds sum) and revocation-DB insertion are byte-identical to the
   // serial run at any thread count.
   std::size_t new_entries = 0;
-  CrawlMetrics& metrics = CrawlMetrics::Get();
+  Instruments& metrics = *metrics_;
   for (std::size_t i = 0; i < urls.size(); ++i) {
     const std::string& url = urls[i];
     Outcome& out = outcomes[i];
     seconds_spent_ += out.result.fetch.elapsed_seconds;
-    if (out.result.attempts > 1) {
-      const auto extra = static_cast<std::uint64_t>(out.result.attempts - 1);
-      retries_ += extra;
-      metrics.retries.Add(extra);
-    }
+    if (out.result.attempts > 1)
+      metrics.retries.Add(static_cast<std::uint64_t>(out.result.attempts - 1));
     if (!out.result.fetch.ok() || !out.parsed) {
       // Exhausted retries (or an unparseable body that survived them):
       // count the failure, and if a previous crawl produced a snapshot,
       // keep serving it marked stale — revocations already learned must
       // not vanish because an endpoint is having a bad day.
-      ++fetch_failures_;
       metrics.fetch_fail.Increment();
       ++url_failures_[url];
       auto stale_it = crawled_.find(url);
@@ -149,17 +157,12 @@ std::size_t RevocationCrawler::CrawlAll(util::Timestamp now) {
         ++stale_it->second.stale_crawls;
         stale_it->second.stale_age_seconds =
             now - stale_it->second.last_good_fetch;
-        ++stale_served_;
         metrics.stale_served.Increment();
       }
       continue;
     }
-    if (out.result.from_cache) {
-      metrics.cache_hits.Increment();
-    } else {
-      bytes_downloaded_ += out.result.fetch.response.body.size();
+    if (!out.result.from_cache)
       metrics.bytes_downloaded.Add(out.result.fetch.response.body.size());
-    }
 
     metrics.fetch_ok.Increment();
     crl::Crl& parsed = *out.parsed;
@@ -198,7 +201,7 @@ std::optional<ocsp::CertStatus> RevocationCrawler::QueryOcsp(
   obs::Span span("crawl.ocsp_query");
   for (const std::string& url : cert.tbs.ocsp_urls) {
     if (!net::IsFetchable(url)) continue;
-    CrawlMetrics::Get().ocsp_queries.Increment();
+    metrics_->ocsp_queries.Increment();
     ocsp::OcspRequest request;
     request.cert_ids = {ocsp::MakeCertId(issuer, cert.tbs.serial)};
     const net::RetryResult retried = net::PostWithRetry(
@@ -207,18 +210,15 @@ std::optional<ocsp::CertStatus> RevocationCrawler::QueryOcsp(
           return ocsp::ParseOcspResponse(response.body).has_value();
         });
     seconds_spent_ += retried.total_elapsed_seconds;
-    if (retried.attempts > 1) {
-      const auto extra = static_cast<std::uint64_t>(retried.attempts - 1);
-      retries_ += extra;
-      CrawlMetrics::Get().retries.Add(extra);
-    }
+    if (retried.attempts > 1)
+      metrics_->retries.Add(static_cast<std::uint64_t>(retried.attempts - 1));
     const net::FetchResult& fetch = retried.fetch;
     if (!fetch.ok()) {
-      ++fetch_failures_;
+      metrics_->fetch_fail.Increment();
       ++url_failures_[url];
       continue;
     }
-    bytes_downloaded_ += fetch.response.body.size();
+    metrics_->bytes_downloaded.Add(fetch.response.body.size());
     auto response = ocsp::ParseOcspResponse(fetch.response.body);
     if (!response || response->status != ocsp::ResponseStatus::kSuccessful)
       continue;

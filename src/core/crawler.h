@@ -53,6 +53,7 @@ class RevocationCrawler {
   // `threads` sizes the CrawlAll() fan-out: 0 = hardware concurrency,
   // 1 = the exact serial path.
   explicit RevocationCrawler(net::SimNet* net, unsigned threads = 0);
+  ~RevocationCrawler();  // out of line: Instruments is incomplete here
 
   // Registers the CRL URLs of every certificate in the pipeline's Leaf and
   // Intermediate sets. Call once after Pipeline::Finalize().
@@ -88,12 +89,13 @@ class RevocationCrawler {
   // (the paper finds the vast majority carry no reason code at all).
   std::map<x509::ReasonCode, std::size_t> ReasonCodeHistogram() const;
 
-  // Bandwidth/latency spent crawling (§5.2 cost analysis). These are
-  // *simulated* network costs and are merged deterministically, so they
-  // match the serial run bit for bit.
-  std::uint64_t bytes_downloaded() const { return bytes_downloaded_; }
+  // Bandwidth/latency spent crawling (§5.2 cost analysis), CRL and OCSP
+  // exchanges alike. These are *simulated* network costs and are merged
+  // deterministically, so they match the serial run bit for bit. The
+  // counts read this crawler's `crawl.*{crawler=N}` instruments.
+  std::uint64_t bytes_downloaded() const;
   double seconds_spent() const { return seconds_spent_; }
-  std::uint64_t fetch_failures() const { return fetch_failures_; }
+  std::uint64_t fetch_failures() const;
 
   // Resilience (docs/fault-injection.md): retry policy applied to every
   // CRL/OCSP exchange. Change it before crawling; the default retries
@@ -109,8 +111,8 @@ class RevocationCrawler {
   // `stale_served()` counts crawls where a URL fell back to its last good
   // snapshot; `url_failures()` is the per-URL failed-crawl series
   // (including URLs that never produced a snapshot at all).
-  std::uint64_t retries() const { return retries_; }
-  std::uint64_t stale_served() const { return stale_served_; }
+  std::uint64_t retries() const;
+  std::uint64_t stale_served() const;
   const std::map<std::string, std::uint64_t>& url_failures() const {
     return url_failures_;
   }
@@ -130,14 +132,13 @@ class RevocationCrawler {
   std::set<std::string> urls_;
   std::map<std::string, CrawledCrl> crawled_;
   RevocationDb db_;
-  std::uint64_t bytes_downloaded_ = 0;
   double seconds_spent_ = 0;
-  std::uint64_t fetch_failures_ = 0;
   double crawl_wall_seconds_ = 0;
   net::RetryPolicy retry_policy_ = DefaultRetryPolicy();
-  std::uint64_t retries_ = 0;
-  std::uint64_t stale_served_ = 0;
   std::map<std::string, std::uint64_t> url_failures_;
+
+  struct Instruments;
+  std::unique_ptr<Instruments> metrics_;
 
   static net::RetryPolicy DefaultRetryPolicy();
 };

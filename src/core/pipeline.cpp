@@ -97,18 +97,6 @@ std::optional<CertCorpus::Row> Pipeline::ObserveDer(
   return leaf_row;
 }
 
-void Pipeline::ObserveRows(std::span<const CertCorpus::Row> chain) {
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    const CertCorpus::Row row = chain[i];
-    if (row == CertCorpus::kNoRow) continue;
-    corpus_.FoldSeen(row, scan_time_);
-    if (i == 0) {
-      corpus_.AddLeafObservation(row);
-      if (scan_in_latest_) corpus_.MarkInLatestScan(row);
-    }
-  }
-}
-
 void Pipeline::EndScan() {}
 
 void Pipeline::Finalize() {

@@ -45,11 +45,10 @@ class Pipeline {
   // deduplicated by their bytes first (CertCorpus::FindDer), so a
   // re-sighted certificate costs one word-wise hash and a memcmp; only DER
   // the corpus does not hold is parsed (once) and SHA-256 fingerprinted.
-  // This is the path fuzzed in tests/fuzz_test.cpp.
+  // This is the one ingest path, fuzzed in tests/fuzz_test.cpp; a replay
+  // of chains already in the corpus passes their corpus().der(row) views,
+  // each a FindDer hit that neither parses nor interns.
   std::optional<CertCorpus::Row> ObserveDer(std::span<const BytesView> chain);
-  // Replay fast path for chains already interned (bench_paper_scale): folds
-  // lifetime/observation columns only.
-  void ObserveRows(std::span<const CertCorpus::Row> chain);
   void EndScan();
 
   // Builds the Intermediate Set and validates all leaves. Call after the

@@ -8,23 +8,18 @@
 
 namespace rev::fleet {
 
-namespace {
-
-obs::Counter& MonitorCounter(const char* metric, const std::string& label) {
-  return obs::MetricsRegistry::Global().GetCounter(
-      std::string("fleet.health.") + metric + "{monitor=" + label + "}");
-}
-
-}  // namespace
-
 HealthMonitor::HealthMonitor(HashRing* ring, HealthOptions options)
     : ring_(ring),
       options_(options),
-      metrics_label_(std::to_string(obs::NextInstanceId())),
-      probes_(MonitorCounter("probes", metrics_label_)),
-      probe_failures_(MonitorCounter("probe_failures", metrics_label_)),
-      marked_down_(MonitorCounter("marked_down", metrics_label_)),
-      marked_up_(MonitorCounter("marked_up", metrics_label_)) {
+      metrics_label_("monitor=" + std::to_string(obs::NextInstanceId())),
+      probes_(obs::MetricsRegistry::Global().GetCounter("fleet.health.probes",
+                                                        metrics_label_)),
+      probe_failures_(obs::MetricsRegistry::Global().GetCounter(
+          "fleet.health.probe_failures", metrics_label_)),
+      marked_down_(obs::MetricsRegistry::Global().GetCounter(
+          "fleet.health.marked_down", metrics_label_)),
+      marked_up_(obs::MetricsRegistry::Global().GetCounter(
+          "fleet.health.marked_up", metrics_label_)) {
   if (options_.down_after < 1) options_.down_after = 1;
   if (options_.up_after < 1) options_.up_after = 1;
 }

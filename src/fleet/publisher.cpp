@@ -11,11 +11,6 @@ namespace rev::fleet {
 
 namespace {
 
-std::string PublisherMetric(const char* metric, const std::string& label) {
-  return std::string("fleet.publisher.") + metric + "{publisher=" + label +
-         "}";
-}
-
 // Span-id salt for per-replica push legs; combined with a per-publish leg
 // counter so the snapshot and response pushes to every replica get
 // distinct span ids under one "fleet.publish" root.
@@ -26,15 +21,15 @@ constexpr std::uint64_t kPushSalt = 0x9B1D5EEDull;
 Publisher::Publisher(serve::Frontend* authority, PublisherOptions options)
     : authority_(authority),
       options_(options),
-      metrics_label_(std::to_string(obs::NextInstanceId())),
+      metrics_label_("publisher=" + std::to_string(obs::NextInstanceId())),
       pushes_ok_(obs::MetricsRegistry::Global().GetCounter(
-          PublisherMetric("pushes_ok", metrics_label_))),
+          "fleet.publisher.pushes_ok", metrics_label_)),
       pushes_failed_(obs::MetricsRegistry::Global().GetCounter(
-          PublisherMetric("pushes_failed", metrics_label_))),
+          "fleet.publisher.pushes_failed", metrics_label_)),
       bytes_pushed_(obs::MetricsRegistry::Global().GetCounter(
-          PublisherMetric("bytes_pushed", metrics_label_))),
+          "fleet.publisher.bytes_pushed", metrics_label_)),
       max_lag_(obs::MetricsRegistry::Global().GetGauge(
-          PublisherMetric("max_lag_epochs", metrics_label_))) {}
+          "fleet.publisher.max_lag_epochs", metrics_label_)) {}
 
 Publisher::~Publisher() = default;
 

@@ -40,11 +40,6 @@ void RecordApplySpan(const net::HttpRequest& request, const std::string& node,
   collector.Record(span);
 }
 
-obs::Counter& ReplicaCounter(const char* metric, const std::string& label) {
-  return obs::MetricsRegistry::Global().GetCounter(
-      std::string("fleet.replica.") + metric + "{replica=" + label + "}");
-}
-
 net::HttpResponse TextResponse(int status, std::string body) {
   net::HttpResponse response;
   response.status = status;
@@ -63,12 +58,18 @@ Replica::Replica(std::string name, const x509::Certificate& issuer,
     : name_(std::move(name)),
       responder_(issuer, std::move(key)),
       frontend_(options.frontend),
-      metrics_label_(name_ + "#" + std::to_string(obs::NextInstanceId())),
-      snapshots_applied_(ReplicaCounter("snapshots_applied", metrics_label_)),
-      snapshots_rejected_(ReplicaCounter("snapshots_rejected", metrics_label_)),
-      snapshots_stale_(ReplicaCounter("snapshots_stale", metrics_label_)),
-      batches_applied_(ReplicaCounter("batches_applied", metrics_label_)),
-      batches_rejected_(ReplicaCounter("batches_rejected", metrics_label_)) {
+      metrics_label_("replica=" + name_ + "#" +
+                     std::to_string(obs::NextInstanceId())),
+      snapshots_applied_(obs::MetricsRegistry::Global().GetCounter(
+          "fleet.replica.snapshots_applied", metrics_label_)),
+      snapshots_rejected_(obs::MetricsRegistry::Global().GetCounter(
+          "fleet.replica.snapshots_rejected", metrics_label_)),
+      snapshots_stale_(obs::MetricsRegistry::Global().GetCounter(
+          "fleet.replica.snapshots_stale", metrics_label_)),
+      batches_applied_(obs::MetricsRegistry::Global().GetCounter(
+          "fleet.replica.batches_applied", metrics_label_)),
+      batches_rejected_(obs::MetricsRegistry::Global().GetCounter(
+          "fleet.replica.batches_rejected", metrics_label_)) {
   frontend_.AttachResponder(&responder_);
   frontend_.AddRoute(kSnapshotPath,
                      [this](const net::HttpRequest& request,

@@ -92,7 +92,7 @@ class Replica {
   std::atomic<std::uint64_t> applied_epoch_{0};
   std::atomic<util::Timestamp> applied_published_at_{0};
 
-  // Registry label "name#instance" — the instance suffix keeps tallies
+  // Registry label "replica=name#instance" — the instance suffix keeps tallies
   // exact when tests re-create a replica under the same hostname.
   std::string metrics_label_;
   obs::Counter& snapshots_applied_;

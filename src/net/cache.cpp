@@ -2,26 +2,15 @@
 
 namespace rev::net {
 
-namespace {
-
-std::string CacheMetricName(const char* metric, std::uint64_t instance) {
-  return std::string("net.cache.") + metric + "{client=" +
-         std::to_string(instance) + "}";
-}
-
-}  // namespace
-
 CachingClient::CachingClient(SimNet* net)
-    : CachingClient(net, obs::NextInstanceId()) {}
-
-CachingClient::CachingClient(SimNet* net, std::uint64_t instance)
     : net_(net),
-      hits_(obs::MetricsRegistry::Global().GetCounter(
-          CacheMetricName("hits", instance))),
-      misses_(obs::MetricsRegistry::Global().GetCounter(
-          CacheMetricName("misses", instance))),
+      metrics_label_("client=" + std::to_string(obs::NextInstanceId())),
+      hits_(obs::MetricsRegistry::Global().GetCounter("net.cache.hits",
+                                                      metrics_label_)),
+      misses_(obs::MetricsRegistry::Global().GetCounter("net.cache.misses",
+                                                        metrics_label_)),
       evictions_(obs::MetricsRegistry::Global().GetCounter(
-          CacheMetricName("evictions", instance))) {}
+          "net.cache.evictions", metrics_label_)) {}
 
 CachingClient::Result CachingClient::Get(std::string_view url,
                                          util::Timestamp now,

@@ -69,8 +69,6 @@ class CachingClient {
   std::uint64_t evictions() const { return evictions_.Value(); }
 
  private:
-  CachingClient(SimNet* net, std::uint64_t instance);
-
   struct Entry {
     HttpResponse response;
     util::Timestamp expires = 0;
@@ -82,6 +80,7 @@ class CachingClient {
   // Registry instruments labelled per instance ("net.cache.hits{client=N}")
   // so several clients in one process keep exact separate tallies while
   // still showing up in the global /metrics exposition.
+  std::string metrics_label_;
   obs::Counter& hits_;
   obs::Counter& misses_;
   obs::Counter& evictions_;

@@ -36,8 +36,8 @@ obs::Counter& KindCounter(FaultKind kind) {
     auto* array = new std::array<obs::Counter*, kNumFaultKinds>;
     for (std::size_t i = 0; i < kNumFaultKinds; ++i)
       (*array)[i] = &obs::MetricsRegistry::Global().GetCounter(
-          std::string("net.faults_injected{kind=") +
-          FaultKindName(static_cast<FaultKind>(i)) + "}");
+          "net.faults_injected",
+          std::string("kind=") + FaultKindName(static_cast<FaultKind>(i)));
     return array;
   }();
   return *(*counters)[static_cast<std::size_t>(kind)];

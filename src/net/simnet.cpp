@@ -25,10 +25,10 @@ struct FetchMetrics {
     // Leaked: counters outlive static teardown (registry semantics).
     static FetchMetrics* metrics = [] {
       obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-      return new FetchMetrics{reg.GetCounter("net.fetch{class=2xx}"),
-                              reg.GetCounter("net.fetch{class=4xx}"),
-                              reg.GetCounter("net.fetch{class=5xx}"),
-                              reg.GetCounter("net.fetch{class=err}"),
+      return new FetchMetrics{reg.GetCounter("net.fetch", "class=2xx"),
+                              reg.GetCounter("net.fetch", "class=4xx"),
+                              reg.GetCounter("net.fetch", "class=5xx"),
+                              reg.GetCounter("net.fetch", "class=err"),
                               reg.GetCounter("net.fetch.bytes")};
     }();
     return *metrics;

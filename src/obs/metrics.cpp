@@ -177,6 +177,29 @@ Histogram& MetricsRegistry::GetHistogram(std::string_view name) {
   return *it->second;
 }
 
+namespace {
+
+std::string LabelledName(std::string_view name, std::string_view label) {
+  return std::string(name).append("{").append(label).append("}");
+}
+
+}  // namespace
+
+Counter& MetricsRegistry::GetCounter(std::string_view name,
+                                     std::string_view label) {
+  return GetCounter(LabelledName(name, label));
+}
+
+Gauge& MetricsRegistry::GetGauge(std::string_view name,
+                                 std::string_view label) {
+  return GetGauge(LabelledName(name, label));
+}
+
+Histogram& MetricsRegistry::GetHistogram(std::string_view name,
+                                         std::string_view label) {
+  return GetHistogram(LabelledName(name, label));
+}
+
 std::size_t MetricsRegistry::InstrumentCount() const {
   std::lock_guard lock(mu_);
   return counters_.size() + gauges_.size() + histograms_.size();

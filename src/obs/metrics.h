@@ -218,6 +218,14 @@ class MetricsRegistry {
   Gauge& GetGauge(std::string_view name);
   Histogram& GetHistogram(std::string_view name);
 
+  // The one way to name a labelled instrument: returns `name{label}`, e.g.
+  // GetCounter("serve.requests", "frontend=3") is
+  // "serve.requests{frontend=3}". Per-instance instruments take their
+  // `kind=N` label (N from NextInstanceId()) through these.
+  Counter& GetCounter(std::string_view name, std::string_view label);
+  Gauge& GetGauge(std::string_view name, std::string_view label);
+  Histogram& GetHistogram(std::string_view name, std::string_view label);
+
   MetricsSnapshot Snapshot() const;
 
   // One instrument per line: `name value` for counters/gauges,

@@ -42,26 +42,22 @@ void RecordServerSpan(const obs::SpanContext& ctx, const char* name,
 // resolved once at construction; the hot path touches only lock-free
 // sharded atomics.
 struct Frontend::Instruments {
-  explicit Instruments(const std::string& label)
-      : requests(Get("serve.requests", label)),
-        cache_hits(Get("serve.cache_hits", label)),
-        cache_misses(Get("serve.cache_misses", label)),
-        cache_expired(Get("serve.cache_expired", label)),
-        signed_on_demand(Get("serve.signed_on_demand", label)),
-        batch_signed(Get("serve.batch_signed", label)),
-        refreshed(Get("serve.refreshed", label)),
-        shed(Get("serve.shed", label)),
-        malformed(Get("serve.malformed", label)),
-        unauthorized(Get("serve.unauthorized", label)),
-        staples(Get("serve.staples", label)),
-        status_updates(Get("serve.status_updates", label)),
-        latency_ns(obs::MetricsRegistry::Global().GetHistogram(
-            "serve.latency_ns{" + label + "}")) {}
-
-  static obs::Counter& Get(const char* name, const std::string& label) {
-    return obs::MetricsRegistry::Global().GetCounter(std::string(name) + "{" +
-                                                     label + "}");
-  }
+  explicit Instruments(
+      std::string_view label,
+      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global())
+      : requests(registry.GetCounter("serve.requests", label)),
+        cache_hits(registry.GetCounter("serve.cache_hits", label)),
+        cache_misses(registry.GetCounter("serve.cache_misses", label)),
+        cache_expired(registry.GetCounter("serve.cache_expired", label)),
+        signed_on_demand(registry.GetCounter("serve.signed_on_demand", label)),
+        batch_signed(registry.GetCounter("serve.batch_signed", label)),
+        refreshed(registry.GetCounter("serve.refreshed", label)),
+        shed(registry.GetCounter("serve.shed", label)),
+        malformed(registry.GetCounter("serve.malformed", label)),
+        unauthorized(registry.GetCounter("serve.unauthorized", label)),
+        staples(registry.GetCounter("serve.staples", label)),
+        status_updates(registry.GetCounter("serve.status_updates", label)),
+        latency_ns(registry.GetHistogram("serve.latency_ns", label)) {}
 
   obs::Counter& requests;
   obs::Counter& cache_hits;
@@ -128,8 +124,7 @@ Frontend::Frontend(FrontendOptions options)
   for (std::size_t s = 0; s < index_.num_shards(); ++s) {
     auto state = std::make_unique<ShardState>();
     state->depth_gauge = &obs::MetricsRegistry::Global().GetGauge(
-        "serve.queue_depth{" + metrics_label_ + ",shard=" + std::to_string(s) +
-        "}");
+        "serve.queue_depth", metrics_label_ + ",shard=" + std::to_string(s));
     shard_states_.push_back(std::move(state));
   }
   try_later_der_ = std::make_shared<const Bytes>(
@@ -494,7 +489,6 @@ Frontend::ServeResult Frontend::SignMiss(const ocsp::Responder& responder,
     metrics_->cache_hits.Increment();
     return {200, std::move(cached.der), 0, true};
   }
-  cache_.CountOutcome(cached.outcome);
   (cached.outcome == ResponseCache::Outcome::kExpired
        ? metrics_->cache_expired
        : metrics_->cache_misses)

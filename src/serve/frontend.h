@@ -169,6 +169,10 @@ class Frontend {
   std::size_t ImportResponseEntries(
       std::vector<std::pair<StatusKey, ResponseCache::Entry>> entries);
 
+  // A value snapshot of this instance's `serve.*{frontend=N}` instruments,
+  // the one tally of each event: every cacheable lookup moves exactly one
+  // of cache_hits/cache_misses/cache_expired (ResponseCache counts
+  // nothing). Monotonic: refreshes, epoch swaps and Clear() never rewind it.
   struct Counters {
     std::uint64_t requests = 0;
     std::uint64_t cache_hits = 0;

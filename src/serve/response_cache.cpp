@@ -1,30 +1,11 @@
 #include "serve/response_cache.h"
 
 #include <algorithm>
-#include <string>
 
 namespace rev::serve {
 
-namespace {
-
-std::string CacheMetricName(const char* metric, std::uint64_t instance) {
-  return std::string("serve.response_cache.") + metric + "{cache=" +
-         std::to_string(instance) + "}";
-}
-
-}  // namespace
-
 ResponseCache::ResponseCache(std::size_t num_shards)
-    : ResponseCache(num_shards, obs::NextInstanceId()) {}
-
-ResponseCache::ResponseCache(std::size_t num_shards, std::uint64_t instance)
-    : shards_(num_shards == 0 ? 1 : num_shards),
-      hits_(obs::MetricsRegistry::Global().GetCounter(
-          CacheMetricName("hits", instance))),
-      misses_(obs::MetricsRegistry::Global().GetCounter(
-          CacheMetricName("misses", instance))),
-      expired_(obs::MetricsRegistry::Global().GetCounter(
-          CacheMetricName("expired", instance))) {}
+    : shards_(num_shards == 0 ? 1 : num_shards) {}
 
 ResponseCache::LookupResult ResponseCache::Get(BytesView key,
                                                util::Timestamp now) const {
@@ -33,22 +14,7 @@ ResponseCache::LookupResult ResponseCache::Get(BytesView key,
   const auto it = shard.map.find(key);
   if (it == shard.map.end()) return {Outcome::kMiss, nullptr};
   if (now >= it->second.serve_until) return {Outcome::kExpired, nullptr};
-  hits_.Increment();
   return {Outcome::kHit, it->second.der};
-}
-
-void ResponseCache::CountOutcome(Outcome outcome) {
-  switch (outcome) {
-    case Outcome::kHit:
-      hits_.Increment();
-      break;
-    case Outcome::kMiss:
-      misses_.Increment();
-      break;
-    case Outcome::kExpired:
-      expired_.Increment();
-      break;
-  }
 }
 
 void ResponseCache::Put(const StatusKey& key, Entry entry) {

@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "serve/status_index.h"
 #include "util/bytes.h"
 #include "util/time.h"
@@ -42,11 +41,8 @@ class ResponseCache {
 
   // Single lookup under the key's shard shared lock. The key is a borrowed
   // view (heterogeneous find), so a caller can build it in a stack buffer.
-  // Only a hit is tallied here: a miss or expired outcome is tallied by the
-  // caller that resolves it (through CountOutcome), because the serve path
-  // hands those to Frontend::SignMiss, which looks the key up again under
-  // its shard's miss lock — counting here too would count one request
-  // twice.
+  // The cache counts nothing: the caller tallies the outcome it resolves
+  // (Frontend's serve.cache_* counters), once per request.
   //
   // Expiry boundary: `serve_until` is exclusive. A query at exactly
   // `serve_until` — e.g. a revocation scheduled at t, queried at t — must
@@ -54,13 +50,6 @@ class ResponseCache {
   // deadline` so an entry is a refresh candidate at the first instant it
   // can no longer be served.
   LookupResult Get(BytesView key, util::Timestamp now) const;
-
-  // Tallies the misses and expiries a Get caller resolves itself. Keeps
-  // hits()/misses()/expired() strictly monotonic with one tally per
-  // request: a miss that waited behind another for the same key and then
-  // finds its entry counts as a hit, exactly as it would had the requests
-  // arrived one at a time.
-  void CountOutcome(Outcome outcome);
 
   void Put(const StatusKey& key, Entry entry);
   void PutBatch(std::vector<std::pair<StatusKey, Entry>> entries);
@@ -93,14 +82,6 @@ class ResponseCache {
 
   std::size_t size() const;
 
-  // Registry tallies ("serve.response_cache.*{cache=N}"). Strictly
-  // monotonic: lookups only ever add, and Clear()/Invalidate()/batch
-  // re-signs never reset them — a reader sampling across a RefreshStale or
-  // an epoch swap sees the totals move forward only.
-  std::uint64_t hits() const { return hits_.Value(); }
-  std::uint64_t misses() const { return misses_.Value(); }
-  std::uint64_t expired() const { return expired_.Value(); }
-
  private:
   using Map = std::unordered_map<StatusKey, Entry, StatusKeyHash, StatusKeyEq>;
 
@@ -113,8 +94,6 @@ class ResponseCache {
     return StatusKeyHash{}(key) % shards_.size();
   }
 
-  ResponseCache(std::size_t num_shards, std::uint64_t instance);
-
   // Moves `entries` into their shards, one lock per affected shard; with a
   // non-null `index`, stops at the first shard that finds its epoch moved
   // past `epoch` (the PutBatchIfEpoch check).
@@ -122,9 +101,6 @@ class ResponseCache {
                       const StatusIndex* index, std::uint64_t epoch);
 
   std::vector<Shard> shards_;
-  obs::Counter& hits_;
-  obs::Counter& misses_;
-  obs::Counter& expired_;
 };
 
 }  // namespace rev::serve

@@ -146,6 +146,20 @@ TEST(ChaosStorm, DeterministicAcrossThreadCountsAndRuns) {
   EXPECT_GT(serial.crawler->fetch_failures(), 0u);
   EXPECT_GT(serial.crawler->total_revocations(), 0u);
 
+  // Each crawler's counts are its own: they agree with tallies only that
+  // crawler keeps. Counters shared by the three crawlers in this process
+  // would read the sum of all three runs here.
+  for (const Run* run : {&serial, &parallel, &replay}) {
+    std::uint64_t url_failures = 0;
+    for (const auto& [url, failures] : run->crawler->url_failures())
+      url_failures += failures;
+    EXPECT_EQ(run->crawler->fetch_failures(), url_failures);
+    std::uint64_t stale_crawls = 0;
+    for (const auto& [url, crawled] : run->crawler->crawled())
+      stale_crawls += crawled.stale_crawls;
+    EXPECT_EQ(run->crawler->stale_served(), stale_crawls);
+  }
+
   auto expect_identical = [](const Run& a, const Run& b) {
     // Fault tallies, per kind.
     for (std::size_t k = 0; k < net::kNumFaultKinds; ++k)

@@ -16,7 +16,6 @@
 #include "browser/profiles.h"
 #include "browser/testsuite.h"
 #include "ca/ca.h"
-#include "core/archive.h"
 #include "core/crawler.h"
 #include "core/ecosystem.h"
 #include "core/pipeline.h"
