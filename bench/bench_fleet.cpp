@@ -314,14 +314,10 @@ RunResult RunSoak(const RunConfig& config) {
   fleet.authority_frontend.RebuildAll(now);
   fleet.publisher.Publish(fleet.net, now);
 
-  fleet::HealthOptions health_options;
-  health_options.down_after = 2;
-  health_options.up_after = 2;
-  health_options.seed = config.seed;
-  fleet::HealthMonitor monitor(&fleet.ring, health_options);
+  fleet::HealthMonitor monitor(&fleet.ring);
   for (const auto& replica : fleet.replicas) monitor.AddTarget(replica->name());
   monitor.ProbeAll(fleet.net, now);
-  monitor.ProbeAll(fleet.net, now + kTick);  // up_after=2 -> all admitted
+  monitor.ProbeAll(fleet.net, now + kTick);  // two good probes -> all admitted
 
   net::FaultPlan plan(config.seed);
   AddStormRules(plan, fleet, schedule);

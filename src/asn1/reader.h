@@ -21,7 +21,6 @@ class Reader {
   explicit Reader(BytesView data) : data_(data) {}
 
   bool Empty() const { return pos_ >= data_.size(); }
-  std::size_t Remaining() const { return data_.size() - pos_; }
 
   // Peeks the tag byte of the next TLV (false if empty).
   bool PeekTag(std::uint8_t* tag) const;

@@ -103,7 +103,4 @@ struct Policy {
   std::string DisplayName() const { return browser + " / " + os; }
 };
 
-const char* CheckLevelName(CheckLevel level);
-const char* FailureActionName(FailureAction action);
-
 }  // namespace rev::browser

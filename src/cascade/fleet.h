@@ -24,7 +24,6 @@
 
 #include "cascade/delta.h"
 #include "cascade/publisher.h"
-#include "net/retry.h"
 #include "net/simnet.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -38,24 +37,6 @@ struct FleetOptions {
   // Base URL of the publisher's delta endpoint; the client's sequence is
   // appended (Publisher::kDeltaPathPrefix semantics).
   std::string delta_url = "http://cascade.dist.sim/cascade/delta?from=";
-  // Update-cadence mixture (weights need not sum to 1): a client draws its
-  // interval once at construction. Defaults model a browser population:
-  // some aggressive hourly updaters, a mainstream daily cohort, and a
-  // long tail that updates weekly.
-  struct Cadence {
-    std::int64_t interval_seconds = util::kSecondsPerDay;
-    double weight = 1.0;
-  };
-  std::vector<Cadence> cadences = {
-      {3600, 0.10}, {6 * 3600, 0.25}, {util::kSecondsPerDay, 0.45},
-      {7 * util::kSecondsPerDay, 0.20}};
-  net::RetryPolicy retry{.max_attempts = 3,
-                         .initial_backoff_seconds = 5.0,
-                         .max_backoff_seconds = 120.0,
-                         .jitter = 0.5};
-  double timeout_seconds = 10.0;
-  // Ground-truth samples checked per applied update (0 disables).
-  std::size_t verify_samples = 8;
 };
 
 class Fleet {
@@ -67,7 +48,7 @@ class Fleet {
   ~Fleet();  // out of line: Instruments is incomplete here
 
   // Advances simulated time to `now`, executing every poll due in
-  // [current_time, now) in deterministic order. Call with increasing
+  // [previous StepTo, now) in deterministic order. Call with increasing
   // timestamps, interleaved with Publisher::Publish for the daily builds.
   void StepTo(util::Timestamp now);
 
@@ -96,7 +77,6 @@ class Fleet {
   util::Distribution EndStaleness() const;
 
   std::size_t num_clients() const { return clients_.size(); }
-  util::Timestamp current_time() const { return current_time_; }
 
  private:
   struct Client {

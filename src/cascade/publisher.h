@@ -65,7 +65,6 @@ class Publisher {
 
   std::uint64_t sequence() const { return sequence_; }
   std::shared_ptr<const FilterCascade> Current() const { return current_; }
-  std::shared_ptr<const Bytes> SnapshotBlob() const { return snapshot_blob_; }
 
   // Ground truth for fleet verification: the revoked-key set and publish
   // time at `seq` (nullptr / 0 when evicted or never published). History

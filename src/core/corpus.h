@@ -101,7 +101,6 @@ class CertCorpus {
   BytesView name_der(std::uint32_t name_id) const {
     return names_.GetBytes(name_id);
   }
-  std::size_t num_names() const { return names_.size(); }
   // Id for a name DER if interned (i.e. referenced by any row), else
   // util::StringInterner::kInvalidId.
   std::uint32_t FindName(BytesView name_der) const {

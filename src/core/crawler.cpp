@@ -9,6 +9,19 @@
 
 namespace rev::core {
 
+namespace {
+
+// Retry policy for every CRL/OCSP exchange (docs/fault-injection.md). A
+// daily crawl can afford to wait out a 5xx burst or a flap: four attempts
+// with minutes-scale caps before falling back to the previous snapshot.
+constexpr net::RetryPolicy kCrawlRetry{.max_attempts = 4,
+                                       .initial_backoff_seconds = 5,
+                                       .backoff_multiplier = 2,
+                                       .max_backoff_seconds = 300,
+                                       .jitter = 0.5};
+
+}  // namespace
+
 // Per-crawler instruments, labelled "crawler=N" (docs/observability.md):
 // the one tally behind bytes_downloaded(), fetch_failures(), retries() and
 // stale_served(), plus a latency histogram over the *real* wall time of
@@ -36,19 +49,6 @@ struct RevocationCrawler::Instruments {
   obs::Counter& stale_served;
   obs::Histogram& fetch_ns;
 };
-
-net::RetryPolicy RevocationCrawler::DefaultRetryPolicy() {
-  // A daily crawl can afford to wait out a 5xx burst or a flap: four
-  // attempts with minutes-scale caps before falling back to the previous
-  // snapshot.
-  net::RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.initial_backoff_seconds = 5;
-  policy.backoff_multiplier = 2;
-  policy.max_backoff_seconds = 300;
-  policy.jitter = 0.5;
-  return policy;
-}
 
 RevocationCrawler::RevocationCrawler(net::SimNet* net, unsigned threads)
     : net_(net),
@@ -120,7 +120,7 @@ std::size_t RevocationCrawler::CrawlAll(util::Timestamp now) {
     Outcome& out = outcomes[i];
     // The parse-as-validator makes truncated/bit-corrupted bodies
     // retryable and keeps them out of the HTTP cache.
-    out.result = client_.Get(urls[i], now, retry_policy_,
+    out.result = client_.Get(urls[i], now, kCrawlRetry,
                              [](const net::HttpResponse& response) {
                                return crl::ParseCrl(response.body).has_value();
                              });
@@ -205,7 +205,7 @@ std::optional<ocsp::CertStatus> RevocationCrawler::QueryOcsp(
     ocsp::OcspRequest request;
     request.cert_ids = {ocsp::MakeCertId(issuer, cert.tbs.serial)};
     const net::RetryResult retried = net::PostWithRetry(
-        *net_, url, ocsp::EncodeOcspRequest(request), now, retry_policy_,
+        *net_, url, ocsp::EncodeOcspRequest(request), now, kCrawlRetry,
         /*timeout_seconds=*/10.0, [](const net::HttpResponse& response) {
           return ocsp::ParseOcspResponse(response.body).has_value();
         });

@@ -97,15 +97,6 @@ class RevocationCrawler {
   double seconds_spent() const { return seconds_spent_; }
   std::uint64_t fetch_failures() const;
 
-  // Resilience (docs/fault-injection.md): retry policy applied to every
-  // CRL/OCSP exchange. Change it before crawling; the default retries
-  // transient failures a few times with minutes-scale caps (a daily crawl
-  // can afford to wait out a 5xx burst).
-  const net::RetryPolicy& retry_policy() const { return retry_policy_; }
-  void set_retry_policy(const net::RetryPolicy& policy) {
-    retry_policy_ = policy;
-  }
-
   // Degradation/retry accounting, merged deterministically like the cost
   // counters above. `retries()` counts extra attempts beyond the first;
   // `stale_served()` counts crawls where a URL fell back to its last good
@@ -134,13 +125,10 @@ class RevocationCrawler {
   RevocationDb db_;
   double seconds_spent_ = 0;
   double crawl_wall_seconds_ = 0;
-  net::RetryPolicy retry_policy_ = DefaultRetryPolicy();
   std::map<std::string, std::uint64_t> url_failures_;
 
   struct Instruments;
   std::unique_ptr<Instruments> metrics_;
-
-  static net::RetryPolicy DefaultRetryPolicy();
 };
 
 }  // namespace rev::core

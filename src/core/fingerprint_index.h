@@ -57,12 +57,6 @@ class FingerprintIndex {
     ++size_;
   }
 
-  void Reserve(std::size_t n) {
-    std::size_t cap = 64;
-    while (cap * 3 < n * 4) cap *= 2;
-    if (cap > rows_.size()) Rehash(cap);
-  }
-
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return rows_.size(); }
   std::size_t bytes() const {

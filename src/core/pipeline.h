@@ -71,7 +71,6 @@ class Pipeline {
 
   const x509::CertPool& roots() const { return roots_; }
   util::Timestamp latest_scan_time() const { return latest_scan_time_; }
-  std::uint64_t total_observed() const { return corpus_.size(); }
 
   // Snapshots ingested with a timestamp older than one already seen.
   std::uint64_t out_of_order_scans() const { return out_of_order_scans_; }

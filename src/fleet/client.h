@@ -5,7 +5,7 @@
 // connection, 503 shed, a body that fails OCSP parse or signature
 // verification — fail over to the next replica immediately, paying only
 // the failed attempt's cost. Slow failures are hedged: when an attempt's
-// exchange runs past `hedge_budget_seconds` (latency storm, timeout), the
+// exchange runs past kHedgeBudgetSeconds (latency storm, timeout), the
 // client models having fired a second request to the next replica at the
 // budget mark, and the observed latency is whichever answer would have
 // arrived first — min(primary, budget + secondary). That keeps storm p99
@@ -46,15 +46,6 @@
 namespace rev::fleet {
 
 struct FleetClientOptions {
-  // Replicas tried per query (preference-list length).
-  std::size_t max_replicas = 3;
-  // Hedge trigger: an attempt slower than this gets a modeled second
-  // request to the next replica.
-  double hedge_budget_seconds = 0.25;
-  // Per-attempt exchange timeout.
-  double timeout_seconds = 2.0;
-  // Floor on the client-side mark-down a 503 Retry-After causes.
-  std::int64_t markdown_floor_seconds = 1;
   // When set, every accepted answer must verify against this key; corrupt
   // bodies then fail over instead of being believed.
   std::optional<crypto::PublicKey> responder_key;
@@ -67,6 +58,10 @@ struct FleetClientOptions {
 
 class FleetClient {
  public:
+  // Hedge trigger: an attempt slower than this gets a modeled second
+  // request to the next replica.
+  static constexpr double kHedgeBudgetSeconds = 0.25;
+
   // `net` and `ring` are borrowed; the ring is shared with the health
   // monitor, which flips membership concurrently.
   FleetClient(net::SimNet* net, const HashRing* ring,

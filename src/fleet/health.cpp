@@ -3,14 +3,19 @@
 #include <utility>
 
 #include "fleet/replica.h"
-#include "util/rng.h"
-#include "util/wire.h"
 
 namespace rev::fleet {
 
-HealthMonitor::HealthMonitor(HashRing* ring, HealthOptions options)
+namespace {
+
+constexpr int kDownAfter = 2;  // consecutive failed probes to evict
+constexpr int kUpAfter = 2;    // consecutive good probes to (re)admit
+constexpr double kProbeTimeoutSeconds = 1.0;
+
+}  // namespace
+
+HealthMonitor::HealthMonitor(HashRing* ring)
     : ring_(ring),
-      options_(options),
       metrics_label_("monitor=" + std::to_string(obs::NextInstanceId())),
       probes_(obs::MetricsRegistry::Global().GetCounter("fleet.health.probes",
                                                         metrics_label_)),
@@ -19,26 +24,10 @@ HealthMonitor::HealthMonitor(HashRing* ring, HealthOptions options)
       marked_down_(obs::MetricsRegistry::Global().GetCounter(
           "fleet.health.marked_down", metrics_label_)),
       marked_up_(obs::MetricsRegistry::Global().GetCounter(
-          "fleet.health.marked_up", metrics_label_)) {
-  if (options_.down_after < 1) options_.down_after = 1;
-  if (options_.up_after < 1) options_.up_after = 1;
-}
+          "fleet.health.marked_up", metrics_label_)) {}
 
 void HealthMonitor::AddTarget(std::string host) {
-  Target target;
-  target.host = std::move(host);
-  if (options_.probe_spread_seconds > 0) {
-    // Per-target stream forked off the seed: stable across rounds, distinct
-    // across targets.
-    util::Rng rng(options_.seed ^ util::wire::Fnv1a(BytesView(
-                      reinterpret_cast<const std::uint8_t*>(
-                          target.host.data()),
-                      target.host.size())));
-    target.probe_offset = static_cast<std::int64_t>(
-        rng.NextBelow(static_cast<std::uint64_t>(
-            options_.probe_spread_seconds + 1)));
-  }
-  targets_.push_back(std::move(target));
+  targets_.push_back({.host = std::move(host)});
 }
 
 std::size_t HealthMonitor::ProbeAll(net::SimNet& net, util::Timestamp now) {
@@ -46,16 +35,16 @@ std::size_t HealthMonitor::ProbeAll(net::SimNet& net, util::Timestamp now) {
   for (Target& target : targets_) {
     probes_.Increment();
     const net::FetchResult result =
-        net.Get("http://" + target.host + Replica::kHealthPath,
-                now + target.probe_offset, options_.probe_timeout_seconds);
+        net.Get("http://" + target.host + Replica::kHealthPath, now,
+                kProbeTimeoutSeconds);
     const std::string body(result.response.body.begin(),
                            result.response.body.end());
     const bool healthy = result.ok() && body.rfind("ok epoch=", 0) == 0 &&
                          body.find("warmed=1") != std::string::npos;
     if (healthy) {
       target.consecutive_bad = 0;
-      if (target.consecutive_ok < options_.up_after) ++target.consecutive_ok;
-      if (!target.admitted && target.consecutive_ok >= options_.up_after) {
+      if (target.consecutive_ok < kUpAfter) ++target.consecutive_ok;
+      if (!target.admitted && target.consecutive_ok >= kUpAfter) {
         target.admitted = true;
         ring_->SetEnabled(target.host, true);
         marked_up_.Increment();
@@ -64,9 +53,8 @@ std::size_t HealthMonitor::ProbeAll(net::SimNet& net, util::Timestamp now) {
     } else {
       probe_failures_.Increment();
       target.consecutive_ok = 0;
-      if (target.consecutive_bad < options_.down_after)
-        ++target.consecutive_bad;
-      if (target.admitted && target.consecutive_bad >= options_.down_after) {
+      if (target.consecutive_bad < kDownAfter) ++target.consecutive_bad;
+      if (target.admitted && target.consecutive_bad >= kDownAfter) {
         target.admitted = false;
         ring_->SetEnabled(target.host, false);
         marked_down_.Increment();

@@ -2,22 +2,20 @@
 //
 // The monitor probes each replica's GET /fleet/health on a caller-driven
 // (virtual-time) cadence and flips the node's ring membership with
-// hysteresis: `down_after` consecutive failures evict, `up_after`
-// consecutive successes readmit — a flapping host must string together a
-// full run of good probes before taking traffic again, so the square-wave
-// storms of tests/chaos_test.cpp do not thrash the ring every period.
+// hysteresis: two consecutive failures evict, two consecutive successes
+// readmit — a flapping host must string together a full run of good probes
+// before taking traffic again, so the square-wave storms of
+// tests/chaos_test.cpp do not thrash the ring every period.
 //
 // Warm-up gating: a probe only counts as a success when the replica
 // reports `warmed=1` (it has applied at least one replication epoch), so
 // a freshly started replica cannot be admitted while its index is empty —
 // it would answer `unknown` for everything.
 //
-// Determinism: probes are plain single-attempt fetches in registration
-// order, and each target gets a fixed per-target offset in [0,
-// probe_spread_seconds] derived from `seed` — fault decisions are a pure
-// function of (plan seed, url, time), so spreading probe times
-// decorrelates per-target fault draws while keeping every run of the same
-// seed bit-identical.
+// Determinism: probes are plain single-attempt fetches (1 s timeout), in
+// registration order, all at the round's `now` — fault decisions are a
+// pure function of (plan seed, url, time), so every run of the same seed
+// is bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -31,22 +29,13 @@
 
 namespace rev::fleet {
 
-struct HealthOptions {
-  int down_after = 2;  // consecutive failed probes to evict
-  int up_after = 2;    // consecutive good probes to (re)admit
-  double probe_timeout_seconds = 1.0;
-  // Deterministic per-target probe-time offset range, seconds.
-  std::int64_t probe_spread_seconds = 0;
-  std::uint64_t seed = 0;
-};
-
 class HealthMonitor {
  public:
   // `ring` is flipped on transitions; not owned, must outlive the monitor.
-  HealthMonitor(HashRing* ring, HealthOptions options = {});
+  explicit HealthMonitor(HashRing* ring);
 
   // Registers a probe target; `host` must be a ring node name. Targets
-  // start not-admitted (ring node disabled) until `up_after` good probes —
+  // start not-admitted (ring node disabled) until two good probes —
   // call ring->AddNode(host, /*enabled=*/false) for monitored nodes.
   void AddTarget(std::string host);
 
@@ -67,14 +56,12 @@ class HealthMonitor {
  private:
   struct Target {
     std::string host;
-    std::int64_t probe_offset = 0;  // deterministic, in [0, spread]
     int consecutive_ok = 0;
     int consecutive_bad = 0;
     bool admitted = false;
   };
 
   HashRing* ring_;
-  HealthOptions options_;
   std::vector<Target> targets_;
 
   std::string metrics_label_;

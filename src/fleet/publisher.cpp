@@ -5,6 +5,7 @@
 
 #include "fleet/replica.h"
 #include "fleet/snapshot.h"
+#include "net/retry.h"
 #include "obs/distrace.h"
 
 namespace rev::fleet {
@@ -16,11 +17,20 @@ namespace {
 // distinct span ids under one "fleet.publish" root.
 constexpr std::uint64_t kPushSalt = 0x9B1D5EEDull;
 
+// Per-replica push policy. Tighter than the fetch-stack default: a replica
+// that stays down for a whole storm should fail fast and catch up on the
+// next epoch, not stall the fan-out for a minute.
+constexpr net::RetryPolicy kPushRetry{.max_attempts = 3,
+                                      .initial_backoff_seconds = 0.2,
+                                      .max_backoff_seconds = 5.0,
+                                      .jitter = 0.5,
+                                      .seed = 0xF1EE7};
+constexpr double kPushTimeoutSeconds = 5.0;
+
 }  // namespace
 
-Publisher::Publisher(serve::Frontend* authority, PublisherOptions options)
+Publisher::Publisher(serve::Frontend* authority)
     : authority_(authority),
-      options_(options),
       metrics_label_("publisher=" + std::to_string(obs::NextInstanceId())),
       pushes_ok_(obs::MetricsRegistry::Global().GetCounter(
           "fleet.publisher.pushes_ok", metrics_label_)),
@@ -56,15 +66,12 @@ Publisher::PushStats Publisher::Publish(net::SimNet& net,
   const Bytes snapshot_blob = snapshot.Serialize();
   stats.snapshot_bytes = snapshot_blob.size();
 
-  Bytes batch_blob;
-  if (options_.push_responses) {
-    ResponseBatch batch;
-    batch.epoch = stats.epoch;
-    batch.published_at = now;
-    batch.entries = authority_->cache().ExportEntries(now);
-    batch_blob = batch.Serialize();
-    stats.response_bytes = batch_blob.size();
-  }
+  ResponseBatch batch;
+  batch.epoch = stats.epoch;
+  batch.published_at = now;
+  batch.entries = authority_->cache().ExportEntries(now);
+  const Bytes batch_blob = batch.Serialize();
+  stats.response_bytes = batch_blob.size();
 
   const std::uint64_t epoch = stats.epoch;
   const auto ack_validator = [epoch](const net::HttpResponse& response) {
@@ -94,15 +101,15 @@ Publisher::PushStats Publisher::Publish(net::SimNet& net,
     request.path = path;
     request.body = blob;
     if (!traced) {
-      return net::FetchWithRetry(net, request, at, options_.retry,
-                                 options_.timeout_seconds, ack_validator);
+      return net::FetchWithRetry(net, request, at, kPushRetry,
+                                 kPushTimeoutSeconds, ack_validator);
     }
     const obs::SpanContext leg{
         root_ctx.trace, obs::DeriveSpanId(root_ctx, kPushSalt + leg_counter++)};
     request.headers[obs::kTraceparentHeader] = obs::FormatTraceparent(leg);
     net::RetryResult result =
-        net::FetchWithRetry(net, request, at, options_.retry,
-                            options_.timeout_seconds, ack_validator);
+        net::FetchWithRetry(net, request, at, kPushRetry,
+                            kPushTimeoutSeconds, ack_validator);
     obs::DistSpan span;
     span.trace = root_ctx.trace;
     span.span = leg.span;
@@ -122,8 +129,8 @@ Publisher::PushStats Publisher::Publish(net::SimNet& net,
         push(host, Replica::kSnapshotPath, snapshot_blob, now);
     stats.elapsed_seconds += pushed.total_elapsed_seconds;
     bytes_pushed_.Add(pushed.total_bytes);
-    bool ok = pushed.ok();
-    if (ok && options_.push_responses) {
+    const bool ok = pushed.ok();
+    if (ok) {
       net::RetryResult responses =
           push(host, Replica::kResponsesPath, batch_blob, pushed.finished_at);
       stats.elapsed_seconds += responses.total_elapsed_seconds;

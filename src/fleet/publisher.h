@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "net/retry.h"
 #include "net/simnet.h"
 #include "obs/metrics.h"
 #include "serve/frontend.h"
@@ -26,26 +25,11 @@
 
 namespace rev::fleet {
 
-struct PublisherOptions {
-  // Per-replica push policy. Tighter than the fetch-stack default: a
-  // replica that stays down for a whole storm should fail fast and catch
-  // up on the next epoch, not stall the fan-out for a minute.
-  net::RetryPolicy retry{.max_attempts = 3,
-                         .initial_backoff_seconds = 0.2,
-                         .max_backoff_seconds = 5.0,
-                         .jitter = 0.5,
-                         .seed = 0xF1EE7};
-  double timeout_seconds = 5.0;
-  // Also push the pre-signed response batch (cache warm-up). Off = replicas
-  // sign on demand from the replicated index.
-  bool push_responses = true;
-};
-
 class Publisher {
  public:
   // `authority` is the frontend whose index/cache are the source of truth;
   // it must outlive the publisher.
-  explicit Publisher(serve::Frontend* authority, PublisherOptions options = {});
+  explicit Publisher(serve::Frontend* authority);
   ~Publisher();
 
   // Registers a replica hostname (its /fleet routes must be installed on
@@ -57,7 +41,7 @@ class Publisher {
     std::size_t replicas_ok = 0;
     std::size_t replicas_failed = 0;
     std::size_t snapshot_bytes = 0;   // serialized blob size
-    std::size_t response_bytes = 0;   // 0 when push_responses is off
+    std::size_t response_bytes = 0;   // serialized response batch size
     double elapsed_seconds = 0;       // summed simulated push cost
   };
 
@@ -79,7 +63,6 @@ class Publisher {
 
  private:
   serve::Frontend* authority_;
-  PublisherOptions options_;
   std::uint64_t epoch_ = 0;
   std::vector<std::string> replicas_;        // registration order
   std::map<std::string, std::uint64_t> acked_;

@@ -54,10 +54,9 @@ std::string AckBody(std::uint64_t epoch) {
 }  // namespace
 
 Replica::Replica(std::string name, const x509::Certificate& issuer,
-                 crypto::KeyPair key, ReplicaOptions options)
+                 crypto::KeyPair key)
     : name_(std::move(name)),
       responder_(issuer, std::move(key)),
-      frontend_(options.frontend),
       metrics_label_("replica=" + name_ + "#" +
                      std::to_string(obs::NextInstanceId())),
       snapshots_applied_(obs::MetricsRegistry::Global().GetCounter(

@@ -32,10 +32,6 @@
 
 namespace rev::fleet {
 
-struct ReplicaOptions {
-  serve::FrontendOptions frontend;
-};
-
 class Replica {
  public:
   static constexpr const char* kSnapshotPath = "/fleet/snapshot";
@@ -44,9 +40,9 @@ class Replica {
 
   // `name` is the SimNet hostname; `issuer`/`key` must match the
   // authority's so replica-signed responses verify under the same public
-  // key.
+  // key. The replica serves through a default-configured serve::Frontend.
   Replica(std::string name, const x509::Certificate& issuer,
-          crypto::KeyPair key, ReplicaOptions options = {});
+          crypto::KeyPair key);
 
   // Registers this replica's HTTP surface (OCSP + /fleet/*) on `net`.
   void Install(net::SimNet& net, net::HostProfile profile = {});

@@ -91,7 +91,6 @@ class FaultPlan {
   FaultPlan& operator=(const FaultPlan&) = delete;
 
   void AddRule(FaultRule rule) { rules_.push_back(std::move(rule)); }
-  std::size_t RuleCount() const { return rules_.size(); }
   std::uint64_t seed() const { return seed_; }
 
   // Pre-exchange faults (timeout / outage / flap-down). Returns true when

@@ -52,17 +52,6 @@ void CountFetch(const FetchResult& result) {
 
 }  // namespace
 
-const char* FetchErrorName(FetchError e) {
-  switch (e) {
-    case FetchError::kOk: return "ok";
-    case FetchError::kDnsFailure: return "dns-failure";
-    case FetchError::kConnectionRefused: return "connection-refused";
-    case FetchError::kTimeout: return "timeout";
-    case FetchError::kCorruptBody: return "corrupt-body";
-  }
-  return "?";
-}
-
 void SimNet::AddHost(std::string_view hostname, HttpHandler handler,
                      HostProfile profile) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -97,11 +86,6 @@ void SimNet::SetUnresponsive(std::string_view hostname, bool unresponsive) {
 void SimNet::SetFaultPlan(FaultPlan* plan) {
   std::lock_guard<std::mutex> lock(mu_);
   fault_plan_ = plan;
-}
-
-FaultPlan* SimNet::fault_plan() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fault_plan_;
 }
 
 FetchResult SimNet::Fetch(const HttpRequest& request, util::Timestamp now,

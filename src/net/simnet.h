@@ -63,8 +63,6 @@ enum class FetchError {
                       // (truncated/bit-flipped CRL or OCSP — retryable)
 };
 
-const char* FetchErrorName(FetchError e);
-
 struct FetchResult {
   FetchError error = FetchError::kOk;
   HttpResponse response;
@@ -100,7 +98,6 @@ class SimNet {
   // before serving starts — the pointer is read without synchronization
   // beyond the per-exchange lock.
   void SetFaultPlan(FaultPlan* plan);
-  FaultPlan* fault_plan() const;
 
   // Executes an HTTP exchange. `timeout_seconds` caps the simulated wait.
   // Every call tallies the process-wide per-status-class counters

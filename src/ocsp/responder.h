@@ -96,7 +96,6 @@ class Responder {
   const Bytes& issuer_name_hash() const { return issuer_name_hash_; }
   const Bytes& issuer_key_hash() const { return issuer_key_hash_; }
   std::int64_t validity_seconds() const { return validity_seconds_; }
-  std::size_t record_count() const { return records_.size(); }
 
  private:
   void Notify(const x509::Serial& serial) const;

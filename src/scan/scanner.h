@@ -48,8 +48,7 @@ void StreamCertScan(const Internet& internet, util::Timestamp t,
                     const std::function<void(const CertObservation&)>& fn);
 
 // Scans every alive server, harvesting advertised chains into one resident
-// snapshot (core::ScanArchive, the corpus_test reference oracle and tests;
-// ingest streams).
+// snapshot (the corpus_test reference oracle and tests; ingest streams).
 CertScanSnapshot RunCertScan(const Internet& internet, util::Timestamp t);
 
 struct HandshakeObservation {

@@ -16,6 +16,9 @@ namespace {
 // carried by the traceparent header).
 constexpr std::uint64_t kServeSalt = 0x5E44E1F7ull;
 
+// RefreshStale() re-signs entries going stale within this window.
+constexpr std::int64_t kRefreshHeadroomSeconds = util::kSecondsPerDay;
+
 // Records the frontend-side server span for a traced request. The
 // simulated handler is instantaneous on the virtual clock (the cost model
 // charges the exchange, not the handler), so the span is zero-duration:
@@ -626,7 +629,7 @@ std::size_t Frontend::RefreshStale(util::Timestamp now) {
   Flush();
   const std::uint64_t epoch0 = index_.epoch();  // as in RebuildAll
   const std::vector<StatusKey> stale =
-      cache_.KeysStaleBy(now + options_.refresh_headroom_seconds);
+      cache_.KeysStaleBy(now + kRefreshHeadroomSeconds);
   if (stale.empty()) return 0;
   EnsurePool();
 

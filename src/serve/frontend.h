@@ -58,8 +58,6 @@ struct FrontendOptions {
   std::size_t per_shard_queue = 128;
   // Retry-After hint attached to 503 responses, seconds.
   std::int64_t retry_after_seconds = 2;
-  // RefreshStale() re-signs entries going stale within this window.
-  std::int64_t refresh_headroom_seconds = util::kSecondsPerDay;
   // Worker threads for batch signing (RebuildAll/RefreshStale); 1 = inline
   // serial execution (no worker threads spawned), 0 = hardware concurrency.
   unsigned threads = 1;
@@ -139,7 +137,7 @@ class Frontend {
   std::size_t RebuildAll(util::Timestamp now);
 
   // Staleness-driven refresh: re-signs cached responses whose validity
-  // window ends within `refresh_headroom_seconds` of `now`. Returns the
+  // window ends within one day of `now`. Returns the
   // number re-signed. Installed under the same epoch guard as RebuildAll.
   // Intended to run from a maintenance tick so the hot path never pays for
   // re-signing.

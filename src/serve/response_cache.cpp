@@ -61,10 +61,6 @@ void ResponseCache::Invalidate(const StatusKey& key) {
   shard.map.erase(key);
 }
 
-void ResponseCache::InvalidateBatch(const std::vector<StatusKey>& keys) {
-  for (const StatusKey& key : keys) Invalidate(key);
-}
-
 void ResponseCache::Clear() {
   for (Shard& shard : shards_) {
     std::unique_lock lock(shard.mu);

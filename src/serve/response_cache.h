@@ -66,7 +66,6 @@ class ResponseCache {
                               const StatusIndex& index, std::uint64_t epoch);
 
   void Invalidate(const StatusKey& key);
-  void InvalidateBatch(const std::vector<StatusKey>& keys);
   void Clear();
 
   // Keys whose entry goes stale at or before `deadline` — the refresh

@@ -42,13 +42,11 @@ class Arena {
       } else {
         chunks_.insert(chunks_.end() - 1, std::move(chunk));
       }
-      bytes_reserved_ += n;
       bytes_used_ += n;
       return {data, n};
     }
     if (chunks_.empty() || used_in_current_ + n > chunk_bytes_) {
       chunks_.push_back(std::make_unique<std::uint8_t[]>(chunk_bytes_));
-      bytes_reserved_ += chunk_bytes_;
       used_in_current_ = 0;
     }
     std::uint8_t* data = chunks_.back().get() + used_in_current_;
@@ -71,7 +69,6 @@ class Arena {
   }
 
   std::size_t bytes_used() const { return bytes_used_; }
-  std::size_t bytes_reserved() const { return bytes_reserved_; }
   std::size_t num_chunks() const { return chunks_.size(); }
 
  private:
@@ -79,7 +76,6 @@ class Arena {
   std::size_t chunk_bytes_;
   std::size_t used_in_current_ = 0;
   std::size_t bytes_used_ = 0;
-  std::size_t bytes_reserved_ = 0;
 };
 
 }  // namespace rev::util

@@ -496,10 +496,7 @@ TEST(FleetHealth, WarmupGatesAdmissionAndHysteresisDamps) {
   fleet.AddGood(1, 5);
   fleet.authority_frontend.RebuildAll(kNow);
 
-  HealthOptions options;
-  options.down_after = 2;
-  options.up_after = 2;
-  HealthMonitor monitor(&fleet.ring, options);
+  HealthMonitor monitor(&fleet.ring);
   for (const auto& replica : fleet.replicas) monitor.AddTarget(replica->name());
 
   // Not warmed yet: probes succeed at the HTTP level but report warmed=0,
@@ -508,10 +505,10 @@ TEST(FleetHealth, WarmupGatesAdmissionAndHysteresisDamps) {
   monitor.ProbeAll(fleet.net, kNow + 10);
   EXPECT_EQ(fleet.ring.enabled_count(), 0u);
 
-  // Warm them; admission still needs up_after consecutive good probes.
+  // Warm them; admission still needs two consecutive good probes.
   fleet.publisher.Publish(fleet.net, kNow + 20);
   EXPECT_EQ(monitor.ProbeAll(fleet.net, kNow + 30), 0u);
-  EXPECT_EQ(fleet.ring.enabled_count(), 0u);  // 1 good probe < up_after
+  EXPECT_EQ(fleet.ring.enabled_count(), 0u);  // 1 good probe < 2
   EXPECT_EQ(monitor.ProbeAll(fleet.net, kNow + 40), 2u);
   EXPECT_EQ(fleet.ring.enabled_count(), 2u);
   EXPECT_TRUE(monitor.IsUp(fleet.replicas[0]->name()));
@@ -661,10 +658,7 @@ TEST(FleetClient, HedgesSlowPrimaryWithinLatencyBudget) {
   plan.AddRule(slow);
   fleet.net.SetFaultPlan(&plan);
 
-  FleetClientOptions options = fleet.ClientOptions();
-  options.hedge_budget_seconds = 0.25;
-  options.timeout_seconds = 2.0;
-  FleetClient client(&fleet.net, &fleet.ring, options);
+  FleetClient client(&fleet.net, &fleet.ring, fleet.ClientOptions());
   const auto result = client.Query(fleet.Request(2), fleet.Key(2), kNow);
   ASSERT_TRUE(result.ok);
   EXPECT_TRUE(result.hedged);
@@ -674,7 +668,7 @@ TEST(FleetClient, HedgesSlowPrimaryWithinLatencyBudget) {
   // Client-observed latency is budget + healthy-replica latency — nowhere
   // near the slow primary's inflated elapsed (let alone the 2s timeout).
   EXPECT_LT(result.elapsed_seconds, 1.0);
-  EXPECT_GE(result.elapsed_seconds, options.hedge_budget_seconds);
+  EXPECT_GE(result.elapsed_seconds, FleetClient::kHedgeBudgetSeconds);
 }
 
 TEST(FleetClient, SingleReplicaFleetStillAnswersWithoutHedging) {

@@ -3,12 +3,10 @@
 //   revoked-cli inspect-cert <file.der>       pretty-print a certificate
 //   revoked-cli inspect-crl <file.der>        pretty-print a CRL
 //   revoked-cli make-demo <dir>               write demo cert/CRL DER files
-//   revoked-cli audit [scale]                 run the measurement pipeline
 //   revoked-cli browser-suite <browser> <os>  run the 244-case suite
 //   revoked-cli table2                        print the Table 2 matrix
 //   revoked-cli profiles                      list browser/OS profiles
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -16,12 +14,7 @@
 #include "browser/profiles.h"
 #include "browser/testsuite.h"
 #include "ca/ca.h"
-#include "core/crawler.h"
-#include "core/ecosystem.h"
-#include "core/pipeline.h"
-#include "core/timeline.h"
 #include "crl/crl.h"
-#include "scan/scanner.h"
 #include "x509/describe.h"
 
 using namespace rev;
@@ -106,45 +99,6 @@ int MakeDemo(const char* dir) {
   return 0;
 }
 
-int Audit(double scale) {
-  constexpr std::int64_t kDay = util::kSecondsPerDay;
-  std::printf("building ecosystem (scale %.4f)...\n", scale);
-  core::EcosystemConfig config;
-  config.scale = scale;
-  auto eco = core::Ecosystem::Build(config);
-  const core::EcosystemConfig& c = eco->config();
-
-  core::Pipeline pipeline(eco->roots());
-  bool rejected = false;
-  for (util::Timestamp t = c.study_start; t <= c.study_end; t += 7 * kDay) {
-    pipeline.BeginScan(t);
-    scan::StreamCertScan(eco->internet(), t,
-                         [&](const scan::CertObservation& obs) {
-                           if (!pipeline.ObserveDer(obs.Der())) rejected = true;
-                         });
-    pipeline.EndScan();
-  }
-  if (rejected) {
-    std::fprintf(stderr, "scan ingest rejected a chain\n");
-    return 1;
-  }
-  pipeline.Finalize();
-
-  core::RevocationCrawler crawler(&eco->net());
-  crawler.CollectUrls(pipeline);
-  for (util::Timestamp t = c.crawl_start; t <= c.study_end; t += kDay)
-    crawler.CrawlAll(t);
-
-  const auto timeline = core::ComputeRevocationTimeline(
-      pipeline, crawler, util::MakeDate(2014, 1, 1), c.study_end, 7 * kDay);
-  std::printf("Leaf Set %zu; revocations %zu; final fresh revoked %.2f%%, "
-              "alive revoked %.2f%%\n",
-              pipeline.LeafSet().size(), crawler.total_revocations(),
-              100 * timeline.back().FreshRevokedFraction(),
-              100 * timeline.back().AliveRevokedFraction());
-  return 0;
-}
-
 int BrowserSuite(const char* browser, const char* os) {
   const browser::BrowserProfile* profile = browser::FindProfile(browser, os);
   if (profile == nullptr) {
@@ -189,7 +143,6 @@ void Usage() {
       "  inspect-cert <file.der>\n"
       "  inspect-crl <file.der>\n"
       "  make-demo <dir>\n"
-      "  audit [scale]\n"
       "  browser-suite <browser> <os>   e.g. \"IE 11\" \"Windows 10\"\n"
       "  table2\n"
       "  profiles\n",
@@ -207,7 +160,6 @@ int main(int argc, char** argv) {
   if (command == "inspect-cert" && argc == 3) return InspectCert(argv[2]);
   if (command == "inspect-crl" && argc == 3) return InspectCrl(argv[2]);
   if (command == "make-demo" && argc == 3) return MakeDemo(argv[2]);
-  if (command == "audit") return Audit(argc >= 3 ? std::atof(argv[2]) : 0.001);
   if (command == "browser-suite" && argc == 4)
     return BrowserSuite(argv[2], argv[3]);
   if (command == "table2") return Table2();
