@@ -10,8 +10,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== tier-1: Release build + full test suite =="
-cmake -B build -S .
+echo "== tier-1: Release build (warnings are errors) + full test suite =="
+# -Werror only here: gtest and google-benchmark are system packages, so it
+# reaches repo code alone, and a new warning fails CI instead of scrolling by.
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 

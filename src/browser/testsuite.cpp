@@ -219,7 +219,8 @@ TestEnvironment::TestEnvironment(const TestCase& test, std::uint64_t seed,
         break;
       case FailureMode::kHttp404: {
         auto handler404 = [](const net::HttpRequest&, util::Timestamp) {
-          return net::HttpResponse{.status = 404, .body = {}, .max_age = 0};
+          return net::HttpResponse{
+              .status = 404, .body = {}, .max_age = 0, .headers = {}};
         };
         net_.AddHost(ca.CrlHost(), handler404);
         net_.AddHost(ca.OcspHost(), handler404);

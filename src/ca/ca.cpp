@@ -277,7 +277,8 @@ void CertificateAuthority::RegisterEndpoints(net::SimNet* net) {
         return response;
       }
     }
-    return net::HttpResponse{.status = 404, .body = {}, .max_age = 0};
+    return net::HttpResponse{
+        .status = 404, .body = {}, .max_age = 0, .headers = {}};
   });
 
   net->AddHost(OcspHost(), [this](const net::HttpRequest& request,

@@ -2,6 +2,13 @@
 //
 // Used for certificate fingerprints, CRLSet parent keys (SPKI hashes),
 // RSASSA-PKCS1-v1_5 digests, and the SimSigner tag scheme.
+//
+// The compression function is chosen once per process: the x86-64 SHA
+// extensions (SHA-NI) when the CPU reports them, else the portable scalar
+// loop. No option, environment variable or build flag selects it. The
+// scalar loop is also the oracle: property_test runs both paths over
+// random lengths and Update splits and requires equal digests
+// (crypto/sha256_blocks.h is the internal seam it uses).
 #pragma once
 
 #include <array>
@@ -27,7 +34,8 @@ class Sha256 {
   static Sha256Digest Hash(BytesView data);
 
  private:
-  void ProcessBlock(const std::uint8_t* block);
+  // Compresses `blocks` whole 64-byte blocks through the chosen path.
+  void ProcessBlocks(const std::uint8_t* data, std::size_t blocks);
 
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;

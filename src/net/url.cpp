@@ -16,7 +16,8 @@ std::optional<Url> ParseUrl(std::string_view url) {
   const std::size_t path_start = rest.find('/');
   if (path_start == std::string_view::npos) {
     out.host = std::string(rest);
-    out.path = "/";
+    // Not `= "/"`: GCC 12 reports a false -Wrestrict on that assignment.
+    out.path = std::string(1, '/');
   } else {
     out.host = std::string(rest.substr(0, path_start));
     out.path = std::string(rest.substr(path_start));

@@ -979,9 +979,11 @@ TEST(FleetTrace, FailoverQueryStitchesOneCausalTree) {
   EXPECT_GE(legs, 2u);  // the outage forced a second leg
   EXPECT_EQ(exchanges, legs);
   EXPECT_GE(nodes.size(), 3u);  // client + dead replica + surviving replica
-  for (const auto& span : spans)
-    if (std::string_view(span.name) != "fleet.query")
+  for (const auto& span : spans) {
+    if (std::string_view(span.name) != "fleet.query") {
       EXPECT_EQ(span.trace.lo, result.trace_id.lo);
+    }
+  }
 
   // The critical path tiles the root span exactly, and the root's width is
   // the client-observed latency (same 1% gate the fleet bench enforces).

@@ -233,7 +233,9 @@ TEST_P(FuzzSeeds, DeltaDeserializeNeverCrashesOrMisAnswers) {
 
   for (int i = 0; i < 400; ++i) {
     auto mutated_delta = cascade::CascadeDelta::Deserialize(Mutate(valid_delta, rng));
-    if (mutated_delta) ASSERT_EQ(*mutated_delta, delta);
+    if (mutated_delta) {
+      ASSERT_EQ(*mutated_delta, delta);
+    }
 
     auto mutated_response =
         cascade::UpdateResponse::Deserialize(Mutate(valid_response, rng));

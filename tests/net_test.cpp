@@ -93,7 +93,7 @@ TEST(SimNet, TimeoutInjection) {
 TEST(SimNet, Http404IsNotOk) {
   SimNet net;
   net.AddHost("a.sim", [](const HttpRequest&, util::Timestamp) {
-    return HttpResponse{.status = 404, .body = {}, .max_age = 0};
+    return HttpResponse{.status = 404, .body = {}, .max_age = 0, .headers = {}};
   });
   const FetchResult result = net.Get("http://a.sim/", kNow);
   EXPECT_EQ(result.error, FetchError::kOk);
@@ -107,7 +107,8 @@ TEST(SimNet, LatencyModelScalesWithSize) {
   slow.rtt_seconds = 0.1;
   slow.bandwidth_bps = 8000;  // 1 KB/s
   net.AddHost("slow.sim", [](const HttpRequest&, util::Timestamp) {
-    return HttpResponse{.status = 200, .body = Bytes(10'000, 'x'), .max_age = 0};
+    return HttpResponse{
+        .status = 200, .body = Bytes(10'000, 'x'), .max_age = 0, .headers = {}};
   }, slow);
   const FetchResult result = net.Get("http://slow.sim/", kNow, 60.0);
   ASSERT_TRUE(result.ok());
@@ -121,7 +122,8 @@ TEST(SimNet, TransferSlowerThanTimeoutFails) {
   HostProfile slow;
   slow.bandwidth_bps = 800;  // 100 B/s
   net.AddHost("slow.sim", [](const HttpRequest&, util::Timestamp) {
-    return HttpResponse{.status = 200, .body = Bytes(100'000, 'x'), .max_age = 0};
+    return HttpResponse{
+        .status = 200, .body = Bytes(100'000, 'x'), .max_age = 0, .headers = {}};
   }, slow);
   const FetchResult result = net.Get("http://slow.sim/", kNow, 10.0);
   EXPECT_EQ(result.error, FetchError::kTimeout);

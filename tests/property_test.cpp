@@ -1,7 +1,8 @@
 // Randomized property tests (parameterized over seeds): DER round-trips for
 // randomly shaped certificates / CRLs / OCSP messages, chain verification
 // invariants at random depths, filter guarantees across random workloads,
-// and end-to-end CA/browser consistency under random revocation schedules.
+// end-to-end CA/browser consistency under random revocation schedules, and
+// the SHA-256 compression paths against the scalar oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,8 +17,11 @@
 #include "crl/crl.h"
 #include "crlset/bloom.h"
 #include "crlset/gcs.h"
+#include "crypto/sha256.h"
+#include "crypto/sha256_blocks.h"
 #include "crypto/signer.h"
 #include "ocsp/ocsp.h"
+#include "util/hex.h"
 #include "util/rng.h"
 #include "x509/certificate.h"
 #include "x509/verify.h"
@@ -645,7 +649,9 @@ TEST_P(FingerprintIndexProperty, MatchesMapOracleAcrossRehashes) {
   for (const auto& [fp, row] : oracle) EXPECT_EQ(find(fp), row);
   for (int i = 0; i < 500; ++i) {
     const Bytes fp = random_fp();
-    if (!oracle.contains(fp)) EXPECT_EQ(find(fp), core::FingerprintIndex::kNoRow);
+    if (!oracle.contains(fp)) {
+      EXPECT_EQ(find(fp), core::FingerprintIndex::kNoRow);
+    }
   }
 }
 
@@ -730,6 +736,116 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CorpusFindDerProperty, ::testing::Range(0, 6));
 INSTANTIATE_TEST_SUITE_P(Seeds, InternerProperty, ::testing::Range(0, 6));
 INSTANTIATE_TEST_SUITE_P(Seeds, FingerprintIndexProperty,
                          ::testing::Range(0, 6));
+
+// ----------------------------------------------- SHA-256 compression paths ----
+
+// The digest of `message` through one block function alone: FIPS 180-4
+// padding done here, independently of Sha256::Finish, and the padded blocks
+// handed over in random runs so state carries across calls.
+crypto::Sha256Digest DigestWith(crypto::internal::Sha256BlockFn blocks,
+                                BytesView message, util::Rng& rng) {
+  Bytes padded(message.begin(), message.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(message.size()) * 8;
+  for (int shift = 56; shift >= 0; shift -= 8)
+    padded.push_back(static_cast<std::uint8_t>(bits >> shift));
+
+  std::array<std::uint32_t, 8> state = crypto::internal::kSha256InitialState;
+  std::size_t done = 0;
+  const std::size_t total = padded.size() / 64;
+  while (done < total) {
+    const std::size_t run = 1 + rng.NextBelow(total - done);
+    blocks(state.data(), padded.data() + done * 64, run);
+    done += run;
+  }
+  crypto::Sha256Digest digest;
+  for (std::size_t i = 0; i < 32; ++i)
+    digest[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  return digest;
+}
+
+std::string HexOf(const crypto::Sha256Digest& digest) {
+  return util::HexEncode(Bytes(digest.begin(), digest.end()));
+}
+
+// FIPS 180-4 example vectors plus the one-million-'a' digest, on one path.
+void ExpectKnownAnswers(crypto::internal::Sha256BlockFn blocks) {
+  util::Rng rng(1);
+  const std::pair<std::string_view, std::string_view> vectors[] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+  };
+  for (const auto& [message, want] : vectors)
+    EXPECT_EQ(HexOf(DigestWith(blocks, ToBytes(message), rng)), want)
+        << '"' << message << '"';
+  EXPECT_EQ(HexOf(DigestWith(blocks, Bytes(1'000'000, 'a'), rng)),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256Paths, ScalarKnownAnswers) {
+  ExpectKnownAnswers(&crypto::internal::Sha256BlocksScalar);
+}
+
+TEST(Sha256Paths, ShaNiKnownAnswers) {
+  const auto shani = crypto::internal::Sha256BlocksShaNi();
+  if (shani == nullptr) GTEST_SKIP() << "no SHA extensions on this CPU/build";
+  ExpectKnownAnswers(shani);
+}
+
+class Sha256Differential : public Seeded {
+ protected:
+  Bytes RandomMessage() {
+    Bytes message(rng_.NextBelow(4097));
+    rng_.Fill(message.data(), message.size());
+    return message;
+  }
+};
+
+// Sha256 (whichever path the process chose) fed through random Update
+// splits, including empty, 1-, 63-, 64- and 65-byte pieces, matches the
+// scalar oracle's digest of the whole message.
+TEST_P(Sha256Differential, UpdateSplitsMatchScalarOracle) {
+  constexpr std::size_t kEdgeSplits[] = {0, 1, 63, 64, 65};
+  for (int trial = 0; trial < 64; ++trial) {
+    const Bytes message = RandomMessage();
+    const crypto::Sha256Digest oracle =
+        DigestWith(&crypto::internal::Sha256BlocksScalar, message, rng_);
+    ASSERT_EQ(crypto::Sha256::Hash(message), oracle)
+        << "length " << message.size();
+
+    crypto::Sha256 ctx;
+    std::size_t pos = 0;
+    while (pos < message.size()) {
+      const std::size_t pick = rng_.NextBelow(2 * std::size(kEdgeSplits));
+      const std::size_t want = pick < std::size(kEdgeSplits)
+                                   ? kEdgeSplits[pick]
+                                   : rng_.NextBelow(message.size() + 1);
+      const std::size_t n = std::min(want, message.size() - pos);
+      ctx.Update(BytesView(message.data() + pos, n));
+      pos += n;
+    }
+    ASSERT_EQ(ctx.Finish(), oracle) << "length " << message.size();
+  }
+}
+
+// The SHA-NI block function against the scalar one on the same padded
+// blocks, with independent random multi-block runs on each side.
+TEST_P(Sha256Differential, ShaNiMatchesScalarOracle) {
+  const auto shani = crypto::internal::Sha256BlocksShaNi();
+  if (shani == nullptr) GTEST_SKIP() << "no SHA extensions on this CPU/build";
+  for (int trial = 0; trial < 64; ++trial) {
+    const Bytes message = RandomMessage();
+    ASSERT_EQ(DigestWith(shani, message, rng_),
+              DigestWith(&crypto::internal::Sha256BlocksScalar, message, rng_))
+        << "length " << message.size();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, Sha256Differential, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace rev

@@ -461,7 +461,9 @@ TEST(ServeStress, ConcurrentServeMutateRefresh) {
         const auto result =
             frontend.Serve(ocsp::EncodeOcspRequest(request), kNow + i % 100);
         EXPECT_TRUE(result.http_status == 200 || result.http_status == 503);
-        if (result.http_status == 200) EXPECT_TRUE(result.body);
+        if (result.http_status == 200) {
+          EXPECT_TRUE(result.body);
+        }
       }
     });
   }
