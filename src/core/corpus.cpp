@@ -58,30 +58,8 @@ CertCorpus::UrlRef CertCorpus::InternUrlLists(
   return ref;
 }
 
-CertCorpus::Row CertCorpus::InternDer(BytesView der) {
-  // Known bytes passed ParseCertView when they were interned and need no
-  // parse. New bytes are validated against the caller's buffer BEFORE
-  // touching any corpus state: a rejected certificate must leave the store
-  // bit-identical.
-  const std::uint64_t hash = util::HashBytes(der);
-  if (const Row existing = FindDer(der, hash); existing != kNoRow)
-    return existing;
-  const auto view = x509::ParseCertView(der);
-  if (!view) return kNoRow;
-  return AppendView(*view, hash);
-}
-
-CertCorpus::Row CertCorpus::InternView(const x509::CertView& view) {
-  // Re-probed: an earlier element of the same chain may have interned
-  // these bytes since the caller's FindDer missed.
-  const std::uint64_t hash = util::HashBytes(view.der);
-  if (const Row existing = FindDer(view.der, hash); existing != kNoRow)
-    return existing;
-  return AppendView(view, hash);
-}
-
-CertCorpus::Row CertCorpus::AppendView(const x509::CertView& view,
-                                       std::uint64_t hash) {
+CertCorpus::Row CertCorpus::Append(const x509::CertView& view,
+                                   std::uint64_t hash) {
   assert(refs_.size() < kNoRow);
   const Row row = static_cast<Row>(refs_.size());
 

@@ -3,18 +3,20 @@
 // CertRecord> of heap CertPtrs.
 //
 // Layout (docs/corpus.md has the full diagram and invariants):
-//   - every row enters as raw DER that passed x509::ParseCertView; the DER
-//     lives in a util::Arena (chunked, pointer-stable: views never dangle as
-//     rows are appended), one block per row holding just those bytes;
+//   - every row enters as raw DER through Pipeline::ObserveDer, after it
+//     passed x509::ParseCertView; the DER lives in a util::Arena (chunked,
+//     pointer-stable: views never dangle as rows are appended), one block
+//     per row holding just those bytes;
 //   - tbs/signature/serial are offsets into the row's DER, not copies;
 //   - issuer/subject name DER and CRL/OCSP URLs are interned
 //     (util::StringInterner) — columns hold 4-byte ids;
 //   - lifetimes/observations/flags are fixed-width columns, contiguous for
 //     ParallelFor;
 //   - identity is the certificate's bytes: one open-addressing index
-//     (FingerprintIndex) keyed by util::HashBytes of the DER maps it to its
-//     row, confirmed by memcmp against the arena copy. A re-sighted
-//     certificate is found without a parse or a SHA-256;
+//     (util::HashIndex) keyed by util::HashBytes of the DER maps it to its
+//     row, confirmed by memcmp against the arena copy. Ingest hashes each
+//     chain element once and passes that hash to the probe and the append;
+//     a re-sighted certificate is found without a parse or a SHA-256;
 //   - the SHA-256 fingerprint column is computed once per new row; it is
 //     the sort key of RowsByFingerprint (the Leaf Set order) and of the
 //     cold-path Find(fingerprint);
@@ -35,9 +37,9 @@
 #include <span>
 #include <vector>
 
-#include "core/fingerprint_index.h"
 #include "util/arena.h"
 #include "util/bytes.h"
+#include "util/hash_index.h"
 #include "util/interner.h"
 #include "util/time.h"
 #include "x509/certificate.h"
@@ -49,17 +51,10 @@ namespace rev::core {
 class CertCorpus {
  public:
   using Row = std::uint32_t;
-  static constexpr Row kNoRow = 0xFFFF'FFFFu;
-
-  // Interns raw DER, the only way into the corpus: dedups by bytes, and
-  // only DER the corpus does not hold is view-parsed and copied into the
-  // arena. Returns kNoRow on malformed input, leaving the corpus untouched
-  // (fuzz-tested invariant).
-  Row InternDer(BytesView der);
+  static constexpr Row kNoRow = util::HashIndex::kNoId;
 
   // Row holding exactly these DER bytes, or kNoRow: one word-wise hash of
-  // the DER, an index probe and a memcmp against the arena copy. The ingest
-  // dedup lookup.
+  // the DER, an index probe and a memcmp against the arena copy.
   Row FindDer(BytesView der) const;
 
   // Row for a SHA-256 fingerprint, or kNoRow: a binary search over the
@@ -174,8 +169,9 @@ class CertCorpus {
   bool CheckInvariants() const;
 
  private:
-  // Pipeline::ObserveDer probes every chain element with FindDer, parses
-  // only the misses and hands their views to InternView.
+  // Pipeline::ObserveDer, the only way into the corpus, hashes every chain
+  // element once, probes with FindDer(der, hash), parses only the misses
+  // and hands their views and hashes to Append.
   friend class Pipeline;
 
   static constexpr std::uint8_t kFlagCa = 1;
@@ -199,13 +195,11 @@ class CertCorpus {
     std::uint16_t num_ocsp = 0;
   };
 
+  // FindDer with `hash` = util::HashBytes(der) already computed.
   Row FindDer(BytesView der, std::uint64_t hash) const;
-  // Interns DER the caller has already view-parsed (`view.der`): dedups by
-  // bytes, then appends. No second parse.
-  Row InternView(const x509::CertView& view);
   // Appends a view-parsed row; `hash` is util::HashBytes(view.der) and the
   // bytes must be absent.
-  Row AppendView(const x509::CertView& view, std::uint64_t hash);
+  Row Append(const x509::CertView& view, std::uint64_t hash);
   // RowsByFingerprint's cache, re-sorted first if stale.
   const std::vector<Row>& SortedRows() const;
   UrlRef InternUrlLists(const std::vector<std::uint32_t>& crl_ids,
@@ -231,7 +225,7 @@ class CertCorpus {
 
   // util::HashBytes(der(row)) -> row; tag matches are confirmed by memcmp
   // against the arena DER.
-  FingerprintIndex index_;
+  util::HashIndex index_;
   util::StringInterner names_;
   util::StringInterner urls_;
   // (crl ids, ocsp ids) -> shared pool segment; most rows share a handful

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <set>
 
 #include "crypto/hmac.h"
 #include "obs/distrace.h"
 #include "obs/metrics.h"
+#include "util/hash.h"
 #include "util/thread_pool.h"
 
 namespace rev::core {
@@ -66,27 +66,37 @@ std::optional<CertCorpus::Row> Pipeline::ObserveDer(
   if (chain.empty()) return std::nullopt;
   // Validate every element before interning any: a rejected observation
   // must leave the corpus bit-identical (fuzz-tested), so no element may be
-  // folded before the last one has passed. Bytes the corpus already holds
-  // passed ParseCertView when they were interned and need no parse. Only
-  // new DER is parsed, once; its view goes straight to the intern step.
+  // folded before the last one has passed. Each element's DER is hashed
+  // once; the probe, the in-chain re-probe and the append share that hash.
+  // Bytes the corpus already holds passed ParseCertView when they were
+  // interned and need no parse. Only new DER is parsed, once; its view goes
+  // straight to the append.
   chain_rows_.resize(chain.size());
+  chain_hashes_.resize(chain.size());
   new_views_.clear();
   for (std::size_t i = 0; i < chain.size(); ++i) {
-    const CertCorpus::Row row = corpus_.FindDer(chain[i]);
+    const std::uint64_t hash = util::HashBytes(chain[i]);
+    const CertCorpus::Row row = corpus_.FindDer(chain[i], hash);
     if (row == CertCorpus::kNoRow) {
       std::optional<x509::CertView> view = x509::ParseCertView(chain[i]);
       if (!view) return std::nullopt;
       new_views_.push_back(*std::move(view));
     }
     chain_rows_[i] = row;
+    chain_hashes_[i] = hash;
   }
   CertCorpus::Row leaf_row = CertCorpus::kNoRow;
   std::size_t next_view = 0;
   for (std::size_t i = 0; i < chain.size(); ++i) {
-    const CertCorpus::Row row =
-        chain_rows_[i] != CertCorpus::kNoRow
-            ? chain_rows_[i]
-            : corpus_.InternView(new_views_[next_view++]);
+    CertCorpus::Row row = chain_rows_[i];
+    if (row == CertCorpus::kNoRow) {
+      // Re-probed: an earlier element of the same chain may have appended
+      // these bytes since the first probe missed.
+      const x509::CertView& view = new_views_[next_view++];
+      row = corpus_.FindDer(chain[i], chain_hashes_[i]);
+      if (row == CertCorpus::kNoRow)
+        row = corpus_.Append(view, chain_hashes_[i]);
+    }
     corpus_.FoldSeen(row, scan_time_);
     if (i == 0) {
       leaf_row = row;
@@ -111,8 +121,6 @@ void Pipeline::Finalize() {
   // fingerprint order (the old map's iteration order). CA rows are a tiny
   // fraction of the corpus, so this is the only place whole-certificate
   // objects are built in bulk.
-  x509::CertPool intermediates;
-  std::set<Bytes> intermediate_fps;
   {
     obs::Span intermediates_span("pipeline.intermediates");
     std::vector<x509::CertPtr> candidates;
@@ -120,46 +128,32 @@ void Pipeline::Finalize() {
       if (corpus_.is_ca(r)) candidates.push_back(corpus_.cert(r));
     }
     intermediate_set_ = x509::BuildIntermediateSet(candidates, roots_);
-
-    for (const x509::CertPtr& cert : intermediate_set_) {
-      intermediates.Add(cert);
-      intermediate_fps.insert(cert->Fingerprint());
-    }
   }
   intermediate_wall_seconds_ = SecondsSince(start);
 
-  std::set<Bytes> root_fps;
-  for (const x509::CertPtr& root : roots_.all())
-    root_fps.insert(root->Fingerprint());
-  // Allocation-free root check for the per-leaf hot loop: a 64-bit prefix
-  // probe over the handful of roots, full compare only on a prefix hit.
-  std::vector<std::uint64_t> root_prefixes;
-  for (const Bytes& fp : root_fps)
-    root_prefixes.push_back(FingerprintIndex::HashOf(fp));
-  std::sort(root_prefixes.begin(), root_prefixes.end());
-  const auto is_root_fp = [&](BytesView fp) {
-    if (!std::binary_search(root_prefixes.begin(), root_prefixes.end(),
-                            FingerprintIndex::HashOf(fp)))
-      return false;
-    for (const Bytes& root_fp : root_fps) {
-      if (root_fp.size() == fp.size() &&
-          std::equal(fp.begin(), fp.end(), root_fp.begin()))
-        return true;
-    }
-    return false;
+  // The rows holding a root's or an Intermediate Set member's bytes, sorted
+  // (a root never observed has none). Intermediate Set members are CA rows,
+  // so a non-CA row here is a root observed as a leaf.
+  std::vector<CertCorpus::Row> trusted_rows;
+  const auto add_trusted = [&](const x509::CertPtr& cert) {
+    const CertCorpus::Row row = corpus_.FindDer(cert->der);
+    if (row != CertCorpus::kNoRow) trusted_rows.push_back(row);
+  };
+  for (const x509::CertPtr& root : roots_.all()) add_trusted(root);
+  for (const x509::CertPtr& cert : intermediate_set_) add_trusted(cert);
+  std::sort(trusted_rows.begin(), trusted_rows.end());
+  const auto is_trusted = [&](CertCorpus::Row r) {
+    return std::binary_search(trusted_rows.begin(), trusted_rows.end(), r);
   };
 
-  // Validate every certificate, ignoring date errors (§3.1). CA records are
-  // membership checks against the precomputed fingerprint sets; leaves get
-  // the batched columnar verification below.
+  // Validate every certificate, ignoring date errors (§3.1). A CA row is
+  // valid iff it is trusted; leaves get the batched columnar verification
+  // below.
   std::vector<CertCorpus::Row> leaves;
   leaves.reserve(rows.size());
   for (const CertCorpus::Row r : rows) {
     if (corpus_.is_ca(r)) {
-      const Bytes fp(corpus_.fingerprint(r).begin(),
-                     corpus_.fingerprint(r).end());
-      corpus_.set_valid(r,
-                        root_fps.contains(fp) || intermediate_fps.contains(fp));
+      corpus_.set_valid(r, is_trusted(r));
     } else {
       leaves.push_back(r);
     }
@@ -208,7 +202,7 @@ void Pipeline::Finalize() {
       const auto chain_start = std::chrono::steady_clock::now();
       bool valid = false;
       // A leaf that *is* a trusted root verifies trivially.
-      if (is_root_fp(corpus_.fingerprint(r))) {
+      if (is_trusted(r)) {
         valid = true;
       } else if (auto it = candidates_by_name.find(corpus_.issuer_id(r));
                  it != candidates_by_name.end()) {

@@ -99,8 +99,10 @@ class Pipeline {
   double intermediate_wall_seconds_ = 0;
   double verify_wall_seconds_ = 0;
   // ObserveDer scratch, reused across calls: each element's known row (or
-  // kNoRow) and the views of the new elements, in chain order.
+  // kNoRow) and util::HashBytes of its DER, and the views of the new
+  // elements, in chain order.
   std::vector<CertCorpus::Row> chain_rows_;
+  std::vector<std::uint64_t> chain_hashes_;
   std::vector<x509::CertView> new_views_;
 };
 

@@ -27,14 +27,15 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  // Allocates `n` bytes of uninitialized, never-moving storage. n == 0
-  // returns an empty span.
+  // Allocates `n` bytes of uninitialized, never-moving storage (chunks are
+  // not zero-filled: Copy/CopyString overwrite every byte they hand out).
+  // n == 0 returns an empty span.
   std::span<std::uint8_t> Allocate(std::size_t n) {
     if (n == 0) return {};
     if (n > chunk_bytes_) {
       // Dedicated chunk, inserted *behind* the current one so the current
       // chunk's remaining tail stays usable.
-      auto chunk = std::make_unique<std::uint8_t[]>(n);
+      auto chunk = std::make_unique_for_overwrite<std::uint8_t[]>(n);
       std::uint8_t* data = chunk.get();
       if (chunks_.empty()) {
         chunks_.push_back(std::move(chunk));
@@ -46,7 +47,8 @@ class Arena {
       return {data, n};
     }
     if (chunks_.empty() || used_in_current_ + n > chunk_bytes_) {
-      chunks_.push_back(std::make_unique<std::uint8_t[]>(chunk_bytes_));
+      chunks_.push_back(
+          std::make_unique_for_overwrite<std::uint8_t[]>(chunk_bytes_));
       used_in_current_ = 0;
     }
     std::uint8_t* data = chunks_.back().get() + used_in_current_;

@@ -5,8 +5,9 @@
 // placement, trace ids) and the Bloom filters' probe hashes.
 //
 // HashBytes serves every hash table keyed by bytes: the serving index/cache
-// (serve::StatusKeyHash), the corpus's DER index (core::CertCorpus::FindDer)
-// and util::StringInterner. Word-at-a-time multiply-xor mix: one multiply
+// (serve::StatusKeyHash) and the two util::HashIndex users, the corpus's DER
+// index (hashed once per chain element by core::Pipeline::ObserveDer) and
+// util::StringInterner. Word-at-a-time multiply-xor mix: one multiply
 // per 8 input bytes, versus one per byte for FNV-1a. Not collision-resistant
 // — every table that uses it confirms a tag match by comparing the full
 // key. The tail is loaded with a bounded memcpy, so a key is never read

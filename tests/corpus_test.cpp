@@ -5,8 +5,8 @@
 // lifetime/verdict fields — must match byte for byte, at 1 thread and at 8.
 // The pipeline ingests each observation's DER through ObserveDer, the
 // reference the parsed certificates. Also locks down the ingest-ordering
-// regressions, corpus view/row-id stability, and ObserveDer's dedup by
-// bytes (re-sightings, in-chain duplicates).
+// regressions, root identity by bytes, corpus view/row-id stability, and
+// ObserveDer's dedup by bytes (re-sightings, in-chain duplicates).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -337,6 +337,100 @@ TEST(CorpusEquivalence, OutOfOrderAndSameTimestampIngest) {
   ExpectEquivalent(reference, pipeline);
   EXPECT_EQ(pipeline.out_of_order_scans(), 1u);
   EXPECT_TRUE(pipeline.corpus().CheckInvariants());
+}
+
+// ------------------------------------------------------- root identity ----
+
+x509::CertPtr MakeTestCa(const std::string& cn, const x509::Name& issuer,
+                         const crypto::KeyPair& issuer_key) {
+  x509::TbsCertificate tbs;
+  tbs.serial = x509::Serial(8, 0x42);
+  tbs.issuer = issuer;
+  tbs.subject = x509::Name::Make(cn, "Root Identity");
+  tbs.not_before = util::MakeDate(2012, 1, 1);
+  tbs.not_after = util::MakeDate(2020, 1, 1);
+  tbs.public_key = crypto::SimKeyFromLabel("root-id-" + cn).Public();
+  tbs.basic_constraints = {true, -1};
+  return std::make_shared<const x509::Certificate>(
+      x509::SignCertificate(tbs, issuer_key));
+}
+
+// Roots are matched to corpus rows by their bytes, against the reference:
+// a root observed inside a chain has a valid CA row; a non-CA certificate
+// in the root pool, observed as a leaf whose issuer no pool certificate
+// names, is in the Leaf Set; a root never observed adds no row and changes
+// no verdict.
+void RunRootIdentityEquivalence(unsigned threads) {
+  const crypto::KeyPair root_key = crypto::SimKeyFromLabel("root-id-Root");
+  const x509::Name root_name = x509::Name::Make("Root", "Root Identity");
+  const x509::CertPtr root = MakeTestCa("Root", root_name, root_key);
+  const x509::CertPtr intermediate = MakeTestCa("Intermediate", root_name,
+                                                root_key);
+  const x509::CertPtr unseen_root =
+      MakeTestCa("Unseen", x509::Name::Make("Unseen", "Root Identity"),
+                 crypto::SimKeyFromLabel("root-id-Unseen"));
+
+  x509::TbsCertificate leaf_tbs;
+  leaf_tbs.serial = x509::Serial(8, 0x43);
+  leaf_tbs.issuer = intermediate->tbs.subject;
+  leaf_tbs.subject = x509::Name::FromCommonName("chained.root-id.sim");
+  leaf_tbs.not_before = util::MakeDate(2013, 1, 1);
+  leaf_tbs.not_after = util::MakeDate(2016, 1, 1);
+  leaf_tbs.public_key = crypto::SimKeyFromLabel("root-id-leaf").Public();
+  const x509::CertPtr chained_leaf = std::make_shared<const x509::Certificate>(
+      x509::SignCertificate(leaf_tbs,
+                            crypto::SimKeyFromLabel("root-id-Intermediate")));
+  const x509::CertPtr pinned_leaf = MakeTestLeaf("pinned.root-id.sim");
+  const x509::CertPtr stray_leaf = MakeTestLeaf("stray.root-id.sim");
+
+  x509::CertPool roots;
+  roots.Add(root);
+  roots.Add(pinned_leaf);
+  roots.Add(unseen_root);
+
+  scan::CertScanSnapshot snapshot =
+      MakeSnapshot(util::MakeDate(2014, 3, 1), {pinned_leaf, stray_leaf});
+  scan::CertObservation chained;
+  chained.chain = {chained_leaf, intermediate, root};
+  snapshot.observations.push_back(chained);
+
+  ReferencePipeline reference(roots);
+  Pipeline pipeline(roots, threads);
+  reference.IngestScan(snapshot);
+  IngestSnapshot(pipeline, snapshot);
+  reference.Finalize();
+  pipeline.Finalize();
+  ExpectEquivalent(reference, pipeline);
+
+  const CertCorpus& corpus = pipeline.corpus();
+  EXPECT_EQ(corpus.size(), 5u);
+  const CertCorpus::Row root_row = corpus.FindDer(root->der);
+  ASSERT_NE(root_row, CertCorpus::kNoRow);
+  EXPECT_TRUE(corpus.is_ca(root_row));
+  EXPECT_TRUE(corpus.valid(root_row));
+  const CertCorpus::Row intermediate_row = corpus.FindDer(intermediate->der);
+  ASSERT_NE(intermediate_row, CertCorpus::kNoRow);
+  EXPECT_TRUE(corpus.valid(intermediate_row));
+  EXPECT_EQ(corpus.FindDer(unseen_root->der), CertCorpus::kNoRow);
+
+  const std::vector<CertCorpus::Row> leaves = pipeline.LeafSet();
+  const auto in_leaf_set = [&](const x509::CertPtr& cert) {
+    return std::find(leaves.begin(), leaves.end(),
+                     corpus.FindDer(cert->der)) != leaves.end();
+  };
+  EXPECT_EQ(leaves.size(), 2u);
+  EXPECT_TRUE(in_leaf_set(pinned_leaf));
+  EXPECT_TRUE(in_leaf_set(chained_leaf));
+  EXPECT_FALSE(in_leaf_set(stray_leaf));
+  EXPECT_TRUE(corpus.CheckInvariants());
+}
+
+TEST(CorpusEquivalence, RootIdentitySerial) {
+  RunRootIdentityEquivalence(/*threads=*/1);
+}
+
+TEST(CorpusEquivalence, RootIdentityEightThreads) {
+  RunRootIdentityEquivalence(/*threads=*/8);
 }
 
 // --------------------------------------------------------- row stability ----

@@ -8,8 +8,7 @@
 #include <algorithm>
 
 #include "browser/client.h"
-#include "core/corpus.h"
-#include "core/fingerprint_index.h"
+#include "core/pipeline.h"
 #include "net/retry.h"
 #include "browser/profiles.h"
 #include "ca/ca.h"
@@ -21,6 +20,8 @@
 #include "crypto/sha256_blocks.h"
 #include "crypto/signer.h"
 #include "ocsp/ocsp.h"
+#include "util/hash.h"
+#include "util/hash_index.h"
 #include "util/hex.h"
 #include "util/rng.h"
 #include "x509/certificate.h"
@@ -601,56 +602,55 @@ TEST_P(InternerProperty, RoundTripAndIdStabilityUnderGrowth) {
             util::StringInterner::kInvalidId);
 }
 
-// Fingerprint index vs a std::map oracle: random insert/lookup workloads
-// agree exactly, including lookups of absent fingerprints after rehashes
-// (no false hits from stale tags).
-class FingerprintIndexProperty : public Seeded {};
+// HashIndex vs a std::map oracle: random insert/lookup workloads keyed by
+// util::HashBytes tags agree exactly, including lookups of absent keys
+// after rehashes (no false hits from stale tags).
+class HashIndexProperty : public Seeded {};
 
-TEST_P(FingerprintIndexProperty, MatchesMapOracleAcrossRehashes) {
-  core::FingerprintIndex index;
-  std::vector<Bytes> stored;  // fingerprint per row, row id == vector index
+TEST_P(HashIndexProperty, MatchesMapOracleAcrossRehashes) {
+  util::HashIndex index;
+  std::vector<Bytes> stored;  // key per id, id == vector index
   std::map<Bytes, std::uint32_t> oracle;
 
-  auto find = [&](const Bytes& fp) {
-    return index.Find(core::FingerprintIndex::HashOf(fp),
-                      [&](std::uint32_t row) {
-                        return stored[row].size() == fp.size() &&
-                               std::equal(fp.begin(), fp.end(),
-                                          stored[row].begin());
-                      });
+  auto find = [&](const Bytes& key) {
+    return index.Find(util::HashBytes(key), [&](std::uint32_t id) {
+      return stored[id].size() == key.size() &&
+             std::equal(key.begin(), key.end(), stored[id].begin());
+    });
   };
-  auto random_fp = [&] {
-    Bytes fp(32);
-    rng_.Fill(fp.data(), fp.size());
-    return fp;
+  auto random_key = [&] {
+    Bytes key(1 + rng_.NextBelow(48));
+    rng_.Fill(key.data(), key.size());
+    return key;
   };
 
   for (int i = 0; i < 5000; ++i) {
-    Bytes fp = random_fp();
-    // Sometimes re-query an existing fingerprint instead of a fresh one.
+    Bytes key = random_key();
+    // Sometimes re-query an existing key instead of a fresh one.
     if (!stored.empty() && rng_.NextBelow(4) == 0)
-      fp = stored[rng_.NextBelow(stored.size())];
+      key = stored[rng_.NextBelow(stored.size())];
 
-    const std::uint32_t got = find(fp);
-    const auto it = oracle.find(fp);
+    const std::uint32_t got = find(key);
+    const auto it = oracle.find(key);
     if (it == oracle.end()) {
-      ASSERT_EQ(got, core::FingerprintIndex::kNoRow) << "false hit at " << i;
-      const auto row = static_cast<std::uint32_t>(stored.size());
-      index.Insert(core::FingerprintIndex::HashOf(fp), row);
-      stored.push_back(fp);
-      oracle.emplace(std::move(fp), row);
+      ASSERT_EQ(got, util::HashIndex::kNoId) << "false hit at " << i;
+      const auto id = static_cast<std::uint32_t>(stored.size());
+      index.Insert(util::HashBytes(key), id);
+      stored.push_back(key);
+      oracle.emplace(std::move(key), id);
     } else {
       ASSERT_EQ(got, it->second) << "miss/mismatch at " << i;
     }
   }
-  // Post-growth sweep: every stored fingerprint resolves to its row, and
-  // fresh fingerprints still miss (the table has rehashed many times by
-  // now — 5k inserts from a 64-slot start).
-  for (const auto& [fp, row] : oracle) EXPECT_EQ(find(fp), row);
+  // Post-growth sweep: every stored key resolves to its id, and fresh keys
+  // still miss (the table has rehashed many times by now — 5k inserts from
+  // a 64-slot start).
+  EXPECT_EQ(index.size(), oracle.size());
+  for (const auto& [key, id] : oracle) EXPECT_EQ(find(key), id);
   for (int i = 0; i < 500; ++i) {
-    const Bytes fp = random_fp();
-    if (!oracle.contains(fp)) {
-      EXPECT_EQ(find(fp), core::FingerprintIndex::kNoRow);
+    const Bytes key = random_key();
+    if (!oracle.contains(key)) {
+      EXPECT_EQ(find(key), util::HashIndex::kNoId);
     }
   }
 }
@@ -660,12 +660,15 @@ TEST_P(FingerprintIndexProperty, MatchesMapOracleAcrossRehashes) {
 // miss everything else, across index rehashes. Near-duplicates are the hard
 // case for a tag-plus-memcmp index: fresh certificates whose serials differ
 // only in the last byte (equal length, mostly equal bytes) and one-byte
-// flips of stored DER, some offered to InternDer and some only probed. A
-// flip that fails ParseCertView must be refused without touching the corpus.
+// flips of stored DER, some offered to Pipeline::ObserveDer as a one-element
+// chain and some only probed. A flip that fails ParseCertView must be
+// refused without touching the corpus.
 class CorpusFindDerProperty : public Seeded {};
 
 TEST_P(CorpusFindDerProperty, MatchesMapOracleAcrossRehashes) {
-  core::CertCorpus corpus;
+  core::Pipeline pipeline{x509::CertPool{}};
+  const core::CertCorpus& corpus = pipeline.corpus();
+  pipeline.BeginScan(kNow);
   std::map<Bytes, core::CertCorpus::Row> oracle;
   std::vector<Bytes> stored;
   const crypto::KeyPair ca_key = crypto::SimKeyFromLabel("find-der-ca");
@@ -706,17 +709,21 @@ TEST_P(CorpusFindDerProperty, MatchesMapOracleAcrossRehashes) {
     // Some flips are only probed, never offered.
     if (pick == 0 && rng_.NextBelow(2) == 0) continue;
     const std::size_t size_before = corpus.size();
-    const core::CertCorpus::Row row = corpus.InternDer(der);
+    const BytesView chain[] = {der};
+    const std::optional<core::CertCorpus::Row> row = pipeline.ObserveDer(chain);
     if (!x509::ParseCertView(der)) {
-      ASSERT_EQ(row, core::CertCorpus::kNoRow) << "accepted at " << i;
+      ASSERT_FALSE(row.has_value()) << "accepted at " << i;
       ASSERT_EQ(corpus.size(), size_before);
       ASSERT_EQ(corpus.FindDer(der), core::CertCorpus::kNoRow);
       continue;
     }
-    ASSERT_EQ(row, stored.size());
+    ASSERT_TRUE(row.has_value()) << "refused at " << i;
+    ASSERT_EQ(*row, stored.size());
     stored.push_back(der);
-    oracle.emplace(der, row);
+    oracle.emplace(der, *row);
   }
+
+  pipeline.EndScan();
 
   // Post-growth sweep (3000 probes from an empty table: many rehashes):
   // every stored DER resolves to its row, and flips of it that were never
@@ -734,8 +741,7 @@ TEST_P(CorpusFindDerProperty, MatchesMapOracleAcrossRehashes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CorpusFindDerProperty, ::testing::Range(0, 6));
 INSTANTIATE_TEST_SUITE_P(Seeds, InternerProperty, ::testing::Range(0, 6));
-INSTANTIATE_TEST_SUITE_P(Seeds, FingerprintIndexProperty,
-                         ::testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, HashIndexProperty, ::testing::Range(0, 6));
 
 // ----------------------------------------------- SHA-256 compression paths ----
 

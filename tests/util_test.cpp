@@ -1,5 +1,5 @@
-// Unit and property tests for util: civil time, RNG, the Mix64 mixer,
-// codecs, statistics, and the worker pool behind the parallel
+// Unit and property tests for util: civil time, RNG, the Mix64 mixer, the
+// arena, codecs, statistics, and the worker pool behind the parallel
 // pipeline/crawler.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/arena.h"
 #include "util/hash.h"
 #include "util/hex.h"
 #include "util/rng.h"
@@ -115,6 +116,42 @@ TEST(Hash, Mix64MatchesSplitMix64Reference) {
   EXPECT_EQ(rng.Next(), 0x853b559647364ceaull);
   EXPECT_EQ(rng.Next(), 0x92f89756082a4514ull);
   EXPECT_EQ(rng.Next(), 0x642e1c7bc266a3a7ull);
+}
+
+// --------------------------------------------------------------- arena ----
+
+// An oversized block gets a chunk of its own, inserted behind the current
+// chunk, so the current chunk's tail still serves the next small copy; no
+// copy moves, so every view handed out earlier keeps its bytes.
+TEST(Arena, OversizedBlocksKeepTheCurrentTailAndEarlierViews) {
+  Arena arena(64);
+  std::vector<Bytes> sources;
+  std::vector<BytesView> views;
+  const auto copy = [&](std::size_t n, std::uint8_t fill) {
+    sources.emplace_back(n, fill);
+    views.push_back(arena.Copy(sources.back()));
+    return views.back();
+  };
+
+  copy(100, 0x11);  // oversized into an empty arena
+  EXPECT_EQ(arena.num_chunks(), 1u);
+  const BytesView first_small = copy(16, 0x22);  // opens a regular chunk
+  EXPECT_EQ(arena.num_chunks(), 2u);
+  copy(200, 0x33);  // oversized behind the current chunk
+  EXPECT_EQ(arena.num_chunks(), 3u);
+  // The current chunk's tail is still in use: the next copy lands right
+  // after the last small one.
+  const BytesView second_small = copy(16, 0x44);
+  EXPECT_EQ(arena.num_chunks(), 3u);
+  EXPECT_EQ(second_small.data(), first_small.data() + 16);
+  copy(40, 0x55);  // 16 + 16 + 40 > 64: a new regular chunk
+  EXPECT_EQ(arena.num_chunks(), 4u);
+  EXPECT_TRUE(arena.Copy({}).empty());
+  EXPECT_EQ(arena.CopyString("tail"), "tail");
+  EXPECT_EQ(arena.bytes_used(), 100u + 16 + 200 + 16 + 40 + 4);
+
+  for (std::size_t i = 0; i < views.size(); ++i)
+    EXPECT_EQ(Bytes(views[i].begin(), views[i].end()), sources[i]) << i;
 }
 
 // ----------------------------------------------------------------- rng ----
