@@ -14,6 +14,7 @@
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "x509/certificate.h"
+#include "x509/view.h"
 
 using namespace rev;
 
@@ -99,6 +100,16 @@ void BM_CertificateParse(benchmark::State& state) {
                           static_cast<std::int64_t>(der.size()));
 }
 BENCHMARK(BM_CertificateParse);
+
+// The borrowed parse that new DER takes on ingest (Pipeline::ObserveDer),
+// on the same certificate as BM_CertificateParse.
+void BM_ParseCertView(benchmark::State& state) {
+  const Bytes der = BenchCert().der;
+  for (auto _ : state) benchmark::DoNotOptimize(x509::ParseCertView(der));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(der.size()));
+}
+BENCHMARK(BM_ParseCertView);
 
 crl::Crl BenchCrl(std::size_t entries) {
   util::Rng rng(3);

@@ -1,26 +1,36 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 in CMakeLists.txt's default RelWithDebInfo build
-# (-O2 -g, warnings are errors; full build + every ctest suite),
+# (-O2 -g, warnings are errors; full build + every ctest suite), a
+# compile-only -O3 Release build of the libraries (warnings are errors),
 # then a ThreadSanitizer pass over the concurrency-sensitive targets —
 # the thread pool, the parallel pipeline/crawler, the serving frontend,
 # and the metrics/trace instruments (tests + a small bench_serve load) —
 # then the full ctest under ASan+UBSan, then an observability smoke: bench_serve must answer GET /metrics and
 # land the registry snapshot in BENCH_serve.json, plus a QPS-regression
 # smoke of its sweep peak against a fixed floor. Fails on any
-# ctest regression, TSan or ASan/UBSan report, or QPS collapse.
+# ctest regression, -O3 warning, TSan or ASan/UBSan report, or QPS
+# collapse.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== tier-1: RelWithDebInfo build (-O2 -g, warnings are errors) + full test suite =="
-# -Werror only here: gtest and google-benchmark are system packages, so it
-# reaches repo code alone, and a new warning fails CI instead of scrolling by.
-# Not an -O3 Release build: there GCC 12 inlines libstdc++'s memcmp/memcpy
-# into repo code and reports false -Wstringop-overread/-Wrestrict (e.g. in
-# src/serve/status_index.cpp, src/crl/crl.cpp, src/ocsp/ocsp.cpp and
-# src/fleet/client.cpp), so -Werror would fail on code that is correct.
+# -Werror: gtest and google-benchmark are system packages, so it reaches
+# repo code alone, and a new warning fails CI instead of scrolling by. The
+# tests run in this build, not an -O3 one, so their asserts stay on.
 cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
+
+echo "== -O3 Release build of the libraries (compile only, warnings are errors) =="
+# bench/e2e builds src/ at -O3, where GCC 12 inlines more of libstdc++ and
+# warns differently (e.g. -Wstringop-overread on a vector<uint8_t> compare,
+# which is why byte-keyed sorts and maps use util::BytesLess). Compiling the
+# libraries here with -Werror keeps that build warning-free.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
+cmake --build build-release -j"$(nproc)" --target \
+  rev_obs rev_util rev_crypto rev_asn1 rev_x509 rev_crl rev_ocsp rev_net \
+  rev_serve rev_fleet rev_tls rev_ca rev_scan rev_browser rev_crlset \
+  rev_cascade rev_core
 
 echo "== TSan: thread pool, parallel pipeline, serving frontend, obs, chaos =="
 cmake -B build-tsan -S . -DREV_SANITIZE_THREAD=ON
@@ -148,4 +158,4 @@ print(f"slo: {slo['alerts']} alerts, all in the storm phase: ok")
 PY
 rm -rf "$fleet_dir"
 
-echo "ci OK (tier-1 + TSan + ASan/UBSan: unit suites, obs suite, serve stress, fleet suite + soak, bench_serve load + /metrics smoke + QPS regression + fleet zero-wrong-answers + slo burn-rate gates)"
+echo "ci OK (tier-1 + -O3 library build + TSan + ASan/UBSan: unit suites, obs suite, serve stress, fleet suite + soak, bench_serve load + /metrics smoke + QPS regression + fleet zero-wrong-answers + slo burn-rate gates)"

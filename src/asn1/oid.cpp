@@ -1,9 +1,41 @@
 #include "asn1/oid.h"
 
+#include <span>
+#include <vector>
+
 namespace rev::asn1 {
 
+namespace {
+
+void AppendBase128(Bytes& out, std::uint64_t v) {
+  std::uint8_t tmp[10];
+  int n = 0;
+  do {
+    tmp[n++] = static_cast<std::uint8_t>(v & 0x7F);
+    v >>= 7;
+  } while (v);
+  for (int i = n - 1; i >= 0; --i)
+    out.push_back(static_cast<std::uint8_t>(tmp[i] | (i ? 0x80 : 0x00)));
+}
+
+// DER content octets for `components`; empty if there are fewer than two.
+Bytes EncodeComponents(std::span<const std::uint32_t> components) {
+  Bytes out;
+  if (components.size() < 2) return out;
+  AppendBase128(out, static_cast<std::uint64_t>(components[0]) * 40 +
+                         components[1]);
+  for (std::size_t i = 2; i < components.size(); ++i)
+    AppendBase128(out, components[i]);
+  return out;
+}
+
+}  // namespace
+
+Oid::Oid(std::initializer_list<std::uint32_t> components)
+    : content_(EncodeComponents({components.begin(), components.size()})) {}
+
 std::optional<Oid> Oid::Parse(std::string_view dotted) {
-  Oid oid;
+  std::vector<std::uint32_t> components;
   std::uint64_t current = 0;
   bool have_digit = false;
   for (char c : dotted) {
@@ -13,7 +45,7 @@ std::optional<Oid> Oid::Parse(std::string_view dotted) {
       have_digit = true;
     } else if (c == '.') {
       if (!have_digit) return std::nullopt;
-      oid.components_.push_back(static_cast<std::uint32_t>(current));
+      components.push_back(static_cast<std::uint32_t>(current));
       current = 0;
       have_digit = false;
     } else {
@@ -21,77 +53,63 @@ std::optional<Oid> Oid::Parse(std::string_view dotted) {
     }
   }
   if (!have_digit) return std::nullopt;
-  oid.components_.push_back(static_cast<std::uint32_t>(current));
-  if (oid.components_.size() < 2) return std::nullopt;
-  if (oid.components_[0] > 2) return std::nullopt;
-  if (oid.components_[0] < 2 && oid.components_[1] >= 40) return std::nullopt;
+  components.push_back(static_cast<std::uint32_t>(current));
+  if (components.size() < 2) return std::nullopt;
+  if (components[0] > 2) return std::nullopt;
+  if (components[0] < 2 && components[1] >= 40) return std::nullopt;
+  Oid oid;
+  oid.content_ = EncodeComponents(components);
   return oid;
 }
 
-Bytes Oid::EncodeContent() const {
-  Bytes out;
-  if (components_.size() < 2) return out;
-  auto encode_base128 = [&out](std::uint64_t v) {
-    std::uint8_t tmp[10];
-    int n = 0;
-    do {
-      tmp[n++] = static_cast<std::uint8_t>(v & 0x7F);
-      v >>= 7;
-    } while (v);
-    for (int i = n - 1; i >= 0; --i)
-      out.push_back(static_cast<std::uint8_t>(tmp[i] | (i ? 0x80 : 0x00)));
-  };
-  encode_base128(static_cast<std::uint64_t>(components_[0]) * 40 +
-                 components_[1]);
-  for (std::size_t i = 2; i < components_.size(); ++i)
-    encode_base128(components_[i]);
-  return out;
-}
-
-std::optional<Oid> Oid::DecodeContent(BytesView content) {
-  if (content.empty()) return std::nullopt;
-  Oid oid;
+bool Oid::IsValidContent(BytesView content) {
+  if (content.empty()) return false;
   std::size_t i = 0;
-  bool first = true;
   while (i < content.size()) {
+    // Reject non-minimal leading 0x80 continuation octet.
+    if (content[i] == 0x80) return false;
     std::uint64_t v = 0;
     bool terminated = false;
-    // Reject non-minimal leading 0x80 continuation octet.
-    if (content[i] == 0x80) return std::nullopt;
     while (i < content.size()) {
       const std::uint8_t b = content[i++];
-      if (v > (0xFFFFFFFFull >> 7)) return std::nullopt;  // overflow guard
+      if (v > (0xFFFFFFFFull >> 7)) return false;  // overflow guard
       v = (v << 7) | (b & 0x7F);
       if (!(b & 0x80)) {
         terminated = true;
         break;
       }
     }
-    if (!terminated) return std::nullopt;
-    if (first) {
-      first = false;
-      if (v < 40) {
-        oid.components_.push_back(0);
-        oid.components_.push_back(static_cast<std::uint32_t>(v));
-      } else if (v < 80) {
-        oid.components_.push_back(1);
-        oid.components_.push_back(static_cast<std::uint32_t>(v - 40));
-      } else {
-        oid.components_.push_back(2);
-        oid.components_.push_back(static_cast<std::uint32_t>(v - 80));
-      }
-    } else {
-      oid.components_.push_back(static_cast<std::uint32_t>(v));
-    }
+    if (!terminated) return false;
   }
+  return true;
+}
+
+std::optional<Oid> Oid::DecodeContent(BytesView content) {
+  if (!IsValidContent(content)) return std::nullopt;
+  Oid oid;
+  oid.content_.assign(content.begin(), content.end());
   return oid;
 }
 
 std::string Oid::ToString() const {
   std::string out;
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (i) out.push_back('.');
-    out += std::to_string(components_[i]);
+  std::uint64_t v = 0;
+  bool first = true;
+  for (const std::uint8_t b : content_) {
+    v = (v << 7) | (b & 0x7F);
+    if (b & 0x80) continue;
+    if (first) {
+      // The first subidentifier packs two arcs: 40 * arc0 + arc1.
+      first = false;
+      const std::uint64_t arc0 = v < 40 ? 0 : v < 80 ? 1 : 2;
+      out += std::to_string(arc0);
+      out.push_back('.');
+      out += std::to_string(v - arc0 * 40);
+    } else {
+      out.push_back('.');
+      out += std::to_string(v);
+    }
+    v = 0;
   }
   return out;
 }

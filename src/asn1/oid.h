@@ -1,12 +1,21 @@
 // ASN.1 OBJECT IDENTIFIER values, plus the well-known OIDs this library uses.
+//
+// An Oid is its DER content octets (no tag/length) and nothing else. They
+// are encoded once, when the Oid is built from components or parsed from
+// dotted form; EncodeOid and == use them as they are, and ToString decodes
+// them on demand. DER allows one encoding per OID (DecodeContent rejects
+// non-minimal subidentifiers), so comparing content bytes accepts and
+// rejects exactly what decoding both sides and comparing arcs would: a
+// parser can match a borrowed OID view against oids::X().content() without
+// building an Oid.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/bytes.h"
 
@@ -15,26 +24,35 @@ namespace rev::asn1 {
 class Oid {
  public:
   Oid() = default;
-  Oid(std::initializer_list<std::uint32_t> components)
-      : components_(components) {}
+  Oid(std::initializer_list<std::uint32_t> components);
 
   // Parses dotted-decimal form ("1.2.840.113549.1.1.11").
   static std::optional<Oid> Parse(std::string_view dotted);
 
-  // DER content octets (without tag/length).
-  Bytes EncodeContent() const;
+  // True if `content` is valid DER content octets of an OID: non-empty,
+  // every subidentifier minimal (no leading 0x80 octet), terminated and
+  // within 32 bits. Allocates nothing.
+  static bool IsValidContent(BytesView content);
+  // Validates `content` (IsValidContent) and copies it.
   static std::optional<Oid> DecodeContent(BytesView content);
 
+  // DER content octets (without tag/length).
+  const Bytes& content() const { return content_; }
+
   std::string ToString() const;
-  const std::vector<std::uint32_t>& components() const { return components_; }
-  bool Empty() const { return components_.empty(); }
 
   friend bool operator==(const Oid&, const Oid&) = default;
-  friend auto operator<=>(const Oid&, const Oid&) = default;
 
  private:
-  std::vector<std::uint32_t> components_;
+  Bytes content_;
 };
+
+// True if a borrowed OID content view is exactly `oid`'s content octets.
+inline bool OidContentIs(BytesView content, const Oid& oid) {
+  const Bytes& want = oid.content();
+  return content.size() == want.size() &&
+         std::equal(content.begin(), content.end(), want.begin());
+}
 
 // Well-known OIDs.
 namespace oids {

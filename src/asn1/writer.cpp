@@ -82,7 +82,7 @@ Bytes EncodeEnumerated(std::int64_t value) {
 
 Bytes EncodeNull() { return Tlv(kTagNull, {}); }
 
-Bytes EncodeOid(const Oid& oid) { return Tlv(kTagOid, oid.EncodeContent()); }
+Bytes EncodeOid(const Oid& oid) { return Tlv(kTagOid, oid.content()); }
 
 Bytes EncodeOctetString(BytesView content) {
   return Tlv(kTagOctetString, content);

@@ -163,7 +163,7 @@ class CertificateAuthority {
 
  private:
   std::vector<double> shard_cumulative_;  // empty = uniform hashing
-  std::map<x509::Serial, IssuedRecord> issued_;
+  std::map<x509::Serial, IssuedRecord, util::BytesLess> issued_;
   // Revoked serials bucketed by shard, so CRL rebuilds touch only their own
   // shard's entries instead of every issued certificate.
   std::vector<std::vector<x509::Serial>> shard_revoked_;

@@ -82,7 +82,7 @@ class ClientCascade {
  private:
   std::shared_ptr<const FilterCascade> base_;
   // key -> latest status (true = revoked), overriding the snapshot.
-  std::map<Bytes, bool> overlay_;
+  std::map<Bytes, bool, util::BytesLess> overlay_;
   std::uint64_t sequence_ = 0;
 };
 

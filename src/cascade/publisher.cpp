@@ -56,8 +56,7 @@ PublishStats Publisher::Publish(
   if (universe == nullptr)
     throw std::invalid_argument("Publisher::Publish: null universe");
 
-  auto revoked_set = std::make_shared<std::set<Bytes>>(revoked.begin(),
-                                                       revoked.end());
+  auto revoked_set = std::make_shared<KeySet>(revoked.begin(), revoked.end());
   // Canonical build inputs: the revoked side sorted+deduped, the
   // non-revoked side in universe order — Serialize() is then a pure
   // function of the key *sets*, independent of caller ordering.
@@ -83,7 +82,7 @@ PublishStats Publisher::Publish(
   // Delta against the previous epoch's revoked set (sorted — std::set
   // iteration — so the blob is deterministic).
   if (!history_.empty()) {
-    const std::set<Bytes>& previous = *history_.back().revoked;
+    const KeySet& previous = *history_.back().revoked;
     CascadeDelta delta;
     delta.from_sequence = sequence_ - 1;
     delta.to_sequence = sequence_;
@@ -130,7 +129,7 @@ const Publisher::Epoch* Publisher::FindEpoch(std::uint64_t seq) const {
   return &history_[seq - history_.front().sequence];
 }
 
-std::shared_ptr<const std::set<Bytes>> Publisher::RevokedAt(
+std::shared_ptr<const Publisher::KeySet> Publisher::RevokedAt(
     std::uint64_t seq) const {
   const Epoch* epoch = FindEpoch(seq);
   return epoch == nullptr ? nullptr : epoch->revoked;

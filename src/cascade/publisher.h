@@ -69,7 +69,8 @@ class Publisher {
   // Ground truth for fleet verification: the revoked-key set and publish
   // time at `seq` (nullptr / 0 when evicted or never published). History
   // eviction follows max_delta_history.
-  std::shared_ptr<const std::set<Bytes>> RevokedAt(std::uint64_t seq) const;
+  using KeySet = std::set<Bytes, util::BytesLess>;
+  std::shared_ptr<const KeySet> RevokedAt(std::uint64_t seq) const;
   // Same keys as RevokedAt, sorted, for O(1) sampling by index.
   std::shared_ptr<const std::vector<Bytes>> RevokedListAt(
       std::uint64_t seq) const;
@@ -103,7 +104,7 @@ class Publisher {
     Bytes delta_blob;  // delta (sequence-1 → sequence); empty for the first
     std::size_t added = 0;
     std::size_t removed = 0;
-    std::shared_ptr<const std::set<Bytes>> revoked;
+    std::shared_ptr<const KeySet> revoked;
     std::shared_ptr<const std::vector<Bytes>> revoked_list;  // sorted
     std::shared_ptr<const std::vector<Bytes>> universe;
   };

@@ -42,19 +42,25 @@ CertCorpus::Row CertCorpus::Find(BytesView fingerprint) const {
   return *it;
 }
 
-CertCorpus::UrlRef CertCorpus::InternUrlLists(
-    const std::vector<std::uint32_t>& crl_ids,
-    const std::vector<std::uint32_t>& ocsp_ids) {
-  auto key = std::make_pair(crl_ids, ocsp_ids);
-  auto it = url_list_cache_.find(key);
-  if (it != url_list_cache_.end()) return it->second;
+CertCorpus::UrlRef CertCorpus::InternUrlList(
+    std::span<const std::uint32_t> ids, std::size_t num_crl) {
+  const std::uint64_t tag = util::HashBytes(
+      {reinterpret_cast<const std::uint8_t*>(ids.data()), ids.size_bytes()});
+  const std::uint32_t found = url_list_index_.Find(tag, [&](std::uint32_t i) {
+    const UrlRef& ref = url_lists_[i];
+    const std::uint32_t* stored = url_pool_.data() + ref.offset;
+    return ref.num_crl == num_crl &&
+           std::size_t{ref.num_crl} + ref.num_ocsp == ids.size() &&
+           std::equal(ids.begin(), ids.end(), stored);
+  });
+  if (found != util::HashIndex::kNoId) return url_lists_[found];
   UrlRef ref;
   ref.offset = static_cast<std::uint32_t>(url_pool_.size());
-  ref.num_crl = static_cast<std::uint16_t>(crl_ids.size());
-  ref.num_ocsp = static_cast<std::uint16_t>(ocsp_ids.size());
-  url_pool_.insert(url_pool_.end(), crl_ids.begin(), crl_ids.end());
-  url_pool_.insert(url_pool_.end(), ocsp_ids.begin(), ocsp_ids.end());
-  url_list_cache_.emplace(std::move(key), ref);
+  ref.num_crl = static_cast<std::uint16_t>(num_crl);
+  ref.num_ocsp = static_cast<std::uint16_t>(ids.size() - num_crl);
+  url_pool_.insert(url_pool_.end(), ids.begin(), ids.end());
+  url_list_index_.Insert(tag, static_cast<std::uint32_t>(url_lists_.size()));
+  url_lists_.push_back(ref);
   return ref;
 }
 
@@ -87,13 +93,10 @@ CertCorpus::Row CertCorpus::Append(const x509::CertView& view,
   issuer_id_.push_back(names_.Intern(view.issuer_der));
   subject_id_.push_back(names_.Intern(view.subject_der));
 
-  std::vector<std::uint32_t> crl_ids;
-  crl_ids.reserve(view.crl_urls.size());
-  for (std::string_view u : view.crl_urls) crl_ids.push_back(urls_.Intern(u));
-  std::vector<std::uint32_t> ocsp_ids;
-  ocsp_ids.reserve(view.ocsp_urls.size());
-  for (std::string_view u : view.ocsp_urls) ocsp_ids.push_back(urls_.Intern(u));
-  url_ref_.push_back(InternUrlLists(crl_ids, ocsp_ids));
+  url_ids_.clear();
+  for (std::string_view u : view.crl_urls) url_ids_.push_back(urls_.Intern(u));
+  for (std::string_view u : view.ocsp_urls) url_ids_.push_back(urls_.Intern(u));
+  url_ref_.push_back(InternUrlList(url_ids_, view.crl_urls.size()));
 
   not_before_.push_back(view.not_before);
   not_after_.push_back(view.not_after);

@@ -202,8 +202,10 @@ class CertCorpus {
   Row Append(const x509::CertView& view, std::uint64_t hash);
   // RowsByFingerprint's cache, re-sorted first if stale.
   const std::vector<Row>& SortedRows() const;
-  UrlRef InternUrlLists(const std::vector<std::uint32_t>& crl_ids,
-                        const std::vector<std::uint32_t>& ocsp_ids);
+  // The shared url_pool_ segment holding `ids` (a row's CRL url ids, then
+  // its OCSP url ids; the first `num_crl` are CRL), appended on first sight.
+  UrlRef InternUrlList(std::span<const std::uint32_t> ids,
+                       std::size_t num_crl);
 
   util::Arena arena_;
   std::vector<std::uint8_t> fps_;  // 32 bytes per row, flat
@@ -228,11 +230,15 @@ class CertCorpus {
   util::HashIndex index_;
   util::StringInterner names_;
   util::StringInterner urls_;
-  // (crl ids, ocsp ids) -> shared pool segment; most rows share a handful
-  // of distinct URL lists.
-  std::map<std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>,
-           UrlRef>
-      url_list_cache_;
+  // The distinct (crl ids, ocsp ids) lists, each a shared url_pool_
+  // segment: most rows share a handful of them. `url_list_index_` maps
+  // util::HashBytes of a list's ids to its position in `url_lists_`; a tag
+  // hit is confirmed against the pool segment.
+  std::vector<UrlRef> url_lists_;
+  util::HashIndex url_list_index_;
+  // Append's scratch for the row being appended: its CRL url ids, then its
+  // OCSP url ids. Reused, so an append allocates no list.
+  std::vector<std::uint32_t> url_ids_;
 
   mutable std::mutex cert_mu_;
   mutable std::map<Row, x509::CertPtr> cert_cache_;

@@ -93,7 +93,8 @@ class CrlsetAuditor {
   crlset::CrlSet latest_;
   std::vector<DayRecord> days_;
   // (parent spki hash, serial) -> track
-  std::map<std::pair<Bytes, x509::Serial>, EntryTrack> tracks_;
+  std::map<std::pair<Bytes, x509::Serial>, EntryTrack, util::BytesLess>
+      tracks_;
   // (ca index, shard) -> last CRL number folded into the tracker.
   std::map<std::pair<std::size_t, int>, std::int64_t> last_seen_crl_number_;
 };

@@ -149,7 +149,7 @@ class Ecosystem {
   std::vector<std::unique_ptr<ca::CertificateAuthority>> owned_cas_;
   std::vector<CaEntry> ca_entries_;  // issuing CAs (excludes roots)
   std::map<std::string, std::string> host_to_ca_name_;
-  std::map<Bytes, PopularityTier> popularity_;
+  std::map<Bytes, PopularityTier, util::BytesLess> popularity_;
   std::size_t total_issued_ = 0;
 };
 

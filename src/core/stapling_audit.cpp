@@ -11,7 +11,7 @@ StaplingStats ComputeStaplingStats(const scan::HandshakeScanSnapshot& scan) {
     std::uint64_t servers = 0;
     std::uint64_t stapled = 0;
   };
-  std::map<Bytes, CertAgg> per_cert;
+  std::map<Bytes, CertAgg, util::BytesLess> per_cert;
 
   for (const scan::HandshakeObservation& obs : scan.observations) {
     if (!obs.leaf || !obs.leaf->IsFresh(scan.time)) continue;

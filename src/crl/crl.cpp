@@ -155,7 +155,7 @@ bool VerifyCrlSignature(const Crl& crl, const crypto::PublicKey& issuer_key) {
 CrlIndex::CrlIndex(const Crl& crl) : entries_(crl.tbs.entries) {
   std::sort(entries_.begin(), entries_.end(),
             [](const CrlEntry& a, const CrlEntry& b) {
-              return a.serial < b.serial;
+              return util::BytesLess{}(a.serial, b.serial);
             });
 }
 

@@ -32,10 +32,14 @@ class CrlSet {
   std::size_t NumParents() const { return parents_.size(); }
   std::size_t NumEntries() const;
 
-  const std::map<Bytes, std::set<x509::Serial>>& parents() const {
+  const std::map<Bytes, std::set<x509::Serial, util::BytesLess>,
+                 util::BytesLess>&
+  parents() const {
     return parents_;
   }
-  const std::set<Bytes>& blocked_spkis() const { return blocked_spkis_; }
+  const std::set<Bytes, util::BytesLess>& blocked_spkis() const {
+    return blocked_spkis_;
+  }
 
   // Binary serialization (length-prefixed; stands in for the real format).
   Bytes Serialize() const;
@@ -47,8 +51,9 @@ class CrlSet {
   std::size_t SerializedSize() const;
 
  private:
-  std::map<Bytes, std::set<x509::Serial>> parents_;
-  std::set<Bytes> blocked_spkis_;
+  std::map<Bytes, std::set<x509::Serial, util::BytesLess>, util::BytesLess>
+      parents_;
+  std::set<Bytes, util::BytesLess> blocked_spkis_;
 };
 
 }  // namespace rev::crlset

@@ -25,7 +25,8 @@ class OneCrl {
   std::size_t size() const { return entries_.size(); }
 
  private:
-  std::set<std::pair<Bytes, x509::Serial>> entries_;  // (issuer DER, serial)
+  // (issuer DER, serial)
+  std::set<std::pair<Bytes, x509::Serial>, util::BytesLess> entries_;
 };
 
 }  // namespace rev::crlset

@@ -35,7 +35,8 @@ FleetClient::Attempt FleetClient::TryReplica(const std::string& host,
   net::HttpRequest request;
   request.method = "POST";
   request.host = host;
-  request.path = "/";
+  // Not `= "/"`: GCC 12 reports a false -Wrestrict on that assignment.
+  request.path = std::string(1, '/');
   request.body.assign(request_der.begin(), request_der.end());
   if (ctx != nullptr) {
     request.headers[obs::kTraceparentHeader] = obs::FormatTraceparent(*ctx);

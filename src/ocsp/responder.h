@@ -104,7 +104,7 @@ class Responder {
   Bytes issuer_key_hash_;
   crypto::KeyPair key_;
   std::int64_t validity_seconds_;
-  std::map<x509::Serial, RecordView> records_;
+  std::map<x509::Serial, RecordView, util::BytesLess> records_;
   MutationObserver observer_;
 };
 

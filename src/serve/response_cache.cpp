@@ -76,7 +76,7 @@ std::vector<StatusKey> ResponseCache::KeysStaleBy(
     for (const auto& [key, entry] : shard.map)
       if (entry.serve_until <= deadline) keys.push_back(key);
   }
-  std::sort(keys.begin(), keys.end());
+  std::sort(keys.begin(), keys.end(), util::BytesLess{});
   return keys;
 }
 

@@ -66,7 +66,7 @@ std::vector<StatusKey> StatusIndex::SortedKeys() const {
     const Snapshot snap = SnapshotOf(s);
     for (const auto& [key, record] : *snap) keys.push_back(key);
   }
-  std::sort(keys.begin(), keys.end());
+  std::sort(keys.begin(), keys.end(), util::BytesLess{});
   return keys;
 }
 
@@ -78,7 +78,9 @@ StatusIndex::ExportRecords() const {
     for (const auto& [key, record] : *snap) records.emplace_back(key, record);
   }
   std::sort(records.begin(), records.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+            [](const auto& a, const auto& b) {
+              return util::BytesLess{}(a.first, b.first);
+            });
   return records;
 }
 

@@ -27,8 +27,10 @@ std::optional<crypto::PublicKey> DecodeSpki(asn1::Reader& r) {
   if (!r.ReadSequence(&spki)) return std::nullopt;
   asn1::Reader alg;
   if (!spki.ReadSequence(&alg)) return std::nullopt;
-  asn1::Oid alg_oid;
-  if (!alg.ReadOid(&alg_oid)) return std::nullopt;
+  // Compared as content bytes: an OID that is not valid DER matches neither
+  // algorithm and fails like an unknown one.
+  BytesView alg_oid;
+  if (!alg.ReadTagged(asn1::kTagOid, &alg_oid)) return std::nullopt;
 
   BytesView key_bits;
   unsigned unused = 0;
@@ -36,7 +38,7 @@ std::optional<crypto::PublicKey> DecodeSpki(asn1::Reader& r) {
     return std::nullopt;
 
   crypto::PublicKey key;
-  if (alg_oid == asn1::oids::RsaEncryption()) {
+  if (asn1::OidContentIs(alg_oid, asn1::oids::RsaEncryption())) {
     if (!alg.ReadNull()) return std::nullopt;
     key.type = crypto::KeyType::kRsaSha256;
     asn1::Reader rsa(key_bits);
@@ -47,7 +49,7 @@ std::optional<crypto::PublicKey> DecodeSpki(asn1::Reader& r) {
       return std::nullopt;
     key.rsa.n = crypto::BigInt::FromBytes(n_be);
     key.rsa.e = crypto::BigInt::FromBytes(e_be);
-  } else if (alg_oid == asn1::oids::SimSha256()) {
+  } else if (asn1::OidContentIs(alg_oid, asn1::oids::SimSha256())) {
     key.type = crypto::KeyType::kSimSha256;
     key.sim_id.assign(key_bits.begin(), key_bits.end());
     if (key.sim_id.size() != crypto::kSha256DigestSize) return std::nullopt;
@@ -72,13 +74,14 @@ Bytes EncodeSignatureAlgorithm(crypto::KeyType type) {
 std::optional<crypto::KeyType> DecodeSignatureAlgorithm(asn1::Reader& r) {
   asn1::Reader alg;
   if (!r.ReadSequence(&alg)) return std::nullopt;
-  asn1::Oid oid;
-  if (!alg.ReadOid(&oid)) return std::nullopt;
-  if (oid == asn1::oids::Sha256WithRsa()) {
+  BytesView oid;
+  if (!alg.ReadTagged(asn1::kTagOid, &oid)) return std::nullopt;
+  if (asn1::OidContentIs(oid, asn1::oids::Sha256WithRsa())) {
     if (!alg.ReadNull()) return std::nullopt;
     return crypto::KeyType::kRsaSha256;
   }
-  if (oid == asn1::oids::SimSha256()) return crypto::KeyType::kSimSha256;
+  if (asn1::OidContentIs(oid, asn1::oids::SimSha256()))
+    return crypto::KeyType::kSimSha256;
   return std::nullopt;
 }
 

@@ -64,8 +64,8 @@ class CertPool {
   const std::vector<CertPtr>& all() const { return all_; }
 
  private:
-  std::map<Bytes, std::vector<CertPtr>> by_subject_;
-  std::map<Bytes, CertPtr> by_fingerprint_;
+  std::map<Bytes, std::vector<CertPtr>, util::BytesLess> by_subject_;
+  std::map<Bytes, CertPtr, util::BytesLess> by_fingerprint_;
   std::vector<CertPtr> all_;
 };
 

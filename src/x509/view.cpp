@@ -1,7 +1,5 @@
 #include "x509/view.h"
 
-#include <algorithm>
-
 #include "asn1/oid.h"
 #include "asn1/reader.h"
 #include "asn1/writer.h"
@@ -13,10 +11,13 @@ namespace {
 
 constexpr unsigned kGeneralNameUri = 6;
 
-bool OidContentIs(BytesView content, const asn1::Oid& oid) {
-  const Bytes encoded = oid.EncodeContent();
-  return content.size() == encoded.size() &&
-         std::equal(content.begin(), content.end(), encoded.begin());
+using asn1::OidContentIs;
+
+// Reads an OBJECT IDENTIFIER as a borrowed view of its content octets,
+// rejecting what Reader::ReadOid rejects, without building an Oid.
+bool ReadOidView(asn1::Reader& r, BytesView* content) {
+  return r.ReadTagged(asn1::kTagOid, content) &&
+         asn1::Oid::IsValidContent(*content);
 }
 
 // Structural Name check: SEQUENCE of SET of AttributeTypeAndValue. Attribute
@@ -37,7 +38,7 @@ bool ValidateNameTlv(asn1::Reader& r, BytesView* name_der) {
       asn1::Reader attr;
       if (!rdn.ReadSequence(&attr)) return false;
       BytesView oid_content;
-      if (!attr.ReadTagged(asn1::kTagOid, &oid_content)) return false;
+      if (!ReadOidView(attr, &oid_content)) return false;
       BytesView value_tlv;
       if (!attr.ReadRawTlv(&value_tlv) || !attr.Empty()) return false;
     }
@@ -81,7 +82,7 @@ bool ParseOcspUrls(BytesView value, std::vector<std::string_view>* urls) {
     asn1::Reader desc;
     if (!descriptions.ReadSequence(&desc)) return false;
     BytesView method;
-    if (!desc.ReadTagged(asn1::kTagOid, &method)) return false;
+    if (!ReadOidView(desc, &method)) return false;
     BytesView uri;
     if (!desc.ReadContextPrimitive(kGeneralNameUri, &uri)) continue;
     if (OidContentIs(method, asn1::oids::AdOcsp()))
@@ -99,7 +100,7 @@ bool ParseEvBit(BytesView value, bool* is_ev) {
     asn1::Reader info;
     if (!infos.ReadSequence(&info)) return false;
     BytesView policy;
-    if (!info.ReadTagged(asn1::kTagOid, &policy)) return false;
+    if (!ReadOidView(info, &policy)) return false;
     if (OidContentIs(policy, asn1::oids::VerisignEvPolicy())) *is_ev = true;
   }
   return true;
@@ -119,22 +120,12 @@ bool ParseCaBit(BytesView value, bool* is_ca) {
 // extensions outside this set fail the parse, like ParseCertificate.
 bool IsKnownExtension(BytesView oid_content) {
   namespace oids = asn1::oids;
-  static const std::vector<Bytes>* known = [] {
-    auto* v = new std::vector<Bytes>;
-    for (const asn1::Oid* oid :
-         {&oids::BasicConstraints(), &oids::NameConstraints(),
-          &oids::KeyUsage(), &oids::CrlDistributionPoints(),
-          &oids::AuthorityInfoAccess(), &oids::CertificatePolicies(),
-          &oids::SubjectAltName(), &oids::SubjectKeyIdentifier(),
-          &oids::AuthorityKeyIdentifier()})
-      v->push_back(oid->EncodeContent());
-    return v;
-  }();
-  for (const Bytes& k : *known) {
-    if (oid_content.size() == k.size() &&
-        std::equal(oid_content.begin(), oid_content.end(), k.begin()))
-      return true;
-  }
+  for (const asn1::Oid* oid :
+       {&oids::BasicConstraints(), &oids::NameConstraints(), &oids::KeyUsage(),
+        &oids::CrlDistributionPoints(), &oids::AuthorityInfoAccess(),
+        &oids::CertificatePolicies(), &oids::SubjectAltName(),
+        &oids::SubjectKeyIdentifier(), &oids::AuthorityKeyIdentifier()})
+    if (OidContentIs(oid_content, *oid)) return true;
   return false;
 }
 
@@ -195,7 +186,7 @@ std::optional<CertView> ParseCertView(BytesView der) {
       asn1::Reader ext;
       if (!ext_list.ReadSequence(&ext)) return std::nullopt;
       BytesView oid_content;
-      if (!ext.ReadTagged(asn1::kTagOid, &oid_content)) return std::nullopt;
+      if (!ReadOidView(ext, &oid_content)) return std::nullopt;
       bool critical = false;
       if (ext.NextIs(asn1::kTagBoolean)) {
         if (!ext.ReadBoolean(&critical)) return std::nullopt;

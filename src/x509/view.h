@@ -12,6 +12,14 @@
 // fast columns (dates, CA bit, EV bit, URLs, serial) agree with a full
 // ParseCertificate of the same bytes; name internals are checked
 // structurally (RDN nesting) without decoding attribute strings.
+//
+// Every OID is read as a view of its content octets, validated as DER
+// (asn1::Oid::IsValidContent, what Reader::ReadOid rejects) and compared
+// byte for byte with oids::X().content(); no Oid is built. The only heap
+// allocations are the growth of the two URL vectors: none for a
+// certificate without URLs, one per vector holding one URL
+// (tests/alloc_test.cpp counts them; property_test's
+// ViewFullParseAgreement checks near-miss OIDs against ParseCertificate).
 #pragma once
 
 #include <optional>

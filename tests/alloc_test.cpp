@@ -1,0 +1,147 @@
+// Allocation regression tests for the new-certificate parse path. This
+// binary replaces the global operator new with one that counts calls, so a
+// test can assert how many heap allocations a call makes: matching an OID
+// against a well-known one must make none, and ParseCertView only the ones
+// of its two URL vectors.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "asn1/oid.h"
+#include "asn1/reader.h"
+#include "crypto/signer.h"
+#include "x509/certificate.h"
+#include "x509/spki.h"
+#include "x509/view.h"
+
+namespace {
+
+std::atomic<std::size_t> g_allocations{0};
+
+void* Allocate(std::size_t n) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+// Out of line, so GCC does not pair an inlined operator new with this free
+// and report a mismatched new/delete.
+[[gnu::noinline]] void Release(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+// The whole replaceable non-aligned family, so every allocation is counted
+// and every pointer is released by the allocator that made it.
+void* operator new(std::size_t n) {
+  if (void* p = Allocate(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return Allocate(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return Allocate(n);
+}
+void operator delete(void* p) noexcept { Release(p); }
+void operator delete[](void* p) noexcept { Release(p); }
+void operator delete(void* p, std::size_t) noexcept { Release(p); }
+void operator delete[](void* p, std::size_t) noexcept { Release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { Release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { Release(p); }
+
+namespace rev {
+namespace {
+
+constexpr util::Timestamp kNow = 1'420'000'000;
+
+// Heap allocations made while `f` runs.
+template <typename F>
+std::size_t AllocationsDuring(F&& f) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  f();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+Bytes LeafDer(std::vector<std::string> crl_urls,
+              std::vector<std::string> ocsp_urls) {
+  x509::TbsCertificate tbs;
+  tbs.serial = x509::Serial{0x01, 0x02, 0x03};
+  tbs.issuer = x509::Name::Make("Alloc CA", "Alloc");
+  tbs.subject = x509::Name::FromCommonName("www.alloc.sim");
+  tbs.not_before = kNow - 1000;
+  tbs.not_after = kNow + 1000;
+  tbs.public_key = crypto::SimKeyFromLabel("alloc-leaf").Public();
+  tbs.crl_urls = std::move(crl_urls);
+  tbs.ocsp_urls = std::move(ocsp_urls);
+  tbs.dns_names = {"www.alloc.sim"};
+  tbs.key_usage = x509::kKeyUsageDigitalSignature;  // critical, known
+  tbs.policies = {asn1::oids::VerisignEvPolicy()};
+  return x509::SignCertificate(tbs, crypto::SimKeyFromLabel("alloc-ca")).der;
+}
+
+TEST(Allocations, CountingOperatorNewSeesAVector) {
+  EXPECT_EQ(AllocationsDuring([] {
+              std::vector<int> v(3);
+              ASSERT_EQ(v.size(), 3u);
+            }),
+            1u);
+}
+
+TEST(Allocations, DecodeSignatureAlgorithmMakesNone) {
+  for (const crypto::KeyType type :
+       {crypto::KeyType::kSimSha256, crypto::KeyType::kRsaSha256}) {
+    const Bytes alg = x509::EncodeSignatureAlgorithm(type);
+    asn1::Reader warm(alg);
+    ASSERT_EQ(x509::DecodeSignatureAlgorithm(warm), type);  // OID statics
+    std::optional<crypto::KeyType> decoded;
+    EXPECT_EQ(AllocationsDuring([&] {
+                asn1::Reader r(alg);
+                decoded = x509::DecodeSignatureAlgorithm(r);
+              }),
+              0u);
+    EXPECT_EQ(decoded, type);
+  }
+}
+
+TEST(Allocations, OidEqualityMakesNone) {
+  const auto decoded = asn1::Oid::DecodeContent(asn1::oids::AdOcsp().content());
+  ASSERT_TRUE(decoded);
+  const asn1::Oid& ocsp = asn1::oids::AdOcsp();
+  const asn1::Oid& ev = asn1::oids::VerisignEvPolicy();
+  bool same = false;
+  bool other = true;
+  EXPECT_EQ(AllocationsDuring([&] {
+              same = *decoded == ocsp;
+              other = *decoded == ev;
+            }),
+            0u);
+  EXPECT_TRUE(same);
+  EXPECT_FALSE(other);
+}
+
+TEST(Allocations, ParseCertViewMakesOnlyItsUrlVectors) {
+  const Bytes one_each = LeafDer({"http://crl.alloc.sim/a.crl"},
+                                 {"http://ocsp.alloc.sim/"});
+  const Bytes no_urls = LeafDer({}, {});
+  ASSERT_TRUE(x509::ParseCertView(one_each));  // warms the OID statics
+
+  std::optional<x509::CertView> view;
+  EXPECT_EQ(AllocationsDuring([&] { view = x509::ParseCertView(one_each); }),
+            2u);
+  ASSERT_TRUE(view);
+  EXPECT_EQ(view->crl_urls.size(), 1u);
+  EXPECT_EQ(view->ocsp_urls.size(), 1u);
+  EXPECT_TRUE(view->is_ev);
+
+  view.reset();
+  EXPECT_EQ(AllocationsDuring([&] { view = x509::ParseCertView(no_urls); }),
+            0u);
+  ASSERT_TRUE(view);
+  EXPECT_TRUE(view->crl_urls.empty());
+  EXPECT_TRUE(view->is_ev);
+}
+
+}  // namespace
+}  // namespace rev

@@ -99,15 +99,25 @@ TEST(Oid, ParseRejectsMalformed) {
   EXPECT_FALSE(Oid::Parse("1.2.x"));
 }
 
+TEST(Oid, ContentIsTheDerContentOctets) {
+  EXPECT_EQ(oids::Sha256WithRsa().content(),
+            (Bytes{0x2A, 0x86, 0x48, 0x86, 0xF7, 0x0D, 0x01, 0x01, 0x0B}));
+  EXPECT_EQ(oids::BasicConstraints().content(), (Bytes{0x55, 0x1D, 0x13}));
+  EXPECT_EQ(Oid::Parse("2.999.1")->content(), (Bytes{0x88, 0x37, 0x01}));
+  EXPECT_EQ(Oid{}.content(), Bytes{});
+}
+
 TEST(Oid, ContentRoundTrip) {
   for (const char* s : {"1.2.840.113549.1.1.11", "2.5.29.31", "0.9.2342",
                         "2.16.840.1.113733.1.7.23.6", "1.3.6.1.4.1.55555.1.1",
-                        "2.999.1"}) {
+                        "2.999.1", "0.0", "1.39.4294967295"}) {
     auto oid = Oid::Parse(s);
     ASSERT_TRUE(oid) << s;
-    auto decoded = Oid::DecodeContent(oid->EncodeContent());
+    auto decoded = Oid::DecodeContent(oid->content());
     ASSERT_TRUE(decoded) << s;
     EXPECT_EQ(*decoded, *oid) << s;
+    EXPECT_EQ(decoded->content(), oid->content()) << s;
+    EXPECT_EQ(decoded->ToString(), s);
   }
 }
 
@@ -118,6 +128,12 @@ TEST(Oid, DecodeRejectsNonMinimal) {
   EXPECT_FALSE(Oid::DecodeContent(Bytes{0x2A, 0x86}));
   // Empty.
   EXPECT_FALSE(Oid::DecodeContent(Bytes{}));
+  // A subidentifier past 32 bits.
+  EXPECT_FALSE(Oid::DecodeContent(Bytes{0x2A, 0x90, 0x80, 0x80, 0x80, 0x00}));
+  for (const Bytes& bad :
+       {Bytes{0x2A, 0x80, 0x01}, Bytes{0x2A, 0x86}, Bytes{}})
+    EXPECT_FALSE(Oid::IsValidContent(bad));
+  EXPECT_TRUE(Oid::IsValidContent(oids::AdOcsp().content()));
 }
 
 // ------------------------------------------------------------- reader ----

@@ -496,6 +496,54 @@ TEST(Corpus, ChainHoldingTheSameDerTwiceInternsOneRow) {
   EXPECT_TRUE(corpus.CheckInvariants());
 }
 
+// Rows with equal (CRL, OCSP) URL lists share one url-pool segment; lists
+// whose ids concatenate alike but split differently between CRL and OCSP
+// (the same hash tag) stay apart, and every row reads back its own lists.
+TEST(Corpus, UrlListsAreSharedAndKeepTheirCrlOcspSplit) {
+  const std::string a = "http://a.url.sim/";
+  const std::string b = "http://b.url.sim/";
+  const std::vector<std::pair<std::vector<std::string>,
+                              std::vector<std::string>>>
+      lists = {{{a}, {}},  {{}, {a}},     {{a}, {b}}, {{a}, {b}},
+               {{a, b}, {}}, {{b, a}, {}}, {{}, {}},   {{a}, {}}};
+  Pipeline pipeline{x509::CertPool{}};
+  pipeline.BeginScan(util::MakeDate(2014, 3, 1));
+  std::vector<CertCorpus::Row> rows;
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    x509::TbsCertificate tbs = MakeTestLeaf("urls.sim")->tbs;
+    tbs.serial = x509::Serial{0x31, static_cast<std::uint8_t>(i)};
+    tbs.crl_urls = lists[i].first;
+    tbs.ocsp_urls = lists[i].second;
+    const Bytes der =
+        x509::SignCertificate(tbs, crypto::SimKeyFromLabel("ingest-ca")).der;
+    const BytesView view(der);
+    const auto row = pipeline.ObserveDer({&view, 1});
+    ASSERT_TRUE(row.has_value());
+    rows.push_back(*row);
+  }
+  pipeline.EndScan();
+
+  const CertCorpus& corpus = pipeline.corpus();
+  const auto urls = [&](std::span<const std::uint32_t> ids) {
+    std::vector<std::string> out;
+    for (std::uint32_t id : ids) out.emplace_back(corpus.url(id));
+    return out;
+  };
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    EXPECT_EQ(urls(corpus.crl_url_ids(rows[i])), lists[i].first) << i;
+    EXPECT_EQ(urls(corpus.ocsp_url_ids(rows[i])), lists[i].second) << i;
+  }
+  EXPECT_EQ(corpus.num_urls(), 2u);
+  // Equal lists share a segment; a split that differs does not.
+  EXPECT_EQ(corpus.ocsp_url_ids(rows[2]).data(),
+            corpus.ocsp_url_ids(rows[3]).data());
+  EXPECT_EQ(corpus.crl_url_ids(rows[0]).data(),
+            corpus.crl_url_ids(rows[7]).data());
+  EXPECT_NE(corpus.crl_url_ids(rows[0]).data(),
+            corpus.ocsp_url_ids(rows[1]).data());
+  EXPECT_TRUE(corpus.CheckInvariants());
+}
+
 // Lazy materialization re-parses the arena DER into the same certificate.
 TEST(Corpus, LazyCertMatchesSource) {
   Pipeline pipeline{x509::CertPool{}};

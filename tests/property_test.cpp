@@ -1,12 +1,14 @@
 // Randomized property tests (parameterized over seeds): DER round-trips for
 // randomly shaped certificates / CRLs / OCSP messages, chain verification
 // invariants at random depths, filter guarantees across random workloads,
-// end-to-end CA/browser consistency under random revocation schedules, and
-// the SHA-256 compression paths against the scalar oracle.
+// end-to-end CA/browser consistency under random revocation schedules,
+// ParseCertView against ParseCertificate on near-miss OIDs, and the SHA-256
+// compression paths against the scalar oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "asn1/writer.h"
 #include "browser/client.h"
 #include "core/pipeline.h"
 #include "net/retry.h"
@@ -25,7 +27,10 @@
 #include "util/hex.h"
 #include "util/rng.h"
 #include "x509/certificate.h"
+#include "x509/extensions.h"
+#include "x509/spki.h"
 #include "x509/verify.h"
+#include "x509/view.h"
 
 namespace rev {
 namespace {
@@ -122,6 +127,184 @@ TEST_P(CertRoundTrip, RandomFields) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CertRoundTrip, ::testing::Range(0, 25));
+
+// ------------------------------------------ view vs full parse: OID match ----
+
+// ParseCertView matches OIDs as content bytes; ParseCertificate decodes
+// them and compares Oid values. For each OID the view reads, certificates
+// carry it exact, one arc longer, one arc shorter, and with a non-minimal
+// 0x80 octet before its last subidentifier, with the extension holding it
+// critical or not. Both parsers must agree on accept/reject and on every
+// column the view fills.
+enum class OidSlot {
+  kSigAlg, kBasicConstraints, kCrlDp, kAia, kPolicies, kAdOcsp, kEvPolicy,
+};
+
+struct OidCertSpec {
+  bool rsa_sig_alg = false;
+  OidSlot slot = OidSlot::kSigAlg;
+  Bytes oid;                   // content octets put in `slot`
+  bool critical = false;       // the extension holding `slot` is critical
+};
+
+const asn1::Oid& SlotOid(OidSlot slot, bool rsa_sig_alg) {
+  switch (slot) {
+    case OidSlot::kSigAlg:
+      return rsa_sig_alg ? asn1::oids::Sha256WithRsa()
+                         : asn1::oids::SimSha256();
+    case OidSlot::kBasicConstraints: return asn1::oids::BasicConstraints();
+    case OidSlot::kCrlDp: return asn1::oids::CrlDistributionPoints();
+    case OidSlot::kAia: return asn1::oids::AuthorityInfoAccess();
+    case OidSlot::kPolicies: return asn1::oids::CertificatePolicies();
+    case OidSlot::kAdOcsp: return asn1::oids::AdOcsp();
+    case OidSlot::kEvPolicy: return asn1::oids::VerisignEvPolicy();
+  }
+  return asn1::oids::SimSha256();
+}
+
+// The extension a slot's OID sits in (the slot itself for extension OIDs).
+OidSlot ExtensionOf(OidSlot slot) {
+  if (slot == OidSlot::kAdOcsp) return OidSlot::kAia;
+  if (slot == OidSlot::kEvPolicy) return OidSlot::kPolicies;
+  return slot;
+}
+
+// A CA certificate with BasicConstraints, a CRL URL, an OCSP and a
+// caIssuers URL and the EV policy; every OID is the well-known one except
+// `spec.slot`'s. The signature bytes are arbitrary: neither parser checks it.
+Bytes BuildOidCert(const OidCertSpec& spec) {
+  const auto oid = [&](OidSlot slot) {
+    return asn1::Tlv(asn1::kTagOid, slot == spec.slot
+                                        ? BytesView(spec.oid)
+                                        : SlotOid(slot, spec.rsa_sig_alg)
+                                              .content());
+  };
+  const auto uri = [](std::string_view url) {
+    return asn1::EncodeContextPrimitive(6, ToBytes(url));
+  };
+  const auto extension = [&](OidSlot slot, const Bytes& value) {
+    std::vector<Bytes> parts{oid(slot)};
+    if (spec.critical && ExtensionOf(spec.slot) == slot)
+      parts.push_back(asn1::EncodeBoolean(true));
+    parts.push_back(asn1::EncodeOctetString(value));
+    return asn1::EncodeSequence(parts);
+  };
+  const Bytes sig_alg =
+      spec.rsa_sig_alg
+          ? asn1::EncodeSequence({oid(OidSlot::kSigAlg), asn1::EncodeNull()})
+          : asn1::EncodeSequence({oid(OidSlot::kSigAlg)});
+  const Bytes extensions = asn1::EncodeSequence({
+      extension(OidSlot::kBasicConstraints,
+                asn1::EncodeSequence({asn1::EncodeBoolean(true)})),
+      extension(OidSlot::kCrlDp,
+                x509::MakeCrlDistributionPoints({"http://crl.oid.sim/a.crl"})
+                    .value),
+      extension(OidSlot::kAia,
+                asn1::EncodeSequence(
+                    {asn1::EncodeSequence({oid(OidSlot::kAdOcsp),
+                                           uri("http://ocsp.oid.sim/")}),
+                     asn1::EncodeSequence(
+                         {asn1::EncodeOid(asn1::oids::AdCaIssuers()),
+                          uri("http://ca.oid.sim/ca.crt")})})),
+      extension(OidSlot::kPolicies,
+                asn1::EncodeSequence(
+                    {asn1::EncodeSequence({oid(OidSlot::kEvPolicy)})})),
+  });
+  const Bytes tbs = asn1::EncodeSequence({
+      asn1::EncodeContextExplicit(0, asn1::EncodeInteger(2)),
+      asn1::EncodeIntegerUnsigned(Bytes{0x0D, 0x1F}),
+      sig_alg,
+      x509::Name::Make("OID CA", "Differential").Encode(),
+      asn1::EncodeSequence({asn1::EncodeTime(kNow - kDay),
+                            asn1::EncodeTime(kNow + kDay)}),
+      x509::Name::FromCommonName("oid.sim").Encode(),
+      x509::EncodeSpki(crypto::SimKeyFromLabel("oid-subject").Public()),
+      asn1::EncodeContextExplicit(3, extensions),
+  });
+  return asn1::EncodeSequence(
+      {tbs, sig_alg, asn1::EncodeBitString(Bytes(32, 0x5A))});
+}
+
+// Exact, one arc longer, one arc shorter, and non-minimally padded.
+std::vector<std::pair<std::string, Bytes>> OidVariants(const asn1::Oid& oid) {
+  const Bytes& exact = oid.content();
+  Bytes longer = exact;
+  longer.push_back(0x01);
+  Bytes shorter = exact;
+  shorter.pop_back();  // the last subidentifier's final octet
+  while (shorter.back() & 0x80) shorter.pop_back();
+  std::size_t last = exact.size() - 1;  // start of the last subidentifier
+  while (exact[last - 1] & 0x80) --last;
+  Bytes padded = exact;
+  padded.insert(padded.begin() + static_cast<std::ptrdiff_t>(last), 0x80);
+  return {{"exact", exact},
+          {"longer", longer},
+          {"shorter", shorter},
+          {"padded", padded}};
+}
+
+TEST(ViewFullParseAgreement, OidVariantsAcceptAndRejectAlike) {
+  int accepted = 0;
+  int rejected = 0;
+  for (const bool rsa : {false, true}) {
+    for (const OidSlot slot :
+         {OidSlot::kSigAlg, OidSlot::kBasicConstraints, OidSlot::kCrlDp,
+          OidSlot::kAia, OidSlot::kPolicies, OidSlot::kAdOcsp,
+          OidSlot::kEvPolicy}) {
+      for (const auto& [variant, content] : OidVariants(SlotOid(slot, rsa))) {
+        for (const bool critical : {false, true}) {
+          if (slot == OidSlot::kSigAlg && critical) continue;
+          const Bytes der = BuildOidCert({rsa, slot, content, critical});
+          SCOPED_TRACE(::testing::Message()
+                       << "slot " << static_cast<int>(slot) << " rsa " << rsa
+                       << ' ' << variant << (critical ? " critical" : ""));
+          const auto view = x509::ParseCertView(der);
+          const auto full = x509::ParseCertificate(der);
+          ASSERT_EQ(view.has_value(), full.has_value());
+
+          // What both must do: a non-DER OID fails the parse; an unknown
+          // signature algorithm or critical extension fails it; any other
+          // OID that does not match just drops what it named.
+          const bool exact = variant == "exact";
+          const bool unknown_ext_oid = slot != OidSlot::kSigAlg &&
+                                       ExtensionOf(slot) == slot && !exact;
+          const bool want_accept =
+              variant != "padded" &&
+              !(slot == OidSlot::kSigAlg && !exact) &&
+              !(unknown_ext_oid && critical);
+          ASSERT_EQ(view.has_value(), want_accept);
+          if (!view) {
+            ++rejected;
+            continue;
+          }
+          ++accepted;
+          EXPECT_EQ(view->is_ca, full->IsCa());
+          EXPECT_EQ(view->is_ev, full->IsEv());
+          EXPECT_EQ(view->sig_type, full->sig_type);
+          EXPECT_EQ(std::vector<std::string>(view->crl_urls.begin(),
+                                             view->crl_urls.end()),
+                    full->tbs.crl_urls);
+          EXPECT_EQ(std::vector<std::string>(view->ocsp_urls.begin(),
+                                             view->ocsp_urls.end()),
+                    full->tbs.ocsp_urls);
+
+          EXPECT_EQ(view->sig_type, rsa ? crypto::KeyType::kRsaSha256
+                                        : crypto::KeyType::kSimSha256);
+          const auto named = [&](OidSlot s) { return exact || slot != s; };
+          EXPECT_EQ(view->is_ca, named(OidSlot::kBasicConstraints));
+          EXPECT_EQ(view->is_ev,
+                    named(OidSlot::kPolicies) && named(OidSlot::kEvPolicy));
+          EXPECT_EQ(view->crl_urls.size(), named(OidSlot::kCrlDp) ? 1u : 0u);
+          EXPECT_EQ(view->ocsp_urls.size(),
+                    named(OidSlot::kAia) && named(OidSlot::kAdOcsp) ? 1u
+                                                                    : 0u);
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
 
 // --------------------------------------------------------- CRL round-trip ----
 
