@@ -91,7 +91,7 @@ int Main() {
   // outside it (the hidden population: CRL entries for certs no scan ever
   // saw) cannot be cascade members by construction and are excluded.
   auto universe = std::make_shared<std::vector<Bytes>>();
-  std::map<Bytes, util::Timestamp> expiry_by_key;
+  std::map<Bytes, util::Timestamp, util::BytesLess> expiry_by_key;
   const core::CertCorpus& corpus = world.pipeline->corpus();
   for (core::CertCorpus::Row row = 0; row < corpus.size(); ++row) {
     Bytes key = cascade::CertKey(corpus.name_der(corpus.issuer_id(row)),
@@ -99,7 +99,7 @@ int Main() {
     expiry_by_key.emplace(key, corpus.not_after(row));
     universe->push_back(std::move(key));
   }
-  std::sort(universe->begin(), universe->end());
+  std::sort(universe->begin(), universe->end(), util::BytesLess{});
   universe->erase(std::unique(universe->begin(), universe->end()),
                   universe->end());
   const auto shared_universe =

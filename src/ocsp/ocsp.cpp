@@ -1,5 +1,4 @@
 #include "ocsp/ocsp.h"
-#include <sstream>
 
 #include "asn1/reader.h"
 #include "asn1/writer.h"
@@ -76,36 +75,70 @@ Bytes EncodeOcspRequest(const OcspRequest& request) {
   return asn1::EncodeSequence({tbs});
 }
 
-std::optional<OcspRequest> ParseOcspRequest(BytesView der) {
-  asn1::Reader top(der);
-  asn1::Reader outer;
-  if (!top.ReadSequence(&outer) || !top.Empty()) return std::nullopt;
-  asn1::Reader tbs;
-  if (!outer.ReadSequence(&tbs)) return std::nullopt;
-  asn1::Reader request_list;
-  if (!tbs.ReadSequence(&request_list)) return std::nullopt;
+namespace {
 
-  OcspRequest out;
-  while (!request_list.Empty()) {
-    asn1::Reader req;
-    if (!request_list.ReadSequence(&req)) return std::nullopt;
-    auto id = DecodeCertId(req);
-    if (!id) return std::nullopt;
-    out.cert_ids.push_back(*std::move(id));
+// Reads one Request of a requestList: its CertID's hashes and serial as
+// views. The hash algorithm is assumed SHA-256 and not read; CertID fields
+// after the serial and singleRequestExtensions are skipped.
+bool ReadCertIdView(asn1::Reader& request_list, OcspRequestView* out) {
+  asn1::Reader request, cert_id, hash_algorithm;
+  return request_list.ReadSequence(&request) &&
+         request.ReadSequence(&cert_id) &&
+         cert_id.ReadSequence(&hash_algorithm) &&
+         cert_id.ReadOctetString(&out->issuer_name_hash) &&
+         cert_id.ReadOctetString(&out->issuer_key_hash) &&
+         cert_id.ReadIntegerUnsignedView(&out->serial);
+}
+
+}  // namespace
+
+RequestView::Iterator::Iterator(BytesView request_list)
+    : rest_(request_list) {
+  ++*this;
+}
+
+RequestView::Iterator& RequestView::Iterator::operator++() {
+  done_ = rest_.Empty() || !ReadCertIdView(rest_, &id_);
+  return *this;
+}
+
+std::optional<RequestView> ParseOcspRequestView(BytesView der) {
+  asn1::Reader top(der);
+  asn1::Reader outer, tbs;
+  // Built in place: the serve path returns it on every request.
+  std::optional<RequestView> out(std::in_place);
+  if (!top.ReadSequence(&outer) || !top.Empty() ||
+      !outer.ReadSequence(&tbs) ||
+      !tbs.ReadTagged(asn1::kTagSequence, &out->request_list_))
+    return std::nullopt;
+  // At least one CertID; the first is kept, the rest validated and counted.
+  asn1::Reader request_list(out->request_list_);
+  if (!ReadCertIdView(request_list, &out->front_)) return std::nullopt;
+  for (OcspRequestView id; !request_list.Empty(); ++out->size_) {
+    if (!ReadCertIdView(request_list, &id)) return std::nullopt;
   }
-  if (out.cert_ids.empty()) return std::nullopt;
 
   if (tbs.NextIsContext(2)) {
-    asn1::Reader ext_wrapper;
-    if (!tbs.ReadContextExplicit(2, &ext_wrapper)) return std::nullopt;
-    auto exts = x509::DecodeExtensionList(ext_wrapper);
-    if (!exts) return std::nullopt;
-    for (const x509::Extension& ext : *exts) {
-      if (ext.oid == asn1::oids::OcspNonce()) {
-        asn1::Reader nonce_reader(ext.value);
-        BytesView nonce;
-        if (!nonce_reader.ReadOctetString(&nonce)) return std::nullopt;
-        out.nonce.assign(nonce.begin(), nonce.end());
+    asn1::Reader wrapper, extensions;
+    if (!tbs.ReadContextExplicit(2, &wrapper) ||
+        !wrapper.ReadSequence(&extensions))
+      return std::nullopt;
+    while (!extensions.Empty()) {
+      // Extension ::= SEQUENCE { extnID, critical BOOLEAN DEFAULT FALSE,
+      // extnValue OCTET STRING }, matched by its OID's content octets.
+      asn1::Reader extension;
+      BytesView oid, value;
+      bool critical = false;
+      if (!extensions.ReadSequence(&extension) ||
+          !extension.ReadTagged(asn1::kTagOid, &oid) ||
+          !asn1::Oid::IsValidContent(oid) ||
+          (extension.NextIs(asn1::kTagBoolean) &&
+           !extension.ReadBoolean(&critical)) ||
+          !extension.ReadOctetString(&value))
+        return std::nullopt;
+      if (asn1::OidContentIs(oid, asn1::oids::OcspNonce())) {
+        asn1::Reader nonce(value);
+        if (!nonce.ReadOctetString(&out->nonce_)) return std::nullopt;
       }
     }
   }
@@ -113,26 +146,11 @@ std::optional<OcspRequest> ParseOcspRequest(BytesView der) {
 }
 
 bool ParseSingleCertRequestView(BytesView der, OcspRequestView* out) {
-  asn1::Reader top(der);
-  asn1::Reader outer;
-  if (!top.ReadSequence(&outer) || !top.Empty()) return false;
-  asn1::Reader tbs;
-  if (!outer.ReadSequence(&tbs)) return false;
-  asn1::Reader request_list;
-  if (!tbs.ReadSequence(&request_list)) return false;
-  asn1::Reader req;
-  if (!request_list.ReadSequence(&req) || !request_list.Empty()) return false;
-  asn1::Reader id;
-  if (!req.ReadSequence(&id) || !req.Empty()) return false;
-  asn1::Reader alg;  // hash algorithm, assumed SHA-256 (as ParseOcspRequest)
-  if (!id.ReadSequence(&alg)) return false;
-  if (!id.ReadOctetString(&out->issuer_name_hash) ||
-      !id.ReadOctetString(&out->issuer_key_hash) ||
-      !id.ReadIntegerUnsignedView(&out->serial) || !id.Empty())
+  const std::optional<RequestView> request = ParseOcspRequestView(der);
+  if (!request || request->size() != 1 || !request->nonce().empty())
     return false;
-  // Anything after requestList (requestExtensions — i.e. a nonce) takes the
-  // allocating path, which knows how to handle it.
-  return tbs.Empty();
+  *out = request->front();
+  return true;
 }
 
 std::string OcspGetPath(const OcspRequest& request) {
@@ -141,13 +159,6 @@ std::string OcspGetPath(const OcspRequest& request) {
   std::string path(1, '/');
   path += util::Base64Encode(EncodeOcspRequest(request));
   return path;
-}
-
-std::optional<OcspRequest> ParseOcspGetPath(std::string_view path) {
-  if (path.empty() || path.front() != '/') return std::nullopt;
-  auto der = util::Base64Decode(path.substr(1));
-  if (!der) return std::nullopt;
-  return ParseOcspRequest(*der);
 }
 
 namespace {
@@ -307,9 +318,9 @@ std::optional<OcspResponse> ParseOcspResponse(BytesView der) {
   if (!outer.ReadContextExplicit(0, &bytes_wrapper)) return std::nullopt;
   asn1::Reader response_bytes;
   if (!bytes_wrapper.ReadSequence(&response_bytes)) return std::nullopt;
-  asn1::Oid response_type;
-  if (!response_bytes.ReadOid(&response_type) ||
-      response_type != asn1::oids::OcspBasic())
+  BytesView response_type;
+  if (!response_bytes.ReadTagged(asn1::kTagOid, &response_type) ||
+      !asn1::OidContentIs(response_type, asn1::oids::OcspBasic()))
     return std::nullopt;
   BytesView basic_der;
   if (!response_bytes.ReadOctetString(&basic_der)) return std::nullopt;
@@ -379,35 +390,6 @@ bool VerifyOcspSignature(const OcspResponse& response,
   if (response.status != ResponseStatus::kSuccessful) return false;
   if (responder_key.type != response.sig_type) return false;
   return crypto::Verify(responder_key, response.tbs_der, response.signature);
-}
-
-std::string DescribeOcspResponse(const OcspResponse& response) {
-  std::ostringstream out;
-  out << "OCSP response:\n";
-  if (response.status != ResponseStatus::kSuccessful) {
-    out << "  status      : error (" << static_cast<int>(response.status)
-        << ")\n";
-    return out.str();
-  }
-  out << "  produced at : " << util::FormatDateTime(response.produced_at)
-      << "\n";
-  if (response.singles.size() > 1)
-    out << "  responses   : " << response.singles.size() << "\n";
-  out << "  serial      : "
-      << x509::SerialToString(response.single.cert_id.serial) << "\n";
-  out << "  cert status : " << CertStatusName(response.single.status) << "\n";
-  if (response.single.status == CertStatus::kRevoked) {
-    out << "  revoked at  : "
-        << util::FormatDateTime(response.single.revocation_time) << "\n";
-    out << "  reason      : " << x509::ReasonCodeName(response.single.reason)
-        << "\n";
-  }
-  out << "  this update : "
-      << util::FormatDateTime(response.single.this_update) << "\n";
-  if (response.single.next_update != 0)
-    out << "  next update : "
-        << util::FormatDateTime(response.single.next_update) << "\n";
-  return out.str();
 }
 
 }  // namespace rev::ocsp

@@ -2,11 +2,15 @@
 // CertIDs (browsers issue single-cert requests, but the RFC allows batching
 // and some clients batch a whole chain); responses carry one SingleResponse
 // per requested certificate, in request order, and echo the request nonce.
+// Requests are encoded from the owned OcspRequest and read back in one
+// borrowed walk, ParseOcspRequestView, whatever their shape or transport.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 
+#include "asn1/reader.h"
 #include "crypto/signer.h"
 #include "util/bytes.h"
 #include "util/time.h"
@@ -36,30 +40,70 @@ struct OcspRequest {
   Bytes nonce;  // empty = no nonce extension
 };
 
+// Clients encode requests from the owned form; responders read them only
+// through ParseOcspRequestView.
 Bytes EncodeOcspRequest(const OcspRequest& request);
-std::optional<OcspRequest> ParseOcspRequest(BytesView der);
 
-// Borrowed parse of the dominant request shape — exactly one CertID, no
-// requestor name, no extensions (hence no nonce). Every field aliases the
-// input `der`, so the view is valid only while that buffer lives. Returns
-// false for anything else — malformed input included — in which case the
-// caller falls back to the allocating ParseOcspRequest for classification.
-// This is the serving frontend's hot path: it avoids the per-request heap
-// allocations (CertId vectors, hash/serial copies) that otherwise dominate
-// a cache-hit's cost.
+// One CertID of a parsed request. Every field aliases the request DER, so
+// the view is valid only while that buffer lives.
 struct OcspRequestView {
   BytesView issuer_name_hash;
   BytesView issuer_key_hash;
   BytesView serial;  // unsigned big-endian magnitude, sign padding stripped
 };
+
+// A whole OCSP request, parsed in one walk without copying or allocating.
+// Range-for over it yields each CertID in wire order; the requestList was
+// validated by the parse, so the iteration cannot fail.
+class RequestView {
+ public:
+  class Iterator {
+   public:
+    const OcspRequestView& operator*() const { return id_; }
+    Iterator& operator++();
+    bool operator==(std::default_sentinel_t) const { return done_; }
+
+   private:
+    friend class RequestView;
+    explicit Iterator(BytesView request_list);
+
+    asn1::Reader rest_;
+    OcspRequestView id_;
+    bool done_ = false;
+  };
+
+  Iterator begin() const { return Iterator(request_list_); }
+  std::default_sentinel_t end() const { return {}; }
+  std::size_t size() const { return size_; }  // at least 1
+  const OcspRequestView& front() const { return front_; }
+  BytesView nonce() const { return nonce_; }  // empty = no nonce
+
+ private:
+  friend std::optional<RequestView> ParseOcspRequestView(BytesView der);
+
+  BytesView request_list_;  // content octets of requestList
+  OcspRequestView front_;
+  std::size_t size_ = 1;
+  BytesView nonce_;
+};
+
+// Parses a DER OCSPRequest: a requestList of one or more CertIDs, then the
+// optional requestExtensions, whose nonce (the last, if several) is kept.
+// What the responder does not use is skipped unread: a CertID's fields
+// after the serial, singleRequestExtensions, the rest of the TBSRequest
+// and optionalSignature. The one request parser: the serving frontend runs
+// it on POST and GET alike.
+std::optional<RequestView> ParseOcspRequestView(BytesView der);
+
+// The dominant request shape: true iff `der` parses with exactly one CertID
+// and no nonce, which is then written to `out`.
 bool ParseSingleCertRequestView(BytesView der, OcspRequestView* out);
 
 // RFC 6960 Appendix A: OCSP over HTTP GET — the request DER is base64ed
 // into the URL path ("GET {url}/{base64(request)}"). Browsers issue GETs
 // far more often than POSTs; the paper had to patch OpenSSL's responder to
-// accept them (§6.2).
+// accept them (§6.2). serve::Frontend::ServeGetPath decodes it.
 std::string OcspGetPath(const OcspRequest& request);
-std::optional<OcspRequest> ParseOcspGetPath(std::string_view path);
 
 // RFC 6960 OCSPResponseStatus.
 enum class ResponseStatus : std::uint8_t {
@@ -120,8 +164,5 @@ OcspResponse MakeErrorResponse(ResponseStatus status);
 std::optional<OcspResponse> ParseOcspResponse(BytesView der);
 bool VerifyOcspSignature(const OcspResponse& response,
                          const crypto::PublicKey& responder_key);
-
-// Human-readable rendering of a response.
-std::string DescribeOcspResponse(const OcspResponse& response);
 
 }  // namespace rev::ocsp

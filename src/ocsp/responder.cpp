@@ -94,19 +94,4 @@ OcspResponse Responder::StatusFor(const x509::Serial& serial,
   return Sign({MakeSingle(serial, Lookup(serial), now)}, now);
 }
 
-Bytes Responder::Handle(BytesView request_der, util::Timestamp now) const {
-  auto request = ParseOcspRequest(request_der);
-  if (!request) return MakeErrorResponse(ResponseStatus::kMalformedRequest).der;
-  std::vector<SingleResponse> singles;
-  singles.reserve(request->cert_ids.size());
-  for (const CertId& id : request->cert_ids) {
-    if (id.issuer_name_hash != issuer_name_hash_ ||
-        id.issuer_key_hash != issuer_key_hash_) {
-      return MakeErrorResponse(ResponseStatus::kUnauthorized).der;
-    }
-    singles.push_back(MakeSingle(id.serial, Lookup(id.serial), now));
-  }
-  return Sign(singles, now, request->nonce).der;
-}
-
 }  // namespace rev::ocsp

@@ -1,12 +1,14 @@
-// An OCSP responder engine: a CA-side status database plus request handling.
+// An OCSP responder's CA side: the status database of one issuer and the
+// key that signs its answers.
 //
 // One Responder instance serves one issuing CA certificate (matching how a
-// CA operates a responder per issuer key). The CA module wires Responder
-// instances to simulated HTTP endpoints — since PR 2 through the
-// `serve::Frontend` fast path, which mirrors this database into a sharded
-// read-mostly index (see docs/serving.md). The Responder stays the single
-// writer: every mutation is forwarded to an optional observer so the
-// serving layer can invalidate precomputed responses.
+// CA operates a responder per issuer key). It answers no request itself:
+// `serve::Frontend` is the one code path that parses and answers OCSP
+// requests, from a sharded read-mostly mirror of this database (see
+// docs/serving.md), building and signing responses with MakeSingle and
+// Sign. The Responder stays the single writer: every mutation is forwarded
+// to an optional observer so the serving layer can invalidate precomputed
+// responses.
 #pragma once
 
 #include <functional>
@@ -58,12 +60,6 @@ class Responder {
   // test suite to generate unknown-status responses (§6.1).
   void Remove(const x509::Serial& serial);
 
-  // Handles a DER OCSP request, producing a DER response. A request listing
-  // N certificates yields N SingleResponses in request order; a request
-  // nonce is echoed in responseExtensions. Serials the responder has never
-  // seen yield status `unknown`.
-  Bytes Handle(BytesView request_der, util::Timestamp now) const;
-
   // Produces a response for a specific serial without a request (used for
   // OCSP stapling, where the server fetches its own status).
   OcspResponse StatusFor(const x509::Serial& serial, util::Timestamp now) const;
@@ -95,7 +91,6 @@ class Responder {
 
   const Bytes& issuer_name_hash() const { return issuer_name_hash_; }
   const Bytes& issuer_key_hash() const { return issuer_key_hash_; }
-  std::int64_t validity_seconds() const { return validity_seconds_; }
 
  private:
   void Notify(const x509::Serial& serial) const;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/hex.h"
 
 namespace rev::serve {
 
@@ -336,72 +337,60 @@ Frontend::ServeResult Frontend::Serve(BytesView request_der,
                                       util::Timestamp now,
                                       const obs::SpanContext* ctx) {
   metrics_->requests.Increment();
-  // Zero-allocation fast path for the dominant shape (single cert, no
-  // nonce): route and build the status key straight off views into the
-  // request buffer. Anything else — including malformed input — falls back
-  // to the allocating parser for classification.
-  ocsp::OcspRequestView view;
-  if (ocsp::ParseSingleCertRequestView(request_der, &view)) {
-    const auto start = std::chrono::steady_clock::now();
-    StartServing();
-    const ocsp::Responder* responder = FindResponder(view.issuer_key_hash);
-    if (responder == nullptr ||
-        !std::ranges::equal(view.issuer_name_hash,
-                            responder->issuer_name_hash())) {
-      metrics_->unauthorized.Increment();
-      return {200, unauthorized_der_, 0, false};
-    }
-    return ServeOne(nullptr, responder, view.serial, true, now, start, ctx);
-  }
-  auto request = ocsp::ParseOcspRequest(request_der);
+  // One borrowed parse for every shape: the CertIDs and the nonce are views
+  // into `request_der`, so nothing is allocated before the request is
+  // classified and routed.
+  const std::optional<ocsp::RequestView> request =
+      ocsp::ParseOcspRequestView(request_der);
   if (!request) {
     metrics_->malformed.Increment();
     return {200, malformed_der_, 0, false};
   }
-  return ServeParsed(*request, now, ctx);
+  const auto start = std::chrono::steady_clock::now();
+  StartServing();
+  const auto unauthorized = [&]() -> ServeResult {
+    metrics_->unauthorized.Increment();
+    return {200, unauthorized_der_, 0, false};
+  };
+  // The first CertID routes by its issuer key hash, so it has only its
+  // name hash left to match; every other CertID must match both.
+  const ocsp::Responder* responder =
+      FindResponder(request->front().issuer_key_hash);
+  if (responder == nullptr ||
+      !std::ranges::equal(request->front().issuer_name_hash,
+                          responder->issuer_name_hash()))
+    return unauthorized();
+  if (request->size() > 1) {
+    for (const ocsp::OcspRequestView& id : *request) {
+      if (!std::ranges::equal(id.issuer_name_hash,
+                              responder->issuer_name_hash()) ||
+          !std::ranges::equal(id.issuer_key_hash,
+                              responder->issuer_key_hash()))
+        return unauthorized();
+    }
+  }
+  return ServeOne(*request, *responder, now, start, ctx);
 }
 
 Frontend::ServeResult Frontend::ServeGetPath(std::string_view path,
                                              util::Timestamp now,
                                              const obs::SpanContext* ctx) {
-  metrics_->requests.Increment();
-  auto request = ocsp::ParseOcspGetPath(path);
-  if (!request) {
+  // The decoded DER is the one allocation a GET adds; from there it takes
+  // the POST path, which counts the request.
+  std::optional<Bytes> der;
+  if (path.starts_with('/')) der = util::Base64Decode(path.substr(1));
+  if (!der) {
+    metrics_->requests.Increment();
     metrics_->malformed.Increment();
     return {200, malformed_der_, 0, false};
   }
-  return ServeParsed(*request, now, ctx);
-}
-
-Frontend::ServeResult Frontend::ServeParsed(const ocsp::OcspRequest& request,
-                                            util::Timestamp now,
-                                            const obs::SpanContext* ctx) {
-  const auto start = std::chrono::steady_clock::now();
-  StartServing();
-
-  const ocsp::Responder* responder =
-      FindResponder(request.cert_ids.front().issuer_key_hash);
-  if (responder == nullptr) {
-    metrics_->unauthorized.Increment();
-    return {200, unauthorized_der_, 0, false};
-  }
-  for (const ocsp::CertId& id : request.cert_ids) {
-    if (id.issuer_name_hash != responder->issuer_name_hash() ||
-        id.issuer_key_hash != responder->issuer_key_hash()) {
-      metrics_->unauthorized.Increment();
-      return {200, unauthorized_der_, 0, false};
-    }
-  }
-
-  return ServeOne(&request, responder, request.cert_ids.front().serial,
-                  request.cert_ids.size() == 1 && request.nonce.empty(), now,
-                  start, ctx);
+  return Serve(*der, now, ctx);
 }
 
 Frontend::ServeResult Frontend::ServeOne(
-    const ocsp::OcspRequest* request, const ocsp::Responder* responder,
-    BytesView serial, bool cacheable, util::Timestamp now,
-    std::chrono::steady_clock::time_point start, const obs::SpanContext* ctx) {
+    const ocsp::RequestView& request, const ocsp::Responder& responder,
+    util::Timestamp now, std::chrono::steady_clock::time_point start,
+    const obs::SpanContext* ctx) {
   const obs::SpanContext* traced =
       ctx != nullptr && obs::DistTraceCollector::Global().enabled() ? ctx
                                                                     : nullptr;
@@ -409,8 +398,11 @@ Frontend::ServeResult Frontend::ServeOne(
   // started visible to the lookup and to the signer.
   MaybeFlush();
   KeyBuffer buffer;
-  buffer.SetKey(responder->issuer_key_hash(), serial);
+  buffer.SetKey(responder.issuer_key_hash(), request.front().serial);
   const BytesView key = buffer.key();
+  // One CertID without a nonce has a precomputable answer; a nonce makes
+  // the response unique and several CertIDs make it a one-off.
+  const bool cacheable = request.size() == 1 && request.nonce().empty();
   if (cacheable) {
     // Cache hit: answered here, without an admission slot (like Staple). A
     // miss or expiry is tallied by SignMiss alone, against the entry it
@@ -431,8 +423,8 @@ Frontend::ServeResult Frontend::ServeOne(
                        obs::InternName(metrics_label_), 503, now);
     return {503, try_later_der_, options_.retry_after_seconds, false};
   }
-  ServeResult result = cacheable ? SignMiss(*responder, shard, key, now)
-                                 : SignDirect(*request, *responder, now);
+  ServeResult result = cacheable ? SignMiss(responder, shard, key, now)
+                                 : SignDirect(request, responder, now);
   ExitShard(shard);
   RecordServed(start, traced, result.http_status, now);
   return result;
@@ -457,21 +449,20 @@ void Frontend::RecordServed(std::chrono::steady_clock::time_point start,
                      obs::InternName(metrics_label_), http_status, now);
 }
 
-Frontend::ServeResult Frontend::SignDirect(const ocsp::OcspRequest& request,
+Frontend::ServeResult Frontend::SignDirect(const ocsp::RequestView& request,
                                            const ocsp::Responder& responder,
                                            util::Timestamp now) {
   // Multi-cert or nonced requests are signed per request (a nonce makes
   // the response unique by construction; RFC 6960 notes pre-produced
   // responses cannot carry one), so there is nothing to cache or share.
   std::vector<ocsp::SingleResponse> singles;
-  singles.reserve(request.cert_ids.size());
-  for (const ocsp::CertId& id : request.cert_ids) {
-    const StatusKey id_key =
-        MakeStatusKey(responder.issuer_key_hash(), id.serial);
-    singles.push_back(
-        responder.MakeSingle(id.serial, index_.Lookup(id_key), now));
+  singles.reserve(request.size());
+  for (const ocsp::OcspRequestView& id : request) {
+    const x509::Serial serial(id.serial.begin(), id.serial.end());
+    const StatusKey id_key = MakeStatusKey(responder.issuer_key_hash(), serial);
+    singles.push_back(responder.MakeSingle(serial, index_.Lookup(id_key), now));
   }
-  ocsp::OcspResponse response = responder.Sign(singles, now, request.nonce);
+  ocsp::OcspResponse response = responder.Sign(singles, now, request.nonce());
   metrics_->signed_on_demand.Increment();
   return {200, std::make_shared<const Bytes>(std::move(response.der)), 0,
           false};
@@ -670,10 +661,6 @@ Frontend::Counters Frontend::counters() const {
   out.staples = metrics_->staples.Value();
   out.status_updates = metrics_->status_updates.Value();
   return out;
-}
-
-obs::HistogramSnapshot Frontend::latency_histogram() const {
-  return metrics_->latency_ns.Snapshot();
 }
 
 }  // namespace rev::serve

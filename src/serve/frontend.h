@@ -1,9 +1,12 @@
 // The revocation-status serving frontend: turns per-CA `ocsp::Responder`
 // state into a service that sustains heavy query load.
 //
-//   request ──► route ──► pending-mutation flush (if any) ──► one
-//   ResponseCache lookup with a stack-built key ──► hit: answered on the
-//   caller's thread, a shared_ptr copy of the precomputed DER, no
+//   POST DER, or GET path base64-decoded ──► one borrowed parse
+//   (ocsp::ParseOcspRequestView) ──► malformed / unauthorized: a fixed
+//   error response.
+//   cacheable (one CertID, no nonce) ──► pending-mutation flush (if any)
+//   ──► one ResponseCache lookup with a stack-built key ──► hit: answered
+//   on the caller's thread, a shared_ptr copy of the precomputed DER, no
 //   admission slot taken.
 //   miss / expired / nonced / multi-cert ──► admission (depth watermark
 //   per shard; 503 + Retry-After when over capacity) ──► signed on the
@@ -12,8 +15,8 @@
 //       up again (a miss that waited behind one for the same key finds its
 //       entry and counts a hit), then sign from the index record and
 //       install epoch-guarded.
-//     nonced / multi-cert ──► SignDirect: signed per request, no lock,
-//       never cached.
+//     nonced / multi-cert ──► SignDirect: signed per request from the
+//       CertID views, no lock, never cached.
 //
 // There are no worker threads and no queue: the work of a miss is its
 // signature, and the caller that needs it pays for it. Staple takes the
@@ -87,18 +90,22 @@ class Frontend {
     bool cache_hit = false;
   };
 
-  // POST form: a DER OCSP request. Thread-safe. Answered on the calling
-  // thread: a cache hit from the cache, anything else signed here after
-  // admission (a miss may first wait on its shard's miss lock). A
-  // non-null `ctx`
-  // (the caller's distributed-trace context, usually extracted from the
-  // traceparent header by HandleHttp) records a server span for the
-  // request and tags the latency histogram bucket with the trace id as an
-  // exemplar.
+  // POST form: a DER OCSP request. Thread-safe. The request is parsed once,
+  // as views into `request_der`, and classified: malformed, unauthorized
+  // (a CertID names an issuer with no attached responder, or not the same
+  // one as the first), cacheable (one CertID, no nonce) or direct.
+  // Answered on the calling thread: a cacheable request from the cache
+  // when it hits, anything else signed here after admission (a miss may
+  // first wait on its shard's miss lock). A non-null `ctx` (the caller's
+  // distributed-trace context, usually extracted from the traceparent
+  // header by HandleHttp) records a server span for the request and tags
+  // the latency histogram bucket with the trace id as an exemplar.
   ServeResult Serve(BytesView request_der, util::Timestamp now,
                     const obs::SpanContext* ctx = nullptr);
 
-  // RFC 6960 Appendix A GET form: "/{base64(request)}". Thread-safe.
+  // RFC 6960 Appendix A GET form: "/{base64(request)}". Thread-safe. The
+  // path is decoded (its one allocation) and served as Serve serves the
+  // DER; a path that is not "/" plus valid base64 is malformed.
   ServeResult ServeGetPath(std::string_view path, util::Timestamp now,
                            const obs::SpanContext* ctx = nullptr);
 
@@ -187,16 +194,13 @@ class Frontend {
   };
   Counters counters() const;
 
-  // The per-request latency distribution in nanoseconds.
-  obs::HistogramSnapshot latency_histogram() const;
-
   // Label suffix of this instance's registry instruments, "frontend=N"
-  // (e.g. "serve.requests{frontend=N}" in the /metrics exposition).
+  // (e.g. "serve.requests{frontend=N}" in the /metrics exposition, and
+  // the per-request latency histogram "serve.latency_ns{frontend=N}").
   const std::string& metrics_label() const { return metrics_label_; }
 
   const StatusIndex& index() const { return index_; }
   const ResponseCache& cache() const { return cache_; }
-  const FrontendOptions& options() const { return options_; }
 
   // --- admission introspection (tests saturate queues deterministically) --
   std::size_t ShardOf(BytesView issuer_key_hash,
@@ -228,20 +232,15 @@ class Frontend {
   ResponseCache::Entry SignFromRecord(
       const ocsp::Responder& responder, BytesView key,
       const std::optional<StatusIndex::Record>& record, util::Timestamp now);
-  ServeResult ServeParsed(const ocsp::OcspRequest& request, util::Timestamp now,
-                          const obs::SpanContext* ctx);
-  // Common tail of the single-request entry points. The status key is
-  // built in a stack buffer from the responder's issuer hash and `serial`
-  // (no heap key on the hot path). A `cacheable` request whose
-  // precomputed response is servable at `now` is answered right here;
-  // everything else goes through admission on the key's shard, then
-  // SignMiss (cacheable) or SignDirect. Records latency from `start`
+  // Routes a parsed, authorized request. The status key is built in a
+  // stack buffer from the responder's issuer hash and the first CertID's
+  // serial (no heap key on the hot path). A cacheable request (one CertID,
+  // no nonce) whose precomputed response is servable at `now` is answered
+  // right here; everything else goes through admission on the key's shard,
+  // then SignMiss (cacheable) or SignDirect. Records latency from `start`
   // either way.
-  // `request` may be null iff `cacheable` (the zero-allocation single-cert
-  // fast path never needs the parsed form).
-  ServeResult ServeOne(const ocsp::OcspRequest* request,
-                       const ocsp::Responder* responder, BytesView serial,
-                       bool cacheable, util::Timestamp now,
+  ServeResult ServeOne(const ocsp::RequestView& request,
+                       const ocsp::Responder& responder, util::Timestamp now,
                        std::chrono::steady_clock::time_point start,
                        const obs::SpanContext* ctx);
   // Latency sample (with the trace id as exemplar when traced) and the
@@ -258,7 +257,7 @@ class Frontend {
                        BytesView key, util::Timestamp now);
   // Nonced or multi-cert request: signed for this request alone, no lock,
   // never cached.
-  ServeResult SignDirect(const ocsp::OcspRequest& request,
+  ServeResult SignDirect(const ocsp::RequestView& request,
                          const ocsp::Responder& responder,
                          util::Timestamp now);
   void EnsurePool();

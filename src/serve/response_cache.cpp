@@ -17,12 +17,6 @@ ResponseCache::LookupResult ResponseCache::Get(BytesView key,
   return {Outcome::kHit, it->second.der};
 }
 
-void ResponseCache::Put(const StatusKey& key, Entry entry) {
-  Shard& shard = shards_[ShardOf(key)];
-  std::unique_lock lock(shard.mu);
-  shard.map[key] = std::move(entry);
-}
-
 void ResponseCache::PutBatch(std::vector<std::pair<StatusKey, Entry>> entries) {
   Install(entries, nullptr, 0);
 }

@@ -51,7 +51,6 @@ class ResponseCache {
   // can no longer be served.
   LookupResult Get(BytesView key, util::Timestamp now) const;
 
-  void Put(const StatusKey& key, Entry entry);
   void PutBatch(std::vector<std::pair<StatusKey, Entry>> entries);
 
   // Epoch-guarded install for entries signed from an index snapshot pinned

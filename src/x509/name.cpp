@@ -72,13 +72,17 @@ std::optional<Name> Name::Decode(asn1::Reader& r) {
   Name name;
   while (!rdn_sequence.Empty()) {
     asn1::Reader rdn_set;
-    if (!rdn_sequence.ReadSet(&rdn_set)) return std::nullopt;
+    // RelativeDistinguishedName ::= SET SIZE (1..MAX) OF
+    // AttributeTypeAndValue (X.501).
+    if (!rdn_sequence.ReadSet(&rdn_set) || rdn_set.Empty())
+      return std::nullopt;
     while (!rdn_set.Empty()) {
       asn1::Reader atv;
       if (!rdn_set.ReadSequence(&atv)) return std::nullopt;
       NameAttribute attr;
       std::string value;
-      if (!atv.ReadOid(&attr.type) || !atv.ReadAnyString(&value))
+      if (!atv.ReadOid(&attr.type) || !atv.ReadAnyString(&value) ||
+          !atv.Empty())
         return std::nullopt;
       attr.value = std::move(value);
       name.attributes_.push_back(std::move(attr));

@@ -20,9 +20,9 @@ bool ReadOidView(asn1::Reader& r, BytesView* content) {
          asn1::Oid::IsValidContent(*content);
 }
 
-// Structural Name check: SEQUENCE of SET of AttributeTypeAndValue. Attribute
-// values are not string-decoded (the full parse does that); this only
-// guarantees the TLV nesting is sound so the raw bytes are a usable DerKey.
+// Name check, accepting exactly what Name::Decode accepts without copying
+// a byte: a SEQUENCE of non-empty SETs of AttributeTypeAndValue, each an
+// OID and a string with nothing after it. The raw bytes are the DerKey.
 bool ValidateNameTlv(asn1::Reader& r, BytesView* name_der) {
   {
     asn1::Reader probe = r;
@@ -33,14 +33,19 @@ bool ValidateNameTlv(asn1::Reader& r, BytesView* name_der) {
   while (!rdns.Empty()) {
     asn1::Reader rdn;
     if (!rdns.ReadSet(&rdn)) return false;
-    if (rdn.Empty()) return false;
+    if (rdn.Empty()) return false;  // RDN ::= SET SIZE (1..MAX)
     while (!rdn.Empty()) {
       asn1::Reader attr;
       if (!rdn.ReadSequence(&attr)) return false;
       BytesView oid_content;
       if (!ReadOidView(attr, &oid_content)) return false;
-      BytesView value_tlv;
-      if (!attr.ReadRawTlv(&value_tlv) || !attr.Empty()) return false;
+      // A string tag Reader::ReadAnyString reads.
+      std::uint8_t tag = 0;
+      BytesView value;
+      if (!attr.ReadTlv(&tag, &value) || !attr.Empty() ||
+          (tag != asn1::kTagUtf8String && tag != asn1::kTagPrintableString &&
+           tag != asn1::kTagIa5String))
+        return false;
     }
   }
   return true;

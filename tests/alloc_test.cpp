@@ -1,8 +1,9 @@
-// Allocation regression tests for the new-certificate parse path. This
-// binary replaces the global operator new with one that counts calls, so a
-// test can assert how many heap allocations a call makes: matching an OID
-// against a well-known one must make none, and ParseCertView only the ones
-// of its two URL vectors.
+// Allocation regression tests for the new-certificate parse path and the
+// OCSP serve path. This binary replaces the global operator new with one
+// that counts calls, so a test can assert how many heap allocations a call
+// makes: matching an OID against a well-known one must make none,
+// ParseCertView only the ones of its two URL vectors, the OCSP request
+// parse none, and a cache hit none by POST and one by GET.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,10 @@
 #include "asn1/oid.h"
 #include "asn1/reader.h"
 #include "crypto/signer.h"
+#include "ocsp/ocsp.h"
+#include "ocsp/responder.h"
+#include "serve/frontend.h"
+#include "util/hex.h"
 #include "x509/certificate.h"
 #include "x509/spki.h"
 #include "x509/view.h"
@@ -141,6 +146,73 @@ TEST(Allocations, ParseCertViewMakesOnlyItsUrlVectors) {
   ASSERT_TRUE(view);
   EXPECT_TRUE(view->crl_urls.empty());
   EXPECT_TRUE(view->is_ev);
+}
+
+// ------------------------------------------------------ OCSP requests ----
+
+x509::Certificate IssuerCert() {
+  x509::TbsCertificate tbs;
+  tbs.serial = x509::Serial{0x41};
+  tbs.issuer = tbs.subject = x509::Name::Make("Alloc OCSP CA", "Alloc");
+  tbs.not_before = 0;
+  tbs.not_after = kNow + 100'000'000;
+  tbs.public_key = crypto::SimKeyFromLabel("alloc-ocsp").Public();
+  tbs.basic_constraints = {true, -1};
+  return x509::SignCertificate(tbs, crypto::SimKeyFromLabel("alloc-ocsp"));
+}
+
+Bytes RequestDer(const x509::Certificate& issuer,
+                 std::vector<std::uint8_t> serials, Bytes nonce = {}) {
+  ocsp::OcspRequest request;
+  for (const std::uint8_t s : serials)
+    request.cert_ids.push_back(ocsp::MakeCertId(issuer, {s}));
+  request.nonce = std::move(nonce);
+  return ocsp::EncodeOcspRequest(request);
+}
+
+TEST(Allocations, OcspRequestViewParseMakesNone) {
+  const x509::Certificate issuer = IssuerCert();
+  const Bytes one = RequestDer(issuer, {0x01});
+  const Bytes three = RequestDer(issuer, {0x01, 0x02, 0x03}, Bytes{7, 7, 7});
+  ASSERT_TRUE(ocsp::ParseOcspRequestView(three));  // warms the nonce OID
+
+  for (const Bytes* der : {&one, &three}) {
+    std::optional<ocsp::RequestView> parsed;
+    std::size_t walked = 0;
+    EXPECT_EQ(AllocationsDuring([&] {
+                parsed = ocsp::ParseOcspRequestView(*der);
+                if (!parsed) return;
+                for (const ocsp::OcspRequestView& id : *parsed)
+                  walked += id.serial.size();
+              }),
+              0u);
+    ASSERT_TRUE(parsed);
+    EXPECT_EQ(walked, parsed->size());  // one-byte serials
+  }
+}
+
+// A cache hit costs the POST no allocation and the GET one: the decoded
+// DER. Everything after the decode is the POST's path.
+TEST(Allocations, FrontendCacheHitByPostMakesNoneAndByGetOne) {
+  const x509::Certificate issuer = IssuerCert();
+  ocsp::Responder responder(issuer, crypto::SimKeyFromLabel("alloc-ocsp"));
+  responder.AddCertificate({0x01});
+  serve::Frontend frontend;
+  frontend.AttachResponder(&responder);
+  const Bytes der = RequestDer(issuer, {0x01});
+  std::string path(1, '/');
+  path += util::Base64Encode(der);
+  ASSERT_FALSE(frontend.Serve(der, kNow).cache_hit);  // the miss signs
+  ASSERT_TRUE(frontend.Serve(der, kNow).cache_hit);   // warms the hit path
+
+  serve::Frontend::ServeResult post, get;
+  EXPECT_EQ(AllocationsDuring([&] { post = frontend.Serve(der, kNow); }), 0u);
+  EXPECT_EQ(AllocationsDuring([&] { get = frontend.ServeGetPath(path, kNow); }),
+            1u);
+  EXPECT_TRUE(post.cache_hit);
+  EXPECT_TRUE(get.cache_hit);
+  ASSERT_TRUE(post.body && get.body);
+  EXPECT_EQ(post.body, get.body);  // the one cached DER
 }
 
 }  // namespace

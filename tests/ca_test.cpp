@@ -89,7 +89,7 @@ TEST(Ca, IssueWithoutRevocationInfo) {
 TEST(Ca, SerialsUniqueAndSized) {
   util::Rng rng(5);
   auto root = MakeRoot(rng);
-  std::set<x509::Serial> serials;
+  std::set<x509::Serial, util::BytesLess> serials;
   CertificateAuthority::IssueOptions issue;
   issue.common_name = "x.sim";
   issue.not_before = kNow;

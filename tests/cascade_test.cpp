@@ -44,11 +44,19 @@ void Split(const std::vector<Bytes>& universe, std::size_t r,
                       universe.end());
 }
 
-// Writes `value` as the `width`-byte big-endian field at `offset`.
+// Writes `value` as the `width`-byte (4 or 8) big-endian field at `offset`,
+// encoded as the wire format encodes it.
 void SetField(Bytes& out, std::size_t offset, std::size_t width,
               std::uint64_t value) {
-  for (std::size_t i = 0; i < width; ++i)
-    out[offset + i] = static_cast<std::uint8_t>(value >> (8 * (width - 1 - i)));
+  Bytes field;
+  if (width == 8) {
+    util::wire::PutU64(field, value);
+  } else {
+    util::wire::PutU32(field, static_cast<std::uint32_t>(value));
+  }
+  ASSERT_LE(offset + field.size(), out.size());
+  std::copy(field.begin(), field.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(offset));
 }
 
 // Edits one field of a sealed cascade blob and re-seals it, so only
@@ -329,7 +337,7 @@ TEST(Delta, ClientEquivalentToFreshSnapshot) {
   {
     // Rebuild the sequence-2 snapshot from retained ground truth.
     std::vector<Bytes> not_revoked;
-    std::set<Bytes> revoked_set(revoked_by_seq[1].begin(),
+    std::set<Bytes, util::BytesLess> revoked_set(revoked_by_seq[1].begin(),
                                 revoked_by_seq[1].end());
     for (const Bytes& key : *universe)
       if (!revoked_set.contains(key)) not_revoked.push_back(key);

@@ -386,8 +386,9 @@ TEST(ChaosSoak, StatusNeverFlipsToAWrongValueUnderStorm) {
   core::RevocationCrawler crawler(&net, 1);
   for (int shard = 0; shard < 1; ++shard) crawler.AddUrl(root->CrlUrl(shard));
 
-  std::map<x509::Serial, util::Timestamp> truth;       // our Revoke() calls
-  std::map<x509::Serial, util::Timestamp> ever_seen;   // crawler's reports
+  // Our Revoke() calls, and the crawler's reports.
+  std::map<x509::Serial, util::Timestamp, util::BytesLess> truth;
+  std::map<x509::Serial, util::Timestamp, util::BytesLess> ever_seen;
   for (int day = 0; day < kDays; ++day) {
     const util::Timestamp today = kNow + day * kDay;
     const x509::Serial& serial = leaves[static_cast<std::size_t>(day)]->tbs.serial;

@@ -77,7 +77,7 @@ class ReferencePipeline {
 
   void Finalize() {
     x509::CertPool intermediates;
-    std::set<Bytes> intermediate_fps;
+    std::set<Bytes, util::BytesLess> intermediate_fps;
     std::vector<x509::CertPtr> candidates;
     for (const auto& [fp, record] : records_) {
       if (record.cert->IsCa()) candidates.push_back(record.cert);
@@ -110,7 +110,9 @@ class ReferencePipeline {
     return out;
   }
 
-  const std::map<Bytes, ReferenceRecord>& records() const { return records_; }
+  const std::map<Bytes, ReferenceRecord, util::BytesLess>& records() const {
+    return records_;
+  }
   const std::vector<x509::CertPtr>& IntermediateSet() const {
     return intermediate_set_;
   }
@@ -119,7 +121,7 @@ class ReferencePipeline {
 
  private:
   x509::CertPool roots_;
-  std::map<Bytes, ReferenceRecord> records_;
+  std::map<Bytes, ReferenceRecord, util::BytesLess> records_;
   std::vector<x509::CertPtr> intermediate_set_;
   util::Timestamp latest_scan_time_ = 0;
   std::uint64_t out_of_order_scans_ = 0;

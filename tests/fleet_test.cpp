@@ -85,7 +85,9 @@ StatusSnapshot SampleSnapshot(std::size_t count) {
     snapshot.records.emplace_back(KeyFor(hash, i + 1), record);
   }
   std::sort(snapshot.records.begin(), snapshot.records.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+            [](const auto& a, const auto& b) {
+              return util::BytesLess{}(a.first, b.first);
+            });
   return snapshot;
 }
 
@@ -120,7 +122,9 @@ TEST(FleetWire, ResponseBatchRoundTrip) {
     batch.entries.emplace_back(KeyFor(hash, i), entry);
   }
   std::sort(batch.entries.begin(), batch.entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+            [](const auto& a, const auto& b) {
+              return util::BytesLess{}(a.first, b.first);
+            });
   const Bytes blob = batch.Serialize();
   const auto parsed = ResponseBatch::Deserialize(blob);
   ASSERT_TRUE(parsed);

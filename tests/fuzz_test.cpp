@@ -6,6 +6,8 @@
 // nicety.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cascade/cascade.h"
 #include "cascade/delta.h"
 #include "core/pipeline.h"
@@ -13,6 +15,9 @@
 #include "crlset/crlset.h"
 #include "crypto/sha256.h"
 #include "ocsp/ocsp.h"
+#include "ocsp/responder.h"
+#include "serve/frontend.h"
+#include "util/hex.h"
 #include "util/rng.h"
 #include "x509/certificate.h"
 #include "x509/view.h"
@@ -260,7 +265,7 @@ TEST_P(FuzzSeeds, PureGarbageRejected) {
     }
     (void)crl::ParseCrl(garbage);
     (void)ocsp::ParseOcspResponse(garbage);
-    (void)ocsp::ParseOcspRequest(garbage);
+    (void)ocsp::ParseOcspRequestView(garbage);
     (void)crlset::CrlSet::Deserialize(garbage);
     EXPECT_FALSE(cascade::FilterCascade::Deserialize(garbage));
     EXPECT_FALSE(cascade::CascadeDelta::Deserialize(garbage));
@@ -372,6 +377,86 @@ TEST_P(FuzzSeeds, OneByteMutationsOfInternedDerTakeTheParsePath) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds, ::testing::Range(0, 8));
+
+// Every one-byte mutation (each position set to each other value) of a
+// single-cert, a 3-CertID and a nonced request, POSTed to Frontend::Serve
+// and sent as the GET form: each answer is malformedRequest, unauthorized,
+// or a successful response that parses, verifies under the responder's key,
+// answers every CertID and echoes the nonce. POST and GET answer alike.
+TEST(FrontendFuzz, OneByteMutationsOfRequestsAnswerSafely) {
+  x509::TbsCertificate tbs;
+  tbs.serial = x509::Serial{0x31};
+  tbs.issuer = tbs.subject = x509::Name::Make("Fuzz OCSP CA", "Fuzz");
+  tbs.not_before = 0;
+  tbs.not_after = kNow + 100'000'000;
+  tbs.public_key = crypto::SimKeyFromLabel("fuzz-ocsp").Public();
+  tbs.basic_constraints = {true, -1};
+  const x509::Certificate issuer =
+      x509::SignCertificate(tbs, crypto::SimKeyFromLabel("fuzz-ocsp"));
+  ocsp::Responder responder(issuer, crypto::SimKeyFromLabel("fuzz-ocsp"));
+  for (std::uint8_t s = 1; s <= 4; ++s) responder.AddCertificate({s});
+  responder.Revoke({0x02}, kNow - 50, x509::ReasonCode::kKeyCompromise);
+  serve::Frontend frontend;
+  frontend.AttachResponder(&responder);
+
+  const auto request = [&](std::vector<std::uint8_t> serials, Bytes nonce) {
+    ocsp::OcspRequest out;
+    for (const std::uint8_t s : serials)
+      out.cert_ids.push_back(ocsp::MakeCertId(issuer, {s}));
+    out.nonce = std::move(nonce);
+    return ocsp::EncodeOcspRequest(out);
+  };
+  const std::vector<Bytes> seeds = {
+      request({0x01}, {}), request({0x01, 0x02, 0x03}, {}),
+      request({0x04}, Bytes{0x5A, 0xA5, 0x01, 0x02})};
+
+  std::size_t answered = 0;
+  std::size_t refused = 0;
+  const auto check = [&](const Bytes& der,
+                         const serve::Frontend::ServeResult& result) {
+    ASSERT_EQ(result.http_status, 200);
+    ASSERT_TRUE(result.body);
+    const auto parsed = ocsp::ParseOcspResponse(*result.body);
+    ASSERT_TRUE(parsed);
+    if (parsed->status == ocsp::ResponseStatus::kMalformedRequest ||
+        parsed->status == ocsp::ResponseStatus::kUnauthorized) {
+      ++refused;
+      return;
+    }
+    ASSERT_EQ(parsed->status, ocsp::ResponseStatus::kSuccessful);
+    ASSERT_TRUE(ocsp::VerifyOcspSignature(
+        *parsed, crypto::SimKeyFromLabel("fuzz-ocsp").Public()));
+    const auto sent = ocsp::ParseOcspRequestView(der);
+    ASSERT_TRUE(sent);
+    ASSERT_EQ(parsed->singles.size(), sent->size());
+    ASSERT_TRUE(std::ranges::equal(parsed->nonce, sent->nonce()));
+    ++answered;
+  };
+  for (const Bytes& seed : seeds) {
+    for (std::size_t pos = 0; pos < seed.size(); ++pos) {
+      Bytes mutated = seed;
+      for (int delta = 1; delta < 256; ++delta) {
+        mutated[pos] = static_cast<std::uint8_t>(seed[pos] + delta);
+        const auto post = frontend.Serve(mutated, kNow);
+        std::string path(1, '/');
+        path += util::Base64Encode(mutated);
+        const auto get = frontend.ServeGetPath(path, kNow);
+        SCOPED_TRACE(::testing::Message()
+                     << "position " << pos << " delta " << delta);
+        check(mutated, post);
+        check(mutated, get);
+        ASSERT_TRUE(post.body && get.body);
+        ASSERT_EQ(*post.body, *get.body);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  // Hash and serial bytes are not structural: some mutants must be
+  // answered, and most structural ones refused.
+  EXPECT_GT(answered, 0u);
+  EXPECT_GT(refused, 0u);
+  EXPECT_EQ(frontend.counters().requests, answered + refused);
+}
 
 }  // namespace
 }  // namespace rev

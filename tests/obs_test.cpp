@@ -615,7 +615,10 @@ TEST(ObsStress, FrontendCountersMatchExpositionUnderLoad) {
             counters.requests);
 
   // The latency histogram saw every non-shed request.
-  const HistogramSnapshot latency = frontend.latency_histogram();
+  const HistogramSnapshot latency =
+      MetricsRegistry::Global()
+          .GetHistogram("serve.latency_ns", frontend.metrics_label())
+          .Snapshot();
   EXPECT_EQ(latency.count, counters.requests - counters.shed);
 }
 

@@ -2,12 +2,15 @@
 // randomly shaped certificates / CRLs / OCSP messages, chain verification
 // invariants at random depths, filter guarantees across random workloads,
 // end-to-end CA/browser consistency under random revocation schedules,
-// ParseCertView against ParseCertificate on near-miss OIDs, and the SHA-256
-// compression paths against the scalar oracle.
+// ParseCertView against ParseCertificate on near-miss OIDs and Name shapes,
+// the OCSP request view parser against the allocating parser it replaced,
+// and the SHA-256 compression paths against the scalar oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
+#include "asn1/reader.h"
 #include "asn1/writer.h"
 #include "browser/client.h"
 #include "core/pipeline.h"
@@ -145,6 +148,8 @@ struct OidCertSpec {
   OidSlot slot = OidSlot::kSigAlg;
   Bytes oid;                   // content octets put in `slot`
   bool critical = false;       // the extension holding `slot` is critical
+  Bytes issuer;                // Name DER; empty = the default issuer
+  Bytes subject;               // Name DER; empty = the default subject
 };
 
 const asn1::Oid& SlotOid(OidSlot slot, bool rsa_sig_alg) {
@@ -214,10 +219,12 @@ Bytes BuildOidCert(const OidCertSpec& spec) {
       asn1::EncodeContextExplicit(0, asn1::EncodeInteger(2)),
       asn1::EncodeIntegerUnsigned(Bytes{0x0D, 0x1F}),
       sig_alg,
-      x509::Name::Make("OID CA", "Differential").Encode(),
+      spec.issuer.empty() ? x509::Name::Make("OID CA", "Differential").Encode()
+                          : spec.issuer,
       asn1::EncodeSequence({asn1::EncodeTime(kNow - kDay),
                             asn1::EncodeTime(kNow + kDay)}),
-      x509::Name::FromCommonName("oid.sim").Encode(),
+      spec.subject.empty() ? x509::Name::FromCommonName("oid.sim").Encode()
+                           : spec.subject,
       x509::EncodeSpki(crypto::SimKeyFromLabel("oid-subject").Public()),
       asn1::EncodeContextExplicit(3, extensions),
   });
@@ -254,7 +261,8 @@ TEST(ViewFullParseAgreement, OidVariantsAcceptAndRejectAlike) {
       for (const auto& [variant, content] : OidVariants(SlotOid(slot, rsa))) {
         for (const bool critical : {false, true}) {
           if (slot == OidSlot::kSigAlg && critical) continue;
-          const Bytes der = BuildOidCert({rsa, slot, content, critical});
+          const Bytes der =
+              BuildOidCert({rsa, slot, content, critical, {}, {}});
           SCOPED_TRACE(::testing::Message()
                        << "slot " << static_cast<int>(slot) << " rsa " << rsa
                        << ' ' << variant << (critical ? " critical" : ""));
@@ -304,6 +312,55 @@ TEST(ViewFullParseAgreement, OidVariantsAcceptAndRejectAlike) {
   }
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
+}
+
+// Names: both parsers read a Name as X.501 has it. An RDN is a SET SIZE
+// (1..MAX), an attribute value is one of the strings Reader::ReadAnyString
+// reads, and an AttributeTypeAndValue ends after its value. Each shape sits
+// in the issuer and then in the subject.
+TEST(ViewFullParseAgreement, NameShapesAcceptAndRejectAlike) {
+  const auto atv = [](Bytes value) {
+    return asn1::EncodeSequence(
+        {asn1::EncodeOid(asn1::oids::CommonName()), std::move(value)});
+  };
+  const Bytes cn = asn1::EncodeSet({atv(asn1::EncodeUtf8String("n.sim"))});
+  const std::vector<std::tuple<std::string, Bytes, bool>> shapes = {
+      {"utf8, printable and ia5 values, two per RDN",
+       asn1::EncodeSequence(
+           {asn1::EncodeSet({atv(asn1::EncodePrintableString("US")),
+                             atv(asn1::EncodeIa5String("n.sim"))}),
+            cn}),
+       true},
+      {"no RDN at all", asn1::EncodeSequence({}), true},
+      {"an empty RDN SET", asn1::EncodeSequence({cn, asn1::EncodeSet({})}),
+       false},
+      {"an INTEGER value",
+       asn1::EncodeSequence({asn1::EncodeSet({atv(asn1::EncodeInteger(5))})}),
+       false},
+      {"an OCTET STRING value",
+       asn1::EncodeSequence(
+           {asn1::EncodeSet({atv(asn1::EncodeOctetString(Bytes{0x41}))})}),
+       false},
+      {"bytes after the value",
+       asn1::EncodeSequence({asn1::EncodeSet({asn1::EncodeSequence(
+           {asn1::EncodeOid(asn1::oids::CommonName()),
+            asn1::EncodeUtf8String("n.sim"),
+            asn1::EncodeUtf8String("extra")})})}),
+       false},
+  };
+  for (const auto& [shape, name, valid] : shapes) {
+    for (const bool in_issuer : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << shape
+                   << (in_issuer ? " in the issuer" : " in the subject"));
+      OidCertSpec spec{false, OidSlot::kSigAlg,
+                       asn1::oids::SimSha256().content(), false, {}, {}};
+      (in_issuer ? spec.issuer : spec.subject) = name;
+      const Bytes der = BuildOidCert(spec);
+      EXPECT_EQ(x509::ParseCertView(der).has_value(), valid);
+      EXPECT_EQ(x509::ParseCertificate(der).has_value(), valid);
+    }
+  }
 }
 
 // --------------------------------------------------------- CRL round-trip ----
@@ -405,13 +462,208 @@ TEST_P(OcspRoundTrip, RandomResponses) {
     request.nonce.resize(16);
     rng_.Fill(request.nonce.data(), 16);
   }
-  auto parsed_request = ocsp::ParseOcspRequest(ocsp::EncodeOcspRequest(request));
+  const Bytes request_der = ocsp::EncodeOcspRequest(request);
+  auto parsed_request = ocsp::ParseOcspRequestView(request_der);
   ASSERT_TRUE(parsed_request);
-  EXPECT_EQ(parsed_request->cert_ids, request.cert_ids);
-  EXPECT_EQ(parsed_request->nonce, request.nonce);
+  ASSERT_EQ(parsed_request->size(), 1u);
+  const ocsp::OcspRequestView& id = parsed_request->front();
+  EXPECT_TRUE(std::ranges::equal(id.issuer_name_hash,
+                                 single.cert_id.issuer_name_hash));
+  EXPECT_TRUE(
+      std::ranges::equal(id.issuer_key_hash, single.cert_id.issuer_key_hash));
+  EXPECT_TRUE(std::ranges::equal(id.serial, single.cert_id.serial));
+  EXPECT_TRUE(std::ranges::equal(parsed_request->nonce(), request.nonce));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OcspRoundTrip, ::testing::Range(0, 15));
+
+// ------------------------------- OCSP request: view parse vs reference ----
+
+// The allocating request parser the view parser replaced, kept verbatim as
+// the reference the one parser must agree with.
+std::optional<ocsp::CertId> DecodeCertId(asn1::Reader& r) {
+  asn1::Reader seq;
+  if (!r.ReadSequence(&seq)) return std::nullopt;
+  asn1::Reader alg;
+  if (!seq.ReadSequence(&alg)) return std::nullopt;  // hash algorithm, assumed SHA-256
+  ocsp::CertId id;
+  BytesView name_hash, key_hash;
+  if (!seq.ReadOctetString(&name_hash) || !seq.ReadOctetString(&key_hash) ||
+      !seq.ReadIntegerUnsigned(&id.serial))
+    return std::nullopt;
+  id.issuer_name_hash.assign(name_hash.begin(), name_hash.end());
+  id.issuer_key_hash.assign(key_hash.begin(), key_hash.end());
+  return id;
+}
+
+std::optional<ocsp::OcspRequest> ParseOcspRequest(BytesView der) {
+  asn1::Reader top(der);
+  asn1::Reader outer;
+  if (!top.ReadSequence(&outer) || !top.Empty()) return std::nullopt;
+  asn1::Reader tbs;
+  if (!outer.ReadSequence(&tbs)) return std::nullopt;
+  asn1::Reader request_list;
+  if (!tbs.ReadSequence(&request_list)) return std::nullopt;
+
+  ocsp::OcspRequest out;
+  while (!request_list.Empty()) {
+    asn1::Reader req;
+    if (!request_list.ReadSequence(&req)) return std::nullopt;
+    auto id = DecodeCertId(req);
+    if (!id) return std::nullopt;
+    out.cert_ids.push_back(*std::move(id));
+  }
+  if (out.cert_ids.empty()) return std::nullopt;
+
+  if (tbs.NextIsContext(2)) {
+    asn1::Reader ext_wrapper;
+    if (!tbs.ReadContextExplicit(2, &ext_wrapper)) return std::nullopt;
+    auto exts = x509::DecodeExtensionList(ext_wrapper);
+    if (!exts) return std::nullopt;
+    for (const x509::Extension& ext : *exts) {
+      if (ext.oid == asn1::oids::OcspNonce()) {
+        asn1::Reader nonce_reader(ext.value);
+        BytesView nonce;
+        if (!nonce_reader.ReadOctetString(&nonce)) return std::nullopt;
+        out.nonce.assign(nonce.begin(), nonce.end());
+      }
+    }
+  }
+  return out;
+}
+
+// What a generated request carries beyond its CertIDs.
+struct OcspRequestSpec {
+  int cert_ids = 1;                   // 1..4
+  bool nonce = false;                 // a nonce in requestExtensions
+  bool other_extension = false;       // a non-nonce one (critical or not)
+  bool single_extensions = false;     // singleRequestExtensions per Request
+  bool trailing_cert_id = false;      // a field after each CertID's serial
+  bool signature = false;             // optionalSignature
+};
+
+Bytes BuildOcspRequest(const OcspRequestSpec& spec, util::Rng& rng) {
+  const auto random_bytes = [&](std::size_t n) {
+    Bytes out(n);
+    rng.Fill(out.data(), n);
+    return out;
+  };
+  const auto extension = [&](const asn1::Oid& oid, bool critical,
+                             const Bytes& value) {
+    std::vector<Bytes> parts{asn1::EncodeOid(oid)};
+    if (critical) parts.push_back(asn1::EncodeBoolean(true));
+    parts.push_back(asn1::EncodeOctetString(value));
+    return asn1::EncodeSequence(parts);
+  };
+  std::vector<Bytes> requests;
+  for (int i = 0; i < spec.cert_ids; ++i) {
+    Bytes serial = random_bytes(1 + rng.NextBelow(9));
+    serial[0] |= 0x01;  // minimal: no leading zero octet
+    std::vector<Bytes> cert_id{
+        asn1::EncodeSequence(
+            {asn1::EncodeOid(asn1::oids::Sha256()), asn1::EncodeNull()}),
+        asn1::EncodeOctetString(random_bytes(20)),
+        asn1::EncodeOctetString(random_bytes(20)),
+        asn1::EncodeIntegerUnsigned(serial)};
+    if (spec.trailing_cert_id) cert_id.push_back(asn1::EncodeNull());
+    std::vector<Bytes> request{asn1::EncodeSequence(cert_id)};
+    if (spec.single_extensions)
+      request.push_back(asn1::EncodeContextExplicit(
+          0, asn1::EncodeSequence({extension(asn1::oids::CrlReason(), false,
+                                             asn1::EncodeEnumerated(1))})));
+    requests.push_back(asn1::EncodeSequence(request));
+  }
+  std::vector<Bytes> tbs{asn1::EncodeSequence(requests)};
+  std::vector<Bytes> extensions;
+  if (spec.other_extension)
+    extensions.push_back(extension(asn1::oids::CrlNumber(), rng.Chance(0.5),
+                                   asn1::EncodeInteger(7)));
+  if (spec.nonce) {
+    const Bytes nonce = random_bytes(1 + rng.NextBelow(16));
+    extensions.push_back(extension(asn1::oids::OcspNonce(), false,
+                                   asn1::EncodeOctetString(nonce)));
+  }
+  if (!extensions.empty())
+    tbs.push_back(
+        asn1::EncodeContextExplicit(2, asn1::EncodeSequence(extensions)));
+  std::vector<Bytes> outer{asn1::EncodeSequence(tbs)};
+  if (spec.signature) {
+    const Bytes algorithm =
+        asn1::EncodeSequence({asn1::EncodeOid(asn1::oids::SimSha256())});
+    outer.push_back(asn1::EncodeContextExplicit(
+        0, asn1::EncodeSequence(
+               {algorithm, asn1::EncodeBitString(random_bytes(16))})));
+  }
+  return asn1::EncodeSequence(outer);
+}
+
+// The view parse and the reference agree on accept/reject, on each CertID
+// in order and on the nonce; ParseSingleCertRequestView accepts exactly the
+// one-CertID, nonce-free requests. Returns whether the request parsed.
+bool ExpectRequestParsersAgree(const Bytes& der) {
+  const std::optional<ocsp::OcspRequest> want = ParseOcspRequest(der);
+  const std::optional<ocsp::RequestView> got = ocsp::ParseOcspRequestView(der);
+  ocsp::OcspRequestView single;
+  const bool single_shape = ocsp::ParseSingleCertRequestView(der, &single);
+  EXPECT_EQ(got.has_value(), want.has_value());
+  EXPECT_EQ(single_shape,
+            want && want->cert_ids.size() == 1 && want->nonce.empty());
+  if (!got || !want) return false;
+  EXPECT_EQ(got->size(), want->cert_ids.size());
+  std::size_t i = 0;
+  for (const ocsp::OcspRequestView& id : *got) {
+    if (i == want->cert_ids.size()) break;
+    const ocsp::CertId& ref = want->cert_ids[i++];
+    EXPECT_TRUE(std::ranges::equal(id.issuer_name_hash, ref.issuer_name_hash));
+    EXPECT_TRUE(std::ranges::equal(id.issuer_key_hash, ref.issuer_key_hash));
+    EXPECT_TRUE(std::ranges::equal(id.serial, ref.serial));
+  }
+  EXPECT_EQ(i, want->cert_ids.size());
+  EXPECT_TRUE(std::ranges::equal(got->front().serial,
+                                 want->cert_ids.front().serial));
+  EXPECT_TRUE(std::ranges::equal(got->nonce(), want->nonce));
+  if (single_shape) {
+    EXPECT_TRUE(std::ranges::equal(single.serial, want->cert_ids[0].serial));
+  }
+  return true;
+}
+
+class OcspRequestAgreement : public Seeded {};
+
+// Every generated shape, then every one-byte mutation of it (each position
+// set to each other byte value): the two parsers must never disagree.
+TEST_P(OcspRequestAgreement, ViewParseMatchesReferenceUnderMutation) {
+  const int seed = GetParam();
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int shape = 0; shape < 3; ++shape) {
+    // Every flag takes both values across the seeds; CertID counts cycle
+    // through 1..4.
+    const int bits = seed * 3 + shape;
+    const OcspRequestSpec spec{1 + bits % 4,        (bits & 1) != 0,
+                               (bits & 2) != 0,     (bits & 4) != 0,
+                               (bits % 3) == 1,     (bits % 5) == 2};
+    const Bytes der = BuildOcspRequest(spec, rng_);
+    SCOPED_TRACE(::testing::Message() << "shape bits " << bits);
+    ASSERT_TRUE(ExpectRequestParsersAgree(der));
+    for (std::size_t pos = 0; pos < der.size(); ++pos) {
+      Bytes mutated = der;
+      for (int delta = 1; delta < 256; ++delta) {
+        mutated[pos] = static_cast<std::uint8_t>(der[pos] + delta);
+        if (ExpectRequestParsersAgree(mutated)) {
+          ++accepted;
+        } else {
+          ++rejected;
+        }
+        if (HasFailure()) FAIL() << "position " << pos << " delta " << delta;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OcspRequestAgreement, ::testing::Range(0, 8));
 
 // ----------------------------------------------------- chain verification ----
 
@@ -793,7 +1045,7 @@ class HashIndexProperty : public Seeded {};
 TEST_P(HashIndexProperty, MatchesMapOracleAcrossRehashes) {
   util::HashIndex index;
   std::vector<Bytes> stored;  // key per id, id == vector index
-  std::map<Bytes, std::uint32_t> oracle;
+  std::map<Bytes, std::uint32_t, util::BytesLess> oracle;
 
   auto find = [&](const Bytes& key) {
     return index.Find(util::HashBytes(key), [&](std::uint32_t id) {
@@ -852,7 +1104,7 @@ TEST_P(CorpusFindDerProperty, MatchesMapOracleAcrossRehashes) {
   core::Pipeline pipeline{x509::CertPool{}};
   const core::CertCorpus& corpus = pipeline.corpus();
   pipeline.BeginScan(kNow);
-  std::map<Bytes, core::CertCorpus::Row> oracle;
+  std::map<Bytes, core::CertCorpus::Row, util::BytesLess> oracle;
   std::vector<Bytes> stored;
   const crypto::KeyPair ca_key = crypto::SimKeyFromLabel("find-der-ca");
   x509::TbsCertificate tbs;

@@ -83,7 +83,7 @@ TEST(ResponseCache, ServeUntilIsExclusive) {
   entry.der = std::make_shared<const Bytes>(Bytes{1, 2, 3});
   entry.signed_at = kNow;
   entry.serve_until = kNow + 100;
-  cache.Put(key, entry);
+  cache.PutBatch({{key, entry}});
 
   EXPECT_EQ(cache.Get(key, kNow).outcome, ResponseCache::Outcome::kHit);
   EXPECT_EQ(cache.Get(key, kNow + 99).outcome, ResponseCache::Outcome::kHit);
@@ -231,6 +231,18 @@ TEST_F(FrontendTest, GetFormRoundTripThroughHttp) {
   ASSERT_TRUE(parsed);
   EXPECT_EQ(parsed->single.status, ocsp::CertStatus::kGood);
 
+  // The GET takes the POST's path: the same cache entry, and one request
+  // counted for each.
+  const auto post = Post(x509::Serial{0x52});
+  EXPECT_TRUE(post.cache_hit);
+  EXPECT_EQ(*post.body, response.body);
+  const auto get = frontend_.ServeGetPath(http.path, kNow);
+  EXPECT_TRUE(get.cache_hit);
+  const Frontend::Counters counters = frontend_.counters();
+  EXPECT_EQ(counters.requests, 3u);
+  EXPECT_EQ(counters.cache_misses, 1u);
+  EXPECT_EQ(counters.cache_hits, 2u);
+
   // A garbage path is malformed, still HTTP 200 per OCSP-over-HTTP.
   http.path = "/not-base64!!";
   const net::HttpResponse bad = frontend_.HandleHttp(http, kNow);
@@ -238,6 +250,27 @@ TEST_F(FrontendTest, GetFormRoundTripThroughHttp) {
   auto bad_parsed = ocsp::ParseOcspResponse(bad.body);
   ASSERT_TRUE(bad_parsed);
   EXPECT_EQ(bad_parsed->status, ocsp::ResponseStatus::kMalformedRequest);
+}
+
+TEST_F(FrontendTest, MalformedPostsAndGetsAreCountedOnce) {
+  const std::vector<Bytes> posts = {Bytes{}, Bytes{0x00, 0x01},
+                                    Bytes{0x30, 0x00}};
+  // No leading slash, not base64, and valid base64 of a non-request.
+  const std::vector<std::string> gets = {"", "no-leading-slash",
+                                         "/not-base64!!", "/QUJD"};
+  std::vector<Frontend::ServeResult> results;
+  for (const Bytes& der : posts) results.push_back(frontend_.Serve(der, kNow));
+  for (const std::string& path : gets)
+    results.push_back(frontend_.ServeGetPath(path, kNow));
+  for (const Frontend::ServeResult& result : results) {
+    EXPECT_EQ(result.http_status, 200);
+    auto parsed = ocsp::ParseOcspResponse(*result.body);
+    ASSERT_TRUE(parsed);
+    EXPECT_EQ(parsed->status, ocsp::ResponseStatus::kMalformedRequest);
+  }
+  const Frontend::Counters counters = frontend_.counters();
+  EXPECT_EQ(counters.requests, posts.size() + gets.size());
+  EXPECT_EQ(counters.malformed, posts.size() + gets.size());
 }
 
 TEST_F(FrontendTest, NoncedRequestBypassesCacheAndEchoesNonce) {
@@ -253,24 +286,47 @@ TEST_F(FrontendTest, NoncedRequestBypassesCacheAndEchoesNonce) {
     ASSERT_TRUE(parsed);
     EXPECT_EQ(parsed->nonce, request.nonce);
     EXPECT_EQ(parsed->single.status, ocsp::CertStatus::kGood);
+    EXPECT_TRUE(
+        ocsp::VerifyOcspSignature(*parsed, TestKey("serve-issuer").Public()));
   }
   EXPECT_EQ(frontend_.counters().cache_hits, 0u);
 }
 
 TEST_F(FrontendTest, MultiCertRequestAnswersAllInOrder) {
+  // RFC 6960: a request listing N certificates yields N SingleResponses in
+  // request order.
   responder_.AddCertificate(x509::Serial{0x54});
   responder_.Revoke(x509::Serial{0x54}, kNow - 10,
                     x509::ReasonCode::kKeyCompromise);
   responder_.AddCertificate(x509::Serial{0x55});
+  // 0x5F was never registered -> unknown.
   ocsp::OcspRequest request;
   request.cert_ids = {ocsp::MakeCertId(issuer_, x509::Serial{0x54}),
+                      ocsp::MakeCertId(issuer_, x509::Serial{0x5F}),
                       ocsp::MakeCertId(issuer_, x509::Serial{0x55})};
   const auto result = frontend_.Serve(ocsp::EncodeOcspRequest(request), kNow);
+  EXPECT_FALSE(result.cache_hit);
   auto parsed = ocsp::ParseOcspResponse(*result.body);
   ASSERT_TRUE(parsed);
-  ASSERT_EQ(parsed->singles.size(), 2u);
+  ASSERT_EQ(parsed->singles.size(), 3u);
+  EXPECT_EQ(parsed->singles[0].cert_id, request.cert_ids[0]);
   EXPECT_EQ(parsed->singles[0].status, ocsp::CertStatus::kRevoked);
-  EXPECT_EQ(parsed->singles[1].status, ocsp::CertStatus::kGood);
+  EXPECT_EQ(parsed->singles[0].reason, x509::ReasonCode::kKeyCompromise);
+  EXPECT_EQ(parsed->singles[1].cert_id, request.cert_ids[1]);
+  EXPECT_EQ(parsed->singles[1].status, ocsp::CertStatus::kUnknown);
+  EXPECT_EQ(parsed->singles[2].cert_id, request.cert_ids[2]);
+  EXPECT_EQ(parsed->singles[2].status, ocsp::CertStatus::kGood);
+  EXPECT_EQ(parsed->single.cert_id, request.cert_ids[0]);  // front alias
+  EXPECT_TRUE(
+      ocsp::VerifyOcspSignature(*parsed, TestKey("serve-issuer").Public()));
+
+  // One foreign CertID anywhere in the list makes the request unauthorized.
+  request.cert_ids.push_back(
+      ocsp::MakeCertId(MakeIssuerCert("other-issuer"), x509::Serial{0x55}));
+  const auto mixed = frontend_.Serve(ocsp::EncodeOcspRequest(request), kNow);
+  auto mixed_parsed = ocsp::ParseOcspResponse(*mixed.body);
+  ASSERT_TRUE(mixed_parsed);
+  EXPECT_EQ(mixed_parsed->status, ocsp::ResponseStatus::kUnauthorized);
 }
 
 TEST_F(FrontendTest, ForeignIssuerIsUnauthorized) {
@@ -737,7 +793,10 @@ TEST_F(FrontendTest, TracedInlineHitRecordsServerSpanAndExemplar) {
   EXPECT_EQ(spans[0].parent, ctx.span);
   EXPECT_EQ(spans[0].status, 200);
 
-  const obs::HistogramSnapshot latency = frontend_.latency_histogram();
+  const obs::HistogramSnapshot latency =
+      obs::MetricsRegistry::Global()
+          .GetHistogram("serve.latency_ns", frontend_.metrics_label())
+          .Snapshot();
   EXPECT_EQ(latency.count, 1u);
   const bool tagged = std::ranges::any_of(
       latency.exemplars, [&](const obs::Exemplar& exemplar) {
@@ -930,7 +989,8 @@ TEST(ServeStress, RebuildNeverReinstallsGoodAfterRevocation) {
 
 // The equivalence fixture drives the SAME deterministic request mix —
 // duplicates, revoked, unknown, nonced, multi-cert, malformed, foreign
-// issuer — through Serve at 1 client thread on one frontend and at N on an
+// issuer, each as a POST through Serve and some as a GET through HandleHttp
+// — at 1 client thread on one frontend and at N on an
 // identically seeded second one, then insists on byte-identical bodies and
 // identical counter totals. A second phase queries a serial revoked at `t`
 // at exactly `t` from every thread at once: its cached "good" is clamped to
@@ -961,15 +1021,22 @@ class ServeEquivalence : public ::testing::Test {
     responder.AddCertificate(x509::Serial{kStapleSerial});
   }
 
-  static Bytes Encode(const x509::Certificate& issuer, std::uint8_t serial) {
+  // One request of the mix: the DER served through Serve, or, when
+  // `get_path` is set, an RFC 6960 GET sent through HandleHttp.
+  struct Call {
+    Bytes der;
+    std::string get_path;
+  };
+
+  static Call Encode(const x509::Certificate& issuer, std::uint8_t serial) {
     ocsp::OcspRequest request;
     request.cert_ids = {ocsp::MakeCertId(issuer, x509::Serial{serial})};
-    return ocsp::EncodeOcspRequest(request);
+    return {ocsp::EncodeOcspRequest(request), {}};
   }
 
-  std::vector<Bytes> BuildMix(const x509::Certificate& issuer,
-                              const x509::Certificate& foreign) {
-    std::vector<Bytes> mix;
+  std::vector<Call> BuildMix(const x509::Certificate& issuer,
+                             const x509::Certificate& foreign) {
+    std::vector<Call> mix;
     for (int i = 0; i < 60; ++i) {
       ocsp::OcspRequest request;
       request.cert_ids = {ocsp::MakeCertId(
@@ -979,13 +1046,18 @@ class ServeEquivalence : public ::testing::Test {
       if (i % 13 == 4)
         request.cert_ids.push_back(
             ocsp::MakeCertId(issuer, x509::Serial{0x02}));
-      mix.push_back(ocsp::EncodeOcspRequest(request));
+      mix.push_back({ocsp::EncodeOcspRequest(request), {}});
+      // The GET form of every fourth, nonced (i = 5) and multi-cert
+      // (i = 17) among them.
+      if (i % 4 == 1) mix.push_back({{}, ocsp::OcspGetPath(request)});
       if (i % 20 == 10) mix.push_back(Encode(issuer, kBoundarySerial));
     }
-    mix.push_back(Bytes{0xFF, 0x00, 0x13});  // malformed
+    mix.push_back({Bytes{0xFF, 0x00, 0x13}, {}});  // malformed
+    mix.push_back({{}, "/not-base64!!"});        // malformed GET
     ocsp::OcspRequest alien;
     alien.cert_ids = {ocsp::MakeCertId(foreign, x509::Serial{0x01})};
-    mix.push_back(ocsp::EncodeOcspRequest(alien));  // unauthorized
+    mix.push_back({ocsp::EncodeOcspRequest(alien), {}});  // unauthorized
+    mix.push_back({{}, ocsp::OcspGetPath(alien)});        // unauthorized GET
     return mix;
   }
 
@@ -1012,7 +1084,7 @@ class ServeEquivalence : public ::testing::Test {
   // Serves `requests` at `now` from `threads` clients, each taking one
   // contiguous slice; bodies line up index-for-index with `requests`.
   static std::vector<std::shared_ptr<const Bytes>> ServeAll(
-      Frontend& frontend, const std::vector<Bytes>& requests,
+      Frontend& frontend, const std::vector<Call>& requests,
       util::Timestamp now, int threads) {
     const std::size_t n = requests.size();
     std::vector<std::shared_ptr<const Bytes>> bodies(n);
@@ -1021,8 +1093,18 @@ class ServeEquivalence : public ::testing::Test {
     for (int t = 0; t < threads; ++t) {
       workers.emplace_back([&, t] {
         const std::size_t end = std::min(n, (t + 1) * stride);
-        for (std::size_t i = t * stride; i < end; ++i)
-          bodies[i] = frontend.Serve(requests[i], now).body;
+        for (std::size_t i = t * stride; i < end; ++i) {
+          const Call& call = requests[i];
+          if (call.get_path.empty()) {
+            bodies[i] = frontend.Serve(call.der, now).body;
+            continue;
+          }
+          net::HttpRequest http;
+          http.method = "GET";
+          http.path = call.get_path;
+          bodies[i] = std::make_shared<const Bytes>(
+              frontend.HandleHttp(http, now).body);
+        }
       });
     }
     for (auto& worker : workers) worker.join();
@@ -1076,14 +1158,14 @@ class ServeEquivalence : public ::testing::Test {
     f_want.Flush();
     f_got.Flush();
 
-    std::vector<Bytes> requests = BuildMix(issuer, foreign);
+    std::vector<Call> requests = BuildMix(issuer, foreign);
     const std::size_t mix_size = requests.size();
     std::vector<std::shared_ptr<const Bytes>> want =
         ServeAll(f_want, requests, kNow, 1);
     std::vector<std::shared_ptr<const Bytes>> got =
         ServeAll(f_got, requests, kNow, threads);
 
-    const std::vector<Bytes> boundary(8, Encode(issuer, kBoundarySerial));
+    const std::vector<Call> boundary(8, Encode(issuer, kBoundarySerial));
     for (auto& body : ServeAll(f_want, boundary, kRevokedAt, 1))
       want.push_back(std::move(body));
     for (auto& body : ServeAll(f_got, boundary, kRevokedAt, threads))
@@ -1105,7 +1187,7 @@ class ServeEquivalence : public ::testing::Test {
       ASSERT_TRUE(want[i]) << "1-thread index " << i;
       ASSERT_TRUE(got[i]) << threads << "-thread index " << i;
       EXPECT_EQ(*want[i], *got[i]) << "divergent body at index " << i;
-      if (requests[i] != boundary.front()) continue;
+      if (requests[i].der != boundary.front().der) continue;
       // Good before the scheduled instant, revoked at exactly it.
       auto parsed = ocsp::ParseOcspResponse(*got[i]);
       ASSERT_TRUE(parsed);
@@ -1115,6 +1197,10 @@ class ServeEquivalence : public ::testing::Test {
           << "boundary serial at index " << i;
     }
     ExpectSameCounters(f_want.counters(), f_got.counters());
+    // Each request is counted once, GET or POST, malformed or not.
+    EXPECT_EQ(f_got.counters().requests, requests.size());
+    EXPECT_EQ(f_got.counters().malformed, 2u);
+    EXPECT_EQ(f_got.counters().unauthorized, 2u);
     // The boundary phase found the clamped entry expired exactly once.
     EXPECT_EQ(f_got.counters().cache_expired, 1u);
   }
