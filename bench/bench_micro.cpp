@@ -169,6 +169,21 @@ void BM_OcspRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_OcspRoundTrip);
 
+// Signing alone, in the shape Frontend::RebuildAll pre-signs per serial:
+// one good SingleResponse with nextUpdate, no nonce.
+void BM_SignOcspResponse(benchmark::State& state) {
+  const x509::Certificate issuer = BenchCert();
+  ocsp::SingleResponse single;
+  single.cert_id = ocsp::MakeCertId(issuer, x509::Serial(16, 0x42));
+  single.status = ocsp::CertStatus::kGood;
+  single.this_update = kNow;
+  single.next_update = kNow + 4 * kDay;
+  const crypto::KeyPair key = crypto::SimKeyFromLabel("ca");
+  for (auto _ : state)
+    benchmark::DoNotOptimize(ocsp::SignOcspResponse(single, kNow, key));
+}
+BENCHMARK(BM_SignOcspResponse);
+
 void BM_ThreadPoolParallelFor(benchmark::State& state) {
   // The unit of Finalize()/CrawlAll() fan-out: dispatch 4096 CRL-parse-sized
   // work items through a pool of `range(0)` workers. Compare against the

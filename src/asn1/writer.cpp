@@ -1,162 +1,156 @@
 #include "asn1/writer.h"
 
-#include <cassert>
-#include <cstdio>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace rev::asn1 {
 
-std::uint8_t ContextTag(unsigned n, bool constructed) {
-  assert(n < 31);
-  return static_cast<std::uint8_t>(0x80 | (constructed ? 0x20 : 0x00) | n);
-}
-
-std::size_t HeaderSize(std::size_t content_len) {
-  if (content_len < 0x80) return 2;
-  std::size_t len_bytes = 0;
-  for (std::size_t v = content_len; v; v >>= 8) ++len_bytes;
-  return 2 + len_bytes;
-}
-
-Bytes Tlv(std::uint8_t tag, BytesView content) {
-  Bytes out;
-  out.reserve(HeaderSize(content.size()) + content.size());
-  out.push_back(tag);
-  const std::size_t n = content.size();
-  if (n < 0x80) {
-    out.push_back(static_cast<std::uint8_t>(n));
-  } else {
-    std::uint8_t len_be[8];
-    int len_bytes = 0;
-    for (std::size_t v = n; v; v >>= 8)
-      len_be[len_bytes++] = static_cast<std::uint8_t>(v & 0xFF);
-    out.push_back(static_cast<std::uint8_t>(0x80 | len_bytes));
-    for (int i = len_bytes - 1; i >= 0; --i) out.push_back(len_be[i]);
-  }
-  Append(out, content);
-  return out;
-}
-
-Bytes EncodeBoolean(bool value) {
-  const std::uint8_t content = value ? 0xFF : 0x00;
-  return Tlv(kTagBoolean, BytesView(&content, 1));
+void ThrowBadContextTag(unsigned n) {
+  std::string message = "asn1::ContextTag: [";
+  message += std::to_string(n);
+  message += "] needs the high-tag-number form, which is not supported";
+  throw std::out_of_range(message);
 }
 
 namespace {
-Bytes IntegerContent(std::int64_t value) {
-  // Two's-complement, minimal length.
-  Bytes content;
-  bool more = true;
-  while (more) {
-    const std::uint8_t byte = static_cast<std::uint8_t>(value & 0xFF);
-    value >>= 8;
-    // Finished when remaining bits are a pure sign extension of this byte.
-    more = !((value == 0 && !(byte & 0x80)) || (value == -1 && (byte & 0x80)));
-    content.push_back(byte);
-  }
-  // Bytes were collected little-endian; reverse.
-  return Bytes(content.rbegin(), content.rend());
+
+// Octets of a long-form length: the big-endian bytes of `length`.
+std::size_t LengthOctets(std::size_t length) {
+  std::size_t n = 0;
+  for (std::size_t v = length; v; v >>= 8) ++n;
+  return n;
 }
+
+void CheckTimeRange(util::Timestamp ts) {
+  if (ts < kMinDerTime || ts > kMaxDerTime) {
+    std::string message = "asn1::Writer: timestamp ";
+    message += std::to_string(ts);
+    message += " falls outside years 0000-9999";
+    throw std::out_of_range(message);
+  }
+}
+
 }  // namespace
 
-Bytes EncodeInteger(std::int64_t value) {
-  return Tlv(kTagInteger, IntegerContent(value));
+void Writer::Header(std::uint8_t tag, std::size_t length) {
+  out_.push_back(tag);
+  if (length < 0x80) {
+    out_.push_back(static_cast<std::uint8_t>(length));
+    return;
+  }
+  const std::size_t n = LengthOctets(length);
+  out_.push_back(static_cast<std::uint8_t>(0x80 | n));
+  for (std::size_t i = n; i-- > 0;)
+    out_.push_back(static_cast<std::uint8_t>(length >> (8 * i)));
 }
 
-Bytes EncodeIntegerUnsigned(BytesView magnitude_be) {
-  Bytes content;
+std::size_t Writer::Begin(std::uint8_t tag) {
+  out_.push_back(tag);
+  out_.push_back(0);  // length placeholder, patched by End
+  return out_.size();
+}
+
+void Writer::End(std::size_t mark) {
+  const std::size_t length = out_.size() - mark;
+  if (length < 0x80) {
+    out_[mark - 1] = static_cast<std::uint8_t>(length);
+    return;
+  }
+  // Long form: the placeholder becomes 0x80|n and the n length octets go
+  // between it and the content, which moves up to make room.
+  const std::size_t n = LengthOctets(length);
+  out_.resize(out_.size() + n);
+  std::uint8_t* content = out_.data() + mark;
+  std::memmove(content + n, content, length);
+  content[-1] = static_cast<std::uint8_t>(0x80 | n);
+  for (std::size_t i = 0; i < n; ++i)
+    content[i] = static_cast<std::uint8_t>(length >> (8 * (n - 1 - i)));
+}
+
+void Writer::Tlv(std::uint8_t tag, BytesView content) {
+  Header(tag, content.size());
+  Append(out_, content);
+}
+
+void Writer::Boolean(bool value) {
+  Header(kTagBoolean, 1);
+  out_.push_back(value ? 0xFF : 0x00);
+}
+
+void Writer::SignedInteger(std::uint8_t tag, std::int64_t value) {
+  // Minimal two's complement: n bytes hold `value` iff the bits above the
+  // n-byte sign bit are all copies of it.
+  std::size_t n = 1;
+  while (n < 8) {
+    const std::int64_t high = value >> (8 * n - 1);
+    if (high == 0 || high == -1) break;
+    ++n;
+  }
+  Header(tag, n);
+  for (std::size_t i = n; i-- > 0;)
+    out_.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+}
+
+void Writer::Integer(std::int64_t value) { SignedInteger(kTagInteger, value); }
+
+void Writer::Enumerated(std::int64_t value) {
+  SignedInteger(kTagEnumerated, value);
+}
+
+void Writer::IntegerUnsigned(BytesView magnitude_be) {
   std::size_t skip = 0;
   while (skip < magnitude_be.size() && magnitude_be[skip] == 0) ++skip;
-  if (skip == magnitude_be.size()) {
-    content.push_back(0x00);
-  } else {
-    if (magnitude_be[skip] & 0x80) content.push_back(0x00);
-    content.insert(content.end(), magnitude_be.begin() + static_cast<std::ptrdiff_t>(skip),
-                   magnitude_be.end());
+  const BytesView digits = magnitude_be.subspan(skip);
+  if (digits.empty()) {
+    Header(kTagInteger, 1);
+    out_.push_back(0x00);
+    return;
   }
-  return Tlv(kTagInteger, content);
+  const bool pad = (digits[0] & 0x80) != 0;
+  Header(kTagInteger, digits.size() + (pad ? 1 : 0));
+  if (pad) out_.push_back(0x00);
+  Append(out_, digits);
 }
 
-Bytes EncodeEnumerated(std::int64_t value) {
-  return Tlv(kTagEnumerated, IntegerContent(value));
+void Writer::Null() { Header(kTagNull, 0); }
+
+void Writer::BitString(BytesView content, unsigned unused_bits) {
+  Header(kTagBitString, content.size() + 1);
+  out_.push_back(static_cast<std::uint8_t>(unused_bits));
+  Append(out_, content);
 }
 
-Bytes EncodeNull() { return Tlv(kTagNull, {}); }
-
-Bytes EncodeOid(const Oid& oid) { return Tlv(kTagOid, oid.content()); }
-
-Bytes EncodeOctetString(BytesView content) {
-  return Tlv(kTagOctetString, content);
+void Writer::TimeValue(std::uint8_t tag, const util::CivilTime& ct) {
+  // YYMMDDHHMMSSZ (UTCTime) or YYYYMMDDHHMMSSZ (GeneralizedTime).
+  std::uint8_t text[15];
+  std::uint8_t* p = text;
+  const auto two = [&p](int v) {
+    *p++ = static_cast<std::uint8_t>('0' + v / 10);
+    *p++ = static_cast<std::uint8_t>('0' + v % 10);
+  };
+  if (tag == kTagGeneralizedTime) two(ct.year / 100);
+  two(ct.year % 100);
+  two(ct.month);
+  two(ct.day);
+  two(ct.hour);
+  two(ct.minute);
+  two(ct.second);
+  *p++ = 'Z';
+  Tlv(tag, BytesView(text, static_cast<std::size_t>(p - text)));
 }
 
-Bytes EncodeBitString(BytesView content, unsigned unused_bits) {
-  Bytes inner;
-  inner.reserve(content.size() + 1);
-  inner.push_back(static_cast<std::uint8_t>(unused_bits));
-  Append(inner, content);
-  return Tlv(kTagBitString, inner);
-}
-
-Bytes EncodeUtf8String(std::string_view s) {
-  return Tlv(kTagUtf8String, ToBytes(s));
-}
-
-Bytes EncodePrintableString(std::string_view s) {
-  return Tlv(kTagPrintableString, ToBytes(s));
-}
-
-Bytes EncodeIa5String(std::string_view s) {
-  return Tlv(kTagIa5String, ToBytes(s));
-}
-
-Bytes EncodeUtcTime(util::Timestamp ts) {
+void Writer::Time(util::Timestamp ts) {
+  CheckTimeRange(ts);
   const util::CivilTime ct = util::ToCivil(ts);
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%02d%02d%02d%02d%02d%02dZ", ct.year % 100,
-                ct.month, ct.day, ct.hour, ct.minute, ct.second);
-  return Tlv(kTagUtcTime, ToBytes(buf));
+  TimeValue(ct.year >= 1950 && ct.year <= 2049 ? kTagUtcTime
+                                               : kTagGeneralizedTime,
+            ct);
 }
 
-Bytes EncodeGeneralizedTime(util::Timestamp ts) {
-  const util::CivilTime ct = util::ToCivil(ts);
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%04d%02d%02d%02d%02d%02dZ", ct.year,
-                ct.month, ct.day, ct.hour, ct.minute, ct.second);
-  return Tlv(kTagGeneralizedTime, ToBytes(buf));
-}
-
-Bytes EncodeTime(util::Timestamp ts) {
-  const int year = util::ToCivil(ts).year;
-  return (year >= 1950 && year <= 2049) ? EncodeUtcTime(ts)
-                                        : EncodeGeneralizedTime(ts);
-}
-
-Bytes Concat(const std::vector<Bytes>& parts) {
-  std::size_t total = 0;
-  for (const Bytes& p : parts) total += p.size();
-  Bytes out;
-  out.reserve(total);
-  for (const Bytes& p : parts) Append(out, p);
-  return out;
-}
-
-Bytes EncodeSequence(const std::vector<Bytes>& children) {
-  return Tlv(kTagSequence, Concat(children));
-}
-
-Bytes EncodeSet(const std::vector<Bytes>& children) {
-  return Tlv(kTagSet, Concat(children));
-}
-
-Bytes EncodeContextExplicit(unsigned n, BytesView child_tlv) {
-  return Tlv(ContextTag(n, /*constructed=*/true), child_tlv);
-}
-
-Bytes EncodeContextPrimitive(unsigned n, BytesView content) {
-  return Tlv(ContextTag(n, /*constructed=*/false), content);
-}
-
-Bytes EncodeContextConstructed(unsigned n, BytesView content) {
-  return Tlv(ContextTag(n, /*constructed=*/true), content);
+void Writer::GeneralizedTime(util::Timestamp ts) {
+  CheckTimeRange(ts);
+  TimeValue(kTagGeneralizedTime, util::ToCivil(ts));
 }
 
 }  // namespace rev::asn1

@@ -9,14 +9,6 @@
 
 namespace rev::core {
 
-namespace {
-
-BytesView AsBytes(std::string_view s) {
-  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
-}
-
-}  // namespace
-
 CertCorpus::Row CertCorpus::FindDer(BytesView der) const {
   return FindDer(der, util::HashBytes(der));
 }

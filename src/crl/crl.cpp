@@ -12,47 +12,57 @@ namespace rev::crl {
 
 namespace {
 
-Bytes EncodeEntry(const CrlEntry& entry) {
-  std::vector<Bytes> parts;
-  parts.push_back(asn1::EncodeIntegerUnsigned(entry.serial));
-  parts.push_back(asn1::EncodeTime(entry.revocation_date));
-  if (entry.reason != x509::ReasonCode::kNoReasonCode) {
-    parts.push_back(x509::EncodeExtensionList({x509::MakeCrlReason(entry.reason)}));
+// TBSCertList ::= SEQUENCE { version v2, signature, issuer, thisUpdate,
+//   nextUpdate OPTIONAL, revokedCertificates SEQUENCE OF SEQUENCE {
+//   userCertificate, revocationDate, crlEntryExtensions OPTIONAL } OPTIONAL,
+//   crlExtensions [0] EXPLICIT OPTIONAL }
+void EncodeTbsCrl(asn1::Writer& w, const TbsCrl& tbs,
+                  crypto::KeyType sig_type) {
+  const std::size_t tbs_seq = w.Begin(asn1::kTagSequence);
+  w.Integer(1);  // v2
+  x509::EncodeSignatureAlgorithm(w, sig_type);
+  tbs.issuer.Encode(w);
+  w.Time(tbs.this_update);
+  if (tbs.next_update != 0) w.Time(tbs.next_update);
+  if (!tbs.entries.empty()) {
+    const std::size_t entries = w.Begin(asn1::kTagSequence);
+    for (const CrlEntry& entry : tbs.entries) {
+      const std::size_t seq = w.Begin(asn1::kTagSequence);
+      w.IntegerUnsigned(entry.serial);
+      w.Time(entry.revocation_date);
+      if (entry.reason != x509::ReasonCode::kNoReasonCode) {
+        const std::size_t extensions = w.Begin(asn1::kTagSequence);
+        x509::EncodeCrlReason(w, entry.reason);
+        w.End(extensions);
+      }
+      w.End(seq);
+    }
+    w.End(entries);
   }
-  return asn1::EncodeSequence(parts);
+  if (tbs.crl_number >= 0) {
+    const std::size_t wrapper = w.BeginContext(0);
+    const std::size_t extensions = w.Begin(asn1::kTagSequence);
+    x509::EncodeCrlNumber(w, tbs.crl_number);
+    w.End(extensions);
+    w.End(wrapper);
+  }
+  w.End(tbs_seq);
 }
 
 }  // namespace
-
-Bytes EncodeTbsCrl(const TbsCrl& tbs, crypto::KeyType sig_type) {
-  std::vector<Bytes> parts;
-  parts.push_back(asn1::EncodeInteger(1));  // v2
-  parts.push_back(x509::EncodeSignatureAlgorithm(sig_type));
-  parts.push_back(tbs.issuer.Encode());
-  parts.push_back(asn1::EncodeTime(tbs.this_update));
-  if (tbs.next_update != 0) parts.push_back(asn1::EncodeTime(tbs.next_update));
-  if (!tbs.entries.empty()) {
-    std::vector<Bytes> entries;
-    entries.reserve(tbs.entries.size());
-    for (const CrlEntry& e : tbs.entries) entries.push_back(EncodeEntry(e));
-    parts.push_back(asn1::EncodeSequence(entries));
-  }
-  if (tbs.crl_number >= 0) {
-    parts.push_back(asn1::EncodeContextExplicit(
-        0, x509::EncodeExtensionList({x509::MakeCrlNumber(tbs.crl_number)})));
-  }
-  return asn1::EncodeSequence(parts);
-}
 
 Crl SignCrl(const TbsCrl& tbs, const crypto::KeyPair& issuer_key) {
   Crl crl;
   crl.tbs = tbs;
   crl.sig_type = issuer_key.type;
-  crl.tbs_der = EncodeTbsCrl(tbs, issuer_key.type);
-  crl.signature = crypto::Sign(issuer_key, crl.tbs_der);
-  crl.der = asn1::EncodeSequence(
-      {crl.tbs_der, x509::EncodeSignatureAlgorithm(issuer_key.type),
-       asn1::EncodeBitString(crl.signature)});
+  // CertificateList ::= SIGNED { TBSCertList }, in one buffer; an entry
+  // without a reason is ~40 bytes, so the reserve covers the common shape.
+  crl.der.reserve(256 + 48 * tbs.entries.size());
+  asn1::Writer w(crl.der);
+  x509::EncodeSigned(
+      w, issuer_key,
+      [&](asn1::Writer& tbs_w) { EncodeTbsCrl(tbs_w, tbs, issuer_key.type); },
+      &crl.tbs_der, &crl.signature);
   return crl;
 }
 

@@ -33,6 +33,7 @@ KeyPair GenerateKeyPair(util::Rng& rng, KeyType type, int rsa_bits) {
   } else {
     kp.sim_id.resize(kSha256DigestSize);
     rng.Fill(kp.sim_id.data(), kp.sim_id.size());
+    kp.sim_mac.emplace(kp.sim_id);
   }
   return kp;
 }
@@ -42,12 +43,14 @@ KeyPair SimKeyFromLabel(std::string_view label) {
   kp.type = KeyType::kSimSha256;
   const Sha256Digest d = Sha256::Hash(ToBytes(label));
   kp.sim_id.assign(d.begin(), d.end());
+  kp.sim_mac.emplace(kp.sim_id);
   return kp;
 }
 
 Bytes Sign(const KeyPair& key, BytesView message) {
   if (key.type == KeyType::kRsaSha256) return RsaSign(key.rsa, message);
-  const Sha256Digest tag = HmacSha256(key.sim_id, message);
+  const Sha256Digest tag = key.sim_mac ? key.sim_mac->Tag(message)
+                                       : HmacSha256(key.sim_id, message);
   return Bytes(tag.begin(), tag.end());
 }
 

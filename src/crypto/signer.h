@@ -12,7 +12,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
+#include "crypto/hmac.h"
 #include "crypto/rsa.h"
 #include "util/bytes.h"
 #include "util/rng.h"
@@ -36,6 +38,10 @@ struct KeyPair {
   KeyType type = KeyType::kSimSha256;
   RsaPrivateKey rsa;  // meaningful iff kRsaSha256
   Bytes sim_id;       // meaningful iff kSimSha256
+  // HMAC mid-states for `sim_id`, built once by the two factories below so
+  // each Sign costs no key-block compressions. A pair assembled by hand
+  // leaves it empty and signs through HmacSha256 on `sim_id`.
+  std::optional<PrecomputedHmacKey> sim_mac;
 
   PublicKey Public() const;
 };

@@ -1,7 +1,6 @@
 #include "ocsp/ocsp.h"
 
 #include "asn1/reader.h"
-#include "asn1/writer.h"
 #include "crypto/sha256.h"
 #include "util/hex.h"
 #include "x509/spki.h"
@@ -28,16 +27,33 @@ CertId MakeCertId(const x509::Certificate& issuer,
 
 namespace {
 
-Bytes Sha256AlgorithmId() {
-  return asn1::EncodeSequence(
-      {asn1::EncodeOid(asn1::oids::Sha256()), asn1::EncodeNull()});
+// Initial capacity of the buffer SignOcspResponse encodes into; the
+// single-certificate shape the responders serve is ~280 bytes.
+constexpr std::size_t kSignReserve = 512;
+
+void EncodeCertId(asn1::Writer& w, const CertId& id) {
+  const std::size_t cert_id = w.Begin(asn1::kTagSequence);
+  const std::size_t hash_algorithm = w.Begin(asn1::kTagSequence);
+  w.ObjectId(asn1::oids::Sha256());
+  w.Null();
+  w.End(hash_algorithm);
+  w.OctetString(id.issuer_name_hash);
+  w.OctetString(id.issuer_key_hash);
+  w.IntegerUnsigned(id.serial);
+  w.End(cert_id);
 }
 
-Bytes EncodeCertId(const CertId& id) {
-  return asn1::EncodeSequence({Sha256AlgorithmId(),
-                               asn1::EncodeOctetString(id.issuer_name_hash),
-                               asn1::EncodeOctetString(id.issuer_key_hash),
-                               asn1::EncodeIntegerUnsigned(id.serial)});
+// [n] EXPLICIT Extensions holding the one nonce extension: the request's
+// requestExtensions ([2]) or the response's responseExtensions ([1]).
+void EncodeNonceExtensions(asn1::Writer& w, unsigned n, BytesView nonce) {
+  const std::size_t wrapper = w.BeginContext(n);
+  const std::size_t list = w.Begin(asn1::kTagSequence);
+  const x509::ExtensionMark ext =
+      x509::BeginExtension(w, asn1::oids::OcspNonce(), /*critical=*/false);
+  w.OctetString(nonce);
+  x509::EndExtension(w, ext);
+  w.End(list);
+  w.End(wrapper);
 }
 
 std::optional<CertId> DecodeCertId(asn1::Reader& r) {
@@ -58,21 +74,24 @@ std::optional<CertId> DecodeCertId(asn1::Reader& r) {
 }  // namespace
 
 Bytes EncodeOcspRequest(const OcspRequest& request) {
-  // requestList ::= SEQUENCE OF Request; Request ::= SEQUENCE { reqCert CertID }
-  std::vector<Bytes> requests;
-  requests.reserve(request.cert_ids.size());
-  for (const CertId& id : request.cert_ids)
-    requests.push_back(asn1::EncodeSequence({EncodeCertId(id)}));
-  std::vector<Bytes> tbs_parts;
-  tbs_parts.push_back(asn1::EncodeSequence(requests));  // requestList
-  if (!request.nonce.empty()) {
-    const x509::Extension nonce_ext{asn1::oids::OcspNonce(), false,
-                                    asn1::EncodeOctetString(request.nonce)};
-    tbs_parts.push_back(asn1::EncodeContextExplicit(
-        2, x509::EncodeExtensionList({nonce_ext})));
+  // OCSPRequest ::= SEQUENCE { tbsRequest SEQUENCE { requestList SEQUENCE
+  //   OF Request, requestExtensions [2] EXPLICIT OPTIONAL } }
+  // Request ::= SEQUENCE { reqCert CertID }
+  Bytes der;
+  asn1::Writer w(der);
+  const std::size_t outer = w.Begin(asn1::kTagSequence);
+  const std::size_t tbs = w.Begin(asn1::kTagSequence);
+  const std::size_t request_list = w.Begin(asn1::kTagSequence);
+  for (const CertId& id : request.cert_ids) {
+    const std::size_t one = w.Begin(asn1::kTagSequence);
+    EncodeCertId(w, id);
+    w.End(one);
   }
-  const Bytes tbs = asn1::EncodeSequence(tbs_parts);
-  return asn1::EncodeSequence({tbs});
+  w.End(request_list);
+  if (!request.nonce.empty()) EncodeNonceExtensions(w, 2, request.nonce);
+  w.End(tbs);
+  w.End(outer);
+  return der;
 }
 
 namespace {
@@ -163,34 +182,53 @@ std::string OcspGetPath(const OcspRequest& request) {
 
 namespace {
 
-Bytes EncodeSingleResponse(const SingleResponse& single) {
-  std::vector<Bytes> parts;
-  parts.push_back(EncodeCertId(single.cert_id));
+void EncodeSingleResponse(asn1::Writer& w, const SingleResponse& single) {
+  const std::size_t seq = w.Begin(asn1::kTagSequence);
+  EncodeCertId(w, single.cert_id);
   switch (single.status) {
     case CertStatus::kGood:
-      parts.push_back(asn1::EncodeContextPrimitive(0, {}));
+      w.ContextPrimitive(0, {});
       break;
     case CertStatus::kRevoked: {
-      std::vector<Bytes> revoked_info;
-      revoked_info.push_back(asn1::EncodeGeneralizedTime(single.revocation_time));
+      const std::size_t revoked_info = w.BeginContext(1);
+      w.GeneralizedTime(single.revocation_time);
       if (single.reason != x509::ReasonCode::kNoReasonCode) {
-        revoked_info.push_back(asn1::EncodeContextExplicit(
-            0, asn1::EncodeEnumerated(static_cast<std::int64_t>(single.reason))));
+        const std::size_t reason = w.BeginContext(0);
+        w.Enumerated(static_cast<std::int64_t>(single.reason));
+        w.End(reason);
       }
-      parts.push_back(
-          asn1::EncodeContextConstructed(1, asn1::Concat(revoked_info)));
+      w.End(revoked_info);
       break;
     }
     case CertStatus::kUnknown:
-      parts.push_back(asn1::EncodeContextPrimitive(2, {}));
+      w.ContextPrimitive(2, {});
       break;
   }
-  parts.push_back(asn1::EncodeGeneralizedTime(single.this_update));
+  w.GeneralizedTime(single.this_update);
   if (single.next_update != 0) {
-    parts.push_back(asn1::EncodeContextExplicit(
-        0, asn1::EncodeGeneralizedTime(single.next_update)));
+    const std::size_t next_update = w.BeginContext(0);
+    w.GeneralizedTime(single.next_update);
+    w.End(next_update);
   }
-  return asn1::EncodeSequence(parts);
+  w.End(seq);
+}
+
+// ResponseData ::= SEQUENCE { responderID [2] byKey, producedAt,
+//   responses SEQUENCE OF SingleResponse,
+//   responseExtensions [1] EXPLICIT OPTIONAL }
+void EncodeResponseData(asn1::Writer& w,
+                        std::span<const SingleResponse> singles,
+                        util::Timestamp produced_at, BytesView nonce) {
+  const std::size_t data = w.Begin(asn1::kTagSequence);
+  const std::size_t responder_id = w.BeginContext(2);
+  w.OctetString(singles.front().cert_id.issuer_key_hash);
+  w.End(responder_id);
+  w.GeneralizedTime(produced_at);
+  const std::size_t responses = w.Begin(asn1::kTagSequence);
+  for (const SingleResponse& single : singles) EncodeSingleResponse(w, single);
+  w.End(responses);
+  if (!nonce.empty()) EncodeNonceExtensions(w, 1, nonce);
+  w.End(data);
 }
 
 std::optional<SingleResponse> DecodeSingleResponse(asn1::Reader& r) {
@@ -241,61 +279,57 @@ std::optional<SingleResponse> DecodeSingleResponse(asn1::Reader& r) {
 OcspResponse SignOcspResponse(const SingleResponse& single,
                               util::Timestamp produced_at,
                               const crypto::KeyPair& responder_key) {
-  return SignOcspResponse(std::vector<SingleResponse>{single}, produced_at,
-                          responder_key, {});
+  return SignOcspResponse({&single, 1}, produced_at, responder_key, {});
 }
 
-OcspResponse SignOcspResponse(const std::vector<SingleResponse>& singles,
+OcspResponse SignOcspResponse(std::span<const SingleResponse> singles,
                               util::Timestamp produced_at,
                               const crypto::KeyPair& responder_key,
                               BytesView nonce) {
-  OcspResponse response;
   if (singles.empty()) return MakeErrorResponse(ResponseStatus::kInternalError);
+  OcspResponse response;
   response.status = ResponseStatus::kSuccessful;
   response.single = singles.front();
-  response.singles = singles;
+  response.singles.assign(singles.begin(), singles.end());
   response.nonce.assign(nonce.begin(), nonce.end());
   response.produced_at = produced_at;
   response.sig_type = responder_key.type;
 
-  // ResponseData ::= SEQUENCE { responderID [2] byKey, producedAt,
-  //                             responses SEQUENCE OF SingleResponse,
-  //                             responseExtensions [1] EXPLICIT OPTIONAL }
-  const Bytes responder_id = asn1::EncodeContextConstructed(
-      2, asn1::EncodeOctetString(singles.front().cert_id.issuer_key_hash));
-  std::vector<Bytes> encoded_singles;
-  encoded_singles.reserve(singles.size());
-  for (const SingleResponse& single : singles)
-    encoded_singles.push_back(EncodeSingleResponse(single));
-  std::vector<Bytes> data_parts{responder_id,
-                                asn1::EncodeGeneralizedTime(produced_at),
-                                asn1::EncodeSequence(encoded_singles)};
-  if (!nonce.empty()) {
-    const x509::Extension nonce_ext{asn1::oids::OcspNonce(), false,
-                                    asn1::EncodeOctetString(response.nonce)};
-    data_parts.push_back(asn1::EncodeContextExplicit(
-        1, x509::EncodeExtensionList({nonce_ext})));
-  }
-  response.tbs_der = asn1::EncodeSequence(data_parts);
-  response.signature = crypto::Sign(responder_key, response.tbs_der);
-
-  const Bytes basic = asn1::EncodeSequence(
-      {response.tbs_der, x509::EncodeSignatureAlgorithm(responder_key.type),
-       asn1::EncodeBitString(response.signature)});
-  const Bytes response_bytes = asn1::EncodeSequence(
-      {asn1::EncodeOid(asn1::oids::OcspBasic()),
-       asn1::EncodeOctetString(basic)});
-  response.der = asn1::EncodeSequence(
-      {asn1::EncodeEnumerated(0),
-       asn1::EncodeContextExplicit(0, response_bytes)});
+  // OCSPResponse ::= SEQUENCE { responseStatus ENUMERATED,
+  //   responseBytes [0] EXPLICIT SEQUENCE { responseType OID,
+  //     response OCTET STRING { BasicOCSPResponse } } }
+  // BasicOCSPResponse ::= SIGNED { ResponseData }, in the same buffer.
+  Bytes der;
+  der.reserve(kSignReserve);
+  asn1::Writer w(der);
+  const std::size_t outer = w.Begin(asn1::kTagSequence);
+  w.Enumerated(static_cast<std::int64_t>(ResponseStatus::kSuccessful));
+  const std::size_t bytes_wrapper = w.BeginContext(0);
+  const std::size_t response_bytes = w.Begin(asn1::kTagSequence);
+  w.ObjectId(asn1::oids::OcspBasic());
+  const std::size_t basic_octets = w.Begin(asn1::kTagOctetString);
+  x509::EncodeSigned(
+      w, responder_key,
+      [&](asn1::Writer& data_w) {
+        EncodeResponseData(data_w, singles, produced_at, nonce);
+      },
+      &response.tbs_der, &response.signature);
+  w.End(basic_octets);
+  w.End(response_bytes);
+  w.End(bytes_wrapper);
+  w.End(outer);
+  // An exact-size copy: caches hold these for their whole serving window.
+  response.der.assign(der.begin(), der.end());
   return response;
 }
 
 OcspResponse MakeErrorResponse(ResponseStatus status) {
   OcspResponse response;
   response.status = status;
-  response.der = asn1::EncodeSequence(
-      {asn1::EncodeEnumerated(static_cast<std::int64_t>(status))});
+  asn1::Writer w(response.der);
+  const std::size_t outer = w.Begin(asn1::kTagSequence);
+  w.Enumerated(static_cast<std::int64_t>(status));
+  w.End(outer);
   return response;
 }
 

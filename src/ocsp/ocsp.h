@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <iterator>
 #include <optional>
+#include <span>
 
 #include "asn1/reader.h"
 #include "crypto/signer.h"
@@ -153,7 +154,7 @@ OcspResponse SignOcspResponse(const SingleResponse& single,
 
 // Signs a successful response carrying `singles` in order (at least one),
 // echoing `nonce` in responseExtensions when non-empty (RFC 6960 §4.4.1).
-OcspResponse SignOcspResponse(const std::vector<SingleResponse>& singles,
+OcspResponse SignOcspResponse(std::span<const SingleResponse> singles,
                               util::Timestamp produced_at,
                               const crypto::KeyPair& responder_key,
                               BytesView nonce);

@@ -83,7 +83,7 @@ SingleResponse Responder::MakeSingle(const x509::Serial& serial,
   return single;
 }
 
-OcspResponse Responder::Sign(const std::vector<SingleResponse>& singles,
+OcspResponse Responder::Sign(std::span<const SingleResponse> singles,
                              util::Timestamp produced_at,
                              BytesView nonce) const {
   return SignOcspResponse(singles, produced_at, key_, nonce);
@@ -91,7 +91,8 @@ OcspResponse Responder::Sign(const std::vector<SingleResponse>& singles,
 
 OcspResponse Responder::StatusFor(const x509::Serial& serial,
                                   util::Timestamp now) const {
-  return Sign({MakeSingle(serial, Lookup(serial), now)}, now);
+  const SingleResponse single = MakeSingle(serial, Lookup(serial), now);
+  return Sign({&single, 1}, now);
 }
 
 }  // namespace rev::ocsp

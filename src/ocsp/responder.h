@@ -81,7 +81,7 @@ class Responder {
                             util::Timestamp now) const;
 
   // Signs a response over `singles` (request order), echoing `nonce`.
-  OcspResponse Sign(const std::vector<SingleResponse>& singles,
+  OcspResponse Sign(std::span<const SingleResponse> singles,
                     util::Timestamp produced_at, BytesView nonce = {}) const;
 
   // Installs (or clears, with nullptr semantics via default-constructed

@@ -289,7 +289,7 @@ ResponseCache::Entry Frontend::SignFromRecord(
     const std::optional<StatusIndex::Record>& record, util::Timestamp now) {
   const x509::Serial serial = SerialOfKey(key);
   const ocsp::SingleResponse single = responder.MakeSingle(serial, record, now);
-  ocsp::OcspResponse response = responder.Sign({single}, now);
+  ocsp::OcspResponse response = responder.Sign({&single, 1}, now);
 
   ResponseCache::Entry entry;
   entry.der = std::make_shared<const Bytes>(std::move(response.der));

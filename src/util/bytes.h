@@ -24,6 +24,11 @@ inline void Append(Bytes& dst, std::string_view src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }
 
+// The bytes of a string, borrowed (no copy, no encoding conversion).
+inline BytesView AsBytes(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
 inline Bytes ToBytes(std::string_view s) {
   return Bytes(s.begin(), s.end());
 }

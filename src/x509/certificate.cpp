@@ -1,6 +1,5 @@
 #include "x509/certificate.h"
 
-#include "asn1/writer.h"
 #include "crypto/sha256.h"
 #include "util/hex.h"
 #include "x509/spki.h"
@@ -24,48 +23,47 @@ bool Certificate::IsEv() const {
 }
 
 namespace {
-
-std::vector<Extension> BuildExtensions(const TbsCertificate& tbs) {
-  std::vector<Extension> exts;
-  // Always encode BasicConstraints for CA certs; include an empty one for
-  // leaves as real CAs commonly do.
-  exts.push_back(MakeBasicConstraints(tbs.basic_constraints));
-  if (!tbs.name_constraints.Empty())
-    exts.push_back(MakeNameConstraints(tbs.name_constraints));
-  if (tbs.key_usage != 0) exts.push_back(MakeKeyUsage(tbs.key_usage));
-  if (!tbs.crl_urls.empty())
-    exts.push_back(MakeCrlDistributionPoints(tbs.crl_urls));
-  if (!tbs.ocsp_urls.empty()) {
-    AuthorityInfoAccess aia;
-    aia.ocsp_urls = tbs.ocsp_urls;
-    exts.push_back(MakeAuthorityInfoAccess(aia));
-  }
-  if (!tbs.policies.empty())
-    exts.push_back(MakeCertificatePolicies(tbs.policies));
-  if (!tbs.dns_names.empty()) exts.push_back(MakeSubjectAltName(tbs.dns_names));
-  if (!tbs.subject_key_id.empty())
-    exts.push_back(MakeSubjectKeyIdentifier(tbs.subject_key_id));
-  if (!tbs.authority_key_id.empty())
-    exts.push_back(MakeAuthorityKeyIdentifier(tbs.authority_key_id));
-  return exts;
-}
-
+// Initial DER capacity for SignCertificate: a sim-keyed leaf is ~400 bytes,
+// so the buffer grows at most once for larger (RSA, many-URL) shapes.
+constexpr std::size_t kSignReserve = 512;
 }  // namespace
 
-Bytes EncodeTbs(const TbsCertificate& tbs, crypto::KeyType sig_type) {
-  std::vector<Bytes> parts;
+void EncodeTbs(asn1::Writer& w, const TbsCertificate& tbs,
+               crypto::KeyType sig_type) {
+  const std::size_t tbs_seq = w.Begin(asn1::kTagSequence);
   // version [0] EXPLICIT INTEGER { v3(2) }
-  parts.push_back(asn1::EncodeContextExplicit(0, asn1::EncodeInteger(2)));
-  parts.push_back(asn1::EncodeIntegerUnsigned(tbs.serial));
-  parts.push_back(EncodeSignatureAlgorithm(sig_type));
-  parts.push_back(tbs.issuer.Encode());
-  parts.push_back(asn1::EncodeSequence(
-      {asn1::EncodeTime(tbs.not_before), asn1::EncodeTime(tbs.not_after)}));
-  parts.push_back(tbs.subject.Encode());
-  parts.push_back(EncodeSpki(tbs.public_key));
-  parts.push_back(
-      asn1::EncodeContextExplicit(3, EncodeExtensionList(BuildExtensions(tbs))));
-  return asn1::EncodeSequence(parts);
+  const std::size_t version = w.BeginContext(0);
+  w.Integer(2);
+  w.End(version);
+  w.IntegerUnsigned(tbs.serial);
+  EncodeSignatureAlgorithm(w, sig_type);
+  tbs.issuer.Encode(w);
+  const std::size_t validity = w.Begin(asn1::kTagSequence);
+  w.Time(tbs.not_before);
+  w.Time(tbs.not_after);
+  w.End(validity);
+  tbs.subject.Encode(w);
+  EncodeSpki(w, tbs.public_key);
+
+  const std::size_t extensions = w.BeginContext(3);
+  const std::size_t list = w.Begin(asn1::kTagSequence);
+  // Always encode BasicConstraints for CA certs; include an empty one for
+  // leaves as real CAs commonly do.
+  EncodeBasicConstraints(w, tbs.basic_constraints);
+  if (!tbs.name_constraints.Empty())
+    EncodeNameConstraints(w, tbs.name_constraints);
+  if (tbs.key_usage != 0) EncodeKeyUsage(w, tbs.key_usage);
+  if (!tbs.crl_urls.empty()) EncodeCrlDistributionPoints(w, tbs.crl_urls);
+  if (!tbs.ocsp_urls.empty()) EncodeAuthorityInfoAccess(w, tbs.ocsp_urls);
+  if (!tbs.policies.empty()) EncodeCertificatePolicies(w, tbs.policies);
+  if (!tbs.dns_names.empty()) EncodeSubjectAltName(w, tbs.dns_names);
+  if (!tbs.subject_key_id.empty())
+    EncodeSubjectKeyIdentifier(w, tbs.subject_key_id);
+  if (!tbs.authority_key_id.empty())
+    EncodeAuthorityKeyIdentifier(w, tbs.authority_key_id);
+  w.End(list);
+  w.End(extensions);
+  w.End(tbs_seq);
 }
 
 Certificate SignCertificate(const TbsCertificate& tbs,
@@ -73,11 +71,13 @@ Certificate SignCertificate(const TbsCertificate& tbs,
   Certificate cert;
   cert.tbs = tbs;
   cert.sig_type = issuer_key.type;
-  cert.tbs_der = EncodeTbs(tbs, issuer_key.type);
-  cert.signature = crypto::Sign(issuer_key, cert.tbs_der);
-  cert.der = asn1::EncodeSequence({cert.tbs_der,
-                                   EncodeSignatureAlgorithm(issuer_key.type),
-                                   asn1::EncodeBitString(cert.signature)});
+  // Certificate ::= SIGNED { TBSCertificate }, in one buffer.
+  cert.der.reserve(kSignReserve);
+  asn1::Writer w(cert.der);
+  EncodeSigned(
+      w, issuer_key,
+      [&](asn1::Writer& tbs_w) { EncodeTbs(tbs_w, tbs, issuer_key.type); },
+      &cert.tbs_der, &cert.signature);
   return cert;
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "asn1/writer.h"
 #include "crypto/signer.h"
 #include "util/bytes.h"
 #include "util/time.h"
@@ -76,8 +77,13 @@ class Certificate {
   mutable Bytes fingerprint_;  // lazy cache
 };
 
-// Builds the DER TBSCertificate for the given fields and signature scheme.
-Bytes EncodeTbs(const TbsCertificate& tbs, crypto::KeyType sig_type);
+// Writes the DER TBSCertificate for the given fields and signature scheme.
+void EncodeTbs(asn1::Writer& w, const TbsCertificate& tbs,
+               crypto::KeyType sig_type);
+inline Bytes EncodeTbs(const TbsCertificate& tbs, crypto::KeyType sig_type) {
+  return asn1::Encode(
+      [&](asn1::Writer& w) { EncodeTbs(w, tbs, sig_type); });
+}
 
 // Signs `tbs` with the issuer key, producing a complete certificate.
 Certificate SignCertificate(const TbsCertificate& tbs,

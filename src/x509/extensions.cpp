@@ -1,7 +1,5 @@
 #include "x509/extensions.h"
 
-#include "asn1/writer.h"
-
 namespace rev::x509 {
 
 namespace {
@@ -9,18 +7,19 @@ namespace {
 constexpr unsigned kGeneralNameUri = 6;
 // GeneralName dNSName is IMPLICIT [2] IA5String.
 constexpr unsigned kGeneralNameDns = 2;
-
-Bytes EncodeGeneralNameUri(const std::string& uri) {
-  return asn1::EncodeContextPrimitive(kGeneralNameUri, ToBytes(uri));
-}
 }  // namespace
 
-Bytes EncodeExtension(const Extension& ext) {
-  std::vector<Bytes> parts;
-  parts.push_back(asn1::EncodeOid(ext.oid));
-  if (ext.critical) parts.push_back(asn1::EncodeBoolean(true));
-  parts.push_back(asn1::EncodeOctetString(ext.value));
-  return asn1::EncodeSequence(parts);
+ExtensionMark BeginExtension(asn1::Writer& w, const asn1::Oid& oid,
+                             bool critical) {
+  const std::size_t extension = w.Begin(asn1::kTagSequence);
+  w.ObjectId(oid);
+  if (critical) w.Boolean(true);
+  return {extension, w.Begin(asn1::kTagOctetString)};
+}
+
+void EndExtension(asn1::Writer& w, ExtensionMark mark) {
+  w.End(mark.value);
+  w.End(mark.extension);
 }
 
 std::optional<Extension> DecodeExtension(asn1::Reader& r) {
@@ -37,13 +36,6 @@ std::optional<Extension> DecodeExtension(asn1::Reader& r) {
   return ext;
 }
 
-Bytes EncodeExtensionList(const std::vector<Extension>& exts) {
-  std::vector<Bytes> parts;
-  parts.reserve(exts.size());
-  for (const Extension& e : exts) parts.push_back(EncodeExtension(e));
-  return asn1::EncodeSequence(parts);
-}
-
 std::optional<std::vector<Extension>> DecodeExtensionList(asn1::Reader& r) {
   asn1::Reader list;
   if (!r.ReadSequence(&list)) return std::nullopt;
@@ -58,15 +50,14 @@ std::optional<std::vector<Extension>> DecodeExtensionList(asn1::Reader& r) {
 
 // BasicConstraints ----------------------------------------------------------
 
-Extension MakeBasicConstraints(const BasicConstraints& bc) {
-  std::vector<Bytes> parts;
-  if (bc.is_ca) parts.push_back(asn1::EncodeBoolean(true));
-  if (bc.path_len >= 0) parts.push_back(asn1::EncodeInteger(bc.path_len));
-  Extension ext;
-  ext.oid = asn1::oids::BasicConstraints();
-  ext.critical = true;
-  ext.value = asn1::EncodeSequence(parts);
-  return ext;
+void EncodeBasicConstraints(asn1::Writer& w, const BasicConstraints& bc) {
+  const ExtensionMark ext =
+      BeginExtension(w, asn1::oids::BasicConstraints(), /*critical=*/true);
+  const std::size_t seq = w.Begin(asn1::kTagSequence);
+  if (bc.is_ca) w.Boolean(true);
+  if (bc.path_len >= 0) w.Integer(bc.path_len);
+  w.End(seq);
+  EndExtension(w, ext);
 }
 
 std::optional<BasicConstraints> ParseBasicConstraints(BytesView value) {
@@ -87,7 +78,7 @@ std::optional<BasicConstraints> ParseBasicConstraints(BytesView value) {
 
 // KeyUsage ------------------------------------------------------------------
 
-Extension MakeKeyUsage(std::uint16_t bits) {
+void EncodeKeyUsage(asn1::Writer& w, std::uint16_t bits) {
   // Named-bit BIT STRING: bit 0 is the MSB of the first octet; DER strips
   // trailing zero bits.
   int highest = -1;
@@ -97,23 +88,22 @@ Extension MakeKeyUsage(std::uint16_t bits) {
       break;
     }
   }
-  Bytes content;
+  std::uint8_t content[2] = {0, 0};
+  std::size_t num_bytes = 0;
   unsigned unused = 0;
   if (highest >= 0) {
     const int num_bits = highest + 1;
-    const int num_bytes = (num_bits + 7) / 8;
-    content.assign(static_cast<std::size_t>(num_bytes), 0);
+    num_bytes = static_cast<std::size_t>((num_bits + 7) / 8);
     for (int i = 0; i <= highest; ++i) {
       if (bits & (1u << i))
-        content[static_cast<std::size_t>(i / 8)] |= static_cast<std::uint8_t>(0x80 >> (i % 8));
+        content[i / 8] |= static_cast<std::uint8_t>(0x80 >> (i % 8));
     }
-    unused = static_cast<unsigned>(num_bytes * 8 - num_bits);
+    unused = static_cast<unsigned>(static_cast<int>(num_bytes) * 8 - num_bits);
   }
-  Extension ext;
-  ext.oid = asn1::oids::KeyUsage();
-  ext.critical = true;
-  ext.value = asn1::EncodeBitString(content, unused);
-  return ext;
+  const ExtensionMark ext =
+      BeginExtension(w, asn1::oids::KeyUsage(), /*critical=*/true);
+  w.BitString(BytesView(content, num_bytes), unused);
+  EndExtension(w, ext);
 }
 
 std::optional<std::uint16_t> ParseKeyUsage(BytesView value) {
@@ -133,23 +123,25 @@ std::optional<std::uint16_t> ParseKeyUsage(BytesView value) {
 
 // CRLDistributionPoints -----------------------------------------------------
 
-Extension MakeCrlDistributionPoints(const std::vector<std::string>& urls) {
-  std::vector<Bytes> points;
-  points.reserve(urls.size());
+void EncodeCrlDistributionPoints(asn1::Writer& w,
+                                 std::span<const std::string> urls) {
+  const ExtensionMark ext = BeginExtension(
+      w, asn1::oids::CrlDistributionPoints(), /*critical=*/false);
+  const std::size_t points = w.Begin(asn1::kTagSequence);
   for (const std::string& url : urls) {
     // DistributionPoint ::= SEQUENCE { distributionPoint [0] EXPLICIT
     //   DistributionPointName OPTIONAL, ... }
     // DistributionPointName ::= CHOICE { fullName [0] IMPLICIT GeneralNames }
-    const Bytes general_name = EncodeGeneralNameUri(url);
-    const Bytes full_name = asn1::EncodeContextConstructed(0, general_name);
-    const Bytes dp_name = asn1::EncodeContextConstructed(0, full_name);
-    points.push_back(asn1::EncodeSequence({dp_name}));
+    const std::size_t point = w.Begin(asn1::kTagSequence);
+    const std::size_t dp_name = w.BeginContext(0);
+    const std::size_t full_name = w.BeginContext(0);
+    w.ContextPrimitive(kGeneralNameUri, AsBytes(url));
+    w.End(full_name);
+    w.End(dp_name);
+    w.End(point);
   }
-  Extension ext;
-  ext.oid = asn1::oids::CrlDistributionPoints();
-  ext.critical = false;
-  ext.value = asn1::EncodeSequence(points);
-  return ext;
+  w.End(points);
+  EndExtension(w, ext);
 }
 
 std::optional<std::vector<std::string>> ParseCrlDistributionPoints(
@@ -182,22 +174,23 @@ std::optional<std::vector<std::string>> ParseCrlDistributionPoints(
 
 // AuthorityInfoAccess -------------------------------------------------------
 
-Extension MakeAuthorityInfoAccess(const AuthorityInfoAccess& aia) {
-  std::vector<Bytes> descriptions;
-  for (const std::string& url : aia.ocsp_urls) {
-    descriptions.push_back(asn1::EncodeSequence(
-        {asn1::EncodeOid(asn1::oids::AdOcsp()), EncodeGeneralNameUri(url)}));
-  }
-  for (const std::string& url : aia.ca_issuer_urls) {
-    descriptions.push_back(
-        asn1::EncodeSequence({asn1::EncodeOid(asn1::oids::AdCaIssuers()),
-                              EncodeGeneralNameUri(url)}));
-  }
-  Extension ext;
-  ext.oid = asn1::oids::AuthorityInfoAccess();
-  ext.critical = false;
-  ext.value = asn1::EncodeSequence(descriptions);
-  return ext;
+void EncodeAuthorityInfoAccess(asn1::Writer& w,
+                               std::span<const std::string> ocsp_urls,
+                               std::span<const std::string> ca_issuer_urls) {
+  const ExtensionMark ext = BeginExtension(
+      w, asn1::oids::AuthorityInfoAccess(), /*critical=*/false);
+  const std::size_t descriptions = w.Begin(asn1::kTagSequence);
+  const auto describe = [&w](const asn1::Oid& method, const std::string& url) {
+    const std::size_t description = w.Begin(asn1::kTagSequence);
+    w.ObjectId(method);
+    w.ContextPrimitive(kGeneralNameUri, AsBytes(url));
+    w.End(description);
+  };
+  for (const std::string& url : ocsp_urls) describe(asn1::oids::AdOcsp(), url);
+  for (const std::string& url : ca_issuer_urls)
+    describe(asn1::oids::AdCaIssuers(), url);
+  w.End(descriptions);
+  EndExtension(w, ext);
 }
 
 std::optional<AuthorityInfoAccess> ParseAuthorityInfoAccess(BytesView value) {
@@ -223,16 +216,18 @@ std::optional<AuthorityInfoAccess> ParseAuthorityInfoAccess(BytesView value) {
 
 // CertificatePolicies -------------------------------------------------------
 
-Extension MakeCertificatePolicies(const std::vector<asn1::Oid>& policies) {
-  std::vector<Bytes> infos;
-  infos.reserve(policies.size());
-  for (const asn1::Oid& policy : policies)
-    infos.push_back(asn1::EncodeSequence({asn1::EncodeOid(policy)}));
-  Extension ext;
-  ext.oid = asn1::oids::CertificatePolicies();
-  ext.critical = false;
-  ext.value = asn1::EncodeSequence(infos);
-  return ext;
+void EncodeCertificatePolicies(asn1::Writer& w,
+                               std::span<const asn1::Oid> policies) {
+  const ExtensionMark ext = BeginExtension(
+      w, asn1::oids::CertificatePolicies(), /*critical=*/false);
+  const std::size_t infos = w.Begin(asn1::kTagSequence);
+  for (const asn1::Oid& policy : policies) {
+    const std::size_t info = w.Begin(asn1::kTagSequence);
+    w.ObjectId(policy);
+    w.End(info);
+  }
+  w.End(infos);
+  EndExtension(w, ext);
 }
 
 std::optional<std::vector<asn1::Oid>> ParseCertificatePolicies(
@@ -253,16 +248,15 @@ std::optional<std::vector<asn1::Oid>> ParseCertificatePolicies(
 
 // SubjectAltName ------------------------------------------------------------
 
-Extension MakeSubjectAltName(const std::vector<std::string>& dns_names) {
-  std::vector<Bytes> names;
-  names.reserve(dns_names.size());
+void EncodeSubjectAltName(asn1::Writer& w,
+                          std::span<const std::string> dns_names) {
+  const ExtensionMark ext =
+      BeginExtension(w, asn1::oids::SubjectAltName(), /*critical=*/false);
+  const std::size_t names = w.Begin(asn1::kTagSequence);
   for (const std::string& dns : dns_names)
-    names.push_back(asn1::EncodeContextPrimitive(kGeneralNameDns, ToBytes(dns)));
-  Extension ext;
-  ext.oid = asn1::oids::SubjectAltName();
-  ext.critical = false;
-  ext.value = asn1::EncodeSequence(names);
-  return ext;
+    w.ContextPrimitive(kGeneralNameDns, AsBytes(dns));
+  w.End(names);
+  EndExtension(w, ext);
 }
 
 std::optional<std::vector<std::string>> ParseSubjectAltName(BytesView value) {
@@ -289,15 +283,16 @@ namespace {
 
 // GeneralSubtrees ::= SEQUENCE OF GeneralSubtree;
 // GeneralSubtree ::= SEQUENCE { base GeneralName } (min/max omitted = DER
-// defaults). We only emit dNSName bases.
-Bytes EncodeSubtrees(const std::vector<std::string>& dns_suffixes) {
-  std::vector<Bytes> subtrees;
-  subtrees.reserve(dns_suffixes.size());
+// defaults). We only emit dNSName bases, as the [n] IMPLICIT GeneralSubtrees.
+void EncodeSubtrees(asn1::Writer& w, unsigned n,
+                    const std::vector<std::string>& dns_suffixes) {
+  const std::size_t subtrees = w.BeginContext(n);
   for (const std::string& suffix : dns_suffixes) {
-    subtrees.push_back(asn1::EncodeSequence(
-        {asn1::EncodeContextPrimitive(kGeneralNameDns, ToBytes(suffix))}));
+    const std::size_t subtree = w.Begin(asn1::kTagSequence);
+    w.ContextPrimitive(kGeneralNameDns, AsBytes(suffix));
+    w.End(subtree);
   }
-  return asn1::Concat(subtrees);
+  w.End(subtrees);
 }
 
 bool DecodeSubtrees(asn1::Reader& r, std::vector<std::string>* out) {
@@ -318,19 +313,14 @@ bool DecodeSubtrees(asn1::Reader& r, std::vector<std::string>* out) {
 
 }  // namespace
 
-Extension MakeNameConstraints(const NameConstraints& nc) {
-  std::vector<Bytes> parts;
-  if (!nc.permitted_dns.empty())
-    parts.push_back(
-        asn1::EncodeContextConstructed(0, EncodeSubtrees(nc.permitted_dns)));
-  if (!nc.excluded_dns.empty())
-    parts.push_back(
-        asn1::EncodeContextConstructed(1, EncodeSubtrees(nc.excluded_dns)));
-  Extension ext;
-  ext.oid = asn1::oids::NameConstraints();
-  ext.critical = true;
-  ext.value = asn1::EncodeSequence(parts);
-  return ext;
+void EncodeNameConstraints(asn1::Writer& w, const NameConstraints& nc) {
+  const ExtensionMark ext =
+      BeginExtension(w, asn1::oids::NameConstraints(), /*critical=*/true);
+  const std::size_t seq = w.Begin(asn1::kTagSequence);
+  if (!nc.permitted_dns.empty()) EncodeSubtrees(w, 0, nc.permitted_dns);
+  if (!nc.excluded_dns.empty()) EncodeSubtrees(w, 1, nc.excluded_dns);
+  w.End(seq);
+  EndExtension(w, ext);
 }
 
 std::optional<NameConstraints> ParseNameConstraints(BytesView value) {
@@ -374,12 +364,11 @@ bool NameConstraintsAllow(const NameConstraints& nc,
 
 // Key identifiers -----------------------------------------------------------
 
-Extension MakeSubjectKeyIdentifier(BytesView key_id) {
-  Extension ext;
-  ext.oid = asn1::oids::SubjectKeyIdentifier();
-  ext.critical = false;
-  ext.value = asn1::EncodeOctetString(key_id);
-  return ext;
+void EncodeSubjectKeyIdentifier(asn1::Writer& w, BytesView key_id) {
+  const ExtensionMark ext = BeginExtension(
+      w, asn1::oids::SubjectKeyIdentifier(), /*critical=*/false);
+  w.OctetString(key_id);
+  EndExtension(w, ext);
 }
 
 std::optional<Bytes> ParseSubjectKeyIdentifier(BytesView value) {
@@ -389,14 +378,14 @@ std::optional<Bytes> ParseSubjectKeyIdentifier(BytesView value) {
   return Bytes(id.begin(), id.end());
 }
 
-Extension MakeAuthorityKeyIdentifier(BytesView key_id) {
+void EncodeAuthorityKeyIdentifier(asn1::Writer& w, BytesView key_id) {
   // AuthorityKeyIdentifier ::= SEQUENCE { keyIdentifier [0] IMPLICIT ... }
-  Extension ext;
-  ext.oid = asn1::oids::AuthorityKeyIdentifier();
-  ext.critical = false;
-  ext.value =
-      asn1::EncodeSequence({asn1::EncodeContextPrimitive(0, key_id)});
-  return ext;
+  const ExtensionMark ext = BeginExtension(
+      w, asn1::oids::AuthorityKeyIdentifier(), /*critical=*/false);
+  const std::size_t seq = w.Begin(asn1::kTagSequence);
+  w.ContextPrimitive(0, key_id);
+  w.End(seq);
+  EndExtension(w, ext);
 }
 
 std::optional<Bytes> ParseAuthorityKeyIdentifier(BytesView value) {
@@ -427,12 +416,11 @@ const char* ReasonCodeName(ReasonCode rc) {
   return "unknown";
 }
 
-Extension MakeCrlReason(ReasonCode rc) {
-  Extension ext;
-  ext.oid = asn1::oids::CrlReason();
-  ext.critical = false;
-  ext.value = asn1::EncodeEnumerated(static_cast<std::int64_t>(rc));
-  return ext;
+void EncodeCrlReason(asn1::Writer& w, ReasonCode rc) {
+  const ExtensionMark ext =
+      BeginExtension(w, asn1::oids::CrlReason(), /*critical=*/false);
+  w.Enumerated(static_cast<std::int64_t>(rc));
+  EndExtension(w, ext);
 }
 
 std::optional<ReasonCode> ParseCrlReason(BytesView value) {
@@ -442,12 +430,11 @@ std::optional<ReasonCode> ParseCrlReason(BytesView value) {
   return static_cast<ReasonCode>(v);
 }
 
-Extension MakeCrlNumber(std::int64_t number) {
-  Extension ext;
-  ext.oid = asn1::oids::CrlNumber();
-  ext.critical = false;
-  ext.value = asn1::EncodeInteger(number);
-  return ext;
+void EncodeCrlNumber(asn1::Writer& w, std::int64_t number) {
+  const ExtensionMark ext =
+      BeginExtension(w, asn1::oids::CrlNumber(), /*critical=*/false);
+  w.Integer(number);
+  EndExtension(w, ext);
 }
 
 std::optional<std::int64_t> ParseCrlNumber(BytesView value) {

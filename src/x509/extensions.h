@@ -1,14 +1,18 @@
 // X.509v3 extensions: the generic wrapper plus typed codecs for every
-// extension this library reads or writes.
+// extension this library reads or writes. Each Encode* writes one whole
+// Extension (extnID, critical, extnValue) through an asn1::Writer; the
+// caller writes the enclosing SEQUENCE OF.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "asn1/oid.h"
 #include "asn1/reader.h"
+#include "asn1/writer.h"
 #include "util/bytes.h"
 
 namespace rev::x509 {
@@ -20,12 +24,19 @@ struct Extension {
   Bytes value;
 };
 
-Bytes EncodeExtension(const Extension& ext);
 std::optional<Extension> DecodeExtension(asn1::Reader& r);
-
-// SEQUENCE OF Extension (caller wraps in the [3] EXPLICIT of TBSCertificate).
-Bytes EncodeExtensionList(const std::vector<Extension>& exts);
 std::optional<std::vector<Extension>> DecodeExtensionList(asn1::Reader& r);
+
+// Opens an Extension: writes extnID and, when set, critical, then opens
+// the extnValue OCTET STRING, whose content (the extension's own DER) the
+// caller writes before EndExtension closes both.
+struct ExtensionMark {
+  std::size_t extension;
+  std::size_t value;
+};
+ExtensionMark BeginExtension(asn1::Writer& w, const asn1::Oid& oid,
+                             bool critical);
+void EndExtension(asn1::Writer& w, ExtensionMark mark);
 
 // BasicConstraints ----------------------------------------------------------
 
@@ -33,7 +44,7 @@ struct BasicConstraints {
   bool is_ca = false;
   int path_len = -1;  // -1 = absent
 };
-Extension MakeBasicConstraints(const BasicConstraints& bc);
+void EncodeBasicConstraints(asn1::Writer& w, const BasicConstraints& bc);
 std::optional<BasicConstraints> ParseBasicConstraints(BytesView value);
 
 // KeyUsage ------------------------------------------------------------------
@@ -45,12 +56,13 @@ enum KeyUsageBits : std::uint16_t {
   kKeyUsageKeyCertSign = 1u << 5,
   kKeyUsageCrlSign = 1u << 6,
 };
-Extension MakeKeyUsage(std::uint16_t bits);
+void EncodeKeyUsage(asn1::Writer& w, std::uint16_t bits);
 std::optional<std::uint16_t> ParseKeyUsage(BytesView value);
 
 // CRLDistributionPoints -----------------------------------------------------
 
-Extension MakeCrlDistributionPoints(const std::vector<std::string>& urls);
+void EncodeCrlDistributionPoints(asn1::Writer& w,
+                                 std::span<const std::string> urls);
 std::optional<std::vector<std::string>> ParseCrlDistributionPoints(
     BytesView value);
 
@@ -60,17 +72,21 @@ struct AuthorityInfoAccess {
   std::vector<std::string> ocsp_urls;
   std::vector<std::string> ca_issuer_urls;
 };
-Extension MakeAuthorityInfoAccess(const AuthorityInfoAccess& aia);
+void EncodeAuthorityInfoAccess(
+    asn1::Writer& w, std::span<const std::string> ocsp_urls,
+    std::span<const std::string> ca_issuer_urls = {});
 std::optional<AuthorityInfoAccess> ParseAuthorityInfoAccess(BytesView value);
 
 // CertificatePolicies -------------------------------------------------------
 
-Extension MakeCertificatePolicies(const std::vector<asn1::Oid>& policies);
+void EncodeCertificatePolicies(asn1::Writer& w,
+                               std::span<const asn1::Oid> policies);
 std::optional<std::vector<asn1::Oid>> ParseCertificatePolicies(BytesView value);
 
 // SubjectAltName (dNSName entries only) --------------------------------------
 
-Extension MakeSubjectAltName(const std::vector<std::string>& dns_names);
+void EncodeSubjectAltName(asn1::Writer& w,
+                          std::span<const std::string> dns_names);
 std::optional<std::vector<std::string>> ParseSubjectAltName(BytesView value);
 
 // NameConstraints (dNSName subtrees only) -------------------------------------
@@ -87,7 +103,7 @@ struct NameConstraints {
   bool Empty() const { return permitted_dns.empty() && excluded_dns.empty(); }
 };
 
-Extension MakeNameConstraints(const NameConstraints& nc);
+void EncodeNameConstraints(asn1::Writer& w, const NameConstraints& nc);
 std::optional<NameConstraints> ParseNameConstraints(BytesView value);
 
 // True if `dns_name` falls within the subtree `suffix` ("example.com"
@@ -99,10 +115,10 @@ bool NameConstraintsAllow(const NameConstraints& nc, std::string_view dns_name);
 
 // Subject/Authority key identifiers ------------------------------------------
 
-Extension MakeSubjectKeyIdentifier(BytesView key_id);
+void EncodeSubjectKeyIdentifier(asn1::Writer& w, BytesView key_id);
 std::optional<Bytes> ParseSubjectKeyIdentifier(BytesView value);
 
-Extension MakeAuthorityKeyIdentifier(BytesView key_id);
+void EncodeAuthorityKeyIdentifier(asn1::Writer& w, BytesView key_id);
 std::optional<Bytes> ParseAuthorityKeyIdentifier(BytesView value);
 
 // CRL entry/respective extensions ---------------------------------------------
@@ -126,10 +142,10 @@ enum class ReasonCode : std::int8_t {
 
 const char* ReasonCodeName(ReasonCode rc);
 
-Extension MakeCrlReason(ReasonCode rc);
+void EncodeCrlReason(asn1::Writer& w, ReasonCode rc);
 std::optional<ReasonCode> ParseCrlReason(BytesView value);
 
-Extension MakeCrlNumber(std::int64_t number);
+void EncodeCrlNumber(asn1::Writer& w, std::int64_t number);
 std::optional<std::int64_t> ParseCrlNumber(BytesView value);
 
 }  // namespace rev::x509

@@ -1,7 +1,5 @@
 #include "x509/name.h"
 
-#include "asn1/writer.h"
-
 namespace rev::x509 {
 
 Name Name::FromCommonName(std::string_view cn) {
@@ -55,15 +53,17 @@ std::string Name::ToString() const {
   return out;
 }
 
-Bytes Name::Encode() const {
-  std::vector<Bytes> rdns;
-  rdns.reserve(attributes_.size());
+void Name::Encode(asn1::Writer& w) const {
+  const std::size_t rdns = w.Begin(asn1::kTagSequence);
   for (const auto& attr : attributes_) {
-    const Bytes atv = asn1::EncodeSequence(
-        {asn1::EncodeOid(attr.type), asn1::EncodeUtf8String(attr.value)});
-    rdns.push_back(asn1::EncodeSet({atv}));
+    const std::size_t rdn = w.Begin(asn1::kTagSet);
+    const std::size_t atv = w.Begin(asn1::kTagSequence);
+    w.ObjectId(attr.type);
+    w.Utf8String(attr.value);
+    w.End(atv);
+    w.End(rdn);
   }
-  return asn1::EncodeSequence(rdns);
+  w.End(rdns);
 }
 
 std::optional<Name> Name::Decode(asn1::Reader& r) {

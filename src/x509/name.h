@@ -11,6 +11,7 @@
 
 #include "asn1/oid.h"
 #include "asn1/reader.h"
+#include "asn1/writer.h"
 #include "util/bytes.h"
 
 namespace rev::x509 {
@@ -43,7 +44,12 @@ class Name {
   // "CN=example.com, O=Example Org, C=US".
   std::string ToString() const;
 
-  Bytes Encode() const;
+  // RDNSequence: one single-attribute SET per attribute, each value a
+  // UTF8String.
+  void Encode(asn1::Writer& w) const;
+  Bytes Encode() const {
+    return asn1::Encode([this](asn1::Writer& w) { Encode(w); });
+  }
   static std::optional<Name> Decode(asn1::Reader& r);
 
   // DER bytes, usable as a map key for issuer lookups.

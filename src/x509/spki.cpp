@@ -1,25 +1,29 @@
 #include "x509/spki.h"
 
-#include "asn1/writer.h"
 #include "crypto/sha256.h"
 
 namespace rev::x509 {
 
-Bytes EncodeSpki(const crypto::PublicKey& key) {
-  Bytes alg;
-  Bytes key_bits;
+void EncodeSpki(asn1::Writer& w, const crypto::PublicKey& key) {
+  const std::size_t spki = w.Begin(asn1::kTagSequence);
+  const std::size_t alg = w.Begin(asn1::kTagSequence);
   if (key.type == crypto::KeyType::kRsaSha256) {
-    alg = asn1::EncodeSequence(
-        {asn1::EncodeOid(asn1::oids::RsaEncryption()), asn1::EncodeNull()});
-    const Bytes rsa_pub = asn1::EncodeSequence(
-        {asn1::EncodeIntegerUnsigned(key.rsa.n.ToBytes()),
-         asn1::EncodeIntegerUnsigned(key.rsa.e.ToBytes())});
-    key_bits = rsa_pub;
+    w.ObjectId(asn1::oids::RsaEncryption());
+    w.Null();
+    w.End(alg);
+    // The BIT STRING holds an RSAPublicKey SEQUENCE.
+    w.BitString(asn1::Encode([&key](asn1::Writer& rsa) {
+      const std::size_t rsa_pub = rsa.Begin(asn1::kTagSequence);
+      rsa.IntegerUnsigned(key.rsa.n.ToBytes());
+      rsa.IntegerUnsigned(key.rsa.e.ToBytes());
+      rsa.End(rsa_pub);
+    }));
   } else {
-    alg = asn1::EncodeSequence({asn1::EncodeOid(asn1::oids::SimSha256())});
-    key_bits = key.sim_id;
+    w.ObjectId(asn1::oids::SimSha256());
+    w.End(alg);
+    w.BitString(key.sim_id);
   }
-  return asn1::EncodeSequence({alg, asn1::EncodeBitString(key_bits)});
+  w.End(spki);
 }
 
 std::optional<crypto::PublicKey> DecodeSpki(asn1::Reader& r) {
@@ -63,12 +67,15 @@ Bytes SpkiSha256(const crypto::PublicKey& key) {
   return crypto::Sha256Bytes(EncodeSpki(key));
 }
 
-Bytes EncodeSignatureAlgorithm(crypto::KeyType type) {
+void EncodeSignatureAlgorithm(asn1::Writer& w, crypto::KeyType type) {
+  const std::size_t alg = w.Begin(asn1::kTagSequence);
   if (type == crypto::KeyType::kRsaSha256) {
-    return asn1::EncodeSequence(
-        {asn1::EncodeOid(asn1::oids::Sha256WithRsa()), asn1::EncodeNull()});
+    w.ObjectId(asn1::oids::Sha256WithRsa());
+    w.Null();
+  } else {
+    w.ObjectId(asn1::oids::SimSha256());
   }
-  return asn1::EncodeSequence({asn1::EncodeOid(asn1::oids::SimSha256())});
+  w.End(alg);
 }
 
 std::optional<crypto::KeyType> DecodeSignatureAlgorithm(asn1::Reader& r) {

@@ -8,13 +8,17 @@
 #include <optional>
 
 #include "asn1/reader.h"
+#include "asn1/writer.h"
 #include "crypto/signer.h"
 #include "util/bytes.h"
 
 namespace rev::x509 {
 
 // DER SubjectPublicKeyInfo for a public key.
-Bytes EncodeSpki(const crypto::PublicKey& key);
+void EncodeSpki(asn1::Writer& w, const crypto::PublicKey& key);
+inline Bytes EncodeSpki(const crypto::PublicKey& key) {
+  return asn1::Encode([&key](asn1::Writer& w) { EncodeSpki(w, key); });
+}
 
 // Parses a SubjectPublicKeyInfo from the reader.
 std::optional<crypto::PublicKey> DecodeSpki(asn1::Reader& r);
@@ -24,7 +28,25 @@ std::optional<crypto::PublicKey> DecodeSpki(asn1::Reader& r);
 Bytes SpkiSha256(const crypto::PublicKey& key);
 
 // AlgorithmIdentifier for the *signature* made by a key of this type.
-Bytes EncodeSignatureAlgorithm(crypto::KeyType type);
+void EncodeSignatureAlgorithm(asn1::Writer& w, crypto::KeyType type);
+
+// Writes SEQUENCE { tbs, signatureAlgorithm, signature BIT STRING }, the
+// SIGNED shape certificates, CRLs and BasicOCSPResponses share.
+// `encode_tbs(w)` writes the TBS value, which is signed where it lies; its
+// bytes and the signature are also copied to *tbs_der and *signature.
+template <typename F>
+void EncodeSigned(asn1::Writer& w, const crypto::KeyPair& key, F&& encode_tbs,
+                  Bytes* tbs_der, Bytes* signature) {
+  const std::size_t seq = w.Begin(asn1::kTagSequence);
+  const std::size_t tbs_start = w.size();
+  encode_tbs(w);
+  const BytesView tbs = w.Since(tbs_start);
+  tbs_der->assign(tbs.begin(), tbs.end());
+  *signature = crypto::Sign(key, *tbs_der);
+  EncodeSignatureAlgorithm(w, key.type);
+  w.BitString(*signature);
+  w.End(seq);
+}
 
 // Reads an AlgorithmIdentifier and maps it back to a key type.
 std::optional<crypto::KeyType> DecodeSignatureAlgorithm(asn1::Reader& r);

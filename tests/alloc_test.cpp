@@ -2,8 +2,9 @@
 // OCSP serve path. This binary replaces the global operator new with one
 // that counts calls, so a test can assert how many heap allocations a call
 // makes: matching an OID against a well-known one must make none,
-// ParseCertView only the ones of its two URL vectors, the OCSP request
-// parse none, and a cache hit none by POST and one by GET.
+// ParseCertView only the ones of its two URL vectors, signing a
+// certificate, OCSP response or CRL only its result's vectors, the OCSP
+// request parse none, and a cache hit none by POST and one by GET.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 
 #include "asn1/oid.h"
 #include "asn1/reader.h"
+#include "crl/crl.h"
 #include "crypto/signer.h"
 #include "ocsp/ocsp.h"
 #include "ocsp/responder.h"
@@ -97,7 +99,8 @@ TEST(Allocations, CountingOperatorNewSeesAVector) {
 TEST(Allocations, DecodeSignatureAlgorithmMakesNone) {
   for (const crypto::KeyType type :
        {crypto::KeyType::kSimSha256, crypto::KeyType::kRsaSha256}) {
-    const Bytes alg = x509::EncodeSignatureAlgorithm(type);
+    const Bytes alg = asn1::Encode(
+        [type](asn1::Writer& w) { x509::EncodeSignatureAlgorithm(w, type); });
     asn1::Reader warm(alg);
     ASSERT_EQ(x509::DecodeSignatureAlgorithm(warm), type);  // OID statics
     std::optional<crypto::KeyType> decoded;
@@ -146,6 +149,91 @@ TEST(Allocations, ParseCertViewMakesOnlyItsUrlVectors) {
   ASSERT_TRUE(view);
   EXPECT_TRUE(view->crl_urls.empty());
   EXPECT_TRUE(view->is_ev);
+}
+
+// ------------------------------------------------------------ encoders ----
+
+// Signing writes the DER through one buffer, so the count is the result's
+// own vectors plus the copy of the input fields the result carries: no
+// allocation per TLV.
+TEST(Allocations, SignCertificatePinned) {
+  const crypto::KeyPair key = crypto::SimKeyFromLabel("alloc-ca");
+  x509::TbsCertificate tbs;
+  tbs.serial = x509::Serial{0x01, 0x02, 0x03};
+  tbs.issuer = x509::Name::Make("Alloc CA", "Alloc");
+  tbs.subject = x509::Name::FromCommonName("www.alloc.sim");
+  tbs.not_before = kNow - 1000;
+  tbs.not_after = kNow + 1000;
+  tbs.public_key = crypto::SimKeyFromLabel("alloc-leaf").Public();
+  tbs.crl_urls = {"http://crl.alloc.sim/a.crl"};
+  tbs.ocsp_urls = {"http://ocsp.alloc.sim/"};
+  tbs.dns_names = {"www.alloc.sim"};
+  tbs.key_usage = x509::kKeyUsageDigitalSignature;
+  ASSERT_FALSE(x509::SignCertificate(tbs, key).der.empty());  // OID statics
+
+  // Certificate::tbs is a copy of the input: 13 allocations for this
+  // shape (names, URL and SAN lists, key, serial).
+  const std::size_t copy = AllocationsDuring([&] {
+    const x509::TbsCertificate tbs_copy = tbs;
+    ASSERT_EQ(tbs_copy.serial.size(), 3u);
+  });
+  EXPECT_EQ(copy, 13u);
+  // Then der, tbs_der and signature: one each.
+  EXPECT_EQ(AllocationsDuring([&] {
+              const x509::Certificate cert = x509::SignCertificate(tbs, key);
+              ASSERT_GT(cert.der.size(), 300u);
+            }),
+            copy + 3);
+}
+
+TEST(Allocations, SignOcspResponsePinned) {
+  const crypto::KeyPair key = crypto::SimKeyFromLabel("alloc-ocsp");
+  ocsp::SingleResponse single;
+  single.cert_id.issuer_name_hash = Bytes(32, 0x01);
+  single.cert_id.issuer_key_hash = Bytes(32, 0x02);
+  single.cert_id.serial = x509::Serial(16, 0x42);
+  single.status = ocsp::CertStatus::kGood;
+  single.this_update = kNow;
+  single.next_update = kNow + 4 * util::kSecondsPerDay;
+  ASSERT_FALSE(ocsp::SignOcspResponse(single, kNow, key).der.empty());
+
+  // 7 for the copies the response carries (`single` and `singles`, three
+  // byte fields each, plus the vector) and 4 for the encoding: the working
+  // buffer, tbs_der, signature and the exact-size der.
+  EXPECT_EQ(AllocationsDuring([&] {
+              const ocsp::OcspResponse response =
+                  ocsp::SignOcspResponse(single, kNow, key);
+              ASSERT_EQ(response.der.capacity(), response.der.size());
+            }),
+            11u);
+}
+
+TEST(Allocations, SignCrlPinned) {
+  const crypto::KeyPair key = crypto::SimKeyFromLabel("alloc-crl");
+  crl::TbsCrl tbs;
+  tbs.issuer = x509::Name::Make("Alloc CA", "Alloc");
+  tbs.this_update = kNow;
+  tbs.next_update = kNow + util::kSecondsPerDay;
+  tbs.crl_number = 7;
+  for (std::uint8_t i = 0; i < 100; ++i) {
+    tbs.entries.push_back({x509::Serial(16, i), kNow - 1000,
+                           i % 4 == 0 ? x509::ReasonCode::kKeyCompromise
+                                      : x509::ReasonCode::kNoReasonCode});
+  }
+  ASSERT_FALSE(crl::SignCrl(tbs, key).der.empty());
+  // Crl::tbs copies the 100 serials and the issuer name; the 25 reasons
+  // and 100 entries of the encoding itself allocate nothing more than
+  // der, tbs_der and signature.
+  const std::size_t copy = AllocationsDuring([&] {
+    const crl::TbsCrl tbs_copy = tbs;
+    ASSERT_EQ(tbs_copy.entries.size(), 100u);
+  });
+  EXPECT_EQ(copy, 105u);
+  EXPECT_EQ(AllocationsDuring([&] {
+              const crl::Crl crl = crl::SignCrl(tbs, key);
+              ASSERT_GT(crl.der.size(), 4000u);
+            }),
+            copy + 3);
 }
 
 // ------------------------------------------------------ OCSP requests ----
@@ -213,6 +301,35 @@ TEST(Allocations, FrontendCacheHitByPostMakesNoneAndByGetOne) {
   EXPECT_TRUE(get.cache_hit);
   ASSERT_TRUE(post.body && get.body);
   EXPECT_EQ(post.body, get.body);  // the one cached DER
+}
+
+// The cache keeps every pre-signed response for its serving window; a
+// working reserve left in each (512 bytes against ~280 used) would add
+// ~11 MB per 50 k serials. Misses and RebuildAll both store exact DER.
+TEST(Allocations, CachedResponseDerHasNoSpareCapacity) {
+  const x509::Certificate issuer = IssuerCert();
+  ocsp::Responder responder(issuer, crypto::SimKeyFromLabel("alloc-ocsp"));
+  for (std::uint8_t s = 1; s <= 3; ++s) responder.AddCertificate({s});
+  responder.Revoke({0x03}, kNow - 100, x509::ReasonCode::kKeyCompromise);
+  serve::Frontend frontend;
+  frontend.AttachResponder(&responder);
+
+  const Bytes miss = RequestDer(issuer, {0x01});
+  const serve::Frontend::ServeResult signed_on_miss =
+      frontend.Serve(miss, kNow);
+  ASSERT_FALSE(signed_on_miss.cache_hit);
+  ASSERT_TRUE(signed_on_miss.body);
+  EXPECT_EQ(signed_on_miss.body->capacity(), signed_on_miss.body->size());
+
+  ASSERT_EQ(frontend.RebuildAll(kNow + 60), 3u);
+  for (const std::uint8_t s : {0x01, 0x02, 0x03}) {
+    const serve::Frontend::ServeResult hit =
+        frontend.Serve(RequestDer(issuer, {s}), kNow + 60);
+    ASSERT_TRUE(hit.cache_hit) << int{s};
+    ASSERT_TRUE(hit.body);
+    EXPECT_GT(hit.body->size(), 200u);
+    EXPECT_EQ(hit.body->capacity(), hit.body->size()) << int{s};
+  }
 }
 
 }  // namespace

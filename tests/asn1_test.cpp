@@ -1,6 +1,12 @@
-// DER encode/decode tests: known encodings, round-trip properties, and
-// strictness (rejection of non-minimal/truncated forms).
+// DER encode/decode tests: known encodings, the writer's length
+// back-patching and its refusals (high tag numbers, five-digit years),
+// round-trip properties, and strictness (rejection of
+// non-minimal/truncated forms).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 #include "asn1/oid.h"
 #include "asn1/reader.h"
@@ -15,61 +21,157 @@ using util::HexEncode;
 
 // ------------------------------------------------------------- writer ----
 
+// One primitive written through the Writer, as its own bytes.
+Bytes IntegerDer(std::int64_t v) {
+  return Encode([v](Writer& w) { w.Integer(v); });
+}
+Bytes UnsignedDer(const Bytes& magnitude) {
+  return Encode([&magnitude](Writer& w) { w.IntegerUnsigned(magnitude); });
+}
+Bytes TimeDer(util::Timestamp ts) {
+  return Encode([ts](Writer& w) { w.Time(ts); });
+}
+
 TEST(Writer, KnownIntegerEncodings) {
-  EXPECT_EQ(HexEncode(EncodeInteger(0)), "020100");
-  EXPECT_EQ(HexEncode(EncodeInteger(1)), "020101");
-  EXPECT_EQ(HexEncode(EncodeInteger(127)), "02017f");
-  EXPECT_EQ(HexEncode(EncodeInteger(128)), "02020080");
-  EXPECT_EQ(HexEncode(EncodeInteger(256)), "02020100");
-  EXPECT_EQ(HexEncode(EncodeInteger(-1)), "0201ff");
-  EXPECT_EQ(HexEncode(EncodeInteger(-128)), "020180");
-  EXPECT_EQ(HexEncode(EncodeInteger(-129)), "0202ff7f");
+  EXPECT_EQ(HexEncode(IntegerDer(0)), "020100");
+  EXPECT_EQ(HexEncode(IntegerDer(1)), "020101");
+  EXPECT_EQ(HexEncode(IntegerDer(127)), "02017f");
+  EXPECT_EQ(HexEncode(IntegerDer(128)), "02020080");
+  EXPECT_EQ(HexEncode(IntegerDer(256)), "02020100");
+  EXPECT_EQ(HexEncode(IntegerDer(-1)), "0201ff");
+  EXPECT_EQ(HexEncode(IntegerDer(-128)), "020180");
+  EXPECT_EQ(HexEncode(IntegerDer(-129)), "0202ff7f");
+  EXPECT_EQ(HexEncode(IntegerDer(INT64_MAX)), "02087fffffffffffffff");
+  EXPECT_EQ(HexEncode(IntegerDer(INT64_MIN)), "02088000000000000000");
+  EXPECT_EQ(HexEncode(Encode([](Writer& w) { w.Enumerated(4); })), "0a0104");
 }
 
 TEST(Writer, KnownBoolean) {
-  EXPECT_EQ(HexEncode(EncodeBoolean(true)), "0101ff");
-  EXPECT_EQ(HexEncode(EncodeBoolean(false)), "010100");
+  EXPECT_EQ(HexEncode(Encode([](Writer& w) { w.Boolean(true); })), "0101ff");
+  EXPECT_EQ(HexEncode(Encode([](Writer& w) { w.Boolean(false); })), "010100");
 }
 
-TEST(Writer, KnownNull) { EXPECT_EQ(HexEncode(EncodeNull()), "0500"); }
+TEST(Writer, KnownNull) {
+  EXPECT_EQ(HexEncode(Encode([](Writer& w) { w.Null(); })), "0500");
+}
 
 TEST(Writer, KnownOid) {
   // sha256WithRSAEncryption = 1.2.840.113549.1.1.11
-  EXPECT_EQ(HexEncode(EncodeOid(oids::Sha256WithRsa())),
+  EXPECT_EQ(HexEncode(Encode([](Writer& w) {
+              w.ObjectId(oids::Sha256WithRsa());
+            })),
             "06092a864886f70d01010b");
 }
 
 TEST(Writer, LongFormLength) {
-  const Bytes content(200, 0xAB);
-  const Bytes tlv = EncodeOctetString(content);
+  const Bytes tlv =
+      Encode([](Writer& w) { w.OctetString(Bytes(200, 0xAB)); });
   EXPECT_EQ(tlv[0], 0x04);
   EXPECT_EQ(tlv[1], 0x81);  // long form, 1 length byte
   EXPECT_EQ(tlv[2], 200);
   EXPECT_EQ(tlv.size(), 203u);
 
-  const Bytes big(70000, 0x00);
-  const Bytes big_tlv = EncodeOctetString(big);
-  EXPECT_EQ(big_tlv[1], 0x83);  // 3 length bytes
-  EXPECT_EQ(HeaderSize(70000), 5u);
+  const Bytes big_tlv =
+      Encode([](Writer& w) { w.OctetString(Bytes(70000, 0x00)); });
+  EXPECT_EQ(HexEncode(BytesView(big_tlv).first(5)), "0483011170");
+  EXPECT_EQ(big_tlv.size(), 70005u);
+}
+
+// Begin/End back-patches the same header Tlv writes when the length is
+// known up front, on both sides of every length-octet boundary, with the
+// content intact after the move.
+TEST(Writer, BeginEndMatchesTlvAcrossLengthBoundaries) {
+  for (const std::size_t n :
+       {0u, 1u, 127u, 128u, 255u, 256u, 65535u, 65536u, 70000u}) {
+    Bytes content(n);
+    for (std::size_t i = 0; i < n; ++i)
+      content[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    const Bytes whole =
+        Encode([&](Writer& w) { w.Tlv(kTagSequence, content); });
+    Bytes out{0xEE};  // a byte already in the buffer stays in front
+    Writer w(out);
+    const std::size_t seq = w.Begin(kTagSequence);
+    out.insert(out.end(), content.begin(), content.end());
+    w.End(seq);
+    ASSERT_EQ(out.size(), whole.size() + 1) << n;
+    EXPECT_EQ(out[0], 0xEE);
+    EXPECT_TRUE(std::equal(whole.begin(), whole.end(), out.begin() + 1)) << n;
+  }
+}
+
+TEST(Writer, NestedEndsPatchInnermostFirst) {
+  // SEQUENCE { [0] { OCTET STRING (300 bytes) }, NULL }: the inner End
+  // moves 303 bytes, the outer then moves everything after its own header.
+  const Bytes der = Encode([](Writer& w) {
+    const std::size_t outer = w.Begin(kTagSequence);
+    const std::size_t tagged = w.BeginContext(0);
+    w.OctetString(Bytes(300, 0x5A));
+    w.End(tagged);
+    w.Null();
+    w.End(outer);
+  });
+  EXPECT_EQ(HexEncode(BytesView(der).first(14)),
+            "30820136a08201300482012c5a5a");
+  EXPECT_EQ(der.size(), 4u + 4u + 4u + 300u + 2u);
+  EXPECT_EQ(HexEncode(BytesView(der).last(2)), "0500");
 }
 
 TEST(Writer, IntegerUnsignedPadding) {
   // High bit set => 0x00 prepended.
-  EXPECT_EQ(HexEncode(EncodeIntegerUnsigned(Bytes{0x80})), "02020080");
-  EXPECT_EQ(HexEncode(EncodeIntegerUnsigned(Bytes{0x7F})), "02017f");
+  EXPECT_EQ(HexEncode(UnsignedDer(Bytes{0x80})), "02020080");
+  EXPECT_EQ(HexEncode(UnsignedDer(Bytes{0x7F})), "02017f");
   // Leading zeros stripped.
-  EXPECT_EQ(HexEncode(EncodeIntegerUnsigned(Bytes{0x00, 0x00, 0x12})),
-            "020112");
+  EXPECT_EQ(HexEncode(UnsignedDer(Bytes{0x00, 0x00, 0x12})), "020112");
+  EXPECT_EQ(HexEncode(UnsignedDer(Bytes{0x00, 0x80})), "02020080");
   // Zero encodes as one byte.
-  EXPECT_EQ(HexEncode(EncodeIntegerUnsigned(Bytes{})), "020100");
-  EXPECT_EQ(HexEncode(EncodeIntegerUnsigned(Bytes{0x00})), "020100");
+  EXPECT_EQ(HexEncode(UnsignedDer(Bytes{})), "020100");
+  EXPECT_EQ(HexEncode(UnsignedDer(Bytes{0x00})), "020100");
+  EXPECT_EQ(HexEncode(UnsignedDer(Bytes{0x00, 0x00, 0x00})), "020100");
 }
 
 TEST(Writer, TimeChoosesUtcVsGeneralized) {
   // 2014 => UTCTime (tag 0x17); 2050 => GeneralizedTime (tag 0x18).
-  EXPECT_EQ(EncodeTime(util::MakeDate(2014, 4, 8))[0], 0x17);
-  EXPECT_EQ(EncodeTime(util::MakeDate(2050, 1, 1))[0], 0x18);
-  EXPECT_EQ(EncodeTime(util::MakeDate(1949, 12, 31))[0], 0x18);
+  EXPECT_EQ(HexEncode(TimeDer(util::MakeDate(2014, 4, 8) + 3723)),
+            "170d3134303430383031303230335a");  // 140408010203Z
+  EXPECT_EQ(TimeDer(util::MakeDate(2050, 1, 1))[0], 0x18);
+  EXPECT_EQ(TimeDer(util::MakeDate(1949, 12, 31))[0], 0x18);
+  EXPECT_EQ(TimeDer(util::MakeDate(1950, 1, 1))[0], 0x17);
+  EXPECT_EQ(HexEncode(Encode([](Writer& w) {
+              w.GeneralizedTime(util::MakeDate(2014, 4, 8));
+            })),
+            "180f32303134303430383030303030305a");  // 20140408000000Z
+}
+
+// Years 0000 and 9999 are the ends of GeneralizedTime's four digits; both
+// must read back exactly, and one second past either end must throw
+// instead of emitting a year the reader rejects.
+TEST(Writer, TimeBoundaryYearsRoundTripAndBeyondThrows) {
+  EXPECT_EQ(util::ToCivil(kMinDerTime),
+            (util::CivilTime{0, 1, 1, 0, 0, 0}));
+  EXPECT_EQ(util::ToCivil(kMaxDerTime),
+            (util::CivilTime{9999, 12, 31, 23, 59, 59}));
+  for (const util::Timestamp ts : {kMinDerTime, kMaxDerTime}) {
+    for (const bool generalized : {false, true}) {
+      const Bytes der = Encode([&](Writer& w) {
+        generalized ? w.GeneralizedTime(ts) : w.Time(ts);
+      });
+      EXPECT_EQ(der[0], kTagGeneralizedTime);
+      Reader r{BytesView(der)};
+      util::Timestamp decoded = 0;
+      ASSERT_TRUE(r.ReadTime(&decoded)) << ts;
+      EXPECT_EQ(decoded, ts);
+    }
+  }
+  for (const util::Timestamp ts :
+       {kMinDerTime - 1, kMaxDerTime + 1,
+        std::numeric_limits<util::Timestamp>::min(),
+        std::numeric_limits<util::Timestamp>::max()}) {
+    Bytes out;
+    Writer w(out);
+    EXPECT_THROW(w.Time(ts), std::out_of_range) << ts;
+    EXPECT_THROW(w.GeneralizedTime(ts), std::out_of_range) << ts;
+    EXPECT_TRUE(out.empty());
+  }
 }
 
 TEST(Writer, ContextTags) {
@@ -77,6 +179,22 @@ TEST(Writer, ContextTags) {
   EXPECT_EQ(ContextTag(0, true), 0xA0);
   EXPECT_EQ(ContextTag(3, true), 0xA3);
   EXPECT_EQ(ContextTag(6, false), 0x86);
+  EXPECT_EQ(ContextTag(30, true), 0xBE);
+}
+
+// Tag numbers from 31 up need the high-tag-number form; OR-ing them into
+// one byte would set the constructed or class bits (32 -> 0xA0 | ...), so
+// they throw in every build type, not just under assert.
+TEST(Writer, ContextTagRejectsHighTagNumbers) {
+  for (const unsigned n : {31u, 32u, 33u, 64u, 1000u}) {
+    EXPECT_THROW(ContextTag(n, false), std::out_of_range) << n;
+    EXPECT_THROW(ContextTag(n, true), std::out_of_range) << n;
+    Bytes out;
+    Writer w(out);
+    EXPECT_THROW(w.BeginContext(n), std::out_of_range) << n;
+    EXPECT_THROW(w.ContextPrimitive(n, {}), std::out_of_range) << n;
+    EXPECT_TRUE(out.empty());
+  }
 }
 
 // ---------------------------------------------------------------- oid ----
@@ -139,7 +257,12 @@ TEST(Oid, DecodeRejectsNonMinimal) {
 // ------------------------------------------------------------- reader ----
 
 TEST(Reader, ReadTaggedSequence) {
-  const Bytes der = EncodeSequence({EncodeInteger(42), EncodeBoolean(true)});
+  const Bytes der = Encode([](Writer& w) {
+    const std::size_t seq = w.Begin(kTagSequence);
+    w.Integer(42);
+    w.Boolean(true);
+    w.End(seq);
+  });
   Reader r{BytesView(der)};
   Reader seq;
   ASSERT_TRUE(r.ReadSequence(&seq));
@@ -158,7 +281,7 @@ TEST(Reader, IntegerRoundTripProperty) {
   for (int i = 0; i < 500; ++i) {
     const std::int64_t v = static_cast<std::int64_t>(rng.Next()) >>
                            rng.NextBelow(64);
-    const Bytes der = EncodeInteger(v);
+    const Bytes der = IntegerDer(v);
     Reader r{BytesView(der)};
     std::int64_t decoded;
     ASSERT_TRUE(r.ReadInteger(&decoded));
@@ -172,7 +295,7 @@ TEST(Reader, IntegerUnsignedRoundTrip) {
     Bytes magnitude(static_cast<std::size_t>(len));
     rng.Fill(magnitude.data(), magnitude.size());
     if (magnitude[0] == 0) magnitude[0] = 0x7F;
-    const Bytes der = EncodeIntegerUnsigned(magnitude);
+    const Bytes der = UnsignedDer(magnitude);
     Reader r{BytesView(der)};
     Bytes decoded;
     ASSERT_TRUE(r.ReadIntegerUnsigned(&decoded));
@@ -181,7 +304,7 @@ TEST(Reader, IntegerUnsignedRoundTrip) {
 }
 
 TEST(Reader, RejectsNegativeForUnsigned) {
-  const Bytes der = EncodeInteger(-5);
+  const Bytes der = IntegerDer(-5);
   Reader r{BytesView(der)};
   Bytes decoded;
   EXPECT_FALSE(r.ReadIntegerUnsigned(&decoded));
@@ -208,7 +331,8 @@ TEST(Reader, RejectsNonMinimalLength) {
 }
 
 TEST(Reader, RejectsTruncated) {
-  const Bytes der = EncodeOctetString(Bytes(100, 0x42));
+  const Bytes der =
+      Encode([](Writer& w) { w.OctetString(Bytes(100, 0x42)); });
   for (std::size_t cut : {1u, 2u, 50u, 101u}) {
     Reader r{BytesView(der.data(), der.size() - cut)};
     BytesView content;
@@ -225,7 +349,8 @@ TEST(Reader, RejectsBadBooleanContent) {
 
 TEST(Reader, BitStringUnusedBits) {
   const Bytes content = {0xAB, 0xCD};
-  const Bytes der = EncodeBitString(content, 4);
+  const Bytes der =
+      Encode([&content](Writer& w) { w.BitString(content, 4); });
   Reader r{BytesView(der)};
   BytesView decoded;
   unsigned unused = 0;
@@ -243,7 +368,7 @@ TEST(Reader, TimeRoundTrip) {
        {util::MakeDate(1970, 1, 1), util::MakeDate(2014, 4, 8) + 8000,
         util::MakeDate(2049, 12, 31), util::MakeDate(2050, 1, 1),
         util::MakeDate(2099, 6, 15) + 12345}) {
-    const Bytes der = EncodeTime(ts);
+    const Bytes der = TimeDer(ts);
     Reader r{BytesView(der)};
     util::Timestamp decoded;
     ASSERT_TRUE(r.ReadTime(&decoded)) << ts;
@@ -253,8 +378,10 @@ TEST(Reader, TimeRoundTrip) {
 
 TEST(Reader, UtcTimeSlidingWindow) {
   // 490101000000Z -> 2049; 500101000000Z -> 1950.
-  const Bytes y49 = Tlv(kTagUtcTime, ToBytes("490101000000Z"));
-  const Bytes y50 = Tlv(kTagUtcTime, ToBytes("500101000000Z"));
+  const Bytes y49 = Encode(
+      [](Writer& w) { w.Tlv(kTagUtcTime, AsBytes("490101000000Z")); });
+  const Bytes y50 = Encode(
+      [](Writer& w) { w.Tlv(kTagUtcTime, AsBytes("500101000000Z")); });
   Reader r1{BytesView(y49)}, r2{BytesView(y50)};
   util::Timestamp t1, t2;
   ASSERT_TRUE(r1.ReadTime(&t1));
@@ -269,7 +396,8 @@ TEST(Reader, RejectsBadTime) {
                           "990101250000Z",  // hour 25
                           "990101000000",   // missing Z
                           "9901010000Z"}) { // too short
-    const Bytes der = Tlv(kTagUtcTime, ToBytes(bad));
+    const Bytes der =
+        Encode([bad](Writer& w) { w.Tlv(kTagUtcTime, AsBytes(bad)); });
     Reader r{BytesView(der)};
     util::Timestamp ts;
     EXPECT_FALSE(r.ReadTime(&ts)) << bad;
@@ -277,8 +405,11 @@ TEST(Reader, RejectsBadTime) {
 }
 
 TEST(Reader, ContextTags) {
-  const Bytes inner = EncodeInteger(7);
-  const Bytes explicit_tag = EncodeContextExplicit(3, inner);
+  const Bytes explicit_tag = Encode([](Writer& w) {
+    const std::size_t tagged = w.BeginContext(3);
+    w.Integer(7);
+    w.End(tagged);
+  });
   Reader r{BytesView(explicit_tag)};
   EXPECT_TRUE(r.NextIsContext(3));
   EXPECT_FALSE(r.NextIsContext(2));
@@ -288,7 +419,8 @@ TEST(Reader, ContextTags) {
   ASSERT_TRUE(content.ReadInteger(&v));
   EXPECT_EQ(v, 7);
 
-  const Bytes primitive = EncodeContextPrimitive(6, ToBytes("http://x/"));
+  const Bytes primitive = Encode(
+      [](Writer& w) { w.ContextPrimitive(6, AsBytes("http://x/")); });
   Reader r2{BytesView(primitive)};
   BytesView uri;
   ASSERT_TRUE(r2.ReadContextPrimitive(6, &uri));
@@ -296,8 +428,18 @@ TEST(Reader, ContextTags) {
 }
 
 TEST(Reader, ReadRawTlvPreservesBytes) {
-  const Bytes seq = EncodeSequence({EncodeInteger(1), EncodeNull()});
-  const Bytes wrapper = EncodeSequence({seq, EncodeBoolean(false)});
+  Bytes wrapper;
+  Writer w(wrapper);
+  const std::size_t outer_seq = w.Begin(kTagSequence);
+  const std::size_t seq_start = w.size();
+  const std::size_t inner_seq = w.Begin(kTagSequence);
+  w.Integer(1);
+  w.Null();
+  w.End(inner_seq);
+  const Bytes seq(wrapper.begin() + static_cast<std::ptrdiff_t>(seq_start),
+                  wrapper.end());
+  w.Boolean(false);
+  w.End(outer_seq);
   Reader r{BytesView(wrapper)};
   Reader outer;
   ASSERT_TRUE(r.ReadSequence(&outer));
@@ -309,9 +451,11 @@ TEST(Reader, ReadRawTlvPreservesBytes) {
 }
 
 TEST(Reader, StringTypes) {
-  const Bytes utf8 = EncodeUtf8String("héllo");
-  const Bytes printable = EncodePrintableString("hello");
-  const Bytes ia5 = EncodeIa5String("http://example.com");
+  const Bytes utf8 = Encode([](Writer& w) { w.Utf8String("héllo"); });
+  const Bytes printable =
+      Encode([](Writer& w) { w.PrintableString("hello"); });
+  const Bytes ia5 =
+      Encode([](Writer& w) { w.Ia5String("http://example.com"); });
   std::string s;
   Reader r1{BytesView(utf8)};
   ASSERT_TRUE(r1.ReadAnyString(&s));
@@ -328,7 +472,8 @@ TEST(Reader, StringTypes) {
 }
 
 TEST(Reader, EnumeratedRoundTrip) {
-  const Bytes der = EncodeEnumerated(4);  // superseded reason code
+  // superseded reason code
+  const Bytes der = Encode([](Writer& w) { w.Enumerated(4); });
   Reader r{BytesView(der)};
   std::int64_t v;
   ASSERT_TRUE(r.ReadEnumerated(&v));
@@ -341,7 +486,9 @@ class NestedRoundTrip : public ::testing::TestWithParam<int> {};
 TEST_P(NestedRoundTrip, RandomTrees) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 977);
   // Build a random SEQUENCE of primitives, possibly nested one level.
-  std::vector<Bytes> children;
+  Bytes der;
+  Writer w(der);
+  const std::size_t top_seq = w.Begin(kTagSequence);
   const int n = 1 + static_cast<int>(rng.NextBelow(6));
   std::vector<int> kinds;
   for (int i = 0; i < n; ++i) {
@@ -349,24 +496,27 @@ TEST_P(NestedRoundTrip, RandomTrees) {
     kinds.push_back(kind);
     switch (kind) {
       case 0:
-        children.push_back(EncodeInteger(static_cast<std::int64_t>(rng.Next())));
+        w.Integer(static_cast<std::int64_t>(rng.Next()));
         break;
       case 1:
-        children.push_back(EncodeBoolean(rng.Chance(0.5)));
+        w.Boolean(rng.Chance(0.5));
         break;
       case 2: {
         Bytes blob(rng.NextBelow(300));
         rng.Fill(blob.data(), blob.size());
-        children.push_back(EncodeOctetString(blob));
+        w.OctetString(blob);
         break;
       }
-      case 3:
-        children.push_back(
-            EncodeSequence({EncodeNull(), EncodeInteger(7)}));
+      case 3: {
+        const std::size_t inner = w.Begin(kTagSequence);
+        w.Null();
+        w.Integer(7);
+        w.End(inner);
         break;
+      }
     }
   }
-  const Bytes der = EncodeSequence(children);
+  w.End(top_seq);
   Reader top{BytesView(der)};
   Reader seq;
   ASSERT_TRUE(top.ReadSequence(&seq));

@@ -411,6 +411,30 @@ TEST(Signer, SimKeyFromLabelDeterministic) {
   EXPECT_NE(a.sim_id, c.sim_id);
 }
 
+// Both factories cache the HMAC mid-states of sim_id; the tag must stay
+// HMAC-SHA256(sim_id, m) for every message length around the block size,
+// and a pair assembled by hand (no cached key) must sign the same bytes.
+TEST(Signer, SimSignUsesCachedKeyAndEqualsHmac) {
+  util::Rng rng(20);
+  const KeyPair generated = GenerateKeyPair(rng, KeyType::kSimSha256);
+  const KeyPair labelled = SimKeyFromLabel("ca:cached");
+  for (const KeyPair* key : {&generated, &labelled}) {
+    ASSERT_TRUE(key->sim_mac.has_value());
+    KeyPair by_hand;
+    by_hand.sim_id = key->sim_id;
+    ASSERT_FALSE(by_hand.sim_mac.has_value());
+    for (const std::size_t n : {0u, 1u, 55u, 56u, 63u, 64u, 65u, 333u}) {
+      Bytes message(n);
+      rng.Fill(message.data(), message.size());
+      const Sha256Digest tag = HmacSha256(key->sim_id, message);
+      const Bytes want(tag.begin(), tag.end());
+      EXPECT_EQ(Sign(*key, message), want) << n;
+      EXPECT_EQ(Sign(by_hand, message), want) << n;
+      EXPECT_TRUE(Verify(key->Public(), message, want)) << n;
+    }
+  }
+}
+
 TEST(Signer, PublicKeyEquality) {
   util::Rng rng(19);
   const KeyPair a = GenerateKeyPair(rng, KeyType::kSimSha256);

@@ -232,13 +232,20 @@ TEST_F(OcspResponseTest, ResponseTypeOidVariantsRejected) {
   // Rebuilds the response with `oid` as the type's content octets; every
   // enclosing length grows by one, so re-encode the wrapper from parts.
   const auto with_type = [&](const Bytes& oid) {
-    const Bytes response_bytes = asn1::EncodeSequence(
-        {asn1::Tlv(asn1::kTagOid, oid),
-         Bytes(der.begin() + static_cast<std::ptrdiff_t>(pos + basic.size()),
-               der.end())});
-    return asn1::EncodeSequence(
-        {asn1::EncodeEnumerated(0),
-         asn1::EncodeContextExplicit(0, response_bytes)});
+    Bytes out;
+    asn1::Writer w(out);
+    const std::size_t outer = w.Begin(asn1::kTagSequence);
+    w.Enumerated(0);
+    const std::size_t wrapper = w.BeginContext(0);
+    const std::size_t response_bytes = w.Begin(asn1::kTagSequence);
+    w.Tlv(asn1::kTagOid, oid);
+    out.insert(out.end(),
+               der.begin() + static_cast<std::ptrdiff_t>(pos + basic.size()),
+               der.end());  // the response OCTET STRING, as signed
+    w.End(response_bytes);
+    w.End(wrapper);
+    w.End(outer);
+    return out;
   };
   ASSERT_TRUE(ParseOcspResponse(with_type(basic)));
 

@@ -4,10 +4,13 @@
 // end-to-end CA/browser consistency under random revocation schedules,
 // ParseCertView against ParseCertificate on near-miss OIDs and Name shapes,
 // the OCSP request view parser against the allocating parser it replaced,
+// the one-buffer DER writer against the concatenating encoders it replaced,
 // and the SHA-256 compression paths against the scalar oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
 #include <tuple>
 
 #include "asn1/reader.h"
@@ -24,6 +27,7 @@
 #include "crypto/sha256.h"
 #include "crypto/sha256_blocks.h"
 #include "crypto/signer.h"
+#include "der_reference.h"
 #include "ocsp/ocsp.h"
 #include "util/hash.h"
 #include "util/hash_index.h"
@@ -37,6 +41,10 @@
 
 namespace rev {
 namespace {
+
+// The concatenating encoders the Writer replaced: the differential tests'
+// reference, and a free hand for building the odd shapes below.
+namespace der = reference::asn1;
 
 constexpr util::Timestamp kNow = 1'420'000'000;
 constexpr std::int64_t kDay = util::kSecondsPerDay;
@@ -179,57 +187,58 @@ OidSlot ExtensionOf(OidSlot slot) {
 // `spec.slot`'s. The signature bytes are arbitrary: neither parser checks it.
 Bytes BuildOidCert(const OidCertSpec& spec) {
   const auto oid = [&](OidSlot slot) {
-    return asn1::Tlv(asn1::kTagOid, slot == spec.slot
+    return der::Tlv(asn1::kTagOid, slot == spec.slot
                                         ? BytesView(spec.oid)
                                         : SlotOid(slot, spec.rsa_sig_alg)
                                               .content());
   };
   const auto uri = [](std::string_view url) {
-    return asn1::EncodeContextPrimitive(6, ToBytes(url));
+    return der::EncodeContextPrimitive(6, ToBytes(url));
   };
   const auto extension = [&](OidSlot slot, const Bytes& value) {
     std::vector<Bytes> parts{oid(slot)};
     if (spec.critical && ExtensionOf(spec.slot) == slot)
-      parts.push_back(asn1::EncodeBoolean(true));
-    parts.push_back(asn1::EncodeOctetString(value));
-    return asn1::EncodeSequence(parts);
+      parts.push_back(der::EncodeBoolean(true));
+    parts.push_back(der::EncodeOctetString(value));
+    return der::EncodeSequence(parts);
   };
   const Bytes sig_alg =
       spec.rsa_sig_alg
-          ? asn1::EncodeSequence({oid(OidSlot::kSigAlg), asn1::EncodeNull()})
-          : asn1::EncodeSequence({oid(OidSlot::kSigAlg)});
-  const Bytes extensions = asn1::EncodeSequence({
+          ? der::EncodeSequence({oid(OidSlot::kSigAlg), der::EncodeNull()})
+          : der::EncodeSequence({oid(OidSlot::kSigAlg)});
+  const Bytes extensions = der::EncodeSequence({
       extension(OidSlot::kBasicConstraints,
-                asn1::EncodeSequence({asn1::EncodeBoolean(true)})),
+                der::EncodeSequence({der::EncodeBoolean(true)})),
       extension(OidSlot::kCrlDp,
-                x509::MakeCrlDistributionPoints({"http://crl.oid.sim/a.crl"})
+                reference::x509::MakeCrlDistributionPoints(
+                    {"http://crl.oid.sim/a.crl"})
                     .value),
       extension(OidSlot::kAia,
-                asn1::EncodeSequence(
-                    {asn1::EncodeSequence({oid(OidSlot::kAdOcsp),
+                der::EncodeSequence(
+                    {der::EncodeSequence({oid(OidSlot::kAdOcsp),
                                            uri("http://ocsp.oid.sim/")}),
-                     asn1::EncodeSequence(
-                         {asn1::EncodeOid(asn1::oids::AdCaIssuers()),
+                     der::EncodeSequence(
+                         {der::EncodeOid(asn1::oids::AdCaIssuers()),
                           uri("http://ca.oid.sim/ca.crt")})})),
       extension(OidSlot::kPolicies,
-                asn1::EncodeSequence(
-                    {asn1::EncodeSequence({oid(OidSlot::kEvPolicy)})})),
+                der::EncodeSequence(
+                    {der::EncodeSequence({oid(OidSlot::kEvPolicy)})})),
   });
-  const Bytes tbs = asn1::EncodeSequence({
-      asn1::EncodeContextExplicit(0, asn1::EncodeInteger(2)),
-      asn1::EncodeIntegerUnsigned(Bytes{0x0D, 0x1F}),
+  const Bytes tbs = der::EncodeSequence({
+      der::EncodeContextExplicit(0, der::EncodeInteger(2)),
+      der::EncodeIntegerUnsigned(Bytes{0x0D, 0x1F}),
       sig_alg,
       spec.issuer.empty() ? x509::Name::Make("OID CA", "Differential").Encode()
                           : spec.issuer,
-      asn1::EncodeSequence({asn1::EncodeTime(kNow - kDay),
-                            asn1::EncodeTime(kNow + kDay)}),
+      der::EncodeSequence({der::EncodeTime(kNow - kDay),
+                            der::EncodeTime(kNow + kDay)}),
       spec.subject.empty() ? x509::Name::FromCommonName("oid.sim").Encode()
                            : spec.subject,
       x509::EncodeSpki(crypto::SimKeyFromLabel("oid-subject").Public()),
-      asn1::EncodeContextExplicit(3, extensions),
+      der::EncodeContextExplicit(3, extensions),
   });
-  return asn1::EncodeSequence(
-      {tbs, sig_alg, asn1::EncodeBitString(Bytes(32, 0x5A))});
+  return der::EncodeSequence(
+      {tbs, sig_alg, der::EncodeBitString(Bytes(32, 0x5A))});
 }
 
 // Exact, one arc longer, one arc shorter, and non-minimally padded.
@@ -320,32 +329,32 @@ TEST(ViewFullParseAgreement, OidVariantsAcceptAndRejectAlike) {
 // in the issuer and then in the subject.
 TEST(ViewFullParseAgreement, NameShapesAcceptAndRejectAlike) {
   const auto atv = [](Bytes value) {
-    return asn1::EncodeSequence(
-        {asn1::EncodeOid(asn1::oids::CommonName()), std::move(value)});
+    return der::EncodeSequence(
+        {der::EncodeOid(asn1::oids::CommonName()), std::move(value)});
   };
-  const Bytes cn = asn1::EncodeSet({atv(asn1::EncodeUtf8String("n.sim"))});
+  const Bytes cn = der::EncodeSet({atv(der::EncodeUtf8String("n.sim"))});
   const std::vector<std::tuple<std::string, Bytes, bool>> shapes = {
       {"utf8, printable and ia5 values, two per RDN",
-       asn1::EncodeSequence(
-           {asn1::EncodeSet({atv(asn1::EncodePrintableString("US")),
-                             atv(asn1::EncodeIa5String("n.sim"))}),
+       der::EncodeSequence(
+           {der::EncodeSet({atv(der::EncodePrintableString("US")),
+                             atv(der::EncodeIa5String("n.sim"))}),
             cn}),
        true},
-      {"no RDN at all", asn1::EncodeSequence({}), true},
-      {"an empty RDN SET", asn1::EncodeSequence({cn, asn1::EncodeSet({})}),
+      {"no RDN at all", der::EncodeSequence({}), true},
+      {"an empty RDN SET", der::EncodeSequence({cn, der::EncodeSet({})}),
        false},
       {"an INTEGER value",
-       asn1::EncodeSequence({asn1::EncodeSet({atv(asn1::EncodeInteger(5))})}),
+       der::EncodeSequence({der::EncodeSet({atv(der::EncodeInteger(5))})}),
        false},
       {"an OCTET STRING value",
-       asn1::EncodeSequence(
-           {asn1::EncodeSet({atv(asn1::EncodeOctetString(Bytes{0x41}))})}),
+       der::EncodeSequence(
+           {der::EncodeSet({atv(der::EncodeOctetString(Bytes{0x41}))})}),
        false},
       {"bytes after the value",
-       asn1::EncodeSequence({asn1::EncodeSet({asn1::EncodeSequence(
-           {asn1::EncodeOid(asn1::oids::CommonName()),
-            asn1::EncodeUtf8String("n.sim"),
-            asn1::EncodeUtf8String("extra")})})}),
+       der::EncodeSequence({der::EncodeSet({der::EncodeSequence(
+           {der::EncodeOid(asn1::oids::CommonName()),
+            der::EncodeUtf8String("n.sim"),
+            der::EncodeUtf8String("extra")})})}),
        false},
   };
   for (const auto& [shape, name, valid] : shapes) {
@@ -550,51 +559,51 @@ Bytes BuildOcspRequest(const OcspRequestSpec& spec, util::Rng& rng) {
   };
   const auto extension = [&](const asn1::Oid& oid, bool critical,
                              const Bytes& value) {
-    std::vector<Bytes> parts{asn1::EncodeOid(oid)};
-    if (critical) parts.push_back(asn1::EncodeBoolean(true));
-    parts.push_back(asn1::EncodeOctetString(value));
-    return asn1::EncodeSequence(parts);
+    std::vector<Bytes> parts{der::EncodeOid(oid)};
+    if (critical) parts.push_back(der::EncodeBoolean(true));
+    parts.push_back(der::EncodeOctetString(value));
+    return der::EncodeSequence(parts);
   };
   std::vector<Bytes> requests;
   for (int i = 0; i < spec.cert_ids; ++i) {
     Bytes serial = random_bytes(1 + rng.NextBelow(9));
     serial[0] |= 0x01;  // minimal: no leading zero octet
     std::vector<Bytes> cert_id{
-        asn1::EncodeSequence(
-            {asn1::EncodeOid(asn1::oids::Sha256()), asn1::EncodeNull()}),
-        asn1::EncodeOctetString(random_bytes(20)),
-        asn1::EncodeOctetString(random_bytes(20)),
-        asn1::EncodeIntegerUnsigned(serial)};
-    if (spec.trailing_cert_id) cert_id.push_back(asn1::EncodeNull());
-    std::vector<Bytes> request{asn1::EncodeSequence(cert_id)};
+        der::EncodeSequence(
+            {der::EncodeOid(asn1::oids::Sha256()), der::EncodeNull()}),
+        der::EncodeOctetString(random_bytes(20)),
+        der::EncodeOctetString(random_bytes(20)),
+        der::EncodeIntegerUnsigned(serial)};
+    if (spec.trailing_cert_id) cert_id.push_back(der::EncodeNull());
+    std::vector<Bytes> request{der::EncodeSequence(cert_id)};
     if (spec.single_extensions)
-      request.push_back(asn1::EncodeContextExplicit(
-          0, asn1::EncodeSequence({extension(asn1::oids::CrlReason(), false,
-                                             asn1::EncodeEnumerated(1))})));
-    requests.push_back(asn1::EncodeSequence(request));
+      request.push_back(der::EncodeContextExplicit(
+          0, der::EncodeSequence({extension(asn1::oids::CrlReason(), false,
+                                             der::EncodeEnumerated(1))})));
+    requests.push_back(der::EncodeSequence(request));
   }
-  std::vector<Bytes> tbs{asn1::EncodeSequence(requests)};
+  std::vector<Bytes> tbs{der::EncodeSequence(requests)};
   std::vector<Bytes> extensions;
   if (spec.other_extension)
     extensions.push_back(extension(asn1::oids::CrlNumber(), rng.Chance(0.5),
-                                   asn1::EncodeInteger(7)));
+                                   der::EncodeInteger(7)));
   if (spec.nonce) {
     const Bytes nonce = random_bytes(1 + rng.NextBelow(16));
     extensions.push_back(extension(asn1::oids::OcspNonce(), false,
-                                   asn1::EncodeOctetString(nonce)));
+                                   der::EncodeOctetString(nonce)));
   }
   if (!extensions.empty())
     tbs.push_back(
-        asn1::EncodeContextExplicit(2, asn1::EncodeSequence(extensions)));
-  std::vector<Bytes> outer{asn1::EncodeSequence(tbs)};
+        der::EncodeContextExplicit(2, der::EncodeSequence(extensions)));
+  std::vector<Bytes> outer{der::EncodeSequence(tbs)};
   if (spec.signature) {
     const Bytes algorithm =
-        asn1::EncodeSequence({asn1::EncodeOid(asn1::oids::SimSha256())});
-    outer.push_back(asn1::EncodeContextExplicit(
-        0, asn1::EncodeSequence(
-               {algorithm, asn1::EncodeBitString(random_bytes(16))})));
+        der::EncodeSequence({der::EncodeOid(asn1::oids::SimSha256())});
+    outer.push_back(der::EncodeContextExplicit(
+        0, der::EncodeSequence(
+               {algorithm, der::EncodeBitString(random_bytes(16))})));
   }
-  return asn1::EncodeSequence(outer);
+  return der::EncodeSequence(outer);
 }
 
 // The view parse and the reference agree on accept/reject, on each CertID
@@ -664,6 +673,363 @@ TEST_P(OcspRequestAgreement, ViewParseMatchesReferenceUnderMutation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OcspRequestAgreement, ::testing::Range(0, 8));
+
+// ------------------------------- DER writer vs the concatenating encoders ----
+//
+// Every encoder writes through asn1::Writer; der_reference.h keeps the
+// encoders it replaced, which built each TLV as its own vector and copied
+// it into its parent. Each table row below names one deviation from a base
+// shape, in the style of a declarative chain spec; the writer must emit the
+// reference's bytes for every row, including names, URL lists and nonces
+// whose lengths straddle the 127/128, 255/256 and 65535/65536 boundaries
+// where the length octets change form.
+
+const crypto::KeyPair& DiffSimKey() {
+  static const crypto::KeyPair key = crypto::SimKeyFromLabel("diff-ca");
+  return key;
+}
+
+const crypto::KeyPair& DiffRsaKey() {
+  static const crypto::KeyPair key = [] {
+    util::Rng rng(0xD1FF);
+    return crypto::GenerateKeyPair(rng, crypto::KeyType::kRsaSha256, 512);
+  }();
+  return key;
+}
+
+// Field lengths around each length-form boundary. Every value enclosing
+// the swept field is longer than it by a fixed overhead, up to ~420 bytes
+// for a whole certificate, so sweeping that far below each boundary makes
+// every nesting level, from the string itself to the outer SEQUENCE, cross
+// 127/128, 255/256 and 65535/65536 in some row.
+std::vector<std::size_t> BoundarySweep() {
+  std::vector<std::size_t> out;
+  for (std::size_t n = 100; n <= 260; ++n) out.push_back(n);
+  for (std::size_t n = 65536 - 440; n <= 65536 + 4; ++n) out.push_back(n);
+  return out;
+}
+
+std::string Filler(std::size_t n, char c) { return std::string(n, c); }
+
+struct CertVariant {
+  std::string deviation;
+  std::function<void(x509::TbsCertificate&)> apply;
+  bool rsa_issuer = false;
+};
+
+x509::TbsCertificate DiffLeaf() {
+  x509::TbsCertificate tbs;
+  tbs.serial = x509::Serial(16, 0x5A);
+  tbs.issuer = x509::Name::Make("Diff CA", "Differential");
+  tbs.subject = x509::Name::FromCommonName("www.diff.sim");
+  tbs.not_before = kNow - 30 * kDay;
+  tbs.not_after = kNow + 335 * kDay;
+  tbs.public_key = crypto::SimKeyFromLabel("diff-leaf").Public();
+  tbs.crl_urls = {"http://crl.diff.sim/crl0.crl"};
+  tbs.ocsp_urls = {"http://ocsp.diff.sim/"};
+  tbs.dns_names = {"www.diff.sim"};
+  tbs.key_usage = x509::kKeyUsageDigitalSignature;
+  return tbs;
+}
+
+std::vector<CertVariant> CertVariants() {
+  using Tbs = x509::TbsCertificate;
+  std::vector<CertVariant> v = {
+      {"the base leaf", [](Tbs&) {}},
+      {"RSA issuer key", [](Tbs&) {}, true},
+      {"RSA subject key",
+       [](Tbs& t) { t.public_key = DiffRsaKey().Public(); }},
+      {"RSA issuer and subject keys",
+       [](Tbs& t) { t.public_key = DiffRsaKey().Public(); }, true},
+      {"CA without path_len",
+       [](Tbs& t) { t.basic_constraints = {true, -1}; }},
+      {"CA with path_len 0", [](Tbs& t) { t.basic_constraints = {true, 0}; }},
+      {"CA with path_len 300",
+       [](Tbs& t) { t.basic_constraints = {true, 300}; }},
+      {"name constraints, permitted and excluded",
+       [](Tbs& t) {
+         t.name_constraints.permitted_dns = {"diff.sim", "example.org"};
+         t.name_constraints.excluded_dns = {"bad.diff.sim"};
+       }},
+      {"name constraints, excluded only",
+       [](Tbs& t) { t.name_constraints.excluded_dns = {"bad.sim"}; }},
+      {"key usage certSign|crlSign",
+       [](Tbs& t) {
+         t.key_usage = x509::kKeyUsageKeyCertSign | x509::kKeyUsageCrlSign;
+       }},
+      {"key usage of nine bits", [](Tbs& t) { t.key_usage = 0x01FF; }},
+      {"no key usage", [](Tbs& t) { t.key_usage = 0; }},
+      {"three SAN entries",
+       [](Tbs& t) { t.dns_names = {"a.diff.sim", "b.diff.sim", "c.sim"}; }},
+      {"no SAN", [](Tbs& t) { t.dns_names.clear(); }},
+      {"SKI and AKI",
+       [](Tbs& t) {
+         t.subject_key_id = Bytes(20, 0x11);
+         t.authority_key_id = Bytes(20, 0x22);
+       }},
+      {"EV policy",
+       [](Tbs& t) { t.policies = {asn1::oids::VerisignEvPolicy()}; }},
+      {"two policies",
+       [](Tbs& t) {
+         t.policies = {asn1::oids::VerisignEvPolicy(),
+                       *asn1::Oid::Parse("2.23.140.1.2.1")};
+       }},
+      {"three CRL URLs",
+       [](Tbs& t) {
+         t.crl_urls = {"http://crl1.diff.sim/a.crl", "http://crl2.diff.sim/b",
+                       "ldap://crl3.diff.sim/c"};
+       }},
+      {"three OCSP URLs",
+       [](Tbs& t) {
+         t.ocsp_urls = {"http://o1.diff.sim/", "http://o2.diff.sim/",
+                        "http://o3.diff.sim/"};
+       }},
+      {"no CRL or OCSP URL",
+       [](Tbs& t) {
+         t.crl_urls.clear();
+         t.ocsp_urls.clear();
+       }},
+      {"serial all zeros", [](Tbs& t) { t.serial = x509::Serial(8, 0x00); }},
+      {"empty serial", [](Tbs& t) { t.serial.clear(); }},
+      {"serial with a leading zero",
+       [](Tbs& t) { t.serial = {0x00, 0x12, 0x34}; }},
+      {"serial with the high bit set",
+       [](Tbs& t) { t.serial = {0x80, 0x00, 0x01}; }},
+      {"49-byte serial", [](Tbs& t) { t.serial = x509::Serial(49, 0xFE); }},
+      {"not_before in 1949 (GeneralizedTime)",
+       [](Tbs& t) { t.not_before = util::MakeDate(1949, 12, 31) + 86'399; }},
+      {"validity 1950-01-01 to 2049-12-31 (UTCTime bounds)",
+       [](Tbs& t) {
+         t.not_before = util::MakeDate(1950, 1, 1);
+         t.not_after = util::MakeDate(2049, 12, 31) + 86'399;
+       }},
+      {"not_after in 2050 (GeneralizedTime)",
+       [](Tbs& t) { t.not_after = util::MakeDate(2050, 1, 1); }},
+      {"validity from year 0001 to 9999",
+       [](Tbs& t) {
+         t.not_before = util::MakeDate(1, 1, 1);
+         t.not_after = util::MakeDate(9999, 12, 31);
+       }},
+      {"four-attribute issuer",
+       [](Tbs& t) {
+         t.issuer.Add(asn1::oids::CommonName(), "Second CN");
+       }},
+      {"empty subject", [](Tbs& t) { t.subject = x509::Name(); }},
+  };
+  for (const std::size_t n : BoundarySweep()) {
+    v.push_back({"subject CN of " + std::to_string(n) + " bytes",
+                 [n](Tbs& t) {
+                   t.subject = x509::Name::FromCommonName(Filler(n, 'c'));
+                 }});
+    if (n > 1000) continue;  // the CN rows already cover the long form
+    v.push_back({"CRL URL of " + std::to_string(n) + " bytes",
+                 [n](Tbs& t) { t.crl_urls = {Filler(n, 'u')}; }});
+  }
+  // URL lists whose SEQUENCE OF crosses a boundary by count, not by one
+  // long element: each AccessDescription here is 45 bytes.
+  for (const std::size_t count : {2u, 3u, 5u, 6u, 1450u, 1460u}) {
+    v.push_back({std::to_string(count) + " OCSP URLs of 31 bytes",
+                 [count](Tbs& t) {
+                   t.ocsp_urls.assign(count, "http://ocsp.diff.sim/0123456789");
+                 }});
+  }
+  return v;
+}
+
+TEST(DerWriterDifferential, CertificatesMatchTheReference) {
+  for (const CertVariant& variant : CertVariants()) {
+    SCOPED_TRACE(variant.deviation);
+    x509::TbsCertificate tbs = DiffLeaf();
+    variant.apply(tbs);
+    const crypto::KeyPair& key =
+        variant.rsa_issuer ? DiffRsaKey() : DiffSimKey();
+    const x509::Certificate want = reference::x509::SignCertificate(tbs, key);
+    const x509::Certificate got = x509::SignCertificate(tbs, key);
+    ASSERT_EQ(util::HexEncode(got.tbs_der), util::HexEncode(want.tbs_der));
+    EXPECT_EQ(got.der, want.der);
+    EXPECT_EQ(got.signature, want.signature);
+    EXPECT_EQ(x509::EncodeTbs(tbs, key.type), want.tbs_der);
+    EXPECT_EQ(tbs.subject.Encode(), reference::x509::EncodeName(tbs.subject));
+    EXPECT_EQ(x509::EncodeSpki(tbs.public_key),
+              reference::x509::EncodeSpki(tbs.public_key));
+    ASSERT_TRUE(x509::ParseCertificate(got.der));
+  }
+}
+
+// One OCSP response shape: the singles it carries and the nonce it echoes.
+struct OcspVariant {
+  std::string deviation;
+  std::vector<ocsp::SingleResponse> singles;
+  Bytes nonce;
+  bool rsa_responder = false;
+};
+
+ocsp::SingleResponse DiffSingle(ocsp::CertStatus status,
+                                x509::Serial serial = x509::Serial(16, 0x42)) {
+  ocsp::SingleResponse single;
+  single.cert_id.issuer_name_hash = Bytes(32, 0xA1);
+  single.cert_id.issuer_key_hash = Bytes(32, 0xB2);
+  single.cert_id.serial = std::move(serial);
+  single.status = status;
+  single.this_update = kNow;
+  single.next_update = kNow + 4 * kDay;
+  if (status == ocsp::CertStatus::kRevoked)
+    single.revocation_time = kNow - 10 * kDay;
+  return single;
+}
+
+std::vector<OcspVariant> OcspVariants() {
+  using ocsp::CertStatus;
+  const auto revoked_for = [](x509::ReasonCode reason) {
+    ocsp::SingleResponse single = DiffSingle(CertStatus::kRevoked);
+    single.reason = reason;
+    return single;
+  };
+  ocsp::SingleResponse no_next = DiffSingle(CertStatus::kGood);
+  no_next.next_update = 0;
+  ocsp::SingleResponse far = DiffSingle(CertStatus::kRevoked);
+  far.revocation_time = util::MakeDate(1949, 6, 1);
+  far.this_update = util::MakeDate(2051, 1, 1);
+  far.next_update = util::MakeDate(9999, 12, 31);
+  std::vector<OcspVariant> v = {
+      {"good", {DiffSingle(CertStatus::kGood)}, {}},
+      {"good, RSA responder", {DiffSingle(CertStatus::kGood)}, {}, true},
+      {"revoked without a reason", {DiffSingle(CertStatus::kRevoked)}, {}},
+      {"revoked, keyCompromise",
+       {revoked_for(x509::ReasonCode::kKeyCompromise)}, {}},
+      {"revoked, aACompromise (10)",
+       {revoked_for(x509::ReasonCode::kAaCompromise)}, {}},
+      {"unknown", {DiffSingle(CertStatus::kUnknown)}, {}},
+      {"no nextUpdate", {no_next}, {}},
+      {"times in 1949, 2051 and 9999", {far}, {}},
+      {"good with a 16-byte nonce", {DiffSingle(CertStatus::kGood)},
+       Bytes(16, 0x0E)},
+      {"three singles, mixed status",
+       {DiffSingle(CertStatus::kGood, {0x01}),
+        revoked_for(x509::ReasonCode::kSuperseded),
+        DiffSingle(CertStatus::kUnknown, {0x80, 0x00})},
+       Bytes(8, 0x77)},
+      {"serial all zeros", {DiffSingle(CertStatus::kGood, {0x00, 0x00})}, {}},
+      {"serial with a leading zero",
+       {DiffSingle(CertStatus::kGood, {0x00, 0x7F})}, {}},
+      {"serial with the high bit set",
+       {DiffSingle(CertStatus::kGood, {0xFF, 0x01})}, {}},
+  };
+  for (const std::size_t n : BoundarySweep())
+    v.push_back({"nonce of " + std::to_string(n) + " bytes",
+                 {DiffSingle(CertStatus::kGood)},
+                 Bytes(n, static_cast<std::uint8_t>(n))});
+  for (const std::size_t count : {2u, 3u, 300u, 700u}) {
+    v.push_back({std::to_string(count) + " good singles",
+                 std::vector<ocsp::SingleResponse>(
+                     count, DiffSingle(CertStatus::kGood)),
+                 {}});
+  }
+  return v;
+}
+
+TEST(DerWriterDifferential, OcspResponsesAndRequestsMatchTheReference) {
+  for (const OcspVariant& variant : OcspVariants()) {
+    SCOPED_TRACE(variant.deviation);
+    const crypto::KeyPair& key =
+        variant.rsa_responder ? DiffRsaKey() : DiffSimKey();
+    const ocsp::OcspResponse want = reference::ocsp::SignOcspResponse(
+        variant.singles, kNow, key, variant.nonce);
+    const ocsp::OcspResponse got =
+        ocsp::SignOcspResponse(variant.singles, kNow, key, variant.nonce);
+    ASSERT_EQ(util::HexEncode(got.tbs_der), util::HexEncode(want.tbs_der));
+    EXPECT_EQ(got.der, want.der);
+    EXPECT_EQ(got.der.capacity(), got.der.size());
+    EXPECT_EQ(got.signature, want.signature);
+    if (variant.singles.size() == 1 && variant.nonce.empty()) {
+      EXPECT_EQ(ocsp::SignOcspResponse(variant.singles.front(), kNow, key).der,
+                want.der);
+    }
+    ASSERT_TRUE(ocsp::ParseOcspResponse(got.der));
+
+    ocsp::OcspRequest request;
+    for (const ocsp::SingleResponse& single : variant.singles)
+      request.cert_ids.push_back(single.cert_id);
+    request.nonce = variant.nonce;
+    EXPECT_EQ(ocsp::EncodeOcspRequest(request),
+              reference::ocsp::EncodeOcspRequest(request));
+  }
+  for (const ocsp::ResponseStatus status :
+       {ocsp::ResponseStatus::kMalformedRequest,
+        ocsp::ResponseStatus::kInternalError, ocsp::ResponseStatus::kTryLater,
+        ocsp::ResponseStatus::kSigRequired,
+        ocsp::ResponseStatus::kUnauthorized}) {
+    EXPECT_EQ(ocsp::MakeErrorResponse(status).der,
+              reference::ocsp::MakeErrorResponse(status).der);
+  }
+}
+
+struct CrlVariant {
+  std::string deviation;
+  std::size_t entries = 0;
+  std::function<void(crl::TbsCrl&)> apply;
+  bool rsa_issuer = false;
+};
+
+TEST(DerWriterDifferential, CrlsMatchTheReference) {
+  using Tbs = crl::TbsCrl;
+  const std::vector<CrlVariant> variants = {
+      {"no entries", 0, [](Tbs&) {}},
+      {"no entries, no nextUpdate, no CRL number", 0,
+       [](Tbs& t) {
+         t.next_update = 0;
+         t.crl_number = -1;
+       }},
+      {"one entry", 1, [](Tbs&) {}},
+      {"one entry, RSA issuer", 1, [](Tbs&) {}, true},
+      {"one entry with a reason", 1,
+       [](Tbs& t) {
+         t.entries[0].reason = x509::ReasonCode::kKeyCompromise;
+       }},
+      {"one entry revoked in 1949, update in 2050", 1,
+       [](Tbs& t) {
+         t.entries[0].revocation_date = util::MakeDate(1949, 1, 1);
+         t.this_update = util::MakeDate(2050, 1, 1);
+         t.next_update = util::MakeDate(2050, 1, 8);
+       }},
+      {"CRL number 2^40", 1,
+       [](Tbs& t) { t.crl_number = std::int64_t{1} << 40; }},
+      {"serials all zeros, leading zero, high bit", 3,
+       [](Tbs& t) {
+         t.entries[0].serial = {0x00, 0x00};
+         t.entries[1].serial = {0x00, 0x01};
+         t.entries[2].serial = {0x80};
+       }},
+      {"100 entries (two length octets)", 100, [](Tbs&) {}},
+      {"10 000 entries, every third with a reason", 10'000,
+       [](Tbs& t) {
+         for (std::size_t i = 0; i < t.entries.size(); i += 3)
+           t.entries[i].reason = x509::ReasonCode::kSuperseded;
+       }},
+  };
+  for (const CrlVariant& variant : variants) {
+    SCOPED_TRACE(variant.deviation);
+    util::Rng rng(variant.entries + 1);
+    crl::TbsCrl tbs;
+    tbs.issuer = x509::Name::Make("Diff CA", "Differential");
+    tbs.this_update = kNow;
+    tbs.next_update = kNow + 7 * kDay;
+    tbs.crl_number = 0;
+    for (std::size_t i = 0; i < variant.entries; ++i)
+      tbs.entries.push_back(
+          {RandomSerial(rng), kNow - 1000 - static_cast<util::Timestamp>(i),
+           x509::ReasonCode::kNoReasonCode});
+    variant.apply(tbs);
+    const crypto::KeyPair& key =
+        variant.rsa_issuer ? DiffRsaKey() : DiffSimKey();
+    const crl::Crl want = reference::crl::SignCrl(tbs, key);
+    const crl::Crl got = crl::SignCrl(tbs, key);
+    ASSERT_EQ(util::HexEncode(got.tbs_der), util::HexEncode(want.tbs_der));
+    EXPECT_EQ(got.der, want.der);
+    EXPECT_EQ(got.signature, want.signature);
+    ASSERT_TRUE(crl::ParseCrl(got.der));
+  }
+}
 
 // ----------------------------------------------------- chain verification ----
 

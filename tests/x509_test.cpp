@@ -94,11 +94,24 @@ TEST(Spki, HashDistinguishesKeys) {
 
 // ----------------------------------------------------------- extensions ----
 
+// One extension written by its encoder and read back by DecodeExtension:
+// the round trip every typed codec below goes through.
+template <typename F>
+Extension Written(F&& encode) {
+  const Bytes der = asn1::Encode(std::forward<F>(encode));
+  asn1::Reader r{BytesView(der)};
+  std::optional<Extension> ext = DecodeExtension(r);
+  EXPECT_TRUE(ext && r.Empty());
+  return ext ? *std::move(ext) : Extension{};
+}
+
 TEST(Extensions, BasicConstraintsRoundTrip) {
   for (const BasicConstraints bc :
        {BasicConstraints{false, -1}, BasicConstraints{true, -1},
         BasicConstraints{true, 0}, BasicConstraints{true, 3}}) {
-    const Extension ext = MakeBasicConstraints(bc);
+    const Extension ext =
+        Written([&](asn1::Writer& w) { EncodeBasicConstraints(w, bc); });
+    EXPECT_EQ(ext.oid, asn1::oids::BasicConstraints());
     EXPECT_TRUE(ext.critical);
     auto decoded = ParseBasicConstraints(ext.value);
     ASSERT_TRUE(decoded);
@@ -112,7 +125,9 @@ TEST(Extensions, KeyUsageRoundTrip) {
        {std::uint16_t{0}, std::uint16_t{kKeyUsageDigitalSignature},
         std::uint16_t{kKeyUsageKeyCertSign | kKeyUsageCrlSign},
         std::uint16_t{kKeyUsageDigitalSignature | kKeyUsageKeyEncipherment}}) {
-    const Extension ext = MakeKeyUsage(bits);
+    const Extension ext =
+        Written([&](asn1::Writer& w) { EncodeKeyUsage(w, bits); });
+    EXPECT_TRUE(ext.critical);
     auto decoded = ParseKeyUsage(ext.value);
     ASSERT_TRUE(decoded);
     EXPECT_EQ(*decoded, bits);
@@ -122,7 +137,9 @@ TEST(Extensions, KeyUsageRoundTrip) {
 TEST(Extensions, CrlDistributionPointsRoundTrip) {
   const std::vector<std::string> urls = {"http://crl1.ca.sim/a.crl",
                                          "http://crl2.ca.sim/b.crl"};
-  const Extension ext = MakeCrlDistributionPoints(urls);
+  const Extension ext = Written(
+      [&](asn1::Writer& w) { EncodeCrlDistributionPoints(w, urls); });
+  EXPECT_FALSE(ext.critical);
   auto decoded = ParseCrlDistributionPoints(ext.value);
   ASSERT_TRUE(decoded);
   EXPECT_EQ(*decoded, urls);
@@ -132,7 +149,9 @@ TEST(Extensions, AiaRoundTrip) {
   AuthorityInfoAccess aia;
   aia.ocsp_urls = {"http://ocsp.ca.sim/"};
   aia.ca_issuer_urls = {"http://ca.sim/issuer.crt"};
-  const Extension ext = MakeAuthorityInfoAccess(aia);
+  const Extension ext = Written([&](asn1::Writer& w) {
+    EncodeAuthorityInfoAccess(w, aia.ocsp_urls, aia.ca_issuer_urls);
+  });
   auto decoded = ParseAuthorityInfoAccess(ext.value);
   ASSERT_TRUE(decoded);
   EXPECT_EQ(decoded->ocsp_urls, aia.ocsp_urls);
@@ -141,7 +160,8 @@ TEST(Extensions, AiaRoundTrip) {
 
 TEST(Extensions, PoliciesRoundTrip) {
   const std::vector<asn1::Oid> policies = {asn1::oids::VerisignEvPolicy()};
-  const Extension ext = MakeCertificatePolicies(policies);
+  const Extension ext = Written(
+      [&](asn1::Writer& w) { EncodeCertificatePolicies(w, policies); });
   auto decoded = ParseCertificatePolicies(ext.value);
   ASSERT_TRUE(decoded);
   EXPECT_EQ(*decoded, policies);
@@ -149,7 +169,8 @@ TEST(Extensions, PoliciesRoundTrip) {
 
 TEST(Extensions, SanRoundTrip) {
   const std::vector<std::string> dns = {"a.example", "b.example"};
-  const Extension ext = MakeSubjectAltName(dns);
+  const Extension ext =
+      Written([&](asn1::Writer& w) { EncodeSubjectAltName(w, dns); });
   auto decoded = ParseSubjectAltName(ext.value);
   ASSERT_TRUE(decoded);
   EXPECT_EQ(*decoded, dns);
@@ -159,7 +180,8 @@ TEST(Extensions, NameConstraintsRoundTrip) {
   NameConstraints nc;
   nc.permitted_dns = {"example.com", "example.org"};
   nc.excluded_dns = {"internal.example.com"};
-  const Extension ext = MakeNameConstraints(nc);
+  const Extension ext =
+      Written([&](asn1::Writer& w) { EncodeNameConstraints(w, nc); });
   EXPECT_TRUE(ext.critical);
   auto decoded = ParseNameConstraints(ext.value);
   ASSERT_TRUE(decoded);
@@ -169,7 +191,9 @@ TEST(Extensions, NameConstraintsRoundTrip) {
   // One-sided constraints round-trip too.
   NameConstraints only_excluded;
   only_excluded.excluded_dns = {"bad.sim"};
-  auto decoded2 = ParseNameConstraints(MakeNameConstraints(only_excluded).value);
+  auto decoded2 = ParseNameConstraints(Written([&](asn1::Writer& w) {
+                                        EncodeNameConstraints(w, only_excluded);
+                                      }).value);
   ASSERT_TRUE(decoded2);
   EXPECT_TRUE(decoded2->permitted_dns.empty());
   EXPECT_EQ(decoded2->excluded_dns, only_excluded.excluded_dns);
@@ -249,10 +273,14 @@ TEST(Verify, NameConstraintsEnforcedWhenAsked) {
 
 TEST(Extensions, KeyIdentifiersRoundTrip) {
   const Bytes id = {1, 2, 3, 4, 5};
-  auto ski = ParseSubjectKeyIdentifier(MakeSubjectKeyIdentifier(id).value);
+  auto ski = ParseSubjectKeyIdentifier(
+      Written([&](asn1::Writer& w) { EncodeSubjectKeyIdentifier(w, id); })
+          .value);
   ASSERT_TRUE(ski);
   EXPECT_EQ(*ski, id);
-  auto aki = ParseAuthorityKeyIdentifier(MakeAuthorityKeyIdentifier(id).value);
+  auto aki = ParseAuthorityKeyIdentifier(
+      Written([&](asn1::Writer& w) { EncodeAuthorityKeyIdentifier(w, id); })
+          .value);
   ASSERT_TRUE(aki);
   EXPECT_EQ(*aki, id);
 }
@@ -261,20 +289,27 @@ TEST(Extensions, CrlReasonRoundTrip) {
   for (ReasonCode rc : {ReasonCode::kUnspecified, ReasonCode::kKeyCompromise,
                         ReasonCode::kCaCompromise, ReasonCode::kSuperseded,
                         ReasonCode::kPrivilegeWithdrawn}) {
-    auto decoded = ParseCrlReason(MakeCrlReason(rc).value);
+    auto decoded = ParseCrlReason(
+        Written([&](asn1::Writer& w) { EncodeCrlReason(w, rc); }).value);
     ASSERT_TRUE(decoded);
     EXPECT_EQ(*decoded, rc);
   }
   // Reason 7 is unassigned in RFC 5280.
-  const Extension bad = MakeCrlReason(static_cast<ReasonCode>(7));
+  const Extension bad = Written([](asn1::Writer& w) {
+    EncodeCrlReason(w, static_cast<ReasonCode>(7));
+  });
   EXPECT_FALSE(ParseCrlReason(bad.value));
 }
 
 TEST(Extensions, ListRoundTrip) {
-  std::vector<Extension> exts = {MakeBasicConstraints({true, 2}),
-                                 MakeKeyUsage(kKeyUsageCrlSign),
-                                 MakeSubjectAltName({"x.example"})};
-  const Bytes der = EncodeExtensionList(exts);
+  const std::vector<std::string> sans = {"x.example"};
+  const Bytes der = asn1::Encode([&](asn1::Writer& w) {
+    const std::size_t list = w.Begin(asn1::kTagSequence);
+    EncodeBasicConstraints(w, {true, 2});
+    EncodeKeyUsage(w, kKeyUsageCrlSign);
+    EncodeSubjectAltName(w, sans);
+    w.End(list);
+  });
   asn1::Reader r{BytesView(der)};
   auto decoded = DecodeExtensionList(r);
   ASSERT_TRUE(decoded);
@@ -362,11 +397,14 @@ TEST(Certificate, ParseRejectsUnknownCriticalExtension) {
   // splicing: easier to construct via a custom TBS then patch. Instead,
   // verify the parser accepts unknown NON-critical extensions by adding one
   // manually at the Extension level.
-  Extension unknown;
-  unknown.oid = asn1::Oid{1, 2, 3, 4, 5};
-  unknown.critical = true;
-  unknown.value = asn1::EncodeNull();
-  const Bytes list = EncodeExtensionList({unknown});
+  const Bytes list = asn1::Encode([](asn1::Writer& w) {
+    const std::size_t seq = w.Begin(asn1::kTagSequence);
+    const ExtensionMark unknown =
+        BeginExtension(w, asn1::Oid{1, 2, 3, 4, 5}, /*critical=*/true);
+    w.Null();
+    EndExtension(w, unknown);
+    w.End(seq);
+  });
   asn1::Reader r{BytesView(list)};
   auto decoded = DecodeExtensionList(r);
   ASSERT_TRUE(decoded);
