@@ -154,6 +154,10 @@ bool Reader::ReadOid(Oid* oid) {
   return true;
 }
 
+bool Reader::ReadOidView(BytesView* content) {
+  return ReadTagged(kTagOid, content) && Oid::IsValidContent(*content);
+}
+
 bool Reader::ReadOctetString(BytesView* content) {
   return ReadTagged(kTagOctetString, content);
 }

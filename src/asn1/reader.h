@@ -53,6 +53,9 @@ class Reader {
   bool ReadEnumerated(std::int64_t* value);
   bool ReadNull();
   bool ReadOid(Oid* oid);
+  // Zero-copy variant: a view of the content octets, rejected where ReadOid
+  // rejects them (Oid::IsValidContent).
+  bool ReadOidView(BytesView* content);
   bool ReadOctetString(BytesView* content);
   bool ReadBitString(BytesView* content, unsigned* unused_bits);
   // Any of UTF8String / PrintableString / IA5String.

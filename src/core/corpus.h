@@ -144,8 +144,8 @@ class CertCorpus {
 
   // Lazy materialization -----------------------------------------------------
   // Full Certificate for a row, re-parsed from arena DER and cached.
-  // Thread-safe; returns nullptr only if the stored DER, which passed
-  // ParseCertView, fails the full parse.
+  // Thread-safe. Never null for a stored row: ParseCertificate is the
+  // ParseCertView walk every row passed, plus materialization.
   x509::CertPtr cert(Row r) const;
 
   // All rows sorted by fingerprint bytes — the iteration order of the

@@ -92,9 +92,8 @@ std::optional<Crl> ParseCrl(BytesView der) {
   auto inner_sig_type = x509::DecodeSignatureAlgorithm(tbs_seq);
   if (!inner_sig_type) return std::nullopt;
 
-  auto issuer = x509::Name::Decode(tbs_seq);
-  if (!issuer) return std::nullopt;
-  crl.tbs.issuer = *std::move(issuer);
+  if (!x509::Name::Read(tbs_seq, nullptr, &crl.tbs.issuer))
+    return std::nullopt;
 
   if (!tbs_seq.ReadTime(&crl.tbs.this_update)) return std::nullopt;
 
@@ -115,10 +114,10 @@ std::optional<Crl> ParseCrl(BytesView der) {
           !entry_seq.ReadTime(&entry.revocation_date))
         return std::nullopt;
       if (entry_seq.NextIs(asn1::kTagSequence)) {
-        auto exts = x509::DecodeExtensionList(entry_seq);
-        if (!exts) return std::nullopt;
-        for (const x509::Extension& ext : *exts) {
-          if (ext.oid == asn1::oids::CrlReason()) {
+        x509::Extensions exts;
+        if (!x509::ReadExtensions(entry_seq, &exts)) return std::nullopt;
+        for (const x509::ExtensionView& ext : exts) {
+          if (asn1::OidContentIs(ext.oid, asn1::oids::CrlReason())) {
             auto reason = x509::ParseCrlReason(ext.value);
             if (!reason) return std::nullopt;
             entry.reason = *reason;
@@ -132,10 +131,10 @@ std::optional<Crl> ParseCrl(BytesView der) {
   if (tbs_seq.NextIsContext(0)) {
     asn1::Reader ext_wrapper;
     if (!tbs_seq.ReadContextExplicit(0, &ext_wrapper)) return std::nullopt;
-    auto exts = x509::DecodeExtensionList(ext_wrapper);
-    if (!exts) return std::nullopt;
-    for (const x509::Extension& ext : *exts) {
-      if (ext.oid == asn1::oids::CrlNumber()) {
+    x509::Extensions exts;
+    if (!x509::ReadExtensions(ext_wrapper, &exts)) return std::nullopt;
+    for (const x509::ExtensionView& ext : exts) {
+      if (asn1::OidContentIs(ext.oid, asn1::oids::CrlNumber())) {
         auto number = x509::ParseCrlNumber(ext.value);
         if (!number) return std::nullopt;
         crl.tbs.crl_number = *number;

@@ -138,25 +138,14 @@ std::optional<RequestView> ParseOcspRequestView(BytesView der) {
   }
 
   if (tbs.NextIsContext(2)) {
-    asn1::Reader wrapper, extensions;
+    asn1::Reader wrapper;
+    x509::Extensions extensions;
     if (!tbs.ReadContextExplicit(2, &wrapper) ||
-        !wrapper.ReadSequence(&extensions))
+        !x509::ReadExtensions(wrapper, &extensions))
       return std::nullopt;
-    while (!extensions.Empty()) {
-      // Extension ::= SEQUENCE { extnID, critical BOOLEAN DEFAULT FALSE,
-      // extnValue OCTET STRING }, matched by its OID's content octets.
-      asn1::Reader extension;
-      BytesView oid, value;
-      bool critical = false;
-      if (!extensions.ReadSequence(&extension) ||
-          !extension.ReadTagged(asn1::kTagOid, &oid) ||
-          !asn1::Oid::IsValidContent(oid) ||
-          (extension.NextIs(asn1::kTagBoolean) &&
-           !extension.ReadBoolean(&critical)) ||
-          !extension.ReadOctetString(&value))
-        return std::nullopt;
-      if (asn1::OidContentIs(oid, asn1::oids::OcspNonce())) {
-        asn1::Reader nonce(value);
+    for (const x509::ExtensionView& extension : extensions) {
+      if (asn1::OidContentIs(extension.oid, asn1::oids::OcspNonce())) {
+        asn1::Reader nonce(extension.value);
         if (!nonce.ReadOctetString(&out->nonce_)) return std::nullopt;
       }
     }
@@ -393,10 +382,10 @@ std::optional<OcspResponse> ParseOcspResponse(BytesView der) {
   if (response_data.NextIsContext(1)) {
     asn1::Reader ext_wrapper;
     if (!response_data.ReadContextExplicit(1, &ext_wrapper)) return std::nullopt;
-    auto exts = x509::DecodeExtensionList(ext_wrapper);
-    if (!exts) return std::nullopt;
-    for (const x509::Extension& ext : *exts) {
-      if (ext.oid == asn1::oids::OcspNonce()) {
+    x509::Extensions exts;
+    if (!x509::ReadExtensions(ext_wrapper, &exts)) return std::nullopt;
+    for (const x509::ExtensionView& ext : exts) {
+      if (asn1::OidContentIs(ext.oid, asn1::oids::OcspNonce())) {
         asn1::Reader nonce_reader(ext.value);
         BytesView nonce;
         if (!nonce_reader.ReadOctetString(&nonce)) return std::nullopt;

@@ -29,6 +29,11 @@ inline BytesView AsBytes(std::string_view s) {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
 }
 
+// The characters of a byte buffer, borrowed (the inverse of AsBytes).
+inline std::string_view AsStringView(BytesView b) {
+  return {reinterpret_cast<const char*>(b.data()), b.size()};
+}
+
 inline Bytes ToBytes(std::string_view s) {
   return Bytes(s.begin(), s.end());
 }

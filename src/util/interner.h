@@ -48,20 +48,15 @@ class StringInterner {
 
   BytesView GetBytes(std::uint32_t id) const {
     const std::string_view s = by_id_[id];
-    return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+    return AsBytes(s);
   }
 
   std::size_t size() const { return by_id_.size(); }
   std::size_t arena_bytes() const { return arena_.bytes_used(); }
 
  private:
-  static std::string_view AsStringView(BytesView b) {
-    return {reinterpret_cast<const char*>(b.data()), b.size()};
-  }
-
   static std::uint64_t Hash(std::string_view s) {
-    return HashBytes(
-        {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+    return HashBytes(AsBytes(s));
   }
 
   std::uint32_t Find(std::string_view s, std::uint64_t hash) const {

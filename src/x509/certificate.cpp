@@ -3,6 +3,7 @@
 #include "crypto/sha256.h"
 #include "util/hex.h"
 #include "x509/spki.h"
+#include "x509/view.h"
 
 namespace rev::x509 {
 
@@ -82,115 +83,58 @@ Certificate SignCertificate(const TbsCertificate& tbs,
 }
 
 std::optional<Certificate> ParseCertificate(BytesView der) {
-  asn1::Reader top(der);
-  asn1::Reader cert_seq;
-  if (!top.ReadSequence(&cert_seq) || !top.Empty()) return std::nullopt;
-
+  const std::optional<CertView> view = ParseCertView(der);
+  if (!view) return std::nullopt;
   Certificate cert;
+  TbsCertificate& tbs = cert.tbs;
   cert.der.assign(der.begin(), der.end());
+  cert.tbs_der.assign(view->tbs_der.begin(), view->tbs_der.end());
+  cert.signature.assign(view->signature.begin(), view->signature.end());
+  cert.sig_type = view->sig_type;
+  tbs.serial.assign(view->serial.begin(), view->serial.end());
+  tbs.not_before = view->not_before;
+  tbs.not_after = view->not_after;
+  tbs.crl_urls.assign(view->crl_urls.begin(), view->crl_urls.end());
+  tbs.ocsp_urls.assign(view->ocsp_urls.begin(), view->ocsp_urls.end());
 
-  BytesView tbs_raw;
-  {
-    // Capture the raw TBS bytes, then parse them.
-    asn1::Reader probe = cert_seq;
-    if (!probe.ReadRawTlv(&tbs_raw)) return std::nullopt;
-    cert_seq = probe;
-  }
-  cert.tbs_der.assign(tbs_raw.begin(), tbs_raw.end());
-
-  asn1::Reader tbs(tbs_raw);
-  asn1::Reader tbs_seq;
-  if (!tbs.ReadSequence(&tbs_seq)) return std::nullopt;
-
-  // version
-  asn1::Reader version_reader;
-  if (!tbs_seq.ReadContextExplicit(0, &version_reader)) return std::nullopt;
-  std::int64_t version;
-  if (!version_reader.ReadInteger(&version) || version != 2)
-    return std::nullopt;
-
-  if (!tbs_seq.ReadIntegerUnsigned(&cert.tbs.serial)) return std::nullopt;
-
-  auto inner_sig_type = DecodeSignatureAlgorithm(tbs_seq);
-  if (!inner_sig_type) return std::nullopt;
-
-  auto issuer = Name::Decode(tbs_seq);
-  if (!issuer) return std::nullopt;
-  cert.tbs.issuer = *std::move(issuer);
-
-  asn1::Reader validity;
-  if (!tbs_seq.ReadSequence(&validity) ||
-      !validity.ReadTime(&cert.tbs.not_before) ||
-      !validity.ReadTime(&cert.tbs.not_after))
-    return std::nullopt;
-
-  auto subject = Name::Decode(tbs_seq);
-  if (!subject) return std::nullopt;
-  cert.tbs.subject = *std::move(subject);
-
-  auto key = DecodeSpki(tbs_seq);
-  if (!key) return std::nullopt;
-  cert.tbs.public_key = *std::move(key);
-
-  if (tbs_seq.NextIsContext(3)) {
-    asn1::Reader ext_wrapper;
-    if (!tbs_seq.ReadContextExplicit(3, &ext_wrapper)) return std::nullopt;
-    auto exts = DecodeExtensionList(ext_wrapper);
-    if (!exts) return std::nullopt;
-    for (const Extension& ext : *exts) {
-      if (ext.oid == asn1::oids::BasicConstraints()) {
-        auto bc = ParseBasicConstraints(ext.value);
-        if (!bc) return std::nullopt;
-        cert.tbs.basic_constraints = *bc;
-      } else if (ext.oid == asn1::oids::NameConstraints()) {
-        auto nc = ParseNameConstraints(ext.value);
-        if (!nc) return std::nullopt;
-        cert.tbs.name_constraints = *std::move(nc);
-      } else if (ext.oid == asn1::oids::KeyUsage()) {
-        auto ku = ParseKeyUsage(ext.value);
-        if (!ku) return std::nullopt;
-        cert.tbs.key_usage = *ku;
-      } else if (ext.oid == asn1::oids::CrlDistributionPoints()) {
-        auto urls = ParseCrlDistributionPoints(ext.value);
-        if (!urls) return std::nullopt;
-        cert.tbs.crl_urls = *std::move(urls);
-      } else if (ext.oid == asn1::oids::AuthorityInfoAccess()) {
-        auto aia = ParseAuthorityInfoAccess(ext.value);
-        if (!aia) return std::nullopt;
-        cert.tbs.ocsp_urls = std::move(aia->ocsp_urls);
-      } else if (ext.oid == asn1::oids::CertificatePolicies()) {
-        auto policies = ParseCertificatePolicies(ext.value);
-        if (!policies) return std::nullopt;
-        cert.tbs.policies = *std::move(policies);
-      } else if (ext.oid == asn1::oids::SubjectAltName()) {
-        auto sans = ParseSubjectAltName(ext.value);
-        if (!sans) return std::nullopt;
-        cert.tbs.dns_names = *std::move(sans);
-      } else if (ext.oid == asn1::oids::SubjectKeyIdentifier()) {
-        auto ski = ParseSubjectKeyIdentifier(ext.value);
-        if (!ski) return std::nullopt;
-        cert.tbs.subject_key_id = *std::move(ski);
-      } else if (ext.oid == asn1::oids::AuthorityKeyIdentifier()) {
-        auto aki = ParseAuthorityKeyIdentifier(ext.value);
-        if (!aki) return std::nullopt;
-        cert.tbs.authority_key_id = *std::move(aki);
-      } else if (ext.critical) {
-        return std::nullopt;  // unknown critical extension
-      }
+  // The rest is built from the view's slices by the readers that validated
+  // them, so none of these fails.
+  asn1::Reader issuer(view->issuer_der);
+  asn1::Reader subject(view->subject_der);
+  asn1::Reader spki(view->spki_der);
+  bool ok = Name::Read(issuer, nullptr, &tbs.issuer) &&
+            Name::Read(subject, nullptr, &tbs.subject) &&
+            ReadSpki(spki, nullptr, &tbs.public_key);
+  for (const ExtensionView& ext : view->extensions) {
+    switch (ClassifyCertExtension(ext.oid)) {
+      case CertExtension::kBasicConstraints:
+        ok &= ParseBasicConstraints(ext.value, &tbs.basic_constraints);
+        break;
+      case CertExtension::kNameConstraints:
+        ok &= ParseNameConstraints(ext.value, &tbs.name_constraints);
+        break;
+      case CertExtension::kKeyUsage:
+        ok &= ParseKeyUsage(ext.value, &tbs.key_usage);
+        break;
+      case CertExtension::kCertificatePolicies:
+        ok &= ParseCertificatePolicies(ext.value, &tbs.policies);
+        break;
+      case CertExtension::kSubjectAltName:
+        ok &= ParseSubjectAltName(ext.value, &tbs.dns_names);
+        break;
+      case CertExtension::kSubjectKeyIdentifier:
+        ok &= ParseSubjectKeyIdentifier(ext.value, &tbs.subject_key_id);
+        break;
+      case CertExtension::kAuthorityKeyIdentifier:
+        ok &= ParseAuthorityKeyIdentifier(ext.value, &tbs.authority_key_id);
+        break;
+      case CertExtension::kCrlDistributionPoints:  // URLs: from the view
+      case CertExtension::kAuthorityInfoAccess:
+      case CertExtension::kUnknown:
+        break;
     }
   }
-
-  auto outer_sig_type = DecodeSignatureAlgorithm(cert_seq);
-  if (!outer_sig_type || *outer_sig_type != *inner_sig_type)
-    return std::nullopt;
-  cert.sig_type = *outer_sig_type;
-
-  BytesView sig_bits;
-  unsigned unused = 0;
-  if (!cert_seq.ReadBitString(&sig_bits, &unused) || unused != 0)
-    return std::nullopt;
-  cert.signature.assign(sig_bits.begin(), sig_bits.end());
-  if (!cert_seq.Empty()) return std::nullopt;
+  if (!ok) return std::nullopt;
   return cert;
 }
 

@@ -1,4 +1,5 @@
-// X.509v3 certificates: construction, DER encode/decode, fingerprints.
+// X.509v3 certificates: construction, DER encode, fingerprints, and the
+// owned parse, which materializes the borrowed ParseCertView walk.
 #pragma once
 
 #include <optional>
@@ -89,8 +90,11 @@ inline Bytes EncodeTbs(const TbsCertificate& tbs, crypto::KeyType sig_type) {
 Certificate SignCertificate(const TbsCertificate& tbs,
                             const crypto::KeyPair& issuer_key);
 
-// Parses a DER certificate. Unknown non-critical extensions are ignored;
-// unknown critical extensions fail the parse.
+// Parses a DER certificate: ParseCertView (x509/view.h), the one walk of
+// certificate DER, then the owned fields built from the view's slices by
+// the same readers that validated them. It accepts exactly what
+// ParseCertView accepts: unknown non-critical extensions are ignored;
+// unknown critical and duplicate known extensions fail the parse.
 std::optional<Certificate> ParseCertificate(BytesView der);
 
 // Verifies the certificate's signature with the purported issuer key.

@@ -22,30 +22,34 @@ void EndExtension(asn1::Writer& w, ExtensionMark mark) {
   w.End(mark.extension);
 }
 
-std::optional<Extension> DecodeExtension(asn1::Reader& r) {
-  asn1::Reader seq;
-  if (!r.ReadSequence(&seq)) return std::nullopt;
-  Extension ext;
-  if (!seq.ReadOid(&ext.oid)) return std::nullopt;
-  if (seq.NextIs(asn1::kTagBoolean)) {
-    if (!seq.ReadBoolean(&ext.critical)) return std::nullopt;
-  }
-  BytesView value;
-  if (!seq.ReadOctetString(&value)) return std::nullopt;
-  ext.value.assign(value.begin(), value.end());
-  return ext;
+bool ReadExtension(asn1::Reader& r, ExtensionView* out) {
+  asn1::Reader ext;
+  out->critical = false;
+  return r.ReadSequence(&ext) && ext.ReadOidView(&out->oid) &&
+         (!ext.NextIs(asn1::kTagBoolean) || ext.ReadBoolean(&out->critical)) &&
+         ext.ReadOctetString(&out->value);
 }
 
-std::optional<std::vector<Extension>> DecodeExtensionList(asn1::Reader& r) {
-  asn1::Reader list;
-  if (!r.ReadSequence(&list)) return std::nullopt;
-  std::vector<Extension> out;
-  while (!list.Empty()) {
-    auto ext = DecodeExtension(list);
-    if (!ext) return std::nullopt;
-    out.push_back(*std::move(ext));
-  }
-  return out;
+Extensions::Iterator::Iterator(BytesView list) : rest_(list) { ++*this; }
+
+Extensions::Iterator& Extensions::Iterator::operator++() {
+  done_ = rest_.Empty() || !ReadExtension(rest_, &ext_);
+  return *this;
+}
+
+CertExtension ClassifyCertExtension(BytesView oid_content) {
+  namespace oids = asn1::oids;
+  // In CertExtension order.
+  static const asn1::Oid* const kKnown[] = {
+      &oids::BasicConstraints(),      &oids::NameConstraints(),
+      &oids::KeyUsage(),              &oids::CrlDistributionPoints(),
+      &oids::AuthorityInfoAccess(),   &oids::CertificatePolicies(),
+      &oids::SubjectAltName(),        &oids::SubjectKeyIdentifier(),
+      &oids::AuthorityKeyIdentifier()};
+  for (std::size_t i = 0; i < std::size(kKnown); ++i)
+    if (asn1::OidContentIs(oid_content, *kKnown[i]))
+      return static_cast<CertExtension>(i);
+  return CertExtension::kUnknown;
 }
 
 // BasicConstraints ----------------------------------------------------------
@@ -60,20 +64,21 @@ void EncodeBasicConstraints(asn1::Writer& w, const BasicConstraints& bc) {
   EndExtension(w, ext);
 }
 
-std::optional<BasicConstraints> ParseBasicConstraints(BytesView value) {
+bool ParseBasicConstraints(BytesView value, BasicConstraints* out) {
   asn1::Reader r(value);
   asn1::Reader seq;
-  if (!r.ReadSequence(&seq)) return std::nullopt;
+  if (!r.ReadSequence(&seq)) return false;
   BasicConstraints bc;
   if (seq.NextIs(asn1::kTagBoolean)) {
-    if (!seq.ReadBoolean(&bc.is_ca)) return std::nullopt;
+    if (!seq.ReadBoolean(&bc.is_ca)) return false;
   }
   if (seq.NextIs(asn1::kTagInteger)) {
     std::int64_t v;
-    if (!seq.ReadInteger(&v) || v < 0) return std::nullopt;
+    if (!seq.ReadInteger(&v) || v < 0) return false;
     bc.path_len = static_cast<int>(v);
   }
-  return bc;
+  if (out) *out = bc;
+  return true;
 }
 
 // KeyUsage ------------------------------------------------------------------
@@ -106,19 +111,20 @@ void EncodeKeyUsage(asn1::Writer& w, std::uint16_t bits) {
   EndExtension(w, ext);
 }
 
-std::optional<std::uint16_t> ParseKeyUsage(BytesView value) {
+bool ParseKeyUsage(BytesView value, std::uint16_t* bits) {
   asn1::Reader r(value);
   BytesView content;
   unsigned unused;
-  if (!r.ReadBitString(&content, &unused)) return std::nullopt;
-  std::uint16_t bits = 0;
+  if (!r.ReadBitString(&content, &unused)) return false;
+  if (!bits) return true;
+  *bits = 0;
   for (std::size_t byte = 0; byte < content.size() && byte < 2; ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       if (content[byte] & (0x80 >> bit))
-        bits |= static_cast<std::uint16_t>(1u << (byte * 8 + static_cast<std::size_t>(bit)));
+        *bits |= static_cast<std::uint16_t>(1u << (byte * 8 + static_cast<std::size_t>(bit)));
     }
   }
-  return bits;
+  return true;
 }
 
 // CRLDistributionPoints -----------------------------------------------------
@@ -144,15 +150,14 @@ void EncodeCrlDistributionPoints(asn1::Writer& w,
   EndExtension(w, ext);
 }
 
-std::optional<std::vector<std::string>> ParseCrlDistributionPoints(
-    BytesView value) {
+bool ParseCrlDistributionPoints(BytesView value,
+                                std::vector<std::string_view>* urls) {
   asn1::Reader r(value);
   asn1::Reader points;
-  if (!r.ReadSequence(&points)) return std::nullopt;
-  std::vector<std::string> urls;
+  if (!r.ReadSequence(&points)) return false;
   while (!points.Empty()) {
     asn1::Reader point;
-    if (!points.ReadSequence(&point)) return std::nullopt;
+    if (!points.ReadSequence(&point)) return false;
     asn1::Reader dp_name;
     if (!point.ReadContextConstructed(0, &dp_name)) continue;
     asn1::Reader full_name;
@@ -160,16 +165,16 @@ std::optional<std::vector<std::string>> ParseCrlDistributionPoints(
     while (!full_name.Empty()) {
       BytesView uri;
       if (full_name.ReadContextPrimitive(kGeneralNameUri, &uri)) {
-        urls.emplace_back(uri.begin(), uri.end());
+        urls->push_back(AsStringView(uri));
       } else {
         // Skip non-URI general names.
         std::uint8_t tag;
         BytesView skipped;
-        if (!full_name.ReadTlv(&tag, &skipped)) return std::nullopt;
+        if (!full_name.ReadTlv(&tag, &skipped)) return false;
       }
     }
   }
-  return urls;
+  return true;
 }
 
 // AuthorityInfoAccess -------------------------------------------------------
@@ -193,25 +198,22 @@ void EncodeAuthorityInfoAccess(asn1::Writer& w,
   EndExtension(w, ext);
 }
 
-std::optional<AuthorityInfoAccess> ParseAuthorityInfoAccess(BytesView value) {
+bool ParseAuthorityInfoAccess(BytesView value,
+                              std::vector<std::string_view>* ocsp_urls) {
   asn1::Reader r(value);
   asn1::Reader descriptions;
-  if (!r.ReadSequence(&descriptions)) return std::nullopt;
-  AuthorityInfoAccess aia;
+  if (!r.ReadSequence(&descriptions)) return false;
   while (!descriptions.Empty()) {
     asn1::Reader desc;
-    if (!descriptions.ReadSequence(&desc)) return std::nullopt;
-    asn1::Oid method;
+    BytesView method;
     BytesView uri;
-    if (!desc.ReadOid(&method)) return std::nullopt;
+    if (!descriptions.ReadSequence(&desc) || !desc.ReadOidView(&method))
+      return false;
     if (!desc.ReadContextPrimitive(kGeneralNameUri, &uri)) continue;
-    if (method == asn1::oids::AdOcsp()) {
-      aia.ocsp_urls.emplace_back(uri.begin(), uri.end());
-    } else if (method == asn1::oids::AdCaIssuers()) {
-      aia.ca_issuer_urls.emplace_back(uri.begin(), uri.end());
-    }
+    if (ocsp_urls && asn1::OidContentIs(method, asn1::oids::AdOcsp()))
+      ocsp_urls->push_back(AsStringView(uri));
   }
-  return aia;
+  return true;
 }
 
 // CertificatePolicies -------------------------------------------------------
@@ -230,20 +232,20 @@ void EncodeCertificatePolicies(asn1::Writer& w,
   EndExtension(w, ext);
 }
 
-std::optional<std::vector<asn1::Oid>> ParseCertificatePolicies(
-    BytesView value) {
+bool ParseCertificatePolicies(BytesView value,
+                              std::vector<asn1::Oid>* policies, bool* is_ev) {
   asn1::Reader r(value);
   asn1::Reader infos;
-  if (!r.ReadSequence(&infos)) return std::nullopt;
-  std::vector<asn1::Oid> out;
+  if (!r.ReadSequence(&infos)) return false;
   while (!infos.Empty()) {
     asn1::Reader info;
-    if (!infos.ReadSequence(&info)) return std::nullopt;
-    asn1::Oid policy;
-    if (!info.ReadOid(&policy)) return std::nullopt;
-    out.push_back(std::move(policy));
+    BytesView policy;
+    if (!infos.ReadSequence(&info) || !info.ReadOidView(&policy)) return false;
+    if (is_ev && asn1::OidContentIs(policy, asn1::oids::VerisignEvPolicy()))
+      *is_ev = true;
+    if (policies) policies->push_back(*asn1::Oid::DecodeContent(policy));
   }
-  return out;
+  return true;
 }
 
 // SubjectAltName ------------------------------------------------------------
@@ -259,22 +261,22 @@ void EncodeSubjectAltName(asn1::Writer& w,
   EndExtension(w, ext);
 }
 
-std::optional<std::vector<std::string>> ParseSubjectAltName(BytesView value) {
+bool ParseSubjectAltName(BytesView value,
+                         std::vector<std::string>* dns_names) {
   asn1::Reader r(value);
   asn1::Reader names;
-  if (!r.ReadSequence(&names)) return std::nullopt;
-  std::vector<std::string> out;
+  if (!r.ReadSequence(&names)) return false;
   while (!names.Empty()) {
     BytesView dns;
     if (names.ReadContextPrimitive(kGeneralNameDns, &dns)) {
-      out.emplace_back(dns.begin(), dns.end());
+      if (dns_names) dns_names->emplace_back(AsStringView(dns));
     } else {
       std::uint8_t tag;
       BytesView skipped;
-      if (!names.ReadTlv(&tag, &skipped)) return std::nullopt;
+      if (!names.ReadTlv(&tag, &skipped)) return false;
     }
   }
-  return out;
+  return true;
 }
 
 // NameConstraints -------------------------------------------------------------
@@ -301,7 +303,7 @@ bool DecodeSubtrees(asn1::Reader& r, std::vector<std::string>* out) {
     if (!r.ReadSequence(&subtree)) return false;
     BytesView dns;
     if (subtree.ReadContextPrimitive(kGeneralNameDns, &dns)) {
-      out->emplace_back(dns.begin(), dns.end());
+      if (out) out->emplace_back(AsStringView(dns));
     } else {
       std::uint8_t tag;
       BytesView skipped;
@@ -323,24 +325,23 @@ void EncodeNameConstraints(asn1::Writer& w, const NameConstraints& nc) {
   EndExtension(w, ext);
 }
 
-std::optional<NameConstraints> ParseNameConstraints(BytesView value) {
+bool ParseNameConstraints(BytesView value, NameConstraints* out) {
   asn1::Reader r(value);
   asn1::Reader seq;
-  if (!r.ReadSequence(&seq)) return std::nullopt;
-  NameConstraints nc;
+  if (!r.ReadSequence(&seq)) return false;
   if (seq.NextIsContext(0)) {
     asn1::Reader permitted;
     if (!seq.ReadContextConstructed(0, &permitted) ||
-        !DecodeSubtrees(permitted, &nc.permitted_dns))
-      return std::nullopt;
+        !DecodeSubtrees(permitted, out ? &out->permitted_dns : nullptr))
+      return false;
   }
   if (seq.NextIsContext(1)) {
     asn1::Reader excluded;
     if (!seq.ReadContextConstructed(1, &excluded) ||
-        !DecodeSubtrees(excluded, &nc.excluded_dns))
-      return std::nullopt;
+        !DecodeSubtrees(excluded, out ? &out->excluded_dns : nullptr))
+      return false;
   }
-  return nc;
+  return true;
 }
 
 bool DnsNameInSubtree(std::string_view dns_name, std::string_view suffix) {
@@ -371,11 +372,12 @@ void EncodeSubjectKeyIdentifier(asn1::Writer& w, BytesView key_id) {
   EndExtension(w, ext);
 }
 
-std::optional<Bytes> ParseSubjectKeyIdentifier(BytesView value) {
+bool ParseSubjectKeyIdentifier(BytesView value, Bytes* key_id) {
   asn1::Reader r(value);
   BytesView id;
-  if (!r.ReadOctetString(&id)) return std::nullopt;
-  return Bytes(id.begin(), id.end());
+  if (!r.ReadOctetString(&id)) return false;
+  if (key_id) key_id->assign(id.begin(), id.end());
+  return true;
 }
 
 void EncodeAuthorityKeyIdentifier(asn1::Writer& w, BytesView key_id) {
@@ -388,13 +390,13 @@ void EncodeAuthorityKeyIdentifier(asn1::Writer& w, BytesView key_id) {
   EndExtension(w, ext);
 }
 
-std::optional<Bytes> ParseAuthorityKeyIdentifier(BytesView value) {
+bool ParseAuthorityKeyIdentifier(BytesView value, Bytes* key_id) {
   asn1::Reader r(value);
   asn1::Reader seq;
-  if (!r.ReadSequence(&seq)) return std::nullopt;
   BytesView id;
-  if (!seq.ReadContextPrimitive(0, &id)) return std::nullopt;
-  return Bytes(id.begin(), id.end());
+  if (!r.ReadSequence(&seq) || !seq.ReadContextPrimitive(0, &id)) return false;
+  if (key_id) key_id->assign(id.begin(), id.end());
+  return true;
 }
 
 // CRL extensions ------------------------------------------------------------

@@ -1,13 +1,21 @@
-// X.509v3 extensions: the generic wrapper plus typed codecs for every
-// extension this library reads or writes. Each Encode* writes one whole
-// Extension (extnID, critical, extnValue) through an asn1::Writer; the
+// X.509v3 extensions: the borrowed extension-list reader plus typed codecs
+// for every extension this library reads or writes. Each Encode* writes one
+// whole Extension (extnID, critical, extnValue) through an asn1::Writer; the
 // caller writes the enclosing SEQUENCE OF.
+//
+// Each certificate extension's Parse* reads its extnValue and is the one
+// accept rule for it: ParseCertView calls it to validate and to pick out its
+// columns, ParseCertificate to build the owned field. An output may be null;
+// the parser then only validates, allocates nothing, and accepts exactly the
+// same bytes.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "asn1/oid.h"
@@ -17,15 +25,80 @@
 
 namespace rev::x509 {
 
-// Generic extension: `value` holds the DER inside the extnValue OCTET STRING.
-struct Extension {
-  asn1::Oid oid;
+// One Extension of a validated list. Every field aliases the list's DER.
+struct ExtensionView {
+  BytesView oid;  // content octets of extnID
   bool critical = false;
-  Bytes value;
+  BytesView value;  // the DER inside the extnValue OCTET STRING
 };
 
-std::optional<Extension> DecodeExtension(asn1::Reader& r);
-std::optional<std::vector<Extension>> DecodeExtensionList(asn1::Reader& r);
+// Reads Extension ::= SEQUENCE { extnID OBJECT IDENTIFIER (valid DER),
+// critical BOOLEAN DEFAULT FALSE, extnValue OCTET STRING }; anything after
+// extnValue is not read.
+bool ReadExtension(asn1::Reader& r, ExtensionView* out);
+
+// An extension list (SEQUENCE OF Extension) that ReadExtensions validated.
+// Range-for over it yields each extension in wire order without copying or
+// allocating; the list was validated as a whole, so iteration cannot fail.
+class Extensions {
+ public:
+  class Iterator {
+   public:
+    const ExtensionView& operator*() const { return ext_; }
+    Iterator& operator++();
+    bool operator==(std::default_sentinel_t) const { return done_; }
+
+   private:
+    friend class Extensions;
+    explicit Iterator(BytesView list);
+
+    asn1::Reader rest_;
+    ExtensionView ext_;
+    bool done_ = false;
+  };
+
+  Iterator begin() const { return Iterator(list_); }
+  std::default_sentinel_t end() const { return {}; }
+
+ private:
+  template <typename Visit>
+  friend bool ReadExtensions(asn1::Reader& r, Extensions* out, Visit&& visit);
+
+  BytesView list_;  // content octets of the SEQUENCE OF
+};
+
+// Reads SEQUENCE OF Extension into `*out`, the one extension-list reader of
+// certificates, CRLs and OCSP messages. `visit(ext)` sees each extension in
+// wire order as it is read, in the same pass; the read fails when an
+// extension is malformed or `visit` returns false.
+template <typename Visit>
+bool ReadExtensions(asn1::Reader& r, Extensions* out, Visit&& visit) {
+  if (!r.ReadTagged(asn1::kTagSequence, &out->list_)) return false;
+  asn1::Reader list(out->list_);
+  for (ExtensionView ext; !list.Empty();)
+    if (!ReadExtension(list, &ext) || !visit(ext)) return false;
+  return true;
+}
+inline bool ReadExtensions(asn1::Reader& r, Extensions* out) {
+  return ReadExtensions(r, out, [](const ExtensionView&) { return true; });
+}
+
+// The extensions a certificate parse understands. A certificate carrying
+// one of them twice is rejected (RFC 5280 §4.2); one outside the set is
+// skipped unless it is critical.
+enum class CertExtension : std::uint8_t {
+  kBasicConstraints,
+  kNameConstraints,
+  kKeyUsage,
+  kCrlDistributionPoints,
+  kAuthorityInfoAccess,
+  kCertificatePolicies,
+  kSubjectAltName,
+  kSubjectKeyIdentifier,
+  kAuthorityKeyIdentifier,
+  kUnknown,
+};
+CertExtension ClassifyCertExtension(BytesView oid_content);
 
 // Opens an Extension: writes extnID and, when set, critical, then opens
 // the extnValue OCTET STRING, whose content (the extension's own DER) the
@@ -45,7 +118,7 @@ struct BasicConstraints {
   int path_len = -1;  // -1 = absent
 };
 void EncodeBasicConstraints(asn1::Writer& w, const BasicConstraints& bc);
-std::optional<BasicConstraints> ParseBasicConstraints(BytesView value);
+bool ParseBasicConstraints(BytesView value, BasicConstraints* out);
 
 // KeyUsage ------------------------------------------------------------------
 
@@ -57,37 +130,41 @@ enum KeyUsageBits : std::uint16_t {
   kKeyUsageCrlSign = 1u << 6,
 };
 void EncodeKeyUsage(asn1::Writer& w, std::uint16_t bits);
-std::optional<std::uint16_t> ParseKeyUsage(BytesView value);
+bool ParseKeyUsage(BytesView value, std::uint16_t* bits);
 
 // CRLDistributionPoints -----------------------------------------------------
 
 void EncodeCrlDistributionPoints(asn1::Writer& w,
                                  std::span<const std::string> urls);
-std::optional<std::vector<std::string>> ParseCrlDistributionPoints(
-    BytesView value);
+// The URIs of every distribution point's fullName, as views into `value`.
+bool ParseCrlDistributionPoints(BytesView value,
+                                std::vector<std::string_view>* urls);
 
 // AuthorityInfoAccess -------------------------------------------------------
 
-struct AuthorityInfoAccess {
-  std::vector<std::string> ocsp_urls;
-  std::vector<std::string> ca_issuer_urls;
-};
 void EncodeAuthorityInfoAccess(
     asn1::Writer& w, std::span<const std::string> ocsp_urls,
     std::span<const std::string> ca_issuer_urls = {});
-std::optional<AuthorityInfoAccess> ParseAuthorityInfoAccess(BytesView value);
+// The id-ad-ocsp URIs, as views into `value`; other access methods are
+// skipped.
+bool ParseAuthorityInfoAccess(BytesView value,
+                              std::vector<std::string_view>* ocsp_urls);
 
 // CertificatePolicies -------------------------------------------------------
 
 void EncodeCertificatePolicies(asn1::Writer& w,
                                std::span<const asn1::Oid> policies);
-std::optional<std::vector<asn1::Oid>> ParseCertificatePolicies(BytesView value);
+// `*is_ev` is set when the Verisign EV policy is among them.
+bool ParseCertificatePolicies(BytesView value,
+                              std::vector<asn1::Oid>* policies,
+                              bool* is_ev = nullptr);
 
 // SubjectAltName (dNSName entries only) --------------------------------------
 
 void EncodeSubjectAltName(asn1::Writer& w,
                           std::span<const std::string> dns_names);
-std::optional<std::vector<std::string>> ParseSubjectAltName(BytesView value);
+bool ParseSubjectAltName(BytesView value,
+                         std::vector<std::string>* dns_names);
 
 // NameConstraints (dNSName subtrees only) -------------------------------------
 //
@@ -104,7 +181,7 @@ struct NameConstraints {
 };
 
 void EncodeNameConstraints(asn1::Writer& w, const NameConstraints& nc);
-std::optional<NameConstraints> ParseNameConstraints(BytesView value);
+bool ParseNameConstraints(BytesView value, NameConstraints* out);
 
 // True if `dns_name` falls within the subtree `suffix` ("example.com"
 // matches itself and any subdomain).
@@ -116,10 +193,10 @@ bool NameConstraintsAllow(const NameConstraints& nc, std::string_view dns_name);
 // Subject/Authority key identifiers ------------------------------------------
 
 void EncodeSubjectKeyIdentifier(asn1::Writer& w, BytesView key_id);
-std::optional<Bytes> ParseSubjectKeyIdentifier(BytesView value);
+bool ParseSubjectKeyIdentifier(BytesView value, Bytes* key_id);
 
 void EncodeAuthorityKeyIdentifier(asn1::Writer& w, BytesView key_id);
-std::optional<Bytes> ParseAuthorityKeyIdentifier(BytesView value);
+bool ParseAuthorityKeyIdentifier(BytesView value, Bytes* key_id);
 
 // CRL entry/respective extensions ---------------------------------------------
 

@@ -66,29 +66,32 @@ void Name::Encode(asn1::Writer& w) const {
   w.End(rdns);
 }
 
-std::optional<Name> Name::Decode(asn1::Reader& r) {
-  asn1::Reader rdn_sequence;
-  if (!r.ReadSequence(&rdn_sequence)) return std::nullopt;
-  Name name;
-  while (!rdn_sequence.Empty()) {
-    asn1::Reader rdn_set;
+bool Name::Read(asn1::Reader& r, BytesView* der, Name* out) {
+  if (der) {
+    asn1::Reader probe = r;
+    if (!probe.ReadRawTlv(der)) return false;
+  }
+  asn1::Reader rdns;
+  if (!r.ReadSequence(&rdns)) return false;
+  while (!rdns.Empty()) {
     // RelativeDistinguishedName ::= SET SIZE (1..MAX) OF
     // AttributeTypeAndValue (X.501).
-    if (!rdn_sequence.ReadSet(&rdn_set) || rdn_set.Empty())
-      return std::nullopt;
-    while (!rdn_set.Empty()) {
+    asn1::Reader rdn;
+    if (!rdns.ReadSet(&rdn) || rdn.Empty()) return false;
+    while (!rdn.Empty()) {
       asn1::Reader atv;
-      if (!rdn_set.ReadSequence(&atv)) return std::nullopt;
-      NameAttribute attr;
-      std::string value;
-      if (!atv.ReadOid(&attr.type) || !atv.ReadAnyString(&value) ||
-          !atv.Empty())
-        return std::nullopt;
-      attr.value = std::move(value);
-      name.attributes_.push_back(std::move(attr));
+      BytesView type;
+      std::uint8_t tag = 0;
+      BytesView value;
+      if (!rdn.ReadSequence(&atv) || !atv.ReadOidView(&type) ||
+          !atv.ReadTlv(&tag, &value) || !atv.Empty() ||
+          (tag != asn1::kTagUtf8String && tag != asn1::kTagPrintableString &&
+           tag != asn1::kTagIa5String))
+        return false;
+      if (out) out->Add(*asn1::Oid::DecodeContent(type), AsStringView(value));
     }
   }
-  return name;
+  return true;
 }
 
 }  // namespace rev::x509

@@ -4,7 +4,6 @@
 // name this library produces and the overwhelming majority seen in the wild.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,7 +49,12 @@ class Name {
   Bytes Encode() const {
     return asn1::Encode([this](asn1::Writer& w) { Encode(w); });
   }
-  static std::optional<Name> Decode(asn1::Reader& r);
+  // Reads one Name TLV, the one accept rule for names: a SEQUENCE of
+  // non-empty SETs of AttributeTypeAndValue, each a DER OID and then a
+  // UTF8String, PrintableString or IA5String with nothing after it. `*der`,
+  // if set, receives the raw TLV (the DerKey); `*out`, if set, gets the
+  // attributes appended. With `out` null nothing is allocated.
+  static bool Read(asn1::Reader& r, BytesView* der, Name* out);
 
   // DER bytes, usable as a map key for issuer lookups.
   Bytes DerKey() const { return Encode(); }

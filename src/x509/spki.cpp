@@ -26,41 +26,48 @@ void EncodeSpki(asn1::Writer& w, const crypto::PublicKey& key) {
   w.End(spki);
 }
 
-std::optional<crypto::PublicKey> DecodeSpki(asn1::Reader& r) {
+bool ReadSpki(asn1::Reader& r, BytesView* der, crypto::PublicKey* out) {
+  if (der) {
+    asn1::Reader probe = r;
+    if (!probe.ReadRawTlv(der)) return false;
+  }
   asn1::Reader spki;
-  if (!r.ReadSequence(&spki)) return std::nullopt;
   asn1::Reader alg;
-  if (!spki.ReadSequence(&alg)) return std::nullopt;
   // Compared as content bytes: an OID that is not valid DER matches neither
   // algorithm and fails like an unknown one.
   BytesView alg_oid;
-  if (!alg.ReadTagged(asn1::kTagOid, &alg_oid)) return std::nullopt;
-
   BytesView key_bits;
   unsigned unused = 0;
-  if (!spki.ReadBitString(&key_bits, &unused) || unused != 0)
-    return std::nullopt;
+  if (!r.ReadSequence(&spki) || !spki.ReadSequence(&alg) ||
+      !alg.ReadTagged(asn1::kTagOid, &alg_oid) ||
+      !spki.ReadBitString(&key_bits, &unused) || unused != 0)
+    return false;
 
-  crypto::PublicKey key;
   if (asn1::OidContentIs(alg_oid, asn1::oids::RsaEncryption())) {
-    if (!alg.ReadNull()) return std::nullopt;
-    key.type = crypto::KeyType::kRsaSha256;
     asn1::Reader rsa(key_bits);
     asn1::Reader rsa_seq;
-    Bytes n_be, e_be;
-    if (!rsa.ReadSequence(&rsa_seq) || !rsa_seq.ReadIntegerUnsigned(&n_be) ||
-        !rsa_seq.ReadIntegerUnsigned(&e_be))
-      return std::nullopt;
-    key.rsa.n = crypto::BigInt::FromBytes(n_be);
-    key.rsa.e = crypto::BigInt::FromBytes(e_be);
+    BytesView n_be, e_be;
+    if (!alg.ReadNull() || !rsa.ReadSequence(&rsa_seq) ||
+        !rsa_seq.ReadIntegerUnsignedView(&n_be) ||
+        !rsa_seq.ReadIntegerUnsignedView(&e_be))
+      return false;
+    if (out) {
+      *out = {};
+      out->type = crypto::KeyType::kRsaSha256;
+      out->rsa.n = crypto::BigInt::FromBytes(n_be);
+      out->rsa.e = crypto::BigInt::FromBytes(e_be);
+    }
   } else if (asn1::OidContentIs(alg_oid, asn1::oids::SimSha256())) {
-    key.type = crypto::KeyType::kSimSha256;
-    key.sim_id.assign(key_bits.begin(), key_bits.end());
-    if (key.sim_id.size() != crypto::kSha256DigestSize) return std::nullopt;
+    if (key_bits.size() != crypto::kSha256DigestSize) return false;
+    if (out) {
+      *out = {};
+      out->type = crypto::KeyType::kSimSha256;
+      out->sim_id.assign(key_bits.begin(), key_bits.end());
+    }
   } else {
-    return std::nullopt;
+    return false;
   }
-  return key;
+  return true;
 }
 
 Bytes SpkiSha256(const crypto::PublicKey& key) {

@@ -20,8 +20,11 @@ inline Bytes EncodeSpki(const crypto::PublicKey& key) {
   return asn1::Encode([&key](asn1::Writer& w) { EncodeSpki(w, key); });
 }
 
-// Parses a SubjectPublicKeyInfo from the reader.
-std::optional<crypto::PublicKey> DecodeSpki(asn1::Reader& r);
+// Reads one SubjectPublicKeyInfo TLV, the one accept rule for keys: an
+// rsaEncryption (NULL parameters, RSAPublicKey) or sim key (32 bytes) in a
+// BIT STRING with no unused bits. `*der`, if set, receives the raw TLV;
+// `*out`, if set, the key. With `out` null nothing is allocated.
+bool ReadSpki(asn1::Reader& r, BytesView* der, crypto::PublicKey* out);
 
 // SHA-256 of the DER SubjectPublicKeyInfo. This is the "parent" identifier
 // CRLSets key their entries by (§7.1 of the paper).

@@ -2,7 +2,8 @@
 // OCSP serve path. This binary replaces the global operator new with one
 // that counts calls, so a test can assert how many heap allocations a call
 // makes: matching an OID against a well-known one must make none,
-// ParseCertView only the ones of its two URL vectors, signing a
+// ParseCertView only the ones of its two URL vectors, ParseCertificate only
+// those and the copies its Certificate owns, signing a
 // certificate, OCSP response or CRL only its result's vectors, the OCSP
 // request parse none, and a cache hit none by POST and one by GET.
 #include <gtest/gtest.h>
@@ -149,6 +150,26 @@ TEST(Allocations, ParseCertViewMakesOnlyItsUrlVectors) {
   ASSERT_TRUE(view);
   EXPECT_TRUE(view->crl_urls.empty());
   EXPECT_TRUE(view->is_ev);
+}
+
+// The full parse is the view's walk plus the owned copies a Certificate
+// holds, built from the view's slices; no extension or name is copied
+// whole on the way. For this leaf: the view's 2 URL vectors; der, tbs_der,
+// signature and serial (4); the issuer's 3 attributes (3 vector growths, 3
+// OIDs) and the subject's 1 (2); the sim key (1); the CRL and OCSP lists
+// and their URL strings (4); the SAN list (1, its name fits inline); the
+// policy list and its OID (2).
+TEST(Allocations, ParseCertificatePinned) {
+  const Bytes one_each = LeafDer({"http://crl.alloc.sim/a.crl"},
+                                 {"http://ocsp.alloc.sim/"});
+  ASSERT_TRUE(x509::ParseCertificate(one_each));  // warms the OID statics
+
+  std::optional<x509::Certificate> cert;
+  EXPECT_EQ(AllocationsDuring([&] { cert = x509::ParseCertificate(one_each); }),
+            22u);
+  ASSERT_TRUE(cert);
+  EXPECT_EQ(cert->tbs.crl_urls.size(), 1u);
+  EXPECT_TRUE(cert->IsEv());
 }
 
 // ------------------------------------------------------------ encoders ----

@@ -5,13 +5,22 @@
 // only what a header needs was changed: `inline`, Name::Encode as the free
 // EncodeName, and calls qualified where the new overloads would otherwise
 // be found as well.
+//
+// Below them, the allocating certificate parser the library used before
+// ParseCertificate became ParseCertView plus materialization: a second walk
+// of the same DER with its own copy of each field's accept rule. It is the
+// reference the one walk must agree with (property_test's
+// ViewFullParseAgreement), verbatim like the encoders, with Name::Decode as
+// the free DecodeName building through Name::Add.
 #pragma once
 
 #include <cassert>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "asn1/reader.h"
 #include "asn1/writer.h"
 #include "crl/crl.h"
 #include "crypto/signer.h"
@@ -187,6 +196,18 @@ using namespace ::rev::x509;
 constexpr unsigned kGeneralNameUri = 6;
 // GeneralName dNSName is IMPLICIT [2] IA5String.
 constexpr unsigned kGeneralNameDns = 2;
+
+// Generic extension: `value` holds the DER inside the extnValue OCTET STRING.
+struct Extension {
+  asn1::Oid oid;
+  bool critical = false;
+  Bytes value;
+};
+
+struct AuthorityInfoAccess {
+  std::vector<std::string> ocsp_urls;
+  std::vector<std::string> ca_issuer_urls;
+};
 
 inline Bytes EncodeGeneralNameUri(const std::string& uri) {
   return asn1::EncodeContextPrimitive(kGeneralNameUri, ToBytes(uri));
@@ -457,6 +478,375 @@ inline Certificate SignCertificate(const TbsCertificate& tbs,
   cert.der = asn1::EncodeSequence({cert.tbs_der,
                                    EncodeSignatureAlgorithm(issuer_key.type),
                                    asn1::EncodeBitString(cert.signature)});
+  return cert;
+}
+
+// ------------------------------------------------------------- decoders ----
+
+inline std::optional<Extension> DecodeExtension(asn1::Reader& r) {
+  asn1::Reader seq;
+  if (!r.ReadSequence(&seq)) return std::nullopt;
+  Extension ext;
+  if (!seq.ReadOid(&ext.oid)) return std::nullopt;
+  if (seq.NextIs(asn1::kTagBoolean)) {
+    if (!seq.ReadBoolean(&ext.critical)) return std::nullopt;
+  }
+  BytesView value;
+  if (!seq.ReadOctetString(&value)) return std::nullopt;
+  ext.value.assign(value.begin(), value.end());
+  return ext;
+}
+
+inline std::optional<std::vector<Extension>> DecodeExtensionList(asn1::Reader& r) {
+  asn1::Reader list;
+  if (!r.ReadSequence(&list)) return std::nullopt;
+  std::vector<Extension> out;
+  while (!list.Empty()) {
+    auto ext = DecodeExtension(list);
+    if (!ext) return std::nullopt;
+    out.push_back(*std::move(ext));
+  }
+  return out;
+}
+
+inline std::optional<Name> DecodeName(asn1::Reader& r) {
+  asn1::Reader rdn_sequence;
+  if (!r.ReadSequence(&rdn_sequence)) return std::nullopt;
+  Name name;
+  while (!rdn_sequence.Empty()) {
+    asn1::Reader rdn_set;
+    // RelativeDistinguishedName ::= SET SIZE (1..MAX) OF
+    // AttributeTypeAndValue (X.501).
+    if (!rdn_sequence.ReadSet(&rdn_set) || rdn_set.Empty())
+      return std::nullopt;
+    while (!rdn_set.Empty()) {
+      asn1::Reader atv;
+      if (!rdn_set.ReadSequence(&atv)) return std::nullopt;
+      NameAttribute attr;
+      std::string value;
+      if (!atv.ReadOid(&attr.type) || !atv.ReadAnyString(&value) ||
+          !atv.Empty())
+        return std::nullopt;
+      attr.value = std::move(value);
+      name.Add(std::move(attr.type), attr.value);
+    }
+  }
+  return name;
+}
+
+inline std::optional<crypto::PublicKey> DecodeSpki(asn1::Reader& r) {
+  asn1::Reader spki;
+  if (!r.ReadSequence(&spki)) return std::nullopt;
+  asn1::Reader alg;
+  if (!spki.ReadSequence(&alg)) return std::nullopt;
+  // Compared as content bytes: an OID that is not valid DER matches neither
+  // algorithm and fails like an unknown one.
+  BytesView alg_oid;
+  if (!alg.ReadTagged(asn1::kTagOid, &alg_oid)) return std::nullopt;
+
+  BytesView key_bits;
+  unsigned unused = 0;
+  if (!spki.ReadBitString(&key_bits, &unused) || unused != 0)
+    return std::nullopt;
+
+  crypto::PublicKey key;
+  if (asn1::OidContentIs(alg_oid, asn1::oids::RsaEncryption())) {
+    if (!alg.ReadNull()) return std::nullopt;
+    key.type = crypto::KeyType::kRsaSha256;
+    asn1::Reader rsa(key_bits);
+    asn1::Reader rsa_seq;
+    Bytes n_be, e_be;
+    if (!rsa.ReadSequence(&rsa_seq) || !rsa_seq.ReadIntegerUnsigned(&n_be) ||
+        !rsa_seq.ReadIntegerUnsigned(&e_be))
+      return std::nullopt;
+    key.rsa.n = crypto::BigInt::FromBytes(n_be);
+    key.rsa.e = crypto::BigInt::FromBytes(e_be);
+  } else if (asn1::OidContentIs(alg_oid, asn1::oids::SimSha256())) {
+    key.type = crypto::KeyType::kSimSha256;
+    key.sim_id.assign(key_bits.begin(), key_bits.end());
+    if (key.sim_id.size() != crypto::kSha256DigestSize) return std::nullopt;
+  } else {
+    return std::nullopt;
+  }
+  return key;
+}
+
+inline std::optional<BasicConstraints> ParseBasicConstraints(BytesView value) {
+  asn1::Reader r(value);
+  asn1::Reader seq;
+  if (!r.ReadSequence(&seq)) return std::nullopt;
+  BasicConstraints bc;
+  if (seq.NextIs(asn1::kTagBoolean)) {
+    if (!seq.ReadBoolean(&bc.is_ca)) return std::nullopt;
+  }
+  if (seq.NextIs(asn1::kTagInteger)) {
+    std::int64_t v;
+    if (!seq.ReadInteger(&v) || v < 0) return std::nullopt;
+    bc.path_len = static_cast<int>(v);
+  }
+  return bc;
+}
+
+inline std::optional<std::uint16_t> ParseKeyUsage(BytesView value) {
+  asn1::Reader r(value);
+  BytesView content;
+  unsigned unused;
+  if (!r.ReadBitString(&content, &unused)) return std::nullopt;
+  std::uint16_t bits = 0;
+  for (std::size_t byte = 0; byte < content.size() && byte < 2; ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      if (content[byte] & (0x80 >> bit))
+        bits |= static_cast<std::uint16_t>(1u << (byte * 8 + static_cast<std::size_t>(bit)));
+    }
+  }
+  return bits;
+}
+
+inline std::optional<std::vector<std::string>> ParseCrlDistributionPoints(
+    BytesView value) {
+  asn1::Reader r(value);
+  asn1::Reader points;
+  if (!r.ReadSequence(&points)) return std::nullopt;
+  std::vector<std::string> urls;
+  while (!points.Empty()) {
+    asn1::Reader point;
+    if (!points.ReadSequence(&point)) return std::nullopt;
+    asn1::Reader dp_name;
+    if (!point.ReadContextConstructed(0, &dp_name)) continue;
+    asn1::Reader full_name;
+    if (!dp_name.ReadContextConstructed(0, &full_name)) continue;
+    while (!full_name.Empty()) {
+      BytesView uri;
+      if (full_name.ReadContextPrimitive(kGeneralNameUri, &uri)) {
+        urls.emplace_back(uri.begin(), uri.end());
+      } else {
+        // Skip non-URI general names.
+        std::uint8_t tag;
+        BytesView skipped;
+        if (!full_name.ReadTlv(&tag, &skipped)) return std::nullopt;
+      }
+    }
+  }
+  return urls;
+}
+
+inline std::optional<AuthorityInfoAccess> ParseAuthorityInfoAccess(BytesView value) {
+  asn1::Reader r(value);
+  asn1::Reader descriptions;
+  if (!r.ReadSequence(&descriptions)) return std::nullopt;
+  AuthorityInfoAccess aia;
+  while (!descriptions.Empty()) {
+    asn1::Reader desc;
+    if (!descriptions.ReadSequence(&desc)) return std::nullopt;
+    asn1::Oid method;
+    BytesView uri;
+    if (!desc.ReadOid(&method)) return std::nullopt;
+    if (!desc.ReadContextPrimitive(kGeneralNameUri, &uri)) continue;
+    if (method == asn1::oids::AdOcsp()) {
+      aia.ocsp_urls.emplace_back(uri.begin(), uri.end());
+    } else if (method == asn1::oids::AdCaIssuers()) {
+      aia.ca_issuer_urls.emplace_back(uri.begin(), uri.end());
+    }
+  }
+  return aia;
+}
+
+inline std::optional<std::vector<asn1::Oid>> ParseCertificatePolicies(
+    BytesView value) {
+  asn1::Reader r(value);
+  asn1::Reader infos;
+  if (!r.ReadSequence(&infos)) return std::nullopt;
+  std::vector<asn1::Oid> out;
+  while (!infos.Empty()) {
+    asn1::Reader info;
+    if (!infos.ReadSequence(&info)) return std::nullopt;
+    asn1::Oid policy;
+    if (!info.ReadOid(&policy)) return std::nullopt;
+    out.push_back(std::move(policy));
+  }
+  return out;
+}
+
+inline std::optional<std::vector<std::string>> ParseSubjectAltName(BytesView value) {
+  asn1::Reader r(value);
+  asn1::Reader names;
+  if (!r.ReadSequence(&names)) return std::nullopt;
+  std::vector<std::string> out;
+  while (!names.Empty()) {
+    BytesView dns;
+    if (names.ReadContextPrimitive(kGeneralNameDns, &dns)) {
+      out.emplace_back(dns.begin(), dns.end());
+    } else {
+      std::uint8_t tag;
+      BytesView skipped;
+      if (!names.ReadTlv(&tag, &skipped)) return std::nullopt;
+    }
+  }
+  return out;
+}
+
+inline bool DecodeSubtrees(asn1::Reader& r, std::vector<std::string>* out) {
+  while (!r.Empty()) {
+    asn1::Reader subtree;
+    if (!r.ReadSequence(&subtree)) return false;
+    BytesView dns;
+    if (subtree.ReadContextPrimitive(kGeneralNameDns, &dns)) {
+      out->emplace_back(dns.begin(), dns.end());
+    } else {
+      std::uint8_t tag;
+      BytesView skipped;
+      if (!subtree.ReadTlv(&tag, &skipped)) return false;  // skip other bases
+    }
+  }
+  return true;
+}
+
+inline std::optional<NameConstraints> ParseNameConstraints(BytesView value) {
+  asn1::Reader r(value);
+  asn1::Reader seq;
+  if (!r.ReadSequence(&seq)) return std::nullopt;
+  NameConstraints nc;
+  if (seq.NextIsContext(0)) {
+    asn1::Reader permitted;
+    if (!seq.ReadContextConstructed(0, &permitted) ||
+        !DecodeSubtrees(permitted, &nc.permitted_dns))
+      return std::nullopt;
+  }
+  if (seq.NextIsContext(1)) {
+    asn1::Reader excluded;
+    if (!seq.ReadContextConstructed(1, &excluded) ||
+        !DecodeSubtrees(excluded, &nc.excluded_dns))
+      return std::nullopt;
+  }
+  return nc;
+}
+
+inline std::optional<Bytes> ParseSubjectKeyIdentifier(BytesView value) {
+  asn1::Reader r(value);
+  BytesView id;
+  if (!r.ReadOctetString(&id)) return std::nullopt;
+  return Bytes(id.begin(), id.end());
+}
+
+inline std::optional<Bytes> ParseAuthorityKeyIdentifier(BytesView value) {
+  asn1::Reader r(value);
+  asn1::Reader seq;
+  if (!r.ReadSequence(&seq)) return std::nullopt;
+  BytesView id;
+  if (!seq.ReadContextPrimitive(0, &id)) return std::nullopt;
+  return Bytes(id.begin(), id.end());
+}
+
+inline std::optional<Certificate> ParseCertificate(BytesView der) {
+  asn1::Reader top(der);
+  asn1::Reader cert_seq;
+  if (!top.ReadSequence(&cert_seq) || !top.Empty()) return std::nullopt;
+
+  Certificate cert;
+  cert.der.assign(der.begin(), der.end());
+
+  BytesView tbs_raw;
+  {
+    // Capture the raw TBS bytes, then parse them.
+    asn1::Reader probe = cert_seq;
+    if (!probe.ReadRawTlv(&tbs_raw)) return std::nullopt;
+    cert_seq = probe;
+  }
+  cert.tbs_der.assign(tbs_raw.begin(), tbs_raw.end());
+
+  asn1::Reader tbs(tbs_raw);
+  asn1::Reader tbs_seq;
+  if (!tbs.ReadSequence(&tbs_seq)) return std::nullopt;
+
+  // version
+  asn1::Reader version_reader;
+  if (!tbs_seq.ReadContextExplicit(0, &version_reader)) return std::nullopt;
+  std::int64_t version;
+  if (!version_reader.ReadInteger(&version) || version != 2)
+    return std::nullopt;
+
+  if (!tbs_seq.ReadIntegerUnsigned(&cert.tbs.serial)) return std::nullopt;
+
+  auto inner_sig_type = DecodeSignatureAlgorithm(tbs_seq);
+  if (!inner_sig_type) return std::nullopt;
+
+  auto issuer = DecodeName(tbs_seq);
+  if (!issuer) return std::nullopt;
+  cert.tbs.issuer = *std::move(issuer);
+
+  asn1::Reader validity;
+  if (!tbs_seq.ReadSequence(&validity) ||
+      !validity.ReadTime(&cert.tbs.not_before) ||
+      !validity.ReadTime(&cert.tbs.not_after))
+    return std::nullopt;
+
+  auto subject = DecodeName(tbs_seq);
+  if (!subject) return std::nullopt;
+  cert.tbs.subject = *std::move(subject);
+
+  auto key = reference::x509::DecodeSpki(tbs_seq);
+  if (!key) return std::nullopt;
+  cert.tbs.public_key = *std::move(key);
+
+  if (tbs_seq.NextIsContext(3)) {
+    asn1::Reader ext_wrapper;
+    if (!tbs_seq.ReadContextExplicit(3, &ext_wrapper)) return std::nullopt;
+    auto exts = DecodeExtensionList(ext_wrapper);
+    if (!exts) return std::nullopt;
+    for (const Extension& ext : *exts) {
+      if (ext.oid == asn1::oids::BasicConstraints()) {
+        auto bc = reference::x509::ParseBasicConstraints(ext.value);
+        if (!bc) return std::nullopt;
+        cert.tbs.basic_constraints = *bc;
+      } else if (ext.oid == asn1::oids::NameConstraints()) {
+        auto nc = reference::x509::ParseNameConstraints(ext.value);
+        if (!nc) return std::nullopt;
+        cert.tbs.name_constraints = *std::move(nc);
+      } else if (ext.oid == asn1::oids::KeyUsage()) {
+        auto ku = reference::x509::ParseKeyUsage(ext.value);
+        if (!ku) return std::nullopt;
+        cert.tbs.key_usage = *ku;
+      } else if (ext.oid == asn1::oids::CrlDistributionPoints()) {
+        auto urls = reference::x509::ParseCrlDistributionPoints(ext.value);
+        if (!urls) return std::nullopt;
+        cert.tbs.crl_urls = *std::move(urls);
+      } else if (ext.oid == asn1::oids::AuthorityInfoAccess()) {
+        auto aia = reference::x509::ParseAuthorityInfoAccess(ext.value);
+        if (!aia) return std::nullopt;
+        cert.tbs.ocsp_urls = std::move(aia->ocsp_urls);
+      } else if (ext.oid == asn1::oids::CertificatePolicies()) {
+        auto policies = reference::x509::ParseCertificatePolicies(ext.value);
+        if (!policies) return std::nullopt;
+        cert.tbs.policies = *std::move(policies);
+      } else if (ext.oid == asn1::oids::SubjectAltName()) {
+        auto sans = reference::x509::ParseSubjectAltName(ext.value);
+        if (!sans) return std::nullopt;
+        cert.tbs.dns_names = *std::move(sans);
+      } else if (ext.oid == asn1::oids::SubjectKeyIdentifier()) {
+        auto ski = reference::x509::ParseSubjectKeyIdentifier(ext.value);
+        if (!ski) return std::nullopt;
+        cert.tbs.subject_key_id = *std::move(ski);
+      } else if (ext.oid == asn1::oids::AuthorityKeyIdentifier()) {
+        auto aki = reference::x509::ParseAuthorityKeyIdentifier(ext.value);
+        if (!aki) return std::nullopt;
+        cert.tbs.authority_key_id = *std::move(aki);
+      } else if (ext.critical) {
+        return std::nullopt;  // unknown critical extension
+      }
+    }
+  }
+
+  auto outer_sig_type = DecodeSignatureAlgorithm(cert_seq);
+  if (!outer_sig_type || *outer_sig_type != *inner_sig_type)
+    return std::nullopt;
+  cert.sig_type = *outer_sig_type;
+
+  BytesView sig_bits;
+  unsigned unused = 0;
+  if (!cert_seq.ReadBitString(&sig_bits, &unused) || unused != 0)
+    return std::nullopt;
+  cert.signature.assign(sig_bits.begin(), sig_bits.end());
+  if (!cert_seq.Empty()) return std::nullopt;
   return cert;
 }
 

@@ -330,7 +330,8 @@ TEST_P(FuzzSeeds, StreamingIngestRejectsWithoutCorpusCorruption) {
 // One-byte mutations of DER the corpus already holds: ObserveDer's byte
 // dedup misses on every mutant, so each takes the parse path — accepted
 // exactly when ParseCertView accepts it, as a new row fingerprinted by its
-// own SHA-256, and rejected without touching the corpus otherwise.
+// own SHA-256 whose full parse (cert()) exists and matches its CA, EV and
+// URL columns, and rejected without touching the corpus otherwise.
 TEST_P(FuzzSeeds, OneByteMutationsOfInternedDerTakeTheParsePath) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 11);
   const Bytes valid = ValidCertDer();
@@ -365,6 +366,13 @@ TEST_P(FuzzSeeds, OneByteMutationsOfInternedDerTakeTheParsePath) {
       }
       const BytesView fp = corpus.fingerprint(*row);
       EXPECT_EQ(Bytes(fp.begin(), fp.end()), crypto::Sha256Bytes(mutated));
+      // The full parse accepts every stored row and agrees with its columns.
+      const x509::CertPtr cert = corpus.cert(*row);
+      ASSERT_NE(cert, nullptr) << "mutant " << i;
+      EXPECT_EQ(cert->IsCa(), corpus.is_ca(*row));
+      EXPECT_EQ(cert->IsEv(), corpus.is_ev(*row));
+      EXPECT_EQ(cert->tbs.crl_urls.size(), corpus.crl_url_ids(*row).size());
+      EXPECT_EQ(cert->tbs.ocsp_urls.size(), corpus.ocsp_url_ids(*row).size());
     } else {
       EXPECT_EQ(corpus.size(), size_before);
     }

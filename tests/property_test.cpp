@@ -3,6 +3,7 @@
 // invariants at random depths, filter guarantees across random workloads,
 // end-to-end CA/browser consistency under random revocation schedules,
 // ParseCertView against ParseCertificate on near-miss OIDs and Name shapes,
+// the one certificate walk against the separate parser it replaced,
 // the OCSP request view parser against the allocating parser it replaced,
 // the one-buffer DER writer against the concatenating encoders it replaced,
 // and the SHA-256 compression paths against the scalar oracle.
@@ -372,6 +373,331 @@ TEST(ViewFullParseAgreement, NameShapesAcceptAndRejectAlike) {
   }
 }
 
+// -------------------------- one certificate walk vs the reference parse ----
+//
+// ParseCertificate is ParseCertView plus materialization; der_reference.h
+// keeps the separate walk it replaced. The two must agree on accept/reject
+// and on every field, with one named exception: a certificate carrying a
+// known extension twice, which the one walk rejects (RFC 5280 §4.2) and the
+// reference took with the last instance winning. Each table row names its
+// deviation from a base leaf, in the style of a declarative chain spec, and
+// the verdict of each parse; then every one-byte mutation of the row's DER
+// (each position set to each other byte value) must agree as well.
+
+namespace ref509 = reference::x509;
+
+// A 512-bit RSA key, generated once (the DER writer tables below use it too).
+const crypto::KeyPair& DiffRsaKey() {
+  static const crypto::KeyPair key = [] {
+    util::Rng rng(0xD1FF);
+    return crypto::GenerateKeyPair(rng, crypto::KeyType::kRsaSha256, 512);
+  }();
+  return key;
+}
+
+// A certificate as its DER pieces, so a row can replace any of them.
+struct CertParts {
+  Bytes version = der::EncodeContextExplicit(0, der::EncodeInteger(2));
+  Bytes serial = der::EncodeIntegerUnsigned(Bytes{0x2A, 0x17});
+  Bytes inner_alg = ref509::EncodeSignatureAlgorithm(crypto::KeyType::kSimSha256);
+  Bytes issuer = ref509::EncodeName(x509::Name::Make("Walk CA", "W"));
+  Bytes validity = der::EncodeSequence(
+      {der::EncodeTime(kNow - kDay), der::EncodeTime(kNow + kDay)});
+  Bytes subject = ref509::EncodeName(x509::Name::FromCommonName("walk.sim"));
+  Bytes spki =
+      ref509::EncodeSpki(crypto::SimKeyFromLabel("walk-leaf").Public());
+  // nullopt: no extensions field at all.
+  std::optional<std::vector<ref509::Extension>> extensions =
+      std::vector<ref509::Extension>{
+          ref509::MakeBasicConstraints({false, -1}),
+          ref509::MakeKeyUsage(x509::kKeyUsageDigitalSignature),
+          ref509::MakeCrlDistributionPoints({"http://crl.walk.sim/a.crl"}),
+          ref509::MakeAuthorityInfoAccess(
+              {{"http://ocsp.walk.sim/"}, {"http://ca.walk.sim/ca.crt"}}),
+          ref509::MakeCertificatePolicies({asn1::oids::VerisignEvPolicy()}),
+          ref509::MakeSubjectAltName({"walk.sim"}),
+      };
+  Bytes after_extensions;  // appended inside the TBS
+  Bytes outer_alg = ref509::EncodeSignatureAlgorithm(crypto::KeyType::kSimSha256);
+  Bytes signature = der::EncodeBitString(Bytes(32, 0x5A));
+
+  Bytes Der() const {
+    std::vector<Bytes> tbs{version,  serial,  inner_alg, issuer,
+                           validity, subject, spki};
+    if (extensions)
+      tbs.push_back(der::EncodeContextExplicit(
+          3, ref509::EncodeExtensionList(*extensions)));
+    tbs.push_back(after_extensions);
+    return der::EncodeSequence(
+        {der::EncodeSequence(tbs), outer_alg, signature});
+  }
+};
+
+ref509::Extension RawExtension(const asn1::Oid& oid, bool critical,
+                               Bytes value) {
+  return {oid, critical, std::move(value)};
+}
+
+struct WalkSpec {
+  std::string deviation;
+  std::function<void(CertParts&)> apply;
+  bool accepts;            // the one walk's verdict
+  bool reference_accepts;  // the reference parse's verdict
+};
+
+std::vector<WalkSpec> WalkSpecs() {
+  using Parts = CertParts;
+  const auto add = [](ref509::Extension ext) {
+    return [ext](Parts& p) { p.extensions->push_back(ext); };
+  };
+  const asn1::Oid unknown{1, 3, 6, 1, 4, 1, 99999, 7};
+  return {
+      {"base leaf: every extension the view reads", [](Parts&) {}, true,
+       true},
+      {"CA: pathLen, name constraints, key identifiers, two policies",
+       [](Parts& p) {
+         x509::NameConstraints nc;
+         nc.permitted_dns = {"walk.sim"};
+         nc.excluded_dns = {"x.walk.sim"};
+         p.extensions = std::vector<ref509::Extension>{
+             ref509::MakeBasicConstraints({true, 2}),
+             ref509::MakeNameConstraints(nc),
+             ref509::MakeKeyUsage(x509::kKeyUsageKeyCertSign |
+                                  x509::kKeyUsageCrlSign),
+             ref509::MakeCrlDistributionPoints(
+                 {"http://crl.walk.sim/1.crl", "http://crl.walk.sim/2.crl"}),
+             ref509::MakeCertificatePolicies(
+                 {asn1::Oid{2, 23, 140, 1, 2, 1},
+                  asn1::oids::VerisignEvPolicy()}),
+             ref509::MakeSubjectKeyIdentifier(Bytes{1, 2, 3, 4}),
+             ref509::MakeAuthorityKeyIdentifier(Bytes{5, 6, 7, 8}),
+         };
+       },
+       true, true},
+      {"RSA signature algorithm and RSA subject key",
+       [](Parts& p) {
+         p.inner_alg = p.outer_alg =
+             ref509::EncodeSignatureAlgorithm(crypto::KeyType::kRsaSha256);
+         p.spki = ref509::EncodeSpki(DiffRsaKey().Public());
+       },
+       true, true},
+      {"no extensions field", [](Parts& p) { p.extensions.reset(); }, true,
+       true},
+      {"an empty extension list",
+       [](Parts& p) { p.extensions->clear(); }, true, true},
+      {"an unknown non-critical extension, twice",
+       [=](Parts& p) {
+         add(RawExtension(unknown, false, der::EncodeNull()))(p);
+         add(RawExtension(unknown, false, der::EncodeNull()))(p);
+       },
+       true, true},
+      {"GeneralizedTime validity before 2050",
+       [](Parts& p) {
+         p.validity = der::EncodeSequence(
+             {der::EncodeGeneralizedTime(kNow - kDay),
+              der::EncodeGeneralizedTime(kNow + kDay)});
+       },
+       true, true},
+      {"a serial with its sign-padding zero",
+       [](Parts& p) { p.serial = der::EncodeIntegerUnsigned(Bytes{0x80, 1}); },
+       true, true},
+      {"bytes after the extensions field",
+       [](Parts& p) { p.after_extensions = der::EncodeNull(); }, true, true},
+      {"a critical unknown extension",
+       add(RawExtension(unknown, true, der::EncodeNull())), false, false},
+      {"a non-minimal serial",
+       [](Parts& p) {
+         p.serial = der::Tlv(asn1::kTagInteger, Bytes{0x00, 0x2A});
+       },
+       false, false},
+      {"a negative serial",
+       [](Parts& p) { p.serial = der::Tlv(asn1::kTagInteger, Bytes{0xD6}); },
+       false, false},
+      {"inner and outer signature algorithms differ",
+       [](Parts& p) {
+         p.outer_alg =
+             ref509::EncodeSignatureAlgorithm(crypto::KeyType::kRsaSha256);
+       },
+       false, false},
+      {"version v1",
+       [](Parts& p) {
+         p.version = der::EncodeContextExplicit(0, der::EncodeInteger(0));
+       },
+       false, false},
+      {"a negative pathLen",
+       [](Parts& p) {
+         (*p.extensions)[0] = RawExtension(
+             asn1::oids::BasicConstraints(), true,
+             der::EncodeSequence(
+                 {der::EncodeBoolean(true), der::EncodeInteger(-1)}));
+       },
+       false, false},
+      {"a KeyUsage that is not a BIT STRING",
+       [](Parts& p) {
+         (*p.extensions)[1] =
+             RawExtension(asn1::oids::KeyUsage(), true,
+                          der::EncodeOctetString(Bytes{0x80}));
+       },
+       false, false},
+      {"a SubjectAltName that is not a SEQUENCE",
+       [](Parts& p) {
+         (*p.extensions)[5] = RawExtension(
+             asn1::oids::SubjectAltName(), false,
+             der::EncodeSet({der::EncodeContextPrimitive(2, ToBytes("a"))}));
+       },
+       false, false},
+      {"an SPKI BIT STRING with unused bits",
+       [](Parts& p) {
+         const Bytes& key = crypto::SimKeyFromLabel("walk-leaf").sim_id;
+         p.spki = der::EncodeSequence(
+             {der::EncodeSequence({der::EncodeOid(asn1::oids::SimSha256())}),
+              der::EncodeBitString(key, 1)});
+       },
+       false, false},
+      {"an SPKI with an unknown algorithm",
+       [](Parts& p) {
+         p.spki = der::EncodeSequence(
+             {der::EncodeSequence({der::EncodeOid(asn1::Oid{1, 2, 3})}),
+              der::EncodeBitString(Bytes(32, 0x11))});
+       },
+       false, false},
+      {"a 31-byte sim key",
+       [](Parts& p) {
+         p.spki = der::EncodeSequence(
+             {der::EncodeSequence({der::EncodeOid(asn1::oids::SimSha256())}),
+              der::EncodeBitString(Bytes(31, 0x11))});
+       },
+       false, false},
+      {"two CRLDistributionPoints",
+       add(ref509::MakeCrlDistributionPoints({"http://crl.walk.sim/b.crl"})),
+       false, true},
+      {"two AuthorityInfoAccess",
+       add(ref509::MakeAuthorityInfoAccess({{"http://ocsp2.walk.sim/"}, {}})),
+       false, true},
+      {"BasicConstraints(cA), then an empty BasicConstraints",
+       [=](Parts& p) {
+         (*p.extensions)[0] = ref509::MakeBasicConstraints({true, -1});
+         add(ref509::MakeBasicConstraints({false, -1}))(p);
+       },
+       false, true},
+      {"the EV policy, then a second CertificatePolicies",
+       add(ref509::MakeCertificatePolicies({asn1::Oid{2, 23, 140, 1, 2, 1}})),
+       false, true},
+      {"two SubjectAltNames", add(ref509::MakeSubjectAltName({"b.walk.sim"})),
+       false, true},
+  };
+}
+
+// The only inputs on which the two parses may differ: an extension list
+// that names one known extension twice.
+bool HasDuplicateKnownExtension(const Bytes& der) {
+  asn1::Reader top(der), cert, tbs, wrapper;
+  if (!top.ReadSequence(&cert) || !cert.ReadSequence(&tbs)) return false;
+  BytesView field;
+  for (int i = 0; i < 7; ++i)  // version .. subjectPublicKeyInfo
+    if (!tbs.ReadRawTlv(&field)) return false;
+  if (!tbs.ReadContextExplicit(3, &wrapper)) return false;
+  const auto exts = ref509::DecodeExtensionList(wrapper);
+  if (!exts) return false;
+  namespace oids = asn1::oids;
+  for (const asn1::Oid* known :
+       {&oids::BasicConstraints(), &oids::NameConstraints(), &oids::KeyUsage(),
+        &oids::CrlDistributionPoints(), &oids::AuthorityInfoAccess(),
+        &oids::CertificatePolicies(), &oids::SubjectAltName(),
+        &oids::SubjectKeyIdentifier(), &oids::AuthorityKeyIdentifier()}) {
+    if (std::ranges::count_if(*exts, [&](const ref509::Extension& e) {
+          return e.oid == *known;
+        }) > 1)
+      return true;
+  }
+  return false;
+}
+
+// The first field on which two parsed certificates differ, or "".
+std::string FirstDifference(const x509::Certificate& a,
+                            const x509::Certificate& b) {
+  const x509::TbsCertificate& x = a.tbs;
+  const x509::TbsCertificate& y = b.tbs;
+  const std::pair<const char*, bool> fields[] = {
+      {"der", a.der == b.der},
+      {"tbs_der", a.tbs_der == b.tbs_der},
+      {"signature", a.signature == b.signature},
+      {"sig_type", a.sig_type == b.sig_type},
+      {"serial", x.serial == y.serial},
+      {"issuer", x.issuer == y.issuer},
+      {"subject", x.subject == y.subject},
+      {"not_before", x.not_before == y.not_before},
+      {"not_after", x.not_after == y.not_after},
+      {"public_key", x.public_key == y.public_key},
+      {"is_ca", x.basic_constraints.is_ca == y.basic_constraints.is_ca},
+      {"path_len", x.basic_constraints.path_len == y.basic_constraints.path_len},
+      {"permitted_dns",
+       x.name_constraints.permitted_dns == y.name_constraints.permitted_dns},
+      {"excluded_dns",
+       x.name_constraints.excluded_dns == y.name_constraints.excluded_dns},
+      {"key_usage", x.key_usage == y.key_usage},
+      {"crl_urls", x.crl_urls == y.crl_urls},
+      {"ocsp_urls", x.ocsp_urls == y.ocsp_urls},
+      {"policies", x.policies == y.policies},
+      {"dns_names", x.dns_names == y.dns_names},
+      {"subject_key_id", x.subject_key_id == y.subject_key_id},
+      {"authority_key_id", x.authority_key_id == y.authority_key_id},
+  };
+  for (const auto& [name, same] : fields)
+    if (!same) return name;
+  return "";
+}
+
+// How the two parses disagree on `der` ("" if they agree). Sets *accepted
+// to the one walk's verdict.
+std::string WalkDisagreement(const Bytes& der, bool* accepted) {
+  const std::optional<x509::Certificate> got = x509::ParseCertificate(der);
+  const std::optional<x509::Certificate> want = ref509::ParseCertificate(der);
+  *accepted = got.has_value();
+  if (!got && !want) return "";
+  if (HasDuplicateKnownExtension(der))
+    return got ? "accepted a duplicate known extension" : "";
+  if (got.has_value() != want.has_value())
+    return got ? "accepted what the reference rejects"
+               : "rejected what the reference accepts";
+  if (!got) return "";
+  if (std::string field = FirstDifference(*got, *want); !field.empty())
+    return "differs in " + field;
+  const std::optional<x509::CertView> view = x509::ParseCertView(der);
+  if (!view || view->is_ca != got->IsCa() || view->is_ev != got->IsEv())
+    return "view columns differ from the full parse";
+  return "";
+}
+
+TEST(ViewFullParseAgreement, OneWalkMatchesTheReferenceParse) {
+  std::size_t mutants = 0;
+  std::size_t accepted = 0;
+  for (const WalkSpec& spec : WalkSpecs()) {
+    SCOPED_TRACE(spec.deviation);
+    CertParts parts;
+    spec.apply(parts);
+    const Bytes der = parts.Der();
+    ASSERT_EQ(x509::ParseCertificate(der).has_value(), spec.accepts);
+    ASSERT_EQ(ref509::ParseCertificate(der).has_value(),
+              spec.reference_accepts);
+    bool ok = false;
+    ASSERT_EQ(WalkDisagreement(der, &ok), "");
+    for (std::size_t pos = 0; pos < der.size(); ++pos) {
+      Bytes mutated = der;
+      for (int delta = 1; delta < 256; ++delta) {
+        mutated[pos] = static_cast<std::uint8_t>(der[pos] + delta);
+        const std::string disagreement = WalkDisagreement(mutated, &ok);
+        ASSERT_EQ(disagreement, "")
+            << "position " << pos << " delta " << delta;
+        ++mutants;
+        accepted += ok ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, mutants);
+}
+
 // --------------------------------------------------------- CRL round-trip ----
 
 class CrlRoundTrip : public Seeded {};
@@ -489,7 +815,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OcspRoundTrip, ::testing::Range(0, 15));
 // ------------------------------- OCSP request: view parse vs reference ----
 
 // The allocating request parser the view parser replaced, kept verbatim as
-// the reference the one parser must agree with.
+// the reference the one parser must agree with; its extension-list decoder
+// is the reference copy in der_reference.h.
 std::optional<ocsp::CertId> DecodeCertId(asn1::Reader& r) {
   asn1::Reader seq;
   if (!r.ReadSequence(&seq)) return std::nullopt;
@@ -527,9 +854,9 @@ std::optional<ocsp::OcspRequest> ParseOcspRequest(BytesView der) {
   if (tbs.NextIsContext(2)) {
     asn1::Reader ext_wrapper;
     if (!tbs.ReadContextExplicit(2, &ext_wrapper)) return std::nullopt;
-    auto exts = x509::DecodeExtensionList(ext_wrapper);
+    auto exts = reference::x509::DecodeExtensionList(ext_wrapper);
     if (!exts) return std::nullopt;
-    for (const x509::Extension& ext : *exts) {
+    for (const reference::x509::Extension& ext : *exts) {
       if (ext.oid == asn1::oids::OcspNonce()) {
         asn1::Reader nonce_reader(ext.value);
         BytesView nonce;
@@ -686,14 +1013,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OcspRequestAgreement, ::testing::Range(0, 8));
 
 const crypto::KeyPair& DiffSimKey() {
   static const crypto::KeyPair key = crypto::SimKeyFromLabel("diff-ca");
-  return key;
-}
-
-const crypto::KeyPair& DiffRsaKey() {
-  static const crypto::KeyPair key = [] {
-    util::Rng rng(0xD1FF);
-    return crypto::GenerateKeyPair(rng, crypto::KeyType::kRsaSha256, 512);
-  }();
   return key;
 }
 
