@@ -75,13 +75,13 @@ int main() {
 
   // 5a. Check via CRL: download, verify the CA's signature, look up.
   const net::FetchResult crl_fetch = net.Get(leaf->tbs.crl_urls[0], now);
-  auto crl = crl::ParseCrl(crl_fetch.response.body);
+  const auto crl = crl::ParseCrlView(crl_fetch.response.body);
+  if (!crl) return 1;
   const bool crl_sig_ok =
-      crl && crl::VerifyCrlSignature(*crl, intermediate->key().Public());
-  const crl::CrlIndex index(*crl);
-  const crl::CrlEntry* entry = index.Lookup(leaf->tbs.serial);
+      crl::VerifyCrlSignature(*crl, intermediate->key().Public());
+  const auto entry = crl->Find(leaf->tbs.serial);
   std::printf("CRL check:  %s  (%zu entries, %s, signature %s, %.0f ms)\n",
-              entry ? "REVOKED" : "good", crl->tbs.entries.size(),
+              entry ? "REVOKED" : "good", crl->num_entries,
               util::HumanBytes(static_cast<double>(crl->der.size())).c_str(),
               crl_sig_ok ? "ok" : "BAD", crl_fetch.elapsed_seconds * 1000);
   if (entry)

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
 
@@ -82,6 +83,37 @@ class Reader {
 
   BytesView data_;
   std::size_t pos_ = 0;
+};
+
+// The items of a list that a parse validated whole, each read by `Read`.
+// Range-for over it yields them in wire order without copying or
+// allocating; every read succeeded in the parse, so iteration cannot fail.
+template <typename Item, bool (*Read)(Reader&, Item*)>
+class ValidatedList {
+ public:
+  class Iterator {
+   public:
+    explicit Iterator(BytesView list) : rest_(list) { ++*this; }
+    const Item& operator*() const { return item_; }
+    Iterator& operator++() {
+      done_ = rest_.Empty() || !Read(rest_, &item_);
+      return *this;
+    }
+    bool operator==(std::default_sentinel_t) const { return done_; }
+
+   private:
+    Reader rest_;
+    Item item_{};
+    bool done_ = false;
+  };
+
+  ValidatedList() = default;
+  explicit ValidatedList(BytesView list) : list_(list) {}
+  Iterator begin() const { return Iterator(list_); }
+  std::default_sentinel_t end() const { return {}; }
+
+ private:
+  BytesView list_;  // content octets of the list
 };
 
 // Parses a DER Time content (UTCTime "YYMMDDHHMMSSZ" with the RFC 5280 sliding

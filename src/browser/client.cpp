@@ -43,18 +43,19 @@ ElementStatus CheckViaCrl(CheckContext& ctx, const x509::Certificate& cert,
   bool any_fetched = false;
   for (const std::string& url : cert.tbs.crl_urls) {
     ++ctx.outcome->crl_fetches;
+    // The view aliases the body, which the fetch result moves along but
+    // never copies.
+    std::optional<crl::CrlView> crl;
     const net::RetryResult fetch = net::GetWithRetry(
         *ctx.net, url, ctx.now, kFetchRetry, /*timeout_seconds=*/10.0,
-        [](const net::HttpResponse& response) {
-          return crl::ParseCrl(response.body).has_value();
+        [&crl](const net::HttpResponse& response) {
+          crl = crl::ParseCrlView(response.body);
+          return crl.has_value();
         });
     Account(ctx, fetch);
-    if (!fetch.ok()) continue;
-    auto crl = crl::ParseCrl(fetch.fetch.response.body);
-    if (!crl || !crl::VerifyCrlSignature(*crl, issuer_key)) continue;
+    if (!fetch.ok() || !crl::VerifyCrlSignature(*crl, issuer_key)) continue;
     any_fetched = true;
-    const crl::CrlIndex index(*crl);
-    if (index.IsRevoked(cert.tbs.serial)) return ElementStatus::kRevoked;
+    if (crl->Find(cert.tbs.serial)) return ElementStatus::kRevoked;
   }
   return any_fetched ? ElementStatus::kGood : ElementStatus::kUnavailable;
 }

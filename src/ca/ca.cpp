@@ -254,7 +254,7 @@ void CertificateAuthority::RebuildCrl(int shard, util::Timestamp now) {
     tbs.entries.push_back(
         crl::CrlEntry{serial, record.revoked_at, record.reason});
   }
-  state.crl = crl::SignCrl(tbs, key_);
+  state.crl = crl::SignCrl(std::move(tbs), key_);
   state.dirty = false;
 }
 

@@ -1,7 +1,10 @@
 #include "core/crawler.h"
 
+#include <algorithm>
 #include <chrono>
+#include <set>
 
+#include "crl/crl.h"
 #include "net/retry.h"
 #include "net/url.h"
 #include "obs/distrace.h"
@@ -19,6 +22,31 @@ constexpr net::RetryPolicy kCrawlRetry{.max_attempts = 4,
                                        .backoff_multiplier = 2,
                                        .max_backoff_seconds = 300,
                                        .jitter = 0.5};
+
+// The CRL in `body` if it parses, names one of `issuers` and verifies under
+// that issuer's key.
+template <typename Issuers>
+std::optional<crl::CrlView> AcceptCrl(BytesView body, const Issuers& issuers) {
+  std::optional<crl::CrlView> view = crl::ParseCrlView(body);
+  if (!view) return std::nullopt;
+  for (const auto& issuer : issuers)
+    if (std::ranges::equal(view->issuer_der, issuer.name_der) &&
+        crl::VerifyCrlSignature(*view, issuer.key))
+      return view;
+  return std::nullopt;
+}
+
+// The OCSP response in `body` if it parses and, when successful, is signed
+// by `key` and answers `asked`. An error response carries neither.
+std::optional<ocsp::OcspResponse> AcceptOcspResponse(
+    BytesView body, const crypto::PublicKey& key, const ocsp::CertId& asked) {
+  std::optional<ocsp::OcspResponse> response = ocsp::ParseOcspResponse(body);
+  if (response && response->status == ocsp::ResponseStatus::kSuccessful &&
+      (!ocsp::VerifyOcspSignature(*response, key) ||
+       response->single.cert_id != asked))
+    return std::nullopt;
+  return response;
+}
 
 }  // namespace
 
@@ -81,51 +109,80 @@ void RevocationCrawler::set_threads(unsigned threads) {
 }
 
 void RevocationCrawler::CollectUrls(const Pipeline& pipeline) {
-  // Columnar walk: URLs are interned ids, so dedup by id first and build a
-  // std::string only once per distinct URL.
+  // The certificates that may sign a CRL, by subject name: roots first,
+  // then Intermediate Set members, the order Finalize matches them in.
+  std::map<Bytes, std::vector<const x509::Certificate*>, util::BytesLess>
+      by_subject;
+  for (const x509::CertPtr& root : pipeline.roots().all())
+    by_subject[root->tbs.subject.Encode()].push_back(root.get());
+  for (const x509::CertPtr& cert : pipeline.IntermediateSet())
+    by_subject[cert->tbs.subject.Encode()].push_back(cert.get());
+  const auto add = [&](const std::string& url, BytesView issuer_name) {
+    const auto it = by_subject.find(issuer_name);
+    if (it == by_subject.end()) return;
+    for (const x509::Certificate* issuer : it->second) AddUrl(url, *issuer);
+  };
+
+  // Columnar walk: URLs and names are interned ids, so dedup (URL, issuer
+  // name) pairs by id first and build a std::string only once per pair.
   const CertCorpus& corpus = pipeline.corpus();
-  std::set<std::uint32_t> url_ids;
+  std::set<std::pair<std::uint32_t, std::uint32_t>> url_issuers;
   for (const CertCorpus::Row row : pipeline.LeafSet()) {
-    for (const std::uint32_t id : corpus.crl_url_ids(row)) url_ids.insert(id);
+    for (const std::uint32_t id : corpus.crl_url_ids(row))
+      url_issuers.emplace(id, corpus.issuer_id(row));
   }
-  for (const std::uint32_t id : url_ids) AddUrl(std::string(corpus.url(id)));
+  for (const auto& [url_id, name_id] : url_issuers)
+    add(std::string(corpus.url(url_id)), corpus.name_der(name_id));
   for (const x509::CertPtr& cert : pipeline.IntermediateSet()) {
-    for (const std::string& url : cert->tbs.crl_urls) AddUrl(url);
+    const Bytes issuer_name = cert->tbs.issuer.Encode();
+    for (const std::string& url : cert->tbs.crl_urls) add(url, issuer_name);
   }
 }
 
-void RevocationCrawler::AddUrl(const std::string& url) {
+void RevocationCrawler::AddUrl(const std::string& url,
+                               const x509::Certificate& issuer) {
   // The paper only follows http[s] URLs (ldap:// and file:// are ignored).
-  if (net::IsFetchable(url)) urls_.insert(url);
+  if (!net::IsFetchable(url)) return;
+  Issuer candidate{issuer.tbs.subject.Encode(), issuer.tbs.public_key};
+  std::vector<Issuer>& issuers = urls_[url];
+  if (std::ranges::find(issuers, candidate) == issuers.end())
+    issuers.push_back(std::move(candidate));
 }
 
 std::size_t RevocationCrawler::CrawlAll(util::Timestamp now) {
   obs::Span visit_span("crawl.visit");
   const auto wall_start = std::chrono::steady_clock::now();
 
-  // Phase 1 — fan out: fetch + parse every URL, one slot per URL. Workers
+  // Phase 1 — fan out: fetch + verify every URL, one slot per URL. Workers
   // touch only their own slot; the cache, the simulated network, and the
   // crawler state they share are either internally synchronized (client_,
   // net_) or not written until the merge below.
   struct Outcome {
     net::CachingClient::Result result;
-    std::optional<crl::Crl> parsed;
+    std::optional<crl::CrlView> crl;  // aliases result's body
   };
-  const std::vector<std::string> urls(urls_.begin(), urls_.end());
+  std::vector<const decltype(urls_)::value_type*> urls;
+  urls.reserve(urls_.size());
+  for (const auto& url : urls_) urls.push_back(&url);
   std::vector<Outcome> outcomes(urls.size());
   if (!pool_) pool_ = std::make_unique<util::ThreadPool>(threads_);
   pool_->ParallelFor(urls.size(), [&](std::size_t i) {
     obs::Span fetch_span("crawl.fetch");
     const auto fetch_start = std::chrono::steady_clock::now();
     Outcome& out = outcomes[i];
-    // The parse-as-validator makes truncated/bit-corrupted bodies
-    // retryable and keeps them out of the HTTP cache.
-    out.result = client_.Get(urls[i], now, kCrawlRetry,
-                             [](const net::HttpResponse& response) {
-                               return crl::ParseCrl(response.body).has_value();
+    const auto& [url, issuers] = *urls[i];
+    // The validator keeps only a CRL one of the URL's issuers signed, so a
+    // truncated, corrupted or forged body is retried and never cached. The
+    // view it keeps aliases the body, which the fetch result moves along
+    // but never copies.
+    out.result = client_.Get(url, now, kCrawlRetry,
+                             [&](const net::HttpResponse& response) {
+                               out.crl = AcceptCrl(response.body, issuers);
+                               return out.crl.has_value();
                              });
-    if (out.result.fetch.ok())
-      out.parsed = crl::ParseCrl(out.result.fetch.response.body);
+    // A cache hit skips the validator: it was accepted when it was stored.
+    if (out.result.from_cache)
+      out.crl = crl::ParseCrlView(out.result.fetch.response.body);
     metrics_->fetch_ns.RecordSeconds(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       fetch_start)
@@ -139,13 +196,13 @@ std::size_t RevocationCrawler::CrawlAll(util::Timestamp now) {
   std::size_t new_entries = 0;
   Instruments& metrics = *metrics_;
   for (std::size_t i = 0; i < urls.size(); ++i) {
-    const std::string& url = urls[i];
+    const std::string& url = urls[i]->first;
     Outcome& out = outcomes[i];
     seconds_spent_ += out.result.fetch.elapsed_seconds;
     if (out.result.attempts > 1)
       metrics.retries.Add(static_cast<std::uint64_t>(out.result.attempts - 1));
-    if (!out.result.fetch.ok() || !out.parsed) {
-      // Exhausted retries (or an unparseable body that survived them):
+    if (!out.result.fetch.ok() || !out.crl) {
+      // Exhausted retries (every body unverifiable or no body at all):
       // count the failure, and if a previous crawl produced a snapshot,
       // keep serving it marked stale — revocations already learned must
       // not vanish because an endpoint is having a bad day.
@@ -165,28 +222,27 @@ std::size_t RevocationCrawler::CrawlAll(util::Timestamp now) {
       metrics.bytes_downloaded.Add(out.result.fetch.response.body.size());
 
     metrics.fetch_ok.Increment();
-    crl::Crl& parsed = *out.parsed;
+    const crl::CrlView& crl = *out.crl;
 
     CrawledCrl& crawled = crawled_[url];
     crawled.url = url;
-    crawled.issuer_name_der = parsed.tbs.issuer.Encode();
-    crawled.size_bytes = parsed.der.size();
-    crawled.num_entries = parsed.tbs.entries.size();
-    crawled.this_update = parsed.tbs.this_update;
-    crawled.next_update = parsed.tbs.next_update;
+    crawled.issuer_name_der.assign(crl.issuer_der.begin(),
+                                   crl.issuer_der.end());
+    crawled.size_bytes = crl.der.size();
+    crawled.num_entries = crl.num_entries;
+    crawled.this_update = crl.this_update;
+    crawled.next_update = crl.next_update;
     crawled.stale = false;
     crawled.stale_age_seconds = 0;
     crawled.last_good_fetch = now;
 
-    for (const crl::CrlEntry& entry : parsed.tbs.entries) {
+    for (const crl::CrlEntryView& entry : crl.entries) {
       RevocationInfo info;
       info.revoked_at = entry.revocation_date;
       info.reason = entry.reason;
       info.first_seen_in_crl = now;
-      if (db_.Insert(crawled.issuer_name_der, entry.serial, info))
-        ++new_entries;
+      if (db_.Insert(crl.issuer_der, entry.serial, info)) ++new_entries;
     }
-    crawled.crl = std::move(parsed);
   }
   metrics.revocations.Add(new_entries);
   crawl_wall_seconds_ += std::chrono::duration<double>(
@@ -204,24 +260,27 @@ std::optional<ocsp::CertStatus> RevocationCrawler::QueryOcsp(
     metrics_->ocsp_queries.Increment();
     ocsp::OcspRequest request;
     request.cert_ids = {ocsp::MakeCertId(issuer, cert.tbs.serial)};
+    // As for CRLs, the validator keeps only an answer the issuer signed,
+    // here to the question asked; anything else is retried.
+    std::optional<ocsp::OcspResponse> response;
     const net::RetryResult retried = net::PostWithRetry(
         *net_, url, ocsp::EncodeOcspRequest(request), now, kCrawlRetry,
-        /*timeout_seconds=*/10.0, [](const net::HttpResponse& response) {
-          return ocsp::ParseOcspResponse(response.body).has_value();
+        /*timeout_seconds=*/10.0, [&](const net::HttpResponse& http) {
+          response = AcceptOcspResponse(http.body, issuer.tbs.public_key,
+                                        request.cert_ids.front());
+          return response.has_value();
         });
     seconds_spent_ += retried.total_elapsed_seconds;
     if (retried.attempts > 1)
       metrics_->retries.Add(static_cast<std::uint64_t>(retried.attempts - 1));
     const net::FetchResult& fetch = retried.fetch;
-    if (!fetch.ok()) {
+    if (!fetch.ok() || !response) {
       metrics_->fetch_fail.Increment();
       ++url_failures_[url];
       continue;
     }
     metrics_->bytes_downloaded.Add(fetch.response.body.size());
-    auto response = ocsp::ParseOcspResponse(fetch.response.body);
-    if (!response || response->status != ocsp::ResponseStatus::kSuccessful)
-      continue;
+    if (response->status != ocsp::ResponseStatus::kSuccessful) continue;
     if (response->single.status == ocsp::CertStatus::kRevoked) {
       RevocationInfo info;
       info.revoked_at = response->single.revocation_time;

@@ -12,13 +12,11 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "core/revocation_db.h"
-#include "crl/crl.h"
 #include "net/cache.h"
 #include "net/simnet.h"
 #include "ocsp/ocsp.h"
@@ -27,7 +25,8 @@
 
 namespace rev::core {
 
-// Snapshot of one crawled CRL.
+// Snapshot of the latest CRL accepted from one URL: what the Fig. 5/6/9
+// analyses read of it. Its entries went into the revocation database.
 struct CrawledCrl {
   std::string url;
   Bytes issuer_name_der;
@@ -35,8 +34,6 @@ struct CrawledCrl {
   std::size_t num_entries = 0;
   util::Timestamp this_update = 0;
   util::Timestamp next_update = 0;
-  // Latest parsed body, kept for CRLSet generation.
-  crl::Crl crl;
 
   // Degradation state (docs/fault-injection.md): when a crawl exhausts its
   // retries for this URL, the last good snapshot above keeps serving and is
@@ -56,17 +53,26 @@ class RevocationCrawler {
   ~RevocationCrawler();  // out of line: Instruments is incomplete here
 
   // Registers the CRL URLs of every certificate in the pipeline's Leaf and
-  // Intermediate sets. Call once after Pipeline::Finalize().
+  // Intermediate sets, each with the certificates that may sign its CRL:
+  // the roots and Intermediate Set members whose subject is the issuer name
+  // of a certificate naming the URL (the name match Finalize verifies by).
+  // Call once after Pipeline::Finalize().
   void CollectUrls(const Pipeline& pipeline);
 
-  void AddUrl(const std::string& url);
+  // Registers `url` with `issuer` as one certificate that may sign its CRL.
+  void AddUrl(const std::string& url, const x509::Certificate& issuer);
 
   // Crawls all registered CRLs at `now` (honoring HTTP cache lifetimes via
-  // nextUpdate). Returns the number of *new* revocation entries discovered.
+  // nextUpdate). A body is accepted only if it parses, names one of its
+  // URL's issuers and verifies under that issuer's key; any other body is a
+  // corrupt one (FetchError::kCorruptBody), retried and never cached.
+  // Returns the number of *new* revocation entries discovered.
   std::size_t CrawlAll(util::Timestamp now);
 
   // Queries the OCSP responder for one certificate (used for the 642
-  // CRL-less certificates, §3.2). Requires the issuer certificate.
+  // CRL-less certificates, §3.2). Requires the issuer certificate: a
+  // successful response counts only if `issuer`'s key signed it and it
+  // answers the CertID asked; any other is a corrupt body.
   std::optional<ocsp::CertStatus> QueryOcsp(const x509::Certificate& cert,
                                             const x509::Certificate& issuer,
                                             util::Timestamp now);
@@ -120,7 +126,13 @@ class RevocationCrawler {
   net::CachingClient client_;
   unsigned threads_;
   std::unique_ptr<util::ThreadPool> pool_;  // created on first CrawlAll
-  std::set<std::string> urls_;
+  // A certificate that may sign a URL's CRL: its subject and its key.
+  struct Issuer {
+    Bytes name_der;
+    crypto::PublicKey key;
+    friend bool operator==(const Issuer&, const Issuer&) = default;
+  };
+  std::map<std::string, std::vector<Issuer>> urls_;
   std::map<std::string, CrawledCrl> crawled_;
   RevocationDb db_;
   double seconds_spent_ = 0;

@@ -49,151 +49,129 @@ void EncodeTbsCrl(asn1::Writer& w, const TbsCrl& tbs,
   w.End(tbs_seq);
 }
 
+// A ReadExtensions visitor that parses the extension `oid` with `parse`
+// into *out (the last instance wins) and passes over any other.
+template <typename Parse, typename T>
+auto KeepLast(const asn1::Oid& oid, Parse parse, T* out) {
+  return [&oid, parse, out](const x509::ExtensionView& ext) {
+    if (!asn1::OidContentIs(ext.oid, oid)) return true;
+    const auto value = parse(ext.value);
+    if (value) *out = *value;
+    return value.has_value();
+  };
+}
+
 }  // namespace
 
-Crl SignCrl(const TbsCrl& tbs, const crypto::KeyPair& issuer_key) {
+Crl SignCrl(TbsCrl tbs, const crypto::KeyPair& issuer_key) {
   Crl crl;
-  crl.tbs = tbs;
-  crl.sig_type = issuer_key.type;
+  crl.tbs = std::move(tbs);
   // CertificateList ::= SIGNED { TBSCertList }, in one buffer; an entry
   // without a reason is ~40 bytes, so the reserve covers the common shape.
-  crl.der.reserve(256 + 48 * tbs.entries.size());
+  crl.der.reserve(256 + 48 * crl.tbs.entries.size());
   asn1::Writer w(crl.der);
-  x509::EncodeSigned(
-      w, issuer_key,
-      [&](asn1::Writer& tbs_w) { EncodeTbsCrl(tbs_w, tbs, issuer_key.type); },
-      &crl.tbs_der, &crl.signature);
+  x509::EncodeSigned(w, issuer_key, [&](asn1::Writer& tbs_w) {
+    EncodeTbsCrl(tbs_w, crl.tbs, issuer_key.type);
+  });
   return crl;
 }
 
-std::optional<Crl> ParseCrl(BytesView der) {
-  asn1::Reader top(der);
-  asn1::Reader crl_seq;
-  if (!top.ReadSequence(&crl_seq) || !top.Empty()) return std::nullopt;
+bool ReadCrlEntry(asn1::Reader& list, CrlEntryView* out) {
+  asn1::Reader entry;
+  x509::Extensions exts;
+  out->reason = x509::ReasonCode::kNoReasonCode;
+  return list.ReadSequence(&entry) &&
+         entry.ReadIntegerUnsignedView(&out->serial) &&
+         entry.ReadTime(&out->revocation_date) &&
+         (!entry.NextIs(asn1::kTagSequence) ||
+          x509::ReadExtensions(entry, &exts,
+                               KeepLast(asn1::oids::CrlReason(),
+                                        x509::ParseCrlReason, &out->reason))) &&
+         entry.Empty();
+}
 
-  Crl crl;
-  crl.der.assign(der.begin(), der.end());
+std::optional<CrlEntryView> CrlView::Find(BytesView serial) const {
+  for (const CrlEntryView& entry : entries)
+    if (std::ranges::equal(entry.serial, serial)) return entry;
+  return std::nullopt;
+}
 
-  BytesView tbs_raw;
-  {
-    asn1::Reader probe = crl_seq;
-    if (!probe.ReadRawTlv(&tbs_raw)) return std::nullopt;
-    crl_seq = probe;
-  }
-  crl.tbs_der.assign(tbs_raw.begin(), tbs_raw.end());
-
-  asn1::Reader tbs(tbs_raw);
-  asn1::Reader tbs_seq;
-  if (!tbs.ReadSequence(&tbs_seq)) return std::nullopt;
-
+std::optional<CrlView> ParseCrlView(BytesView der) {
+  CrlView view;
+  view.der = der;
+  asn1::Reader top(der), crl_seq, tbs, tbs_seq;
   std::int64_t version;
-  if (!tbs_seq.ReadInteger(&version) || version != 1) return std::nullopt;
-
-  auto inner_sig_type = x509::DecodeSignatureAlgorithm(tbs_seq);
-  if (!inner_sig_type) return std::nullopt;
-
-  if (!x509::Name::Read(tbs_seq, nullptr, &crl.tbs.issuer))
+  if (!top.ReadSequence(&crl_seq) || !top.Empty() ||
+      !crl_seq.ReadRawTlv(&view.tbs_der))
+    return std::nullopt;
+  tbs = asn1::Reader(view.tbs_der);
+  if (!tbs.ReadSequence(&tbs_seq) || !tbs_seq.ReadInteger(&version) ||
+      version != 1)
+    return std::nullopt;
+  const auto inner_sig_type = x509::DecodeSignatureAlgorithm(tbs_seq);
+  if (!inner_sig_type ||
+      !x509::Name::Read(tbs_seq, &view.issuer_der, nullptr) ||
+      !tbs_seq.ReadTime(&view.this_update))
+    return std::nullopt;
+  // nextUpdate is OPTIONAL: present iff the next TLV is a time type.
+  if ((tbs_seq.NextIs(asn1::kTagUtcTime) ||
+       tbs_seq.NextIs(asn1::kTagGeneralizedTime)) &&
+      !tbs_seq.ReadTime(&view.next_update))
     return std::nullopt;
 
-  if (!tbs_seq.ReadTime(&crl.tbs.this_update)) return std::nullopt;
-
-  // nextUpdate is OPTIONAL: present iff next TLV is a time type.
-  if (tbs_seq.NextIs(asn1::kTagUtcTime) ||
-      tbs_seq.NextIs(asn1::kTagGeneralizedTime)) {
-    if (!tbs_seq.ReadTime(&crl.tbs.next_update)) return std::nullopt;
-  }
-
-  if (tbs_seq.NextIs(asn1::kTagSequence)) {
-    asn1::Reader entries;
-    if (!tbs_seq.ReadSequence(&entries)) return std::nullopt;
-    while (!entries.Empty()) {
-      asn1::Reader entry_seq;
-      if (!entries.ReadSequence(&entry_seq)) return std::nullopt;
-      CrlEntry entry;
-      if (!entry_seq.ReadIntegerUnsigned(&entry.serial) ||
-          !entry_seq.ReadTime(&entry.revocation_date))
-        return std::nullopt;
-      if (entry_seq.NextIs(asn1::kTagSequence)) {
-        x509::Extensions exts;
-        if (!x509::ReadExtensions(entry_seq, &exts)) return std::nullopt;
-        for (const x509::ExtensionView& ext : exts) {
-          if (asn1::OidContentIs(ext.oid, asn1::oids::CrlReason())) {
-            auto reason = x509::ParseCrlReason(ext.value);
-            if (!reason) return std::nullopt;
-            entry.reason = *reason;
-          }
-        }
-      }
-      crl.tbs.entries.push_back(std::move(entry));
-    }
-  }
-
-  if (tbs_seq.NextIsContext(0)) {
-    asn1::Reader ext_wrapper;
-    if (!tbs_seq.ReadContextExplicit(0, &ext_wrapper)) return std::nullopt;
-    x509::Extensions exts;
-    if (!x509::ReadExtensions(ext_wrapper, &exts)) return std::nullopt;
-    for (const x509::ExtensionView& ext : exts) {
-      if (asn1::OidContentIs(ext.oid, asn1::oids::CrlNumber())) {
-        auto number = x509::ParseCrlNumber(ext.value);
-        if (!number) return std::nullopt;
-        crl.tbs.crl_number = *number;
-      }
-    }
-  }
-
-  auto outer_sig_type = x509::DecodeSignatureAlgorithm(crl_seq);
-  if (!outer_sig_type || *outer_sig_type != *inner_sig_type)
+  BytesView entries;  // revokedCertificates: empty when absent
+  if (tbs_seq.NextIs(asn1::kTagSequence) &&
+      !tbs_seq.ReadTagged(asn1::kTagSequence, &entries))
     return std::nullopt;
-  crl.sig_type = *outer_sig_type;
+  for (asn1::Reader list(entries); !list.Empty(); ++view.num_entries)
+    if (CrlEntryView entry; !ReadCrlEntry(list, &entry)) return std::nullopt;
+  view.entries = CrlEntries(entries);
 
-  BytesView sig_bits;
+  asn1::Reader wrapper;
+  x509::Extensions exts;
+  if (tbs_seq.NextIsContext(0) &&
+      (!tbs_seq.ReadContextExplicit(0, &wrapper) ||
+       !x509::ReadExtensions(wrapper, &exts,
+                             KeepLast(asn1::oids::CrlNumber(),
+                                      x509::ParseCrlNumber, &view.crl_number)) ||
+       !wrapper.Empty()))
+    return std::nullopt;
+
+  const auto outer_sig_type = x509::DecodeSignatureAlgorithm(crl_seq);
   unsigned unused = 0;
-  if (!crl_seq.ReadBitString(&sig_bits, &unused) || unused != 0)
+  if (!tbs_seq.Empty() || !outer_sig_type ||
+      *outer_sig_type != *inner_sig_type ||
+      !crl_seq.ReadBitString(&view.signature, &unused) || unused != 0 ||
+      !crl_seq.Empty())
     return std::nullopt;
-  crl.signature.assign(sig_bits.begin(), sig_bits.end());
-  if (!crl_seq.Empty()) return std::nullopt;
-  return crl;
+  view.sig_type = *outer_sig_type;
+  return view;
 }
 
-bool VerifyCrlSignature(const Crl& crl, const crypto::PublicKey& issuer_key) {
-  if (issuer_key.type != crl.sig_type) return false;
-  return crypto::Verify(issuer_key, crl.tbs_der, crl.signature);
+bool VerifyCrlSignature(const CrlView& crl, const crypto::PublicKey& key) {
+  return key.type == crl.sig_type &&
+         crypto::Verify(key, crl.tbs_der, crl.signature);
 }
 
-CrlIndex::CrlIndex(const Crl& crl) : entries_(crl.tbs.entries) {
-  std::sort(entries_.begin(), entries_.end(),
-            [](const CrlEntry& a, const CrlEntry& b) {
-              return util::BytesLess{}(a.serial, b.serial);
-            });
-}
-
-const CrlEntry* CrlIndex::Lookup(const x509::Serial& serial) const {
-  auto it = std::lower_bound(entries_.begin(), entries_.end(), serial,
-                             [](const CrlEntry& e, const x509::Serial& s) {
-                               return e.serial < s;
-                             });
-  if (it == entries_.end() || it->serial != serial) return nullptr;
-  return &*it;
-}
-
-std::string DescribeCrl(const Crl& crl, std::size_t max_entries) {
+std::string DescribeCrl(const CrlView& crl, std::size_t max_entries) {
+  x509::Name issuer;
+  asn1::Reader issuer_der(crl.issuer_der);
+  x509::Name::Read(issuer_der, nullptr, &issuer);
   std::ostringstream out;
   out << "CRL:\n";
-  out << "  issuer      : " << crl.tbs.issuer.ToString() << "\n";
-  out << "  this update : " << util::FormatDateTime(crl.tbs.this_update) << "\n";
-  if (crl.tbs.next_update != 0)
-    out << "  next update : " << util::FormatDateTime(crl.tbs.next_update)
-        << "\n";
-  if (crl.tbs.crl_number >= 0)
-    out << "  CRL number  : " << crl.tbs.crl_number << "\n";
-  out << "  entries     : " << crl.tbs.entries.size() << "\n";
+  out << "  issuer      : " << issuer.ToString() << "\n";
+  out << "  this update : " << util::FormatDateTime(crl.this_update) << "\n";
+  if (crl.next_update != 0)
+    out << "  next update : " << util::FormatDateTime(crl.next_update) << "\n";
+  if (crl.crl_number >= 0)
+    out << "  CRL number  : " << crl.crl_number << "\n";
+  out << "  entries     : " << crl.num_entries << "\n";
   out << "  size        : "
-      << util::HumanBytes(static_cast<double>(crl.SizeBytes())) << "\n";
+      << util::HumanBytes(static_cast<double>(crl.der.size())) << "\n";
   std::size_t shown = 0;
-  for (const CrlEntry& entry : crl.tbs.entries) {
+  for (const CrlEntryView& entry : crl.entries) {
     if (shown++ >= max_entries) {
-      out << "    ... " << (crl.tbs.entries.size() - max_entries) << " more\n";
+      out << "    ... " << (crl.num_entries - max_entries) << " more\n";
       break;
     }
     out << "    " << x509::SerialToString(entry.serial) << "  revoked "

@@ -1,14 +1,14 @@
-// Certificate Revocation Lists (RFC 5280 §5): construction, DER
-// encode/decode, signature verification, and an indexed lookup view.
-//
-// CRL byte sizes in this library are *measured from real DER encodings*,
-// which is what makes the Fig. 5 / Fig. 6 size reproductions meaningful.
+// Certificate Revocation Lists (RFC 5280 §5): signed from the owned TbsCrl
+// and read only through ParseCrlView, one walk that validates the whole CRL
+// and allocates nothing. CRL byte sizes are *measured from real DER
+// encodings*, which is what makes the Fig. 5 / Fig. 6 reproductions valid.
 #pragma once
 
-#include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "asn1/reader.h"
 #include "crypto/signer.h"
 #include "util/bytes.h"
 #include "util/time.h"
@@ -39,9 +39,6 @@ struct TbsCrl {
 class Crl {
  public:
   TbsCrl tbs;
-  crypto::KeyType sig_type = crypto::KeyType::kSimSha256;
-  Bytes tbs_der;
-  Bytes signature;
   Bytes der;
 
   std::size_t SizeBytes() const { return der.size(); }
@@ -52,29 +49,48 @@ class Crl {
   }
 };
 
-Crl SignCrl(const TbsCrl& tbs, const crypto::KeyPair& issuer_key);
-std::optional<Crl> ParseCrl(BytesView der);
-bool VerifyCrlSignature(const Crl& crl, const crypto::PublicKey& issuer_key);
+Crl SignCrl(TbsCrl tbs, const crypto::KeyPair& issuer_key);
 
-// Sorted lookup index over a CRL's entries (CRLs can hold millions of
-// serials; linear scans are unacceptable in the crawler hot path).
-class CrlIndex {
- public:
-  CrlIndex() = default;
-  explicit CrlIndex(const Crl& crl);
-
-  // Returns the matching entry, or nullptr.
-  const CrlEntry* Lookup(const x509::Serial& serial) const;
-  bool IsRevoked(const x509::Serial& serial) const {
-    return Lookup(serial) != nullptr;
-  }
-  std::size_t size() const { return entries_.size(); }
-
- private:
-  std::vector<CrlEntry> entries_;  // sorted by serial
+// One revoked certificate of a parsed CRL; `serial` aliases the CRL's DER.
+struct CrlEntryView {
+  BytesView serial;  // unsigned big-endian magnitude, sign padding stripped
+  util::Timestamp revocation_date = 0;
+  x509::ReasonCode reason = x509::ReasonCode::kNoReasonCode;
 };
 
+// Reads one revokedCertificates entry: userCertificate, revocationDate
+// and the optional crlEntryExtensions, whose CRLReason is kept.
+bool ReadCrlEntry(asn1::Reader& list, CrlEntryView* out);
+using CrlEntries = asn1::ValidatedList<CrlEntryView, ReadCrlEntry>;
+
+// A CRL parsed in one walk. Every view aliases the CRL DER: it is valid
+// only while that buffer lives.
+struct CrlView {
+  BytesView der;
+  BytesView tbs_der;     // the signed bytes
+  BytesView signature;   // BIT STRING payload
+  BytesView issuer_der;  // raw Name TLV
+  util::Timestamp this_update = 0;
+  util::Timestamp next_update = 0;  // 0 = absent
+  std::int64_t crl_number = -1;     // -1 = absent
+  crypto::KeyType sig_type = crypto::KeyType::kSimSha256;
+  CrlEntries entries;  // in wire order
+  std::size_t num_entries = 0;
+
+  // The entry for `serial`, by a linear walk: for one-off lookups.
+  std::optional<CrlEntryView> Find(BytesView serial) const;
+};
+
+// Parses a DER CertificateList with a v2 TBSCertList, keeping the CRLNumber
+// of its crlExtensions (the last of a repeated extension wins, here and in
+// an entry). Inner and outer signature algorithms must match, and every
+// SEQUENCE must end at its last field. Returns nullopt on anything else.
+std::optional<CrlView> ParseCrlView(BytesView der);
+
+// True iff `key`, the issuer's, signed the CRL.
+bool VerifyCrlSignature(const CrlView& crl, const crypto::PublicKey& key);
+
 // Human-readable rendering: header plus the first `max_entries` entries.
-std::string DescribeCrl(const Crl& crl, std::size_t max_entries = 10);
+std::string DescribeCrl(const CrlView& crl, std::size_t max_entries = 10);
 
 }  // namespace rev::crl

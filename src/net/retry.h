@@ -69,8 +69,9 @@ bool IsRetryable(const FetchResult& result);
 
 // Caller-supplied body check, run on every 200 response. Returning false
 // marks the attempt failed-retryable with FetchError::kCorruptBody — the
-// hook by which truncated/bit-flipped CRL and OCSP bodies, detected at
-// parse time, re-enter the retry loop.
+// hook by which truncated, bit-flipped or forged CRL and OCSP bodies,
+// caught by the crawler's parse and signature checks, re-enter the retry
+// loop.
 using ResponseValidator = std::function<bool(const HttpResponse&)>;
 
 struct RetryResult {

@@ -144,7 +144,7 @@ bool VerifyCertificateSignature(const Certificate& cert,
   return crypto::Verify(issuer_key, cert.tbs_der, cert.signature);
 }
 
-std::string SerialToString(const Serial& serial) {
+std::string SerialToString(BytesView serial) {
   return util::HexEncode(serial);
 }
 

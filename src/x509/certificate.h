@@ -102,6 +102,6 @@ bool VerifyCertificateSignature(const Certificate& cert,
                                 const crypto::PublicKey& issuer_key);
 
 // Renders a serial as lower-case hex (for reports and map keys).
-std::string SerialToString(const Serial& serial);
+std::string SerialToString(BytesView serial);
 
 }  // namespace rev::x509

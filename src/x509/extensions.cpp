@@ -27,14 +27,7 @@ bool ReadExtension(asn1::Reader& r, ExtensionView* out) {
   out->critical = false;
   return r.ReadSequence(&ext) && ext.ReadOidView(&out->oid) &&
          (!ext.NextIs(asn1::kTagBoolean) || ext.ReadBoolean(&out->critical)) &&
-         ext.ReadOctetString(&out->value);
-}
-
-Extensions::Iterator::Iterator(BytesView list) : rest_(list) { ++*this; }
-
-Extensions::Iterator& Extensions::Iterator::operator++() {
-  done_ = rest_.Empty() || !ReadExtension(rest_, &ext_);
-  return *this;
+         ext.ReadOctetString(&out->value) && ext.Empty();
 }
 
 CertExtension ClassifyCertExtension(BytesView oid_content) {

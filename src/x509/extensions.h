@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iterator>
 #include <optional>
 #include <span>
 #include <string>
@@ -33,39 +32,12 @@ struct ExtensionView {
 };
 
 // Reads Extension ::= SEQUENCE { extnID OBJECT IDENTIFIER (valid DER),
-// critical BOOLEAN DEFAULT FALSE, extnValue OCTET STRING }; anything after
-// extnValue is not read.
+// critical BOOLEAN DEFAULT FALSE, extnValue OCTET STRING }, with nothing
+// after extnValue.
 bool ReadExtension(asn1::Reader& r, ExtensionView* out);
 
 // An extension list (SEQUENCE OF Extension) that ReadExtensions validated.
-// Range-for over it yields each extension in wire order without copying or
-// allocating; the list was validated as a whole, so iteration cannot fail.
-class Extensions {
- public:
-  class Iterator {
-   public:
-    const ExtensionView& operator*() const { return ext_; }
-    Iterator& operator++();
-    bool operator==(std::default_sentinel_t) const { return done_; }
-
-   private:
-    friend class Extensions;
-    explicit Iterator(BytesView list);
-
-    asn1::Reader rest_;
-    ExtensionView ext_;
-    bool done_ = false;
-  };
-
-  Iterator begin() const { return Iterator(list_); }
-  std::default_sentinel_t end() const { return {}; }
-
- private:
-  template <typename Visit>
-  friend bool ReadExtensions(asn1::Reader& r, Extensions* out, Visit&& visit);
-
-  BytesView list_;  // content octets of the SEQUENCE OF
-};
+using Extensions = asn1::ValidatedList<ExtensionView, ReadExtension>;
 
 // Reads SEQUENCE OF Extension into `*out`, the one extension-list reader of
 // certificates, CRLs and OCSP messages. `visit(ext)` sees each extension in
@@ -73,10 +45,12 @@ class Extensions {
 // extension is malformed or `visit` returns false.
 template <typename Visit>
 bool ReadExtensions(asn1::Reader& r, Extensions* out, Visit&& visit) {
-  if (!r.ReadTagged(asn1::kTagSequence, &out->list_)) return false;
-  asn1::Reader list(out->list_);
+  BytesView content;
+  if (!r.ReadTagged(asn1::kTagSequence, &content)) return false;
+  asn1::Reader list(content);
   for (ExtensionView ext; !list.Empty();)
     if (!ReadExtension(list, &ext) || !visit(ext)) return false;
+  *out = Extensions(content);
   return true;
 }
 inline bool ReadExtensions(asn1::Reader& r, Extensions* out) {

@@ -40,16 +40,16 @@ bool ReadSpki(asn1::Reader& r, BytesView* der, crypto::PublicKey* out) {
   unsigned unused = 0;
   if (!r.ReadSequence(&spki) || !spki.ReadSequence(&alg) ||
       !alg.ReadTagged(asn1::kTagOid, &alg_oid) ||
-      !spki.ReadBitString(&key_bits, &unused) || unused != 0)
+      !spki.ReadBitString(&key_bits, &unused) || unused != 0 || !spki.Empty())
     return false;
 
   if (asn1::OidContentIs(alg_oid, asn1::oids::RsaEncryption())) {
     asn1::Reader rsa(key_bits);
     asn1::Reader rsa_seq;
     BytesView n_be, e_be;
-    if (!alg.ReadNull() || !rsa.ReadSequence(&rsa_seq) ||
-        !rsa_seq.ReadIntegerUnsignedView(&n_be) ||
-        !rsa_seq.ReadIntegerUnsignedView(&e_be))
+    if (!alg.ReadNull() || !alg.Empty() || !rsa.ReadSequence(&rsa_seq) ||
+        !rsa.Empty() || !rsa_seq.ReadIntegerUnsignedView(&n_be) ||
+        !rsa_seq.ReadIntegerUnsignedView(&e_be) || !rsa_seq.Empty())
       return false;
     if (out) {
       *out = {};
@@ -58,7 +58,8 @@ bool ReadSpki(asn1::Reader& r, BytesView* der, crypto::PublicKey* out) {
       out->rsa.e = crypto::BigInt::FromBytes(e_be);
     }
   } else if (asn1::OidContentIs(alg_oid, asn1::oids::SimSha256())) {
-    if (key_bits.size() != crypto::kSha256DigestSize) return false;
+    if (!alg.Empty() || key_bits.size() != crypto::kSha256DigestSize)
+      return false;
     if (out) {
       *out = {};
       out->type = crypto::KeyType::kSimSha256;
@@ -91,10 +92,10 @@ std::optional<crypto::KeyType> DecodeSignatureAlgorithm(asn1::Reader& r) {
   BytesView oid;
   if (!alg.ReadTagged(asn1::kTagOid, &oid)) return std::nullopt;
   if (asn1::OidContentIs(oid, asn1::oids::Sha256WithRsa())) {
-    if (!alg.ReadNull()) return std::nullopt;
+    if (!alg.ReadNull() || !alg.Empty()) return std::nullopt;
     return crypto::KeyType::kRsaSha256;
   }
-  if (asn1::OidContentIs(oid, asn1::oids::SimSha256()))
+  if (asn1::OidContentIs(oid, asn1::oids::SimSha256()) && alg.Empty())
     return crypto::KeyType::kSimSha256;
   return std::nullopt;
 }

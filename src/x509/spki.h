@@ -22,7 +22,8 @@ inline Bytes EncodeSpki(const crypto::PublicKey& key) {
 
 // Reads one SubjectPublicKeyInfo TLV, the one accept rule for keys: an
 // rsaEncryption (NULL parameters, RSAPublicKey) or sim key (32 bytes) in a
-// BIT STRING with no unused bits. `*der`, if set, receives the raw TLV;
+// BIT STRING with no unused bits, and nothing after the last field of any
+// SEQUENCE in it. `*der`, if set, receives the raw TLV;
 // `*out`, if set, the key. With `out` null nothing is allocated.
 bool ReadSpki(asn1::Reader& r, BytesView* der, crypto::PublicKey* out);
 
@@ -36,22 +37,25 @@ void EncodeSignatureAlgorithm(asn1::Writer& w, crypto::KeyType type);
 // Writes SEQUENCE { tbs, signatureAlgorithm, signature BIT STRING }, the
 // SIGNED shape certificates, CRLs and BasicOCSPResponses share.
 // `encode_tbs(w)` writes the TBS value, which is signed where it lies; its
-// bytes and the signature are also copied to *tbs_der and *signature.
+// bytes and the signature are also copied to *tbs_der and *signature when
+// those are set.
 template <typename F>
 void EncodeSigned(asn1::Writer& w, const crypto::KeyPair& key, F&& encode_tbs,
-                  Bytes* tbs_der, Bytes* signature) {
+                  Bytes* tbs_der = nullptr, Bytes* signature = nullptr) {
   const std::size_t seq = w.Begin(asn1::kTagSequence);
   const std::size_t tbs_start = w.size();
   encode_tbs(w);
   const BytesView tbs = w.Since(tbs_start);
-  tbs_der->assign(tbs.begin(), tbs.end());
-  *signature = crypto::Sign(key, *tbs_der);
+  if (tbs_der) tbs_der->assign(tbs.begin(), tbs.end());
+  Bytes sig = crypto::Sign(key, tbs);
   EncodeSignatureAlgorithm(w, key.type);
-  w.BitString(*signature);
+  w.BitString(sig);
   w.End(seq);
+  if (signature) *signature = std::move(sig);
 }
 
-// Reads an AlgorithmIdentifier and maps it back to a key type.
+// Reads an AlgorithmIdentifier and maps it back to a key type. Nothing may
+// follow the OID (and, for RSA, its NULL parameters) inside the SEQUENCE.
 std::optional<crypto::KeyType> DecodeSignatureAlgorithm(asn1::Reader& r);
 
 }  // namespace rev::x509

@@ -84,7 +84,7 @@ std::optional<CertView> ParseCertView(BytesView der) {
   asn1::Reader validity;
   if (!tbs_seq.ReadSequence(&validity) ||
       !validity.ReadTime(&view.not_before) ||
-      !validity.ReadTime(&view.not_after))
+      !validity.ReadTime(&view.not_after) || !validity.Empty())
     return std::nullopt;
 
   if (!Name::Read(tbs_seq, &view.subject_der, nullptr)) return std::nullopt;
@@ -97,9 +97,11 @@ std::optional<CertView> ParseCertView(BytesView der) {
         !ReadExtensions(ext_wrapper, &view.extensions,
                         [&](const ExtensionView& ext) {
                           return ReadCertExtension(ext, &seen, &view);
-                        }))
+                        }) ||
+        !ext_wrapper.Empty())
       return std::nullopt;
   }
+  if (!tbs_seq.Empty()) return std::nullopt;
 
   auto outer_sig_type = DecodeSignatureAlgorithm(cert_seq);
   if (!outer_sig_type || *outer_sig_type != *inner_sig_type)

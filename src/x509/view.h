@@ -14,6 +14,8 @@
 // and one Parse* per known extension (x509/extensions.h), each called here
 // to validate and to pick out the view's columns. A known extension seen
 // twice fails the walk (RFC 5280 §4.2), as does an unknown critical one.
+// Every SEQUENCE the walk reads must end where its last field does: bytes
+// after a field the walk knows reject the certificate.
 //
 // Every OID is read as a view of its content octets, validated as DER and
 // compared byte for byte with oids::X().content(); no Oid is built. The

@@ -122,10 +122,10 @@ TEST(Ca, RevocationFlow) {
                             x509::ReasonCode::kUnspecified));
 
   // The CRL now carries it.
-  const crl::Crl& crl = root->GetCrl(0, kNow + 1);
-  const crl::CrlIndex index(crl);
-  EXPECT_TRUE(index.IsRevoked(leaf->tbs.serial));
-  EXPECT_TRUE(crl::VerifyCrlSignature(crl, root->key().Public()));
+  const auto crl = crl::ParseCrlView(root->GetCrl(0, kNow + 1).der);
+  ASSERT_TRUE(crl);
+  EXPECT_TRUE(crl->Find(leaf->tbs.serial));
+  EXPECT_TRUE(crl::VerifyCrlSignature(*crl, root->key().Public()));
 
   // And the OCSP responder agrees.
   const ocsp::OcspResponse status =
@@ -157,10 +157,11 @@ TEST(Ca, CrlDropsExpiredCertEntries) {
   const x509::CertPtr leaf = root->Issue(issue, rng);
   root->Revoke(leaf->tbs.serial, kNow, x509::ReasonCode::kKeyCompromise);
 
-  EXPECT_TRUE(crl::CrlIndex(root->GetCrl(0, kNow + kDay)).IsRevoked(leaf->tbs.serial));
+  EXPECT_TRUE(crl::ParseCrlView(root->GetCrl(0, kNow + kDay).der)
+                  ->Find(leaf->tbs.serial));
   // After the certificate expires, the entry is dropped (Fig. 8 driver).
-  EXPECT_FALSE(
-      crl::CrlIndex(root->GetCrl(0, kNow + 40 * kDay)).IsRevoked(leaf->tbs.serial));
+  EXPECT_FALSE(crl::ParseCrlView(root->GetCrl(0, kNow + 40 * kDay).der)
+                   ->Find(leaf->tbs.serial));
 }
 
 TEST(Ca, ShardingPartitionsSerials) {
@@ -234,9 +235,9 @@ TEST(Ca, HttpEndpoints) {
   const int shard = root->ShardForSerial(leaf->tbs.serial);
   const net::FetchResult crl_fetch = net.Get(root->CrlUrl(shard), kNow + 1);
   ASSERT_TRUE(crl_fetch.ok());
-  auto crl = crl::ParseCrl(crl_fetch.response.body);
+  const auto crl = crl::ParseCrlView(crl_fetch.response.body);
   ASSERT_TRUE(crl);
-  EXPECT_TRUE(crl::CrlIndex(*crl).IsRevoked(leaf->tbs.serial));
+  EXPECT_TRUE(crl->Find(leaf->tbs.serial));
   EXPECT_GT(crl_fetch.response.max_age, 0);
 
   // Unknown path 404s.

@@ -13,6 +13,7 @@
 // as a smoke with REV_CHAOS_SEED.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -23,6 +24,7 @@
 #include "core/crawler.h"
 #include "core/ecosystem.h"
 #include "core/pipeline.h"
+#include "crl/crl.h"
 #include "ingest_util.h"
 #include "net/cache.h"
 #include "net/fault.h"
@@ -182,8 +184,12 @@ TEST(ChaosStorm, DeterministicAcrossThreadCountsAndRuns) {
     auto ib = b.crawler->crawled().begin();
     for (; ia != a.crawler->crawled().end(); ++ia, ++ib) {
       ASSERT_EQ(ia->first, ib->first);
-      EXPECT_EQ(ia->second.crl.der, ib->second.crl.der);
+      EXPECT_EQ(ia->second.url, ib->second.url);
+      EXPECT_EQ(ia->second.issuer_name_der, ib->second.issuer_name_der);
+      EXPECT_EQ(ia->second.size_bytes, ib->second.size_bytes);
       EXPECT_EQ(ia->second.num_entries, ib->second.num_entries);
+      EXPECT_EQ(ia->second.this_update, ib->second.this_update);
+      EXPECT_EQ(ia->second.next_update, ib->second.next_update);
       EXPECT_EQ(ia->second.stale, ib->second.stale);
       EXPECT_EQ(ia->second.stale_crawls, ib->second.stale_crawls);
       EXPECT_EQ(ia->second.last_good_fetch, ib->second.last_good_fetch);
@@ -309,7 +315,7 @@ TEST(ChaosCrawler, StaleSnapshotServesThroughOutage) {
 
   core::RevocationCrawler crawler(&net, 1);
   const std::string url = root->CrlUrl(root->ShardForSerial(leaf->tbs.serial));
-  crawler.AddUrl(url);
+  crawler.AddUrl(url, *root->cert());
 
   // Day 0: a clean crawl captures the revocation.
   EXPECT_GE(crawler.CrawlAll(kNow), 1u);
@@ -354,6 +360,155 @@ TEST(ChaosCrawler, StaleSnapshotServesThroughOutage) {
   EXPECT_EQ(crawler.crawled().at(url).stale_crawls, 1u);  // lifetime tally
 }
 
+// ------------------------------------------- only verified status counts ----
+
+// A self-signed CA certificate whose key is derived from `name`.
+x509::Certificate SimCa(const std::string& name) {
+  x509::TbsCertificate tbs;
+  tbs.serial = x509::Serial{0x01};
+  tbs.issuer = tbs.subject = x509::Name::Make(name, "Chaos");
+  tbs.not_before = 0;
+  tbs.not_after = kNow + 100 * kDay;
+  tbs.public_key = crypto::SimKeyFromLabel(name).Public();
+  tbs.basic_constraints = {true, -1};
+  return x509::SignCertificate(tbs, crypto::SimKeyFromLabel(name));
+}
+
+// A SimNet host that answers every path with `*body`, uncacheable.
+void ServeBody(net::SimNet& net, const std::string& host, const Bytes* body) {
+  net.AddHost(host, [body](const net::HttpRequest&, util::Timestamp) {
+    net::HttpResponse response;
+    response.body = *body;
+    return response;
+  });
+}
+
+// Ten entries signed by `signer`, under `issuer_name`.
+crl::Crl TenEntryCrl(const x509::Name& issuer_name,
+                     const crypto::KeyPair& signer) {
+  crl::TbsCrl tbs;
+  tbs.issuer = issuer_name;
+  tbs.this_update = kNow;
+  tbs.next_update = kNow + kDay;
+  tbs.crl_number = 3;
+  for (std::uint8_t i = 0; i < 10; ++i)
+    tbs.entries.push_back({x509::Serial{0x40, i}, kNow - (i + 1) * kDay,
+                           i % 3 == 0 ? x509::ReasonCode::kKeyCompromise
+                                      : x509::ReasonCode::kNoReasonCode});
+  return crl::SignCrl(tbs, signer);
+}
+
+// Every one-bit mutant of a signed CRL is served to the crawler, one crawl
+// each: none may put an entry in the database, and each must count as a
+// failed fetch. Neither may a CRL signed by the wrong key, nor one whose
+// issuer is the CA of another URL, signed by that CA. The signed original
+// is then accepted whole. No storm seed is involved.
+TEST(ChaosCrawler, OnlyCrlsTheirIssuerSignedAreRecorded) {
+  const x509::Certificate ca = SimCa("Verified CA");
+  const x509::Certificate other = SimCa("Other CA");
+  const crl::Crl original =
+      TenEntryCrl(ca.tbs.subject, crypto::SimKeyFromLabel("Verified CA"));
+  Bytes served;
+  Bytes served_other = TenEntryCrl(other.tbs.subject,
+                                   crypto::SimKeyFromLabel("Other CA")).der;
+  net::SimNet net;
+  ServeBody(net, "crl.verified.sim", &served);
+  ServeBody(net, "crl.other.sim", &served_other);
+  const std::string url = "http://crl.verified.sim/1.crl";
+  core::RevocationCrawler crawler(&net, 1);
+  crawler.AddUrl(url, ca);
+  crawler.AddUrl("http://crl.other.sim/1.crl", other);
+
+  // The database entries under `ca`'s name.
+  const Bytes ca_name = ca.tbs.subject.Encode();
+  const auto ca_revocations = [&] {
+    return std::ranges::count_if(crawler.revocations(), [&](const auto& kv) {
+      return kv.first.first == ca_name;
+    });
+  };
+
+  util::Timestamp now = kNow;
+  std::uint64_t failures = crawler.fetch_failures();
+  const auto expect_rejected = [&](const std::string& what) {
+    crawler.CrawlAll(now);
+    now += 3600;
+    EXPECT_EQ(ca_revocations(), 0) << what;
+    EXPECT_EQ(crawler.total_revocations(), 10u) << what;  // the other CA's
+    failures += 1;  // the other URL's CRL is accepted every time
+    EXPECT_EQ(crawler.fetch_failures(), failures) << what;
+    EXPECT_EQ(crawler.url_failures().at(url), failures) << what;
+    EXPECT_FALSE(crawler.crawled().contains(url)) << what;
+  };
+
+  std::size_t parsed = 0;
+  for (std::size_t bit = 0; bit < 8 * original.der.size(); ++bit) {
+    served = original.der;
+    served[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    parsed += crl::ParseCrlView(served).has_value();
+    expect_rejected("bit " + std::to_string(bit));
+    if (HasFailure()) return;
+  }
+  // Many mutants still parse (a flipped bit in a serial or a date keeps the
+  // DER valid): the signature is what rejects them.
+  EXPECT_GT(parsed, 8 * original.der.size() / 4);
+
+  served = TenEntryCrl(ca.tbs.subject, crypto::SimKeyFromLabel("Forger")).der;
+  expect_rejected("signed by the wrong key");
+  served = served_other;
+  expect_rejected("another URL's CA");
+
+  served = original.der;
+  EXPECT_EQ(crawler.CrawlAll(now), 10u);
+  EXPECT_EQ(crawler.fetch_failures(), failures);
+  ASSERT_EQ(ca_revocations(), 10);
+  for (const crl::CrlEntry& entry : original.tbs.entries) {
+    const core::RevocationInfo* info =
+        crawler.Lookup(ca.tbs.subject, entry.serial);
+    ASSERT_NE(info, nullptr);
+    EXPECT_EQ(info->revoked_at, entry.revocation_date);
+    EXPECT_EQ(info->reason, entry.reason);
+  }
+  EXPECT_EQ(crawler.crawled().at(url).num_entries, 10u);
+  EXPECT_EQ(crawler.crawled().at(url).size_bytes, original.der.size());
+}
+
+// QueryOcsp records a status only from a response the issuer signed that
+// answers the CertID it sent.
+TEST(ChaosCrawler, OnlyVerifiedOcspAnswersAreRecorded) {
+  const x509::Certificate ca = SimCa("Ocsp CA");
+  const crypto::KeyPair ca_key = crypto::SimKeyFromLabel("Ocsp CA");
+  x509::Certificate leaf;
+  leaf.tbs.serial = x509::Serial{0x51};
+  leaf.tbs.issuer = ca.tbs.subject;
+  leaf.tbs.ocsp_urls = {"http://ocsp.verified.sim/"};
+
+  const auto revoked_answer = [&](const x509::Serial& serial,
+                                  const crypto::KeyPair& signer) {
+    ocsp::SingleResponse single;
+    single.cert_id = ocsp::MakeCertId(ca, serial);
+    single.status = ocsp::CertStatus::kRevoked;
+    single.revocation_time = kNow - kDay;
+    single.this_update = kNow;
+    return ocsp::SignOcspResponse(single, kNow, signer).der;
+  };
+  Bytes served;
+  net::SimNet net;
+  ServeBody(net, "ocsp.verified.sim", &served);
+  core::RevocationCrawler crawler(&net, 1);
+
+  served = revoked_answer(leaf.tbs.serial, crypto::SimKeyFromLabel("Forger"));
+  EXPECT_FALSE(crawler.QueryOcsp(leaf, ca, kNow));
+  served = revoked_answer(x509::Serial{0x52}, ca_key);
+  EXPECT_FALSE(crawler.QueryOcsp(leaf, ca, kNow));
+  EXPECT_EQ(crawler.total_revocations(), 0u);
+  EXPECT_EQ(crawler.fetch_failures(), 2u);
+
+  served = revoked_answer(leaf.tbs.serial, ca_key);
+  EXPECT_EQ(crawler.QueryOcsp(leaf, ca, kNow), ocsp::CertStatus::kRevoked);
+  ASSERT_NE(crawler.Lookup(ca.tbs.subject, leaf.tbs.serial), nullptr);
+  EXPECT_EQ(crawler.total_revocations(), 1u);
+}
+
 // ----------------------------------------------------------- soak loop ----
 
 // Bounded soak: a month of simulated daily crawls under the mixed storm,
@@ -384,7 +539,8 @@ TEST(ChaosSoak, StatusNeverFlipsToAWrongValueUnderStorm) {
   net.SetFaultPlan(&plan);
 
   core::RevocationCrawler crawler(&net, 1);
-  for (int shard = 0; shard < 1; ++shard) crawler.AddUrl(root->CrlUrl(shard));
+  for (int shard = 0; shard < 1; ++shard)
+    crawler.AddUrl(root->CrlUrl(shard), *root->cert());
 
   // Our Revoke() calls, and the crawler's reports.
   std::map<x509::Serial, util::Timestamp, util::BytesLess> truth;

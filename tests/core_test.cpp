@@ -351,7 +351,11 @@ TEST(Parallelism, FinalizeAndCrawlDeterministicAcrossThreadCounts) {
     EXPECT_EQ(c1->second.num_entries, c8->second.num_entries);
     EXPECT_EQ(c1->second.this_update, c8->second.this_update);
     EXPECT_EQ(c1->second.next_update, c8->second.next_update);
-    EXPECT_EQ(c1->second.crl.der, c8->second.crl.der);
+    EXPECT_EQ(c1->second.url, c8->second.url);
+    EXPECT_EQ(c1->second.stale, c8->second.stale);
+    EXPECT_EQ(c1->second.stale_crawls, c8->second.stale_crawls);
+    EXPECT_EQ(c1->second.last_good_fetch, c8->second.last_good_fetch);
+    EXPECT_EQ(c1->second.stale_age_seconds, c8->second.stale_age_seconds);
   }
   EXPECT_EQ(serial.crawler->ReasonCodeHistogram(),
             parallel.crawler->ReasonCodeHistogram());

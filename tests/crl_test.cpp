@@ -1,8 +1,11 @@
-// CRL tests: round-trips, signatures, entry semantics, index lookups, and
-// size behavior (the ~38 bytes/entry linearity of Fig. 5).
+// CRL tests: round-trips through the view parse, signatures, entry
+// semantics, lookups, and size behavior (the ~38 bytes/entry linearity of
+// Fig. 5).
 #include <gtest/gtest.h>
 
+#include "asn1/reader.h"
 #include "crl/crl.h"
+#include "der_reference.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -10,6 +13,8 @@ namespace rev::crl {
 namespace {
 
 constexpr util::Timestamp kNow = 1'400'000'000;
+
+Bytes Own(BytesView view) { return Bytes(view.begin(), view.end()); }
 
 crypto::KeyPair TestKey(std::string_view label) {
   return crypto::SimKeyFromLabel(label);
@@ -44,27 +49,34 @@ TEST(Crl, SignParseRoundTrip) {
   const crypto::KeyPair key = TestKey("crlca");
   const Crl crl = SignCrl(MakeTbs(10, rng), key);
 
-  auto parsed = ParseCrl(crl.der);
+  const auto parsed = ParseCrlView(crl.der);
   ASSERT_TRUE(parsed);
-  EXPECT_EQ(parsed->tbs.issuer, crl.tbs.issuer);
-  EXPECT_EQ(parsed->tbs.this_update, crl.tbs.this_update);
-  EXPECT_EQ(parsed->tbs.next_update, crl.tbs.next_update);
-  EXPECT_EQ(parsed->tbs.crl_number, 7);
-  ASSERT_EQ(parsed->tbs.entries.size(), 10u);
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(parsed->tbs.entries[i].serial, crl.tbs.entries[i].serial);
-    EXPECT_EQ(parsed->tbs.entries[i].revocation_date,
-              crl.tbs.entries[i].revocation_date);
-    EXPECT_EQ(parsed->tbs.entries[i].reason, crl.tbs.entries[i].reason);
+  EXPECT_EQ(Own(parsed->issuer_der), crl.tbs.issuer.Encode());
+  EXPECT_EQ(parsed->this_update, crl.tbs.this_update);
+  EXPECT_EQ(parsed->next_update, crl.tbs.next_update);
+  EXPECT_EQ(parsed->crl_number, 7);
+  EXPECT_EQ(parsed->sig_type, key.type);
+  EXPECT_EQ(parsed->der.data(), crl.der.data());  // a view, not a copy
+  ASSERT_EQ(parsed->num_entries, 10u);
+  std::size_t i = 0;
+  for (const CrlEntryView& entry : parsed->entries) {
+    ASSERT_LT(i, crl.tbs.entries.size());
+    EXPECT_EQ(Own(entry.serial), crl.tbs.entries[i].serial);
+    EXPECT_EQ(entry.revocation_date, crl.tbs.entries[i].revocation_date);
+    EXPECT_EQ(entry.reason, crl.tbs.entries[i].reason);
+    ++i;
   }
+  EXPECT_EQ(i, 10u);
 }
 
 TEST(Crl, EmptyCrl) {
   util::Rng rng(2);
   const Crl crl = SignCrl(MakeTbs(0, rng), TestKey("k"));
-  auto parsed = ParseCrl(crl.der);
+  const auto parsed = ParseCrlView(crl.der);
   ASSERT_TRUE(parsed);
-  EXPECT_TRUE(parsed->tbs.entries.empty());
+  EXPECT_EQ(parsed->num_entries, 0u);
+  EXPECT_TRUE(parsed->entries.begin() == parsed->entries.end());
+  EXPECT_FALSE(parsed->Find(x509::Serial{1, 2, 3}));
   // Tiny CRLs are well under 900 bytes (the raw-median observation, §5.2).
   EXPECT_LT(crl.SizeBytes(), 900u);
 }
@@ -75,22 +87,20 @@ TEST(Crl, OptionalFieldsOmitted) {
   tbs.next_update = 0;
   tbs.crl_number = -1;
   const Crl crl = SignCrl(tbs, TestKey("k"));
-  auto parsed = ParseCrl(crl.der);
+  const auto parsed = ParseCrlView(crl.der);
   ASSERT_TRUE(parsed);
-  EXPECT_EQ(parsed->tbs.next_update, 0);
-  EXPECT_EQ(parsed->tbs.crl_number, -1);
+  EXPECT_EQ(parsed->next_update, 0);
+  EXPECT_EQ(parsed->crl_number, -1);
 }
 
 TEST(Crl, SignatureVerification) {
   util::Rng rng(4);
   const crypto::KeyPair key = TestKey("signer");
   const Crl crl = SignCrl(MakeTbs(5, rng), key);
-  EXPECT_TRUE(VerifyCrlSignature(crl, key.Public()));
-  EXPECT_FALSE(VerifyCrlSignature(crl, TestKey("other").Public()));
-
-  auto parsed = ParseCrl(crl.der);
+  const auto parsed = ParseCrlView(crl.der);
   ASSERT_TRUE(parsed);
   EXPECT_TRUE(VerifyCrlSignature(*parsed, key.Public()));
+  EXPECT_FALSE(VerifyCrlSignature(*parsed, TestKey("other").Public()));
 }
 
 TEST(Crl, TamperedEntryFailsSignature) {
@@ -99,7 +109,7 @@ TEST(Crl, TamperedEntryFailsSignature) {
   Crl crl = SignCrl(MakeTbs(5, rng), key);
   Bytes tampered = crl.der;
   tampered[40] ^= 0xFF;
-  auto parsed = ParseCrl(tampered);
+  const auto parsed = ParseCrlView(tampered);
   if (parsed) {
     EXPECT_FALSE(VerifyCrlSignature(*parsed, key.Public()));
   }
@@ -114,42 +124,57 @@ TEST(Crl, Expiry) {
 }
 
 TEST(Crl, ParseRejectsGarbage) {
-  EXPECT_FALSE(ParseCrl(Bytes{}));
-  EXPECT_FALSE(ParseCrl(Bytes{0x30, 0x01, 0x00}));
+  EXPECT_FALSE(ParseCrlView(Bytes{}));
+  EXPECT_FALSE(ParseCrlView(Bytes{0x30, 0x01, 0x00}));
   util::Rng rng(7);
   Bytes der = SignCrl(MakeTbs(3, rng), TestKey("k")).der;
   der.resize(der.size() - 10);
-  EXPECT_FALSE(ParseCrl(der));
+  EXPECT_FALSE(ParseCrlView(der));
+}
+
+// A NULL appended inside the outer AlgorithmIdentifier lies outside the
+// signed TBS, where no signature check can catch it: the parse must reject
+// it.
+TEST(Crl, ParseRejectsBytesAfterTheOuterAlgorithm) {
+  util::Rng rng(13);
+  const Crl crl = SignCrl(MakeTbs(0, rng), TestKey("k"));
+  asn1::Reader top(crl.der), seq;
+  BytesView tbs, alg, signature;
+  ASSERT_TRUE(top.ReadSequence(&seq) && seq.ReadRawTlv(&tbs) &&
+              seq.ReadTagged(asn1::kTagSequence, &alg) &&
+              seq.ReadRawTlv(&signature));
+  namespace der = reference::asn1;
+  const Bytes padded = der::EncodeSequence(
+      {Own(tbs), der::EncodeSequence({Own(alg), der::EncodeNull()}),
+       Own(signature)});
+  EXPECT_EQ(padded.size(), crl.der.size() + 2);
+  EXPECT_FALSE(ParseCrlView(padded));
 }
 
 TEST(Crl, DescribeRendering) {
   util::Rng rng(12);
   const Crl crl = SignCrl(MakeTbs(25, rng), TestKey("k"));
-  const std::string text = DescribeCrl(crl, 5);
+  const std::string text = DescribeCrl(*ParseCrlView(crl.der), 5);
   EXPECT_NE(text.find("CRL Test CA"), std::string::npos);
   EXPECT_NE(text.find("entries     : 25"), std::string::npos);
   EXPECT_NE(text.find("... 20 more"), std::string::npos);
 }
 
-TEST(CrlIndex, LookupSemantics) {
+TEST(CrlView, FindSemantics) {
   util::Rng rng(8);
   const Crl crl = SignCrl(MakeTbs(100, rng), TestKey("k"));
-  const CrlIndex index(crl);
-  EXPECT_EQ(index.size(), 100u);
+  const auto view = ParseCrlView(crl.der);
+  ASSERT_TRUE(view);
+  EXPECT_EQ(view->num_entries, 100u);
   for (const CrlEntry& entry : crl.tbs.entries) {
-    const CrlEntry* found = index.Lookup(entry.serial);
-    ASSERT_NE(found, nullptr);
+    const auto found = view->Find(entry.serial);
+    ASSERT_TRUE(found);
+    EXPECT_EQ(Own(found->serial), entry.serial);
     EXPECT_EQ(found->revocation_date, entry.revocation_date);
-    EXPECT_TRUE(index.IsRevoked(entry.serial));
+    EXPECT_EQ(found->reason, entry.reason);
   }
-  EXPECT_FALSE(index.IsRevoked(RandomSerial(rng, 16)));
-  EXPECT_EQ(index.Lookup(x509::Serial{}), nullptr);
-}
-
-TEST(CrlIndex, EmptyIndex) {
-  CrlIndex index;
-  EXPECT_EQ(index.size(), 0u);
-  EXPECT_FALSE(index.IsRevoked(x509::Serial{1, 2, 3}));
+  EXPECT_FALSE(view->Find(RandomSerial(rng, 16)));
+  EXPECT_FALSE(view->Find(x509::Serial{}));
 }
 
 // Fig. 5 property: size grows linearly with entries, ~tens of bytes each.
@@ -180,9 +205,9 @@ TEST(Crl, SerialLengthAffectsSize) {
 TEST(Crl, LargeCrlRoundTrip) {
   util::Rng rng(11);
   const Crl crl = SignCrl(MakeTbs(20'000, rng), TestKey("k"));
-  auto parsed = ParseCrl(crl.der);
+  const auto parsed = ParseCrlView(crl.der);
   ASSERT_TRUE(parsed);
-  EXPECT_EQ(parsed->tbs.entries.size(), 20'000u);
+  EXPECT_EQ(parsed->num_entries, 20'000u);
   EXPECT_GT(crl.SizeBytes(), 500'000u);
 }
 

@@ -11,7 +11,15 @@
 // of the same DER with its own copy of each field's accept rule. It is the
 // reference the one walk must agree with (property_test's
 // ViewFullParseAgreement), verbatim like the encoders, with Name::Decode as
-// the free DecodeName building through Name::Add.
+// the free DecodeName building through Name::Add. Its AlgorithmIdentifier
+// reader is the library's from before every SEQUENCE had to end at its
+// last field, so the reference still accepts bytes after one.
+//
+// Last, the allocating CRL parser ParseCrlView replaced, verbatim, with the
+// owned Crl it filled (which then also kept copies of the signed bytes and
+// the signature): the reference of property_test's CrlAgreement. It reads
+// names and extension lists through the library's Name::Read and
+// ReadExtensions, as it did, and AlgorithmIdentifiers through the copy here.
 #pragma once
 
 #include <cassert>
@@ -737,6 +745,20 @@ inline std::optional<Bytes> ParseAuthorityKeyIdentifier(BytesView value) {
   return Bytes(id.begin(), id.end());
 }
 
+inline std::optional<crypto::KeyType> DecodeSignatureAlgorithm(asn1::Reader& r) {
+  asn1::Reader alg;
+  if (!r.ReadSequence(&alg)) return std::nullopt;
+  BytesView oid;
+  if (!alg.ReadTagged(asn1::kTagOid, &oid)) return std::nullopt;
+  if (asn1::OidContentIs(oid, asn1::oids::Sha256WithRsa())) {
+    if (!alg.ReadNull()) return std::nullopt;
+    return crypto::KeyType::kRsaSha256;
+  }
+  if (asn1::OidContentIs(oid, asn1::oids::SimSha256()))
+    return crypto::KeyType::kSimSha256;
+  return std::nullopt;
+}
+
 inline std::optional<Certificate> ParseCertificate(BytesView der) {
   asn1::Reader top(der);
   asn1::Reader cert_seq;
@@ -1011,6 +1033,14 @@ inline Bytes EncodeTbsCrl(const TbsCrl& tbs, crypto::KeyType sig_type) {
   return asn1::EncodeSequence(parts);
 }
 
+struct Crl {
+  TbsCrl tbs;
+  crypto::KeyType sig_type = crypto::KeyType::kSimSha256;
+  Bytes tbs_der;
+  Bytes signature;
+  Bytes der;
+};
+
 inline Crl SignCrl(const TbsCrl& tbs, const crypto::KeyPair& issuer_key) {
   Crl crl;
   crl.tbs = tbs;
@@ -1020,6 +1050,96 @@ inline Crl SignCrl(const TbsCrl& tbs, const crypto::KeyPair& issuer_key) {
   crl.der = asn1::EncodeSequence(
       {crl.tbs_der, x509::EncodeSignatureAlgorithm(issuer_key.type),
        asn1::EncodeBitString(crl.signature)});
+  return crl;
+}
+
+inline std::optional<Crl> ParseCrl(BytesView der) {
+  asn1::Reader top(der);
+  asn1::Reader crl_seq;
+  if (!top.ReadSequence(&crl_seq) || !top.Empty()) return std::nullopt;
+
+  Crl crl;
+  crl.der.assign(der.begin(), der.end());
+
+  BytesView tbs_raw;
+  {
+    asn1::Reader probe = crl_seq;
+    if (!probe.ReadRawTlv(&tbs_raw)) return std::nullopt;
+    crl_seq = probe;
+  }
+  crl.tbs_der.assign(tbs_raw.begin(), tbs_raw.end());
+
+  asn1::Reader tbs(tbs_raw);
+  asn1::Reader tbs_seq;
+  if (!tbs.ReadSequence(&tbs_seq)) return std::nullopt;
+
+  std::int64_t version;
+  if (!tbs_seq.ReadInteger(&version) || version != 1) return std::nullopt;
+
+  auto inner_sig_type = x509::DecodeSignatureAlgorithm(tbs_seq);
+  if (!inner_sig_type) return std::nullopt;
+
+  if (!x509::Name::Read(tbs_seq, nullptr, &crl.tbs.issuer))
+    return std::nullopt;
+
+  if (!tbs_seq.ReadTime(&crl.tbs.this_update)) return std::nullopt;
+
+  // nextUpdate is OPTIONAL: present iff next TLV is a time type.
+  if (tbs_seq.NextIs(asn1::kTagUtcTime) ||
+      tbs_seq.NextIs(asn1::kTagGeneralizedTime)) {
+    if (!tbs_seq.ReadTime(&crl.tbs.next_update)) return std::nullopt;
+  }
+
+  if (tbs_seq.NextIs(asn1::kTagSequence)) {
+    asn1::Reader entries;
+    if (!tbs_seq.ReadSequence(&entries)) return std::nullopt;
+    while (!entries.Empty()) {
+      asn1::Reader entry_seq;
+      if (!entries.ReadSequence(&entry_seq)) return std::nullopt;
+      CrlEntry entry;
+      if (!entry_seq.ReadIntegerUnsigned(&entry.serial) ||
+          !entry_seq.ReadTime(&entry.revocation_date))
+        return std::nullopt;
+      if (entry_seq.NextIs(asn1::kTagSequence)) {
+        x509::Extensions exts;
+        if (!x509::ReadExtensions(entry_seq, &exts)) return std::nullopt;
+        for (const x509::ExtensionView& ext : exts) {
+          if (asn1::OidContentIs(ext.oid, asn1::oids::CrlReason())) {
+            auto reason = x509::ParseCrlReason(ext.value);
+            if (!reason) return std::nullopt;
+            entry.reason = *reason;
+          }
+        }
+      }
+      crl.tbs.entries.push_back(std::move(entry));
+    }
+  }
+
+  if (tbs_seq.NextIsContext(0)) {
+    asn1::Reader ext_wrapper;
+    if (!tbs_seq.ReadContextExplicit(0, &ext_wrapper)) return std::nullopt;
+    x509::Extensions exts;
+    if (!x509::ReadExtensions(ext_wrapper, &exts)) return std::nullopt;
+    for (const x509::ExtensionView& ext : exts) {
+      if (asn1::OidContentIs(ext.oid, asn1::oids::CrlNumber())) {
+        auto number = x509::ParseCrlNumber(ext.value);
+        if (!number) return std::nullopt;
+        crl.tbs.crl_number = *number;
+      }
+    }
+  }
+
+  auto outer_sig_type = x509::DecodeSignatureAlgorithm(crl_seq);
+  if (!outer_sig_type || *outer_sig_type != *inner_sig_type)
+    return std::nullopt;
+  crl.sig_type = *outer_sig_type;
+
+  BytesView sig_bits;
+  unsigned unused = 0;
+  if (!crl_seq.ReadBitString(&sig_bits, &unused) || unused != 0)
+    return std::nullopt;
+  crl.signature.assign(sig_bits.begin(), sig_bits.end());
+  if (!crl_seq.Empty()) return std::nullopt;
   return crl;
 }
 

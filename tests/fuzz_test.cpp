@@ -144,11 +144,17 @@ TEST_P(FuzzSeeds, CrlParserNeverCrashes) {
   const Bytes valid = ValidCrlDer();
   for (int i = 0; i < 400; ++i) {
     const Bytes mutated = Mutate(valid, rng);
-    auto crl = crl::ParseCrl(mutated);
+    const auto crl = crl::ParseCrlView(mutated);
     if (!crl) continue;
-    const crl::CrlIndex index(*crl);
-    (void)index.IsRevoked(x509::Serial{1, 2, 3});
-    (void)crl->IsExpired(kNow);
+    // The parse validated the list: the walk sees exactly size() entries.
+    std::size_t walked = 0;
+    for (const crl::CrlEntryView& entry : crl->entries) {
+      EXPECT_FALSE(entry.serial.empty());
+      ++walked;
+    }
+    EXPECT_EQ(walked, crl->num_entries);
+    (void)crl->Find(x509::Serial{1, 2, 3});
+    (void)crl::DescribeCrl(*crl);
   }
 }
 
@@ -263,7 +269,7 @@ TEST_P(FuzzSeeds, PureGarbageRejected) {
       EXPECT_FALSE(x509::VerifyCertificateSignature(
           *cert, crypto::SimKeyFromLabel("fuzz-ca").Public()));
     }
-    (void)crl::ParseCrl(garbage);
+    (void)crl::ParseCrlView(garbage);
     (void)ocsp::ParseOcspResponse(garbage);
     (void)ocsp::ParseOcspRequestView(garbage);
     (void)crlset::CrlSet::Deserialize(garbage);

@@ -62,7 +62,7 @@ int InspectCrl(const char* path) {
     std::fprintf(stderr, "cannot read %s\n", path);
     return 1;
   }
-  auto crl = crl::ParseCrl(*data);
+  const auto crl = crl::ParseCrlView(*data);
   if (!crl) {
     std::fprintf(stderr, "%s: not a valid DER CRL\n", path);
     return 1;
