@@ -19,13 +19,16 @@ cmake -S bench/e2e -B build/e2e -DCMAKE_BUILD_TYPE=Release
 cmake --build build/e2e -j4 --target rev_bench
 ctest --test-dir build/e2e --output-on-failure
 
-# TSan pass in a separate build tree: races in util::ThreadPool, the
-# parallel Pipeline::Finalize(), and the parallel RevocationCrawler::CrawlAll
-# (including the CachingClient / SimNet synchronization) surface here.
+# TSan pass in a separate build tree: races in util::ThreadPool's range
+# claiming, the parallel Pipeline::Finalize() (corpus_test's equivalence
+# suite and its Leaf Set cases at 1, 4 and 8 threads), and the parallel
+# RevocationCrawler::CrawlAll (including the CachingClient / SimNet
+# synchronization) surface here.
 cmake -B build-tsan -S . -DREV_SANITIZE_THREAD=ON
-cmake --build build-tsan -j"$(nproc)" --target util_test core_test
+cmake --build build-tsan -j"$(nproc)" --target util_test core_test corpus_test
 ./build-tsan/tests/util_test --gtest_filter='ThreadPool.*'
 ./build-tsan/tests/core_test --gtest_filter='Parallelism.*'
+./build-tsan/tests/corpus_test
 
 # Fixed-seed chaos smoke: the seeded fault storm must stay bit-reproducible
 # across thread counts (docs/fault-injection.md). The seed is pinned so a

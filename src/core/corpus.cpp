@@ -126,21 +126,38 @@ std::vector<CertCorpus::Row> CertCorpus::RowsByFingerprint() const {
   return SortedRows();
 }
 
+void CertCorpus::SortByFingerprint(std::span<const std::uint8_t> fingerprints,
+                                   std::span<Row> rows) {
+  struct Key {
+    std::uint64_t prefix;  // first 8 fingerprint bytes, big-endian
+    Row row;
+  };
+  const std::uint8_t* fps = fingerprints.data();
+  std::vector<Key> keys(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::uint8_t* fp = fps + std::size_t{rows[i]} * 32;
+    std::uint64_t prefix = 0;
+    for (int b = 0; b < 8; ++b) prefix = prefix << 8 | fp[b];
+    keys[i] = Key{prefix, rows[i]};
+  }
+  std::sort(keys.begin(), keys.end(), [fps](const Key& a, const Key& b) {
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    return std::memcmp(fps + std::size_t{a.row} * 32,
+                       fps + std::size_t{b.row} * 32, 32) < 0;
+  });
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = keys[i].row;
+}
+
 const std::vector<CertCorpus::Row>& CertCorpus::SortedRows() const {
-  // The sorted order is cached: at paper scale every analysis pass calls
-  // LeafSet(), and re-sorting 38M rows each time would dominate. Appending
-  // a row makes the cache stale; not safe against concurrent ingest (no
-  // reader of this order runs during ingest).
+  // The sorted order is cached for repeated cold-path queries (Find).
+  // Appending a row makes the cache stale; not safe against concurrent
+  // ingest (no reader of this order runs during ingest).
   if (sorted_size_.load(std::memory_order_acquire) != size()) {
     std::lock_guard<std::mutex> lock(sort_mu_);
     if (sorted_size_.load(std::memory_order_relaxed) != size()) {
       std::vector<Row> rows(size());
       for (Row r = 0; r < rows.size(); ++r) rows[r] = r;
-      const std::uint8_t* fps = fps_.data();
-      std::sort(rows.begin(), rows.end(), [fps](Row a, Row b) {
-        return std::memcmp(fps + std::size_t{a} * 32,
-                           fps + std::size_t{b} * 32, 32) < 0;
-      });
+      SortByFingerprint(rows);
       sorted_rows_ = std::move(rows);
       sorted_size_.store(sorted_rows_.size(), std::memory_order_release);
     }

@@ -18,8 +18,9 @@
 //     chain element once and passes that hash to the probe and the append;
 //     a re-sighted certificate is found without a parse or a SHA-256;
 //   - the SHA-256 fingerprint column is computed once per new row; it is
-//     the sort key of RowsByFingerprint (the Leaf Set order) and of the
-//     cold-path Find(fingerprint);
+//     the sort key of SortByFingerprint (the Leaf Set order, built in
+//     Pipeline::Finalize) and of the cold paths RowsByFingerprint and
+//     Find(fingerprint);
 //   - the "in latest scan" view is epoch-based: starting a newer scan is one
 //     counter bump, not an O(rows) flag sweep.
 //
@@ -59,9 +60,9 @@ class CertCorpus {
 
   // Row for a SHA-256 fingerprint, or kNoRow: a binary search over the
   // cached RowsByFingerprint order, which is re-sorted first if rows were
-  // appended since (O(rows log rows)). A post-ingest query; an ingest-time
-  // lookup uses FindDer. Like RowsByFingerprint, must not run concurrently
-  // with ingest.
+  // appended since (O(rows log rows)). A cold post-ingest query; an
+  // ingest-time lookup uses FindDer. Like RowsByFingerprint, must not run
+  // concurrently with ingest.
   Row Find(BytesView fingerprint) const;
 
   std::size_t size() const { return refs_.size(); }
@@ -149,11 +150,24 @@ class CertCorpus {
   x509::CertPtr cert(Row r) const;
 
   // All rows sorted by fingerprint bytes — the iteration order of the
-  // std::map<Bytes, CertRecord> this store replaced, so downstream results
-  // stay byte-identical. Cached between ingests (analyses call this per
-  // pass); recomputed lazily when rows have been appended since. Must not
-  // run concurrently with ingest.
+  // std::map<Bytes, CertRecord> this store replaced. A cold path (tests,
+  // Find): the study path sorts only the rows it needs with
+  // SortByFingerprint. Cached between ingests; recomputed lazily when rows
+  // have been appended since. Must not run concurrently with ingest.
   std::vector<Row> RowsByFingerprint() const;
+
+  // Sorts `rows` into ascending fingerprint order, the order of
+  // RowsByFingerprint restricted to them.
+  void SortByFingerprint(std::span<Row> rows) const {
+    SortByFingerprint(fps_, rows);
+  }
+  // The same sort over any flat array of 32-byte fingerprints, row r's at
+  // offset 32 * r. It sorts (big-endian first 8 fingerprint bytes, row)
+  // pairs, so almost every comparison is one integer compare; pairs with
+  // equal prefixes are ordered by a 32-byte memcmp, so the order is exactly
+  // that of a memcmp sort.
+  static void SortByFingerprint(std::span<const std::uint8_t> fingerprints,
+                                std::span<Row> rows);
 
   // Memory accounting --------------------------------------------------------
   std::size_t arena_bytes() const { return arena_.bytes_used(); }

@@ -35,12 +35,6 @@ obs::Counter& LeavesCounter() {
   return counter;
 }
 
-obs::Histogram& VerifyHistogram() {
-  static obs::Histogram& histogram =
-      obs::MetricsRegistry::Global().GetHistogram("pipeline.verify_ns");
-  return histogram;
-}
-
 }  // namespace
 
 void Pipeline::BeginScan(util::Timestamp t) {
@@ -115,7 +109,13 @@ void Pipeline::Finalize() {
   obs::Span finalize_span("pipeline.finalize");
   const auto start = std::chrono::steady_clock::now();
 
-  const std::vector<CertCorpus::Row> rows = corpus_.RowsByFingerprint();
+  // Only the CA rows and the Leaf Set need fingerprint order; the other
+  // passes run in row order over contiguous columns.
+  const CertCorpus::Row num_rows = static_cast<CertCorpus::Row>(corpus_.size());
+  std::vector<CertCorpus::Row> ca_rows;
+  for (CertCorpus::Row r = 0; r < num_rows; ++r)
+    if (corpus_.is_ca(r)) ca_rows.push_back(r);
+  corpus_.SortByFingerprint(ca_rows);
 
   // Candidate intermediates: every CA certificate observed, materialized in
   // fingerprint order (the old map's iteration order). CA rows are a tiny
@@ -124,9 +124,8 @@ void Pipeline::Finalize() {
   {
     obs::Span intermediates_span("pipeline.intermediates");
     std::vector<x509::CertPtr> candidates;
-    for (const CertCorpus::Row r : rows) {
-      if (corpus_.is_ca(r)) candidates.push_back(corpus_.cert(r));
-    }
+    candidates.reserve(ca_rows.size());
+    for (const CertCorpus::Row r : ca_rows) candidates.push_back(corpus_.cert(r));
     intermediate_set_ = x509::BuildIntermediateSet(candidates, roots_);
   }
   intermediate_wall_seconds_ = SecondsSince(start);
@@ -149,15 +148,7 @@ void Pipeline::Finalize() {
   // Validate every certificate, ignoring date errors (§3.1). A CA row is
   // valid iff it is trusted; leaves get the batched columnar verification
   // below.
-  std::vector<CertCorpus::Row> leaves;
-  leaves.reserve(rows.size());
-  for (const CertCorpus::Row r : rows) {
-    if (corpus_.is_ca(r)) {
-      corpus_.set_valid(r, is_trusted(r));
-    } else {
-      leaves.push_back(r);
-    }
-  }
+  for (const CertCorpus::Row r : ca_rows) corpus_.set_valid(r, is_trusted(r));
 
   // Batched leaf verification. The DFS in x509::VerifyChain reduces, for a
   // non-CA leaf over this pool, to: valid ⟺ the leaf IS a root, or some
@@ -167,8 +158,9 @@ void Pipeline::Finalize() {
   // date checks pass. So candidates are grouped per interned issuer-name id
   // once, sim-scheme keys get a PrecomputedHmacKey (two SHA-256 mid-state
   // copies per tag instead of two key-block compressions), and the
-  // ParallelFor below runs over contiguous columns. Equivalence with the
-  // real DFS is asserted by tests/corpus_test.cpp.
+  // ParallelFor below walks the rows in order, each claimed range a
+  // contiguous slice of every column it reads. Equivalence with the real
+  // DFS is asserted by tests/corpus_test.cpp.
   struct Candidate {
     crypto::PrecomputedHmacKey sim_key;  // valid iff is_sim
     const crypto::PublicKey* key = nullptr;
@@ -197,9 +189,9 @@ void Pipeline::Finalize() {
   {
     obs::Span verify_span("pipeline.verify");
     util::ThreadPool pool(threads_);
-    pool.ParallelFor(leaves.size(), [&](std::size_t i) {
-      const CertCorpus::Row r = leaves[i];
-      const auto chain_start = std::chrono::steady_clock::now();
+    pool.ParallelFor(num_rows, [&](std::size_t i) {
+      const auto r = static_cast<CertCorpus::Row>(i);
+      if (corpus_.is_ca(r)) return;
       bool valid = false;
       // A leaf that *is* a trusted root verifies trivially.
       if (is_trusted(r)) {
@@ -225,20 +217,17 @@ void Pipeline::Finalize() {
         }
       }
       corpus_.set_valid(r, valid);
-      VerifyHistogram().RecordSeconds(SecondsSince(chain_start));
     });
-    LeavesCounter().Add(leaves.size());
+    LeavesCounter().Add(num_rows - ca_rows.size());
   }
   verify_wall_seconds_ = SecondsSince(verify_start);
-  finalize_wall_seconds_ = SecondsSince(start);
-}
 
-std::vector<CertCorpus::Row> Pipeline::LeafSet() const {
-  std::vector<CertCorpus::Row> out;
-  for (const CertCorpus::Row r : corpus_.RowsByFingerprint()) {
-    if (corpus_.valid(r) && !corpus_.is_ca(r)) out.push_back(r);
-  }
-  return out;
+  // The Leaf Set: the leaves that verified, in fingerprint order.
+  leaf_set_.clear();
+  for (CertCorpus::Row r = 0; r < num_rows; ++r)
+    if (corpus_.valid(r) && !corpus_.is_ca(r)) leaf_set_.push_back(r);
+  corpus_.SortByFingerprint(leaf_set_);
+  finalize_wall_seconds_ = SecondsSince(start);
 }
 
 }  // namespace rev::core

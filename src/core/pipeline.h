@@ -7,10 +7,11 @@
 // each observation's raw DER into arena/interned columns — a full scan
 // snapshot never needs to be resident — deduplicating certificates by their
 // bytes, so a re-sighting is a hash probe, not a parse. Finalize() batches leaf
-// verification with ParallelFor over contiguous columns plus precomputed
-// per-issuer HMAC verifiers, so output is bit-identical at any thread count
-// (docs/parallelism.md, docs/corpus.md). Equivalence with the pre-columnar
-// serial path is locked down by tests/corpus_test.cpp.
+// verification with ParallelFor over the rows in order (contiguous columns)
+// plus precomputed per-issuer HMAC verifiers, so output is bit-identical at
+// any thread count, and sorts only the CA rows and the Leaf Set by
+// fingerprint (docs/parallelism.md, docs/corpus.md). Equivalence with the
+// pre-columnar serial path is locked down by tests/corpus_test.cpp.
 #pragma once
 
 #include <span>
@@ -58,11 +59,12 @@ class Pipeline {
   // The columnar store of every unique certificate observed.
   const CertCorpus& corpus() const { return corpus_; }
 
-  // The paper's Leaf Set: non-CA certificates that verified (dates
-  // ignored), as stable corpus row ids in fingerprint order — the iteration
-  // order of the map-based store this replaced. Row ids (unlike the old
-  // record pointers) survive any amount of further ingest.
-  std::vector<CertCorpus::Row> LeafSet() const;
+  // The paper's Leaf Set as of the last Finalize(): non-CA certificates
+  // that verified (dates ignored), as stable corpus row ids in fingerprint
+  // order — the iteration order of the map-based store this replaced.
+  // Built once by Finalize(); empty before the first. Row ids (unlike the
+  // old record pointers) survive any amount of further ingest.
+  const std::vector<CertCorpus::Row>& LeafSet() const { return leaf_set_; }
 
   // The paper's Intermediate Set.
   const std::vector<x509::CertPtr>& IntermediateSet() const {
@@ -89,6 +91,7 @@ class Pipeline {
   x509::CertPool roots_;
   CertCorpus corpus_;
   std::vector<x509::CertPtr> intermediate_set_;
+  std::vector<CertCorpus::Row> leaf_set_;
   util::Timestamp latest_scan_time_ = 0;
   std::uint64_t out_of_order_scans_ = 0;
   bool finalized_ = false;

@@ -49,12 +49,18 @@ void EncodeTbsCrl(asn1::Writer& w, const TbsCrl& tbs,
   w.End(tbs_seq);
 }
 
-// A ReadExtensions visitor that parses the extension `oid` with `parse`
-// into *out (the last instance wins) and passes over any other.
+// A ReadExtensions visitor for a list whose one understood extension is
+// `oid`: parses it with `parse` into *out, and fails on a second instance
+// of it (RFC 5280 §4.2) or on any other extension marked critical (§5.2,
+// §5.3: a CRL with an unrecognised critical extension must not be used).
+// Any other extension is passed over.
 template <typename Parse, typename T>
-auto KeepLast(const asn1::Oid& oid, Parse parse, T* out) {
-  return [&oid, parse, out](const x509::ExtensionView& ext) {
-    if (!asn1::OidContentIs(ext.oid, oid)) return true;
+auto KeepOnce(const asn1::Oid& oid, Parse parse, T* out) {
+  return [&oid, parse, out, seen = false](
+             const x509::ExtensionView& ext) mutable {
+    if (!asn1::OidContentIs(ext.oid, oid)) return !ext.critical;
+    if (seen) return false;
+    seen = true;
     const auto value = parse(ext.value);
     if (value) *out = *value;
     return value.has_value();
@@ -85,14 +91,27 @@ bool ReadCrlEntry(asn1::Reader& list, CrlEntryView* out) {
          entry.ReadTime(&out->revocation_date) &&
          (!entry.NextIs(asn1::kTagSequence) ||
           x509::ReadExtensions(entry, &exts,
-                               KeepLast(asn1::oids::CrlReason(),
+                               KeepOnce(asn1::oids::CrlReason(),
                                         x509::ParseCrlReason, &out->reason))) &&
          entry.Empty();
 }
 
 std::optional<CrlEntryView> CrlView::Find(BytesView serial) const {
-  for (const CrlEntryView& entry : entries)
-    if (std::ranges::equal(entry.serial, serial)) return entry;
+  // ParseCrlView validated every entry, so these reads cannot fail. Each
+  // entry's serial is read and the rest of its TLV skipped; only the match
+  // has its date and reason decoded.
+  for (asn1::Reader list(entries.bytes()); !list.Empty();) {
+    asn1::Reader at = list, entry;
+    BytesView entry_serial;
+    if (!list.ReadSequence(&entry) ||
+        !entry.ReadIntegerUnsignedView(&entry_serial))
+      return std::nullopt;
+    if (std::ranges::equal(entry_serial, serial)) {
+      CrlEntryView found;
+      if (!ReadCrlEntry(at, &found)) return std::nullopt;
+      return found;
+    }
+  }
   return std::nullopt;
 }
 
@@ -132,7 +151,7 @@ std::optional<CrlView> ParseCrlView(BytesView der) {
   if (tbs_seq.NextIsContext(0) &&
       (!tbs_seq.ReadContextExplicit(0, &wrapper) ||
        !x509::ReadExtensions(wrapper, &exts,
-                             KeepLast(asn1::oids::CrlNumber(),
+                             KeepOnce(asn1::oids::CrlNumber(),
                                       x509::ParseCrlNumber, &view.crl_number)) ||
        !wrapper.Empty()))
     return std::nullopt;

@@ -59,7 +59,8 @@ struct CrlEntryView {
 };
 
 // Reads one revokedCertificates entry: userCertificate, revocationDate
-// and the optional crlEntryExtensions, whose CRLReason is kept.
+// and the optional crlEntryExtensions, whose CRLReason is kept; a second
+// CRLReason or an unrecognised critical extension fails the read.
 bool ReadCrlEntry(asn1::Reader& list, CrlEntryView* out);
 using CrlEntries = asn1::ValidatedList<CrlEntryView, ReadCrlEntry>;
 
@@ -77,13 +78,16 @@ struct CrlView {
   CrlEntries entries;  // in wire order
   std::size_t num_entries = 0;
 
-  // The entry for `serial`, by a linear walk: for one-off lookups.
+  // The entry for `serial`, by a linear walk that reads only each entry's
+  // serial: for one-off lookups.
   std::optional<CrlEntryView> Find(BytesView serial) const;
 };
 
 // Parses a DER CertificateList with a v2 TBSCertList, keeping the CRLNumber
-// of its crlExtensions (the last of a repeated extension wins, here and in
-// an entry). Inner and outer signature algorithms must match, and every
+// of its crlExtensions and each entry's CRLReason. It fails closed: a
+// repeated CRLNumber or entry CRLReason (RFC 5280 §4.2) and an unrecognised
+// critical extension in crlExtensions or in an entry (§5.2, §5.3) reject
+// the CRL. Inner and outer signature algorithms must match, and every
 // SEQUENCE must end at its last field. Returns nullopt on anything else.
 std::optional<CrlView> ParseCrlView(BytesView der);
 

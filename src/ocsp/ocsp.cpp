@@ -279,7 +279,7 @@ OcspResponse SignOcspResponse(std::span<const SingleResponse> singles,
   OcspResponse response;
   response.status = ResponseStatus::kSuccessful;
   response.single = singles.front();
-  response.singles.assign(singles.begin(), singles.end());
+  response.more_singles.assign(singles.begin() + 1, singles.end());
   response.nonce.assign(nonce.begin(), nonce.end());
   response.produced_at = produced_at;
   response.sig_type = responder_key.type;
@@ -370,14 +370,16 @@ std::optional<OcspResponse> ParseOcspResponse(BytesView der) {
   if (!response_data.ReadTime(&response.produced_at)) return std::nullopt;
 
   asn1::Reader responses;
-  if (!response_data.ReadSequence(&responses)) return std::nullopt;
-  while (!responses.Empty()) {
+  if (!response_data.ReadSequence(&responses) || responses.Empty())
+    return std::nullopt;
+  for (bool first = true; !responses.Empty(); first = false) {
     auto single = DecodeSingleResponse(responses);
     if (!single) return std::nullopt;
-    response.singles.push_back(*std::move(single));
+    if (first)
+      response.single = *std::move(single);
+    else
+      response.more_singles.push_back(*std::move(single));
   }
-  if (response.singles.empty()) return std::nullopt;
-  response.single = response.singles.front();
 
   if (response_data.NextIsContext(1)) {
     asn1::Reader ext_wrapper;

@@ -134,11 +134,12 @@ struct SingleResponse {
 
 struct OcspResponse {
   ResponseStatus status = ResponseStatus::kInternalError;
-  // Populated iff status == kSuccessful. `single` is singles.front() — the
-  // dominant single-cert shape; multi-cert responses carry the rest in
-  // `singles` (request order).
+  // Populated iff status == kSuccessful. `single` is the first
+  // SingleResponse — the dominant single-cert shape; a multi-cert response
+  // carries the others in `more_singles` (request order), which is empty,
+  // and allocates nothing, for one certificate. Each is stored once.
   SingleResponse single;
-  std::vector<SingleResponse> singles;
+  std::vector<SingleResponse> more_singles;
   Bytes nonce;  // echoed request nonce (responseExtensions), empty if none
   util::Timestamp produced_at = 0;
   crypto::KeyType sig_type = crypto::KeyType::kSimSha256;

@@ -1,5 +1,6 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "obs/distrace.h"
@@ -11,17 +12,18 @@ namespace {
 
 // Pool-wide instruments (docs/observability.md): `threadpool.queued` is the
 // number of ParallelFor indices not yet executed across all pools;
-// `threadpool.task_ns` times each task body. Lock-free updates, so the
-// instrumentation does not perturb scheduling.
+// `threadpool.chunk_ns` times each claimed range, not each task body. Both
+// are updated once per range, lock-free, so the instrumentation neither
+// perturbs scheduling nor costs anything per index.
 obs::Gauge& QueuedGauge() {
   static obs::Gauge& gauge =
       obs::MetricsRegistry::Global().GetGauge("threadpool.queued");
   return gauge;
 }
 
-obs::Histogram& TaskHistogram() {
+obs::Histogram& ChunkHistogram() {
   static obs::Histogram& histogram =
-      obs::MetricsRegistry::Global().GetHistogram("threadpool.task_ns");
+      obs::MetricsRegistry::Global().GetHistogram("threadpool.chunk_ns");
   return histogram;
 }
 
@@ -58,19 +60,22 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::RunBatch() {
   for (;;) {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= count_ || failed_.load(std::memory_order_relaxed)) return;
+    const std::size_t begin = next_.fetch_add(grain_, std::memory_order_relaxed);
+    if (begin >= count_ || failed_.load(std::memory_order_relaxed)) return;
+    const std::size_t end = std::min(count_, begin + grain_);
     const std::uint64_t start = NowNs();
+    std::size_t i = begin;
     try {
-      (*fn_)(i);
+      for (; i < end; ++i) (*fn_)(i);
     } catch (...) {
+      ++i;  // the throwing task ran; the rest of the range is skipped
       std::lock_guard<std::mutex> lock(mu_);
       if (!error_) error_ = std::current_exception();
       failed_.store(true, std::memory_order_relaxed);
     }
-    TaskHistogram().Record(NowNs() - start);
-    QueuedGauge().Sub(1);
-    executed_.fetch_add(1, std::memory_order_relaxed);
+    ChunkHistogram().Record(NowNs() - start);
+    QueuedGauge().Sub(static_cast<std::int64_t>(i - begin));
+    executed_.fetch_add(i - begin, std::memory_order_relaxed);
   }
 }
 
@@ -95,9 +100,9 @@ void ThreadPool::ParallelFor(std::size_t count,
                              const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
   obs::Span span("threadpool.parallel_for");
-  // The queue-depth gauge rises by the batch size and falls per executed
-  // task; this guard settles the difference for indices that never ran
-  // (exception unwinds skip the remainder of the batch).
+  // The queue-depth gauge rises by the batch size and falls, per executed
+  // range, by the tasks it ran; this guard settles the difference for
+  // indices that never ran (a throw skips the remainder of the batch).
   executed_.store(0, std::memory_order_relaxed);
   QueuedGauge().Add(static_cast<std::int64_t>(count));
   struct Settle {
@@ -110,27 +115,25 @@ void ThreadPool::ParallelFor(std::size_t count,
     }
   } settle{this, count};
 
-  if (workers_.empty()) {
-    // Serial path: same iteration order and exception behavior as a loop.
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::uint64_t start = NowNs();
-      fn(i);
-      TaskHistogram().Record(NowNs() - start);
-      QueuedGauge().Sub(1);
-      executed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return;
-  }
   std::unique_lock<std::mutex> lock(mu_);
   fn_ = &fn;
   count_ = count;
+  grain_ = std::max<std::size_t>(1, count / (threads_ * kRangesPerThread));
   next_.store(0, std::memory_order_relaxed);
   failed_.store(false, std::memory_order_relaxed);
   error_ = nullptr;
-  active_ = static_cast<unsigned>(workers_.size());
-  ++generation_;
-  cv_start_.notify_all();
-  cv_done_.wait(lock, [&] { return active_ == 0; });
+  if (workers_.empty()) {
+    // Serial path: the ranges run in ascending order on this thread, so the
+    // iteration order is a plain loop's.
+    lock.unlock();
+    RunBatch();
+    lock.lock();
+  } else {
+    active_ = static_cast<unsigned>(workers_.size());
+    ++generation_;
+    cv_start_.notify_all();
+    cv_done_.wait(lock, [&] { return active_ == 0; });
+  }
   fn_ = nullptr;
   if (error_) {
     std::exception_ptr error = std::move(error_);

@@ -218,15 +218,17 @@ TEST(Allocations, SignOcspResponsePinned) {
   single.next_update = kNow + 4 * util::kSecondsPerDay;
   ASSERT_FALSE(ocsp::SignOcspResponse(single, kNow, key).der.empty());
 
-  // 7 for the copies the response carries (`single` and `singles`, three
-  // byte fields each, plus the vector) and 4 for the encoding: the working
-  // buffer, tbs_der, signature and the exact-size der.
+  // 3 for the one copy of the single the response carries (its three byte
+  // fields; `more_singles` stays empty) and 4 for the encoding: the working
+  // buffer, tbs_der, signature and the exact-size der. It was 11 while the
+  // response also kept every single in a vector beside `single` (1 + 3).
   EXPECT_EQ(AllocationsDuring([&] {
               const ocsp::OcspResponse response =
                   ocsp::SignOcspResponse(single, kNow, key);
               ASSERT_EQ(response.der.capacity(), response.der.size());
+              ASSERT_TRUE(response.more_singles.empty());
             }),
-            11u);
+            7u);
 }
 
 // 100 entries with 16-byte serials, every fourth with a reason.

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 
 #include "core/ecosystem.h"
@@ -17,6 +18,7 @@
 #include "crypto/signer.h"
 #include "ingest_util.h"
 #include "scan/scanner.h"
+#include "util/rng.h"
 #include "x509/verify.h"
 #include "x509/view.h"
 
@@ -433,6 +435,102 @@ TEST(CorpusEquivalence, RootIdentitySerial) {
 
 TEST(CorpusEquivalence, RootIdentityEightThreads) {
   RunRootIdentityEquivalence(/*threads=*/8);
+}
+
+// ------------------------------------------------------------ Leaf Set ----
+
+// The Leaf Set Finalize builds, sorting only the valid leaves, is the valid
+// non-CA rows of the full fingerprint order, in that order.
+void ExpectLeafSetIsTheValidLeavesInFingerprintOrder(const Pipeline& pipeline) {
+  const CertCorpus& corpus = pipeline.corpus();
+  std::vector<CertCorpus::Row> want;
+  for (const CertCorpus::Row r : corpus.RowsByFingerprint())
+    if (corpus.valid(r) && !corpus.is_ca(r)) want.push_back(r);
+  EXPECT_EQ(pipeline.LeafSet(), want);
+}
+
+TEST(LeafSet, IsTheValidLeavesInFingerprintOrder) {
+  EcosystemConfig config;
+  config.scale = 0.001;
+  config.seed = 17;
+  std::unique_ptr<Ecosystem> eco = Ecosystem::Build(config);
+  const EcosystemConfig& c = eco->config();
+  std::vector<scan::CertScanSnapshot> snapshots;
+  for (util::Timestamp t = c.study_start; t <= c.study_end; t += 28 * kDay)
+    snapshots.push_back(scan::RunCertScan(eco->internet(), t));
+  const std::size_t half = snapshots.size() / 2;
+
+  std::vector<CertCorpus::Row> serial_leaf_set;
+  for (const unsigned threads : {1u, 4u, 8u}) {
+    SCOPED_TRACE(threads);
+    Pipeline pipeline(eco->roots(), threads);
+    for (std::size_t s = 0; s < half; ++s) IngestSnapshot(pipeline, snapshots[s]);
+    pipeline.Finalize();
+    ASSERT_FALSE(pipeline.LeafSet().empty());
+    ExpectLeafSetIsTheValidLeavesInFingerprintOrder(pipeline);
+    const std::vector<CertCorpus::Row> first = pipeline.LeafSet();
+
+    // A second round of scans after Finalize: the new rows stay unverified
+    // until the next Finalize, so the Leaf Set stands until then.
+    const std::size_t rows_before = pipeline.corpus().size();
+    for (std::size_t s = half; s < snapshots.size(); ++s)
+      IngestSnapshot(pipeline, snapshots[s]);
+    ASSERT_GT(pipeline.corpus().size(), rows_before);
+    ExpectLeafSetIsTheValidLeavesInFingerprintOrder(pipeline);
+    EXPECT_EQ(pipeline.LeafSet(), first);
+
+    pipeline.Finalize();
+    ExpectLeafSetIsTheValidLeavesInFingerprintOrder(pipeline);
+    EXPECT_GT(pipeline.LeafSet().size(), first.size());
+
+    // The same as one Finalize over every scan, at every thread count.
+    Pipeline at_once(eco->roots(), threads);
+    for (const scan::CertScanSnapshot& snapshot : snapshots)
+      IngestSnapshot(at_once, snapshot);
+    at_once.Finalize();
+    EXPECT_EQ(at_once.LeafSet(), pipeline.LeafSet());
+    if (threads == 1) serial_leaf_set = pipeline.LeafSet();
+    EXPECT_EQ(pipeline.LeafSet(), serial_leaf_set);
+  }
+}
+
+// SortByFingerprint compares 8-byte big-endian prefixes first; fed
+// fingerprints that share prefixes (and longer runs), it must still give a
+// plain memcmp sort's order.
+TEST(Corpus, SortByFingerprintMatchesAMemcmpSort) {
+  util::Rng rng(0x5017);
+  constexpr std::size_t kRows = 4'000;
+  std::vector<std::uint8_t> fps(kRows * 32);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    std::uint8_t* fp = fps.data() + r * 32;
+    rng.Fill(fp, 32);
+    if (r > 0 && r % 4 != 0) {
+      // Share the first 8 bytes with an earlier row, sometimes the first 28.
+      const std::size_t from = rng.NextBelow(r);
+      std::copy_n(fps.data() + from * 32, r % 4 == 3 ? 28 : 8, fp);
+    }
+    // Distinct fingerprints: the last 4 bytes are the row number.
+    for (int b = 0; b < 4; ++b)
+      fp[28 + b] = static_cast<std::uint8_t>(r >> (24 - 8 * b));
+  }
+  std::vector<CertCorpus::Row> rows(kRows);
+  for (std::size_t i = 0; i < kRows; ++i)
+    rows[i] = static_cast<CertCorpus::Row>(i);
+  for (std::size_t i = kRows - 1; i > 0; --i)
+    std::swap(rows[i], rows[rng.NextBelow(i + 1)]);
+
+  std::vector<CertCorpus::Row> want = rows;
+  std::sort(want.begin(), want.end(),
+            [&fps](CertCorpus::Row a, CertCorpus::Row b) {
+              return std::memcmp(fps.data() + std::size_t{a} * 32,
+                                 fps.data() + std::size_t{b} * 32, 32) < 0;
+            });
+  CertCorpus::SortByFingerprint(fps, rows);
+  EXPECT_EQ(rows, want);
+
+  std::vector<CertCorpus::Row> none;
+  CertCorpus::SortByFingerprint(fps, none);
+  EXPECT_TRUE(none.empty());
 }
 
 // --------------------------------------------------------- row stability ----

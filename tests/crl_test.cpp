@@ -151,6 +151,76 @@ TEST(Crl, ParseRejectsBytesAfterTheOuterAlgorithm) {
   EXPECT_FALSE(ParseCrlView(padded));
 }
 
+// The parse fails closed on extensions (RFC 5280 §4.2, §5.2, §5.3): an
+// unrecognised critical extension, in crlExtensions or in an entry, and a
+// repeated CRLNumber or entry CRLReason reject the CRL; an unrecognised
+// non-critical one is passed over, and a recognised one may be critical.
+TEST(Crl, ParseFailsClosedOnExtensions) {
+  namespace der = reference::asn1;
+  namespace ref509 = reference::x509;
+  const asn1::Oid unknown{1, 3, 6, 1, 4, 1, 99999, 9};
+  const ref509::Extension number = ref509::MakeCrlNumber(7);
+  const ref509::Extension reason =
+      ref509::MakeCrlReason(x509::ReasonCode::kKeyCompromise);
+  const auto critical = [](ref509::Extension ext) {
+    ext.critical = true;
+    return ext;
+  };
+  const ref509::Extension other{unknown, false, der::EncodeNull()};
+  struct Row {
+    const char* deviation;
+    std::vector<ref509::Extension> crl_extensions;
+    std::vector<ref509::Extension> entry_extensions;
+    bool accepts;
+  };
+  const Row rows[] = {
+      {"a CRL number and a reason", {number}, {reason}, true},
+      {"an unknown CRL extension", {number, other}, {reason}, true},
+      {"an unknown entry extension", {number}, {other, reason}, true},
+      {"a critical CRL number", {critical(number)}, {reason}, true},
+      {"a critical reason", {number}, {critical(reason)}, true},
+      {"an unknown critical CRL extension",
+       {number, critical(other)}, {reason}, false},
+      {"an unknown critical CRL extension alone", {critical(other)}, {},
+       false},
+      {"an unknown critical entry extension",
+       {number}, {reason, critical(other)}, false},
+      {"an unknown critical entry extension alone", {number},
+       {critical(other)}, false},
+      {"two CRL numbers", {number, ref509::MakeCrlNumber(9)}, {reason}, false},
+      {"two reasons in one entry", {number}, {reason, reason}, false},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.deviation);
+    std::vector<Bytes> entry{der::EncodeIntegerUnsigned(Bytes{0x2A}),
+                             der::EncodeTime(kNow - 1000)};
+    if (!row.entry_extensions.empty())
+      entry.push_back(ref509::EncodeExtensionList(row.entry_extensions));
+    std::vector<Bytes> tbs{
+        der::EncodeInteger(1),
+        ref509::EncodeSignatureAlgorithm(crypto::KeyType::kSimSha256),
+        ref509::EncodeName(x509::Name::Make("Critical CA", "C")),
+        der::EncodeTime(kNow),
+        der::EncodeSequence({der::EncodeSequence(entry)})};
+    if (!row.crl_extensions.empty())
+      tbs.push_back(der::EncodeContextExplicit(
+          0, ref509::EncodeExtensionList(row.crl_extensions)));
+    const Bytes crl = der::EncodeSequence(
+        {der::EncodeSequence(tbs),
+         ref509::EncodeSignatureAlgorithm(crypto::KeyType::kSimSha256),
+         der::EncodeBitString(Bytes(32, 0x5A))});
+    const std::optional<CrlView> view = ParseCrlView(crl);
+    ASSERT_EQ(view.has_value(), row.accepts);
+    if (!view) continue;
+    const std::optional<CrlEntryView> found = view->Find(Bytes{0x2A});
+    ASSERT_TRUE(found);
+    EXPECT_EQ(found->reason, row.entry_extensions.empty()
+                                 ? x509::ReasonCode::kNoReasonCode
+                                 : x509::ReasonCode::kKeyCompromise);
+    EXPECT_EQ(view->crl_number, 7);
+  }
+}
+
 TEST(Crl, DescribeRendering) {
   util::Rng rng(12);
   const Crl crl = SignCrl(MakeTbs(25, rng), TestKey("k"));

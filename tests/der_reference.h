@@ -952,7 +952,7 @@ inline OcspResponse SignOcspResponse(const std::vector<SingleResponse>& singles,
   if (singles.empty()) return reference::ocsp::MakeErrorResponse(ResponseStatus::kInternalError);
   response.status = ResponseStatus::kSuccessful;
   response.single = singles.front();
-  response.singles = singles;
+  response.more_singles.assign(singles.begin() + 1, singles.end());
   response.nonce.assign(nonce.begin(), nonce.end());
   response.produced_at = produced_at;
   response.sig_type = responder_key.type;

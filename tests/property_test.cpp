@@ -908,9 +908,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CrlRoundTrip, ::testing::Range(0, 15));
 //
 // ParseCrlView is the one walk of CRL DER; der_reference.h keeps the
 // allocating ParseCrl it replaced. The two must agree on accept/reject, on
-// every field and on every entry in order, with one named exception: bytes
-// after the last field of the TBSCertList, an entry, the [0] wrapper or an
-// AlgorithmIdentifier, which the view rejects and the reference accepted.
+// every field and on every entry in order, with two named exceptions, both
+// inputs the view rejects and the reference accepted: bytes after the last
+// field of the TBSCertList, an entry, the [0] wrapper or an
+// AlgorithmIdentifier; and an extension list the view fails closed on (a
+// repeated CRLNumber or entry CRLReason, or an unrecognised critical
+// extension), where the reference kept the last instance and ignored the
+// critical flag.
 // Each table row names its deviation from a base CRL and the verdict of
 // each parse; then every one-byte mutation of the row's DER (each position
 // set to each other byte value) must agree as well.
@@ -1028,13 +1032,24 @@ std::vector<CrlSpec> CrlSpecs() {
       {"an unassigned reason code (7)",
        first_entry(serial, std::vector<Bytes>{ReasonExtension(7)}), false,
        false},
-      {"two reasons in one entry: the last wins",
+      {"two reasons in one entry: the view rejects, the reference keeps "
+       "the last",
        first_entry(serial,
                    std::vector<Bytes>{ReasonExtension(1), ReasonExtension(4)}),
-       true, true},
+       false, true},
       {"an unknown entry extension",
        first_entry(serial, std::vector<Bytes>{ref509::EncodeExtension(
                                RawExtension(unknown, false, null))}),
+       true, true},
+      {"an unknown critical entry extension",
+       first_entry(serial, std::vector<Bytes>{ref509::EncodeExtension(
+                               RawExtension(unknown, true, null))}),
+       false, true},
+      {"a critical reason",
+       first_entry(serial,
+                   std::vector<Bytes>{ref509::EncodeExtension(RawExtension(
+                       asn1::oids::CrlReason(), true,
+                       der::EncodeEnumerated(1)))}),
        true, true},
       {"an empty crlEntryExtensions list",
        first_entry(serial, std::vector<Bytes>{}), true, true},
@@ -1046,10 +1061,29 @@ std::vector<CrlSpec> CrlSpecs() {
        false, false},
       {"version v1",
        [](Parts& p) { p.version = der::EncodeInteger(0); }, false, false},
-      {"a duplicate CRL number: the last wins",
+      {"a duplicate CRL number: the view rejects, the reference keeps the "
+       "last",
        [](Parts& p) {
          p.extensions->push_back(
              ref509::EncodeExtension(ref509::MakeCrlNumber(9)));
+       },
+       false, true},
+      {"an unknown CRL extension",
+       [=](Parts& p) {
+         p.extensions->push_back(
+             ref509::EncodeExtension(RawExtension(unknown, false, null)));
+       },
+       true, true},
+      {"an unknown critical CRL extension",
+       [=](Parts& p) {
+         p.extensions->push_back(
+             ref509::EncodeExtension(RawExtension(unknown, true, null)));
+       },
+       false, true},
+      {"a critical CRL number",
+       [](Parts& p) {
+         (*p.extensions)[0] = ref509::EncodeExtension(RawExtension(
+             asn1::oids::CrlNumber(), true, der::EncodeInteger(7)));
        },
        true, true},
       {"a negative CRL number",
@@ -1143,6 +1177,51 @@ bool CrlHasBytesAfterAField(const Bytes& der) {
   return !t.Empty();
 }
 
+// True iff the extension list with content `list` holds `known` twice or
+// another extension marked critical.
+bool ExtensionListFailsClosed(BytesView list, const asn1::Oid& known) {
+  int instances = 0;
+  asn1::Reader r(list);
+  for (x509::ExtensionView ext; !r.Empty();) {
+    if (!x509::ReadExtension(r, &ext)) return false;
+    if (asn1::OidContentIs(ext.oid, known) ? ++instances > 1 : ext.critical)
+      return true;
+  }
+  return false;
+}
+
+// The inputs the view rejects and the reference accepts because the view
+// fails closed on extensions: a repeated CRLNumber in crlExtensions or
+// CRLReason in an entry, or an unrecognised critical extension in either.
+bool CrlFailsClosedOnAnExtension(const Bytes& der) {
+  asn1::Reader top(der), crl;
+  BytesView tbs, field;
+  if (!top.ReadSequence(&crl) || !crl.ReadTagged(asn1::kTagSequence, &tbs))
+    return false;
+  asn1::Reader t(tbs);
+  for (int i = 0; i < 4; ++i)  // version, signature, issuer, thisUpdate
+    if (!t.ReadRawTlv(&field)) return false;
+  if (t.NextIs(asn1::kTagUtcTime) || t.NextIs(asn1::kTagGeneralizedTime))
+    t.ReadRawTlv(&field);
+  if (t.NextIs(asn1::kTagSequence)) {
+    BytesView list, entry, extensions;
+    if (!t.ReadTagged(asn1::kTagSequence, &list)) return false;
+    for (asn1::Reader entries(list);
+         entries.ReadTagged(asn1::kTagSequence, &entry);) {
+      asn1::Reader fields(entry);
+      if (fields.ReadRawTlv(&field) && fields.ReadRawTlv(&field) &&
+          fields.ReadTagged(asn1::kTagSequence, &extensions) &&
+          ExtensionListFailsClosed(extensions, asn1::oids::CrlReason()))
+        return true;
+    }
+  }
+  asn1::Reader wrapper;
+  BytesView extensions;
+  return t.NextIsContext(0) && t.ReadContextExplicit(0, &wrapper) &&
+         wrapper.ReadTagged(asn1::kTagSequence, &extensions) &&
+         ExtensionListFailsClosed(extensions, asn1::oids::CrlNumber());
+}
+
 // The first field or entry on which the two parses differ, or "".
 std::string CrlFirstDifference(const crl::CrlView& got,
                                const refcrl::Crl& want) {
@@ -1184,7 +1263,8 @@ std::string CrlDisagreement(const Bytes& der, bool* accepted) {
   const std::optional<refcrl::Crl> want = refcrl::ParseCrl(der);
   *accepted = got.has_value();
   if (!got && !want) return "";
-  if (!got && CrlHasBytesAfterAField(der)) return "";
+  if (!got && (CrlHasBytesAfterAField(der) || CrlFailsClosedOnAnExtension(der)))
+    return "";
   if (got.has_value() != want.has_value())
     return got ? "accepted what the reference rejects"
                : "rejected what the reference accepts";

@@ -308,15 +308,14 @@ TEST_F(FrontendTest, MultiCertRequestAnswersAllInOrder) {
   EXPECT_FALSE(result.cache_hit);
   auto parsed = ocsp::ParseOcspResponse(*result.body);
   ASSERT_TRUE(parsed);
-  ASSERT_EQ(parsed->singles.size(), 3u);
-  EXPECT_EQ(parsed->singles[0].cert_id, request.cert_ids[0]);
-  EXPECT_EQ(parsed->singles[0].status, ocsp::CertStatus::kRevoked);
-  EXPECT_EQ(parsed->singles[0].reason, x509::ReasonCode::kKeyCompromise);
-  EXPECT_EQ(parsed->singles[1].cert_id, request.cert_ids[1]);
-  EXPECT_EQ(parsed->singles[1].status, ocsp::CertStatus::kUnknown);
-  EXPECT_EQ(parsed->singles[2].cert_id, request.cert_ids[2]);
-  EXPECT_EQ(parsed->singles[2].status, ocsp::CertStatus::kGood);
-  EXPECT_EQ(parsed->single.cert_id, request.cert_ids[0]);  // front alias
+  EXPECT_EQ(parsed->single.cert_id, request.cert_ids[0]);
+  EXPECT_EQ(parsed->single.status, ocsp::CertStatus::kRevoked);
+  EXPECT_EQ(parsed->single.reason, x509::ReasonCode::kKeyCompromise);
+  ASSERT_EQ(parsed->more_singles.size(), 2u);
+  EXPECT_EQ(parsed->more_singles[0].cert_id, request.cert_ids[1]);
+  EXPECT_EQ(parsed->more_singles[0].status, ocsp::CertStatus::kUnknown);
+  EXPECT_EQ(parsed->more_singles[1].cert_id, request.cert_ids[2]);
+  EXPECT_EQ(parsed->more_singles[1].status, ocsp::CertStatus::kGood);
   EXPECT_TRUE(
       ocsp::VerifyOcspSignature(*parsed, TestKey("serve-issuer").Public()));
 

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/arena.h"
 #include "util/hash.h"
 #include "util/hex.h"
@@ -447,14 +448,21 @@ TEST(ThreadPool, DefaultThreadsIsPositive) {
   EXPECT_EQ(ThreadPool(3).threads(), 3u);
 }
 
+// Workers claim ranges of max(1, count / (threads * 16)) indices: counts
+// of one, just under and just over one range per claim slot, and a large
+// prime leave no index run twice or skipped.
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
-  for (unsigned threads : {1u, 2u, 8u}) {
+  for (unsigned threads : {1u, 2u, 3u, 8u}) {
     ThreadPool pool(threads);
-    constexpr std::size_t kCount = 10'000;
-    std::vector<std::atomic<int>> visits(kCount);
-    pool.ParallelFor(kCount, [&](std::size_t i) { ++visits[i]; });
-    for (std::size_t i = 0; i < kCount; ++i)
-      ASSERT_EQ(visits[i].load(), 1) << "index " << i << " threads " << threads;
+    const std::size_t slots = std::size_t{threads} * 16;
+    for (const std::size_t count : {std::size_t{1}, slots - 1, slots + 1,
+                                    std::size_t{10'000}, std::size_t{100'003}}) {
+      std::vector<std::atomic<int>> visits(count);
+      pool.ParallelFor(count, [&](std::size_t i) { ++visits[i]; });
+      for (std::size_t i = 0; i < count; ++i)
+        ASSERT_EQ(visits[i].load(), 1)
+            << "index " << i << " of " << count << ", threads " << threads;
+    }
   }
 }
 
@@ -479,15 +487,30 @@ TEST(ThreadPool, SingleThreadRunsInlineInOrder) {
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
+// A throw in the middle of a range is rethrown to the caller, skips the
+// rest of that range and leaves the queued gauge where it started.
 TEST(ThreadPool, PropagatesExceptions) {
+  const obs::Gauge& queued =
+      obs::MetricsRegistry::Global().GetGauge("threadpool.queued");
   for (unsigned threads : {1u, 4u}) {
     ThreadPool pool(threads);
+    constexpr std::size_t kCount = 1'000;
+    constexpr std::size_t kThrowAt = 137;
+    const std::size_t grain = kCount / (threads * 16);
+    const std::size_t range_end = (kThrowAt / grain + 1) * grain;
+    ASSERT_GT(range_end, kThrowAt + 1);  // the throw is mid-range
+    std::vector<std::atomic<int>> visits(kCount);
     EXPECT_THROW(
-        pool.ParallelFor(1'000,
+        pool.ParallelFor(kCount,
                          [&](std::size_t i) {
-                           if (i == 137) throw std::runtime_error("boom");
+                           ++visits[i];
+                           if (i == kThrowAt) throw std::runtime_error("boom");
                          }),
         std::runtime_error);
+    EXPECT_EQ(visits[kThrowAt].load(), 1);
+    for (std::size_t i = kThrowAt + 1; i < range_end; ++i)
+      EXPECT_EQ(visits[i].load(), 0) << "index " << i << " threads " << threads;
+    EXPECT_EQ(queued.Value(), 0);
     // The pool survives a failed batch and runs the next one normally.
     std::atomic<std::size_t> done{0};
     pool.ParallelFor(64, [&](std::size_t) { ++done; });
