@@ -190,8 +190,7 @@ struct World {
 
   // `crawl_step_days` > 1 trades Fig. 9/10 granularity for speed in benches
   // that only need final state.
-  static World Build(double scale, bool run_scans = true,
-                     bool run_crawl = true, int crawl_step_days = 1) {
+  static World Build(double scale, int crawl_step_days = 1) {
     World world;
     world.config.scale = scale;
     {
@@ -208,7 +207,7 @@ struct World {
     const unsigned threads = ThreadsFromEnv();
     world.pipeline =
         std::make_unique<core::Pipeline>(world.eco->roots(), threads);
-    if (run_scans) {
+    {
       BenchRun::Phase phase("world.scans");
       for (util::Timestamp t = c.study_start; t <= c.study_end;
            t += 7 * util::kSecondsPerDay) {
@@ -238,7 +237,7 @@ struct World {
 
     world.crawler =
         std::make_unique<core::RevocationCrawler>(&world.eco->net(), threads);
-    if (run_crawl) {
+    {
       BenchRun::Phase phase("world.crawl");
       world.crawler->CollectUrls(*world.pipeline);
       for (util::Timestamp t = c.crawl_start; t <= c.study_end;

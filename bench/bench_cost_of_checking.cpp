@@ -16,16 +16,17 @@ int main() {
       "median certificate's CRL is 51 KB (up to 76 MB); an OCSP exchange is "
       "<1 KB with a latency penalty under 250 ms; stapling is nearly free");
 
-  bench::World world = bench::World::Build(bench::ScaleFromEnv(),
-                                           /*run_scans=*/false,
-                                           /*run_crawl=*/false);
-  const core::EcosystemConfig& c = world.eco->config();
+  core::EcosystemConfig eco_config;
+  eco_config.scale = bench::ScaleFromEnv();
+  const std::unique_ptr<core::Ecosystem> eco =
+      core::Ecosystem::Build(eco_config);
+  const core::EcosystemConfig& c = eco->config();
   const util::Timestamp now = c.study_end - 30 * util::kSecondsPerDay;
 
   // Sample alive servers.
   std::vector<std::size_t> alive;
-  for (std::size_t i = 0; i < world.eco->internet().size(); ++i)
-    if (world.eco->internet().server(i).AliveAt(now)) alive.push_back(i);
+  for (std::size_t i = 0; i < eco->internet().size(); ++i)
+    if (eco->internet().server(i).AliveAt(now)) alive.push_back(i);
   util::Rng rng(1001);
   const std::size_t sample = std::min<std::size_t>(800, alive.size());
   for (std::size_t i = 0; i < sample; ++i) {
@@ -52,14 +53,14 @@ int main() {
     util::Distribution latency, bytes;
     std::size_t accepted = 0;
     for (std::size_t i = 0; i < sample; ++i) {
-      scan::Server& server = world.eco->internet().server(alive[i]);
+      scan::Server& server = eco->internet().server(alive[i]);
       // Build a handshake-capable server from the advertised chain.
       tls::TlsServer::Config config = server.tls.config();
       config.chain_der.clear();
       for (const x509::CertPtr& cert : server.chain)
         config.chain_der.push_back(cert->der);
       tls::TlsServer tls_server(config);
-      Client client(policy, &world.eco->net(), world.eco->roots());
+      Client client(policy, &eco->net(), eco->roots());
       const VisitOutcome outcome = client.Visit(tls_server, now);
       latency.Add(outcome.revocation_seconds * 1000);
       bytes.Add(static_cast<double>(outcome.revocation_bytes) / 1024.0);

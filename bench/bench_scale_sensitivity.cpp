@@ -23,7 +23,7 @@ Row Measure(double scale) {
   Row row;
   row.scale = scale;
   bench::World world =
-      bench::World::Build(scale, true, true, /*crawl_step_days=*/3);
+      bench::World::Build(scale, /*crawl_step_days=*/3);
   const core::EcosystemConfig& c = world.eco->config();
   row.leaf_set = world.pipeline->LeafSet().size();
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 in CMakeLists.txt's default RelWithDebInfo build
-# (-O2 -g, warnings are errors; full build + every ctest suite), a
+# (-O2 -g, warnings are errors; full build + every ctest suite, the paper
+# report's row gates and its committed PAPER_RESULTS.json among them), a
 # compile-only -O3 Release build of every target (warnings are errors),
 # then a ThreadSanitizer pass over the concurrency-sensitive targets —
 # the thread pool, the parallel pipeline/crawler, the serving frontend,
@@ -157,4 +158,4 @@ print(f"slo: {slo['alerts']} alerts, all in the storm phase: ok")
 PY
 rm -rf "$fleet_dir"
 
-echo "ci OK (tier-1 + -O3 build of every target + TSan + ASan/UBSan: unit suites, obs suite, serve stress, fleet suite + soak, bench_serve load + /metrics smoke + QPS regression + fleet zero-wrong-answers + slo burn-rate gates)"
+echo "ci OK (tier-1 + paper report gates + -O3 build of every target + TSan + ASan/UBSan: unit suites, obs suite, serve stress, fleet suite + soak, bench_serve load + /metrics smoke + QPS regression + fleet zero-wrong-answers + slo burn-rate gates)"

@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 
 cmake -B build -S .
 cmake --build build -j"$(nproc)"
+# The ctest includes the paper report: every paper row's predicate, the
+# committed PAPER_RESULTS.json reproduced byte for byte, and the docs'
+# measured values checked against it.
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
 # End-to-end benchmark smokes (bench/e2e/README.md): each workload runs at
@@ -113,4 +116,4 @@ grep -Eq "^ +serve\.request " "$trace_dir"/trees.txt || {
   echo "stitched trees never crossed onto a replica node" >&2; exit 1; }
 rm -rf "$trace_dir"
 
-echo "tier-1 OK (unit suites + e2e smokes + TSan determinism + chaos smoke + cascade smoke + Fig. 11 exactness gate + paper-scale corpus smoke + fleet failover smoke + stitched-trace smoke)"
+echo "tier-1 OK (unit suites + paper report gates + e2e smokes + TSan determinism + chaos smoke + cascade smoke + Fig. 11 exactness gate + paper-scale corpus smoke + fleet failover smoke + stitched-trace smoke)"

@@ -260,7 +260,10 @@ void CertificateAuthority::RebuildCrl(int shard, util::Timestamp now) {
 
 const crl::Crl& CertificateAuthority::GetCrl(int shard, util::Timestamp now) {
   ShardState& state = shards_[static_cast<std::size_t>(shard)];
-  if (state.dirty || state.crl.der.empty() || state.crl.IsExpired(now))
+  // A call for a day before the cached CRL's thisUpdate (an audit replaying
+  // an earlier window) rebuilds too: a CRL must not list later revocations.
+  if (state.dirty || state.crl.der.empty() || state.crl.IsExpired(now) ||
+      now < state.crl.tbs.this_update)
     RebuildCrl(shard, now);
   return state.crl;
 }

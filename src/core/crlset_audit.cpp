@@ -9,14 +9,17 @@ CrlsetAuditor::CrlsetAuditor(Ecosystem* eco, crlset::GeneratorConfig config)
 
 void CrlsetAuditor::RunDaily(util::Timestamp start, util::Timestamp end,
                              const Options& options) {
-  bool removal_done = false;
-  for (util::Timestamp day = start; day <= end; day += util::kSecondsPerDay) {
-    if (options.parent_removal_date && !removal_done &&
-        day >= *options.parent_removal_date) {
-      eco_->SetGoogleCrawled(options.parent_removal_ca, false);
-      removal_done = true;
+  // From the removal day on, the removed parent's sources are dropped here:
+  // the Ecosystem is shared with the other analyses of the same world.
+  std::optional<Bytes> removed_parent;
+  if (options.parent_removal_date) {
+    for (const Ecosystem::CaEntry& entry : eco_->cas()) {
+      if (entry.spec.name != options.parent_removal_ca) continue;
+      removed_parent = entry.ca->cert()->SubjectSpkiSha256();
+      break;
     }
-
+  }
+  for (util::Timestamp day = start; day <= end; day += util::kSecondsPerDay) {
     DayRecord record;
     record.day = day;
 
@@ -51,7 +54,11 @@ void CrlsetAuditor::RunDaily(util::Timestamp start, util::Timestamp end,
         day >= *options.outage_start && day < *options.outage_end;
 
     if (!in_outage) {
-      const std::vector<crlset::CrlSource> sources = eco_->CrlSetSources(day);
+      std::vector<crlset::CrlSource> sources = eco_->CrlSetSources(day);
+      if (removed_parent && day >= *options.parent_removal_date)
+        std::erase_if(sources, [&](const crlset::CrlSource& source) {
+          return source.parent_spki_sha256 == *removed_parent;
+        });
       crlset::CrlSet next =
           crlset::GenerateCrlSet(sources, config_, ++sequence_);
 

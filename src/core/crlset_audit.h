@@ -27,7 +27,8 @@ class CrlsetAuditor {
     // (Nov–Dec 2014, Fig. 9); reproduce it as a generator outage.
     std::optional<util::Timestamp> outage_start;
     std::optional<util::Timestamp> outage_end;
-    // The "VeriSign Class 3 EV" parent removal (May 2014, Fig. 8).
+    // The "VeriSign Class 3 EV" parent removal (May 2014, Fig. 8): from
+    // this day on the named CA's CRLs no longer feed the CRLSet.
     std::optional<util::Timestamp> parent_removal_date;
     std::string parent_removal_ca = "Verisign";
   };

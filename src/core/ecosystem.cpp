@@ -440,16 +440,6 @@ std::vector<crlset::CrlSource> Ecosystem::CrlSetSources(
   return sources;
 }
 
-bool Ecosystem::SetGoogleCrawled(const std::string& ca_name, bool crawled) {
-  for (CaEntry& entry : ca_entries_) {
-    if (entry.spec.name == ca_name) {
-      entry.spec.google_crawled = crawled;
-      return true;
-    }
-  }
-  return false;
-}
-
 PopularityTier Ecosystem::TierOf(const Bytes& leaf_fingerprint) const {
   auto it = popularity_.find(leaf_fingerprint);
   return it == popularity_.end() ? PopularityTier::kOther : it->second;

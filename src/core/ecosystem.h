@@ -128,11 +128,6 @@ class Ecosystem {
 
   PopularityTier TierOf(const Bytes& leaf_fingerprint) const;
 
-  // Toggles whether Google's CRLSet crawler follows a CA (models the
-  // "VeriSign Class 3 Extended Validation" parent removal of May–June 2014,
-  // §7.3). Returns false if the CA name is unknown.
-  bool SetGoogleCrawled(const std::string& ca_name, bool crawled);
-
   // Ground truth for calibration tests.
   std::size_t total_issued() const { return total_issued_; }
   std::size_t total_revoked() const;

@@ -147,6 +147,24 @@ TEST(Ca, CrlReissuedAfterExpiry) {
   EXPECT_GT(second.tbs.crl_number, first_number);
 }
 
+TEST(Ca, CrlForAnEarlierDayHasNoLaterRevocations) {
+  // Regression: a CRL cached for a later day was served for an earlier one
+  // while still unexpired, listing revocations that had not happened yet.
+  util::Rng rng(17);
+  auto root = MakeRoot(rng);
+  CertificateAuthority::IssueOptions issue;
+  issue.common_name = "later.sim";
+  issue.not_before = kNow - kDay;
+  const x509::CertPtr leaf = root->Issue(issue, rng);
+  root->Revoke(leaf->tbs.serial, kNow + 10 * kDay,
+               x509::ReasonCode::kKeyCompromise);
+
+  EXPECT_EQ(root->GetCrl(0, kNow + 10 * kDay).tbs.entries.size(), 1u);
+  const crl::Crl& earlier = root->GetCrl(0, kNow);
+  EXPECT_LE(earlier.tbs.this_update, kNow);
+  EXPECT_TRUE(earlier.tbs.entries.empty());
+}
+
 TEST(Ca, CrlDropsExpiredCertEntries) {
   util::Rng rng(8);
   auto root = MakeRoot(rng);

@@ -208,8 +208,6 @@ TEST_F(EcosystemStructure, CrlSetSourcesCoverCrawledCasOnly) {
 
 TEST_F(EcosystemStructure, TierLookups) {
   EXPECT_EQ(Eco().TierOf(Bytes{1, 2, 3}), core::PopularityTier::kOther);
-  EXPECT_FALSE(Eco().SetGoogleCrawled("NoSuchCA", true));
-  EXPECT_TRUE(Eco().SetGoogleCrawled("RapidSSL", true));
 }
 
 TEST_F(EcosystemStructure, CrossSignedVariantAdvertisedAndVerifiable) {

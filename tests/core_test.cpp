@@ -1,17 +1,14 @@
-// Core-module tests: the scan pipeline, the revocation crawler, timeline
-// analytics, audits, and the ecosystem generator's calibration — all over a
-// small but fully wired synthetic PKI.
+// Core-module tests: the scan pipeline, the revocation crawler, their
+// determinism across thread counts, and the report renderers — over a small
+// but fully wired synthetic PKI. The paper's shapes are gated by
+// bench/paper_report.cpp, which computes them from one world.
 #include <gtest/gtest.h>
 
-#include "core/ca_audit.h"
 #include "core/crawler.h"
 #include "crypto/signer.h"
-#include "core/crlset_audit.h"
 #include "core/ecosystem.h"
 #include "core/pipeline.h"
 #include "core/report.h"
-#include "core/stapling_audit.h"
-#include "core/timeline.h"
 #include "ingest_util.h"
 
 namespace rev::core {
@@ -185,24 +182,6 @@ TEST(Pipeline, SomeCertsStillAdvertisedSomeGone) {
   EXPECT_LT(fraction, 0.85);
 }
 
-TEST(DatasetStats, MatchesPaperShape) {
-  World& w = World::Get();
-  const DatasetStats stats = ComputeDatasetStats(*w.pipeline);
-  EXPECT_EQ(stats.leaf_set, w.pipeline->LeafSet().size());
-  // §3.2: ~99.9% of leaves carry a CRL pointer, ~95% an OCSP pointer, and
-  // ~0.09% are unrevocable.
-  const double crl_frac = static_cast<double>(stats.leaf_with_crl) /
-                          static_cast<double>(stats.leaf_set);
-  const double ocsp_frac = static_cast<double>(stats.leaf_with_ocsp) /
-                           static_cast<double>(stats.leaf_set);
-  const double unrevocable_frac = static_cast<double>(stats.leaf_unrevocable) /
-                                  static_cast<double>(stats.leaf_set);
-  EXPECT_GT(crl_frac, 0.99);
-  EXPECT_GT(ocsp_frac, 0.85);
-  EXPECT_LT(ocsp_frac, crl_frac);
-  EXPECT_LT(unrevocable_frac, 0.01);
-}
-
 // -------------------------------------------------------------- crawler ----
 
 TEST(Crawler, DiscoversRevocations) {
@@ -359,218 +338,6 @@ TEST(Parallelism, FinalizeAndCrawlDeterministicAcrossThreadCounts) {
   }
   EXPECT_EQ(serial.crawler->ReasonCodeHistogram(),
             parallel.crawler->ReasonCodeHistogram());
-}
-
-// ------------------------------------------------------------- timeline ----
-
-TEST(Timeline, Fig2ShapeHolds) {
-  World& w = World::Get();
-  const EcosystemConfig& c = w.eco->config();
-  const auto points = ComputeRevocationTimeline(
-      *w.pipeline, *w.crawler, util::MakeDate(2014, 1, 1), c.study_end,
-      7 * kDay);
-  ASSERT_GT(points.size(), 50u);
-
-  // Pre-Heartbleed steady state: small but non-zero fresh-revoked fraction.
-  const RevocationTimelinePoint& before = points[10];  // mid-March 2014
-  EXPECT_LT(before.time, c.heartbleed);
-  EXPECT_GT(before.FreshRevokedFraction(), 0.001);
-  EXPECT_LT(before.FreshRevokedFraction(), 0.06);
-
-  // Post-Heartbleed: the spike pushes fresh-revoked way up (paper: >8%).
-  const RevocationTimelinePoint& last = points.back();
-  EXPECT_GT(last.FreshRevokedFraction(), 0.05);
-  EXPECT_GT(last.FreshRevokedFraction(), 2.5 * before.FreshRevokedFraction());
-
-  // Alive-revoked is much smaller but non-zero (paper: ~0.6–1%).
-  EXPECT_GT(last.AliveRevokedFraction(), 0.0005);
-  EXPECT_LT(last.AliveRevokedFraction(), 0.35 * last.FreshRevokedFraction());
-
-  // EV series exists and is the same order of magnitude.
-  EXPECT_GT(last.FreshEvRevokedFraction(), 0.01);
-}
-
-TEST(Timeline, RevinfoAdoptionRisesAndJumps) {
-  World& w = World::Get();
-  const auto points = ComputeRevinfoAdoption(*w.pipeline);
-  ASSERT_GT(points.size(), 12u);
-
-  // CRL inclusion is uniformly near-total (Fig. 4 upper line). Small months
-  // are noisy at test scale; require a reasonable sample.
-  for (const AdoptionPoint& point : points) {
-    if (point.issued < 60) continue;
-    EXPECT_GT(point.CrlFraction(), 0.96) << util::FormatDate(point.month_start);
-  }
-
-  // OCSP inclusion: lower before RapidSSL's July 2012 adoption, near-total
-  // after (Fig. 4 lower line's spike).
-  double before = 0, after = 0;
-  std::size_t before_n = 0, after_n = 0;
-  for (const AdoptionPoint& point : points) {
-    if (point.issued < 20) continue;
-    if (point.month_start < util::MakeDate(2012, 7, 1)) {
-      before += point.OcspFraction();
-      ++before_n;
-    } else if (point.month_start >= util::MakeDate(2013, 1, 1)) {
-      after += point.OcspFraction();
-      ++after_n;
-    }
-  }
-  ASSERT_GT(before_n, 0u);
-  ASSERT_GT(after_n, 0u);
-  EXPECT_LT(before / static_cast<double>(before_n),
-            after / static_cast<double>(after_n) - 0.05);
-  EXPECT_GT(after / static_cast<double>(after_n), 0.95);
-}
-
-// --------------------------------------------------------------- audits ----
-
-TEST(StaplingAudit, LowAdoptionAndAnyVsAll) {
-  World& w = World::Get();
-  const EcosystemConfig& c = w.eco->config();
-  const scan::HandshakeScanSnapshot snap =
-      scan::RunHandshakeScan(w.eco->internet(), c.study_end - kDay);
-  const StaplingStats stats = ComputeStaplingStats(snap);
-
-  ASSERT_GT(stats.servers_total, 100u);
-  // §4.3 shape: low single-digit percent of servers staple.
-  EXPECT_GT(stats.ServerFraction(), 0.002);
-  EXPECT_LT(stats.ServerFraction(), 0.12);
-  // any-server-staples >= all-servers-staple.
-  EXPECT_GE(stats.certs_any_staple, stats.certs_all_staple);
-  EXPECT_GT(stats.certs_any_staple, 0u);
-}
-
-TEST(StaplingAudit, RepeatCurveRises) {
-  World& w = World::Get();
-  const EcosystemConfig& c = w.eco->config();
-  const std::vector<double> curve = StaplingRepeatCurve(
-      w.eco->internet(), c.study_end - kDay, 10, 20'000, 99);
-  ASSERT_EQ(curve.size(), 10u);
-  // Monotone non-decreasing, ends at 1, starts noticeably below 1
-  // (the Fig. 3 single-connection underestimate).
-  for (std::size_t i = 1; i < curve.size(); ++i)
-    EXPECT_GE(curve[i], curve[i - 1]);
-  EXPECT_DOUBLE_EQ(curve.back(), 1.0);
-  EXPECT_LT(curve.front(), 0.98);
-  EXPECT_GT(curve.front(), 0.4);
-}
-
-TEST(CaAudit, CrlSizesAndTable1) {
-  World& w = World::Get();
-  const auto samples = CollectCrlSizes(*w.crawler, *w.pipeline, *w.eco);
-  ASSERT_GT(samples.size(), 100u);
-
-  // Fig. 5: strong size/entries linearity.
-  std::vector<double> xs, ys;
-  for (const CrlSizeSample& sample : samples) {
-    if (sample.entries == 0) continue;
-    xs.push_back(static_cast<double>(sample.entries));
-    ys.push_back(static_cast<double>(sample.bytes));
-  }
-  const util::LinearFit fit = util::FitLine(xs, ys);
-  EXPECT_GT(fit.r, 0.98);
-  EXPECT_GT(fit.slope, 20);
-  EXPECT_LT(fit.slope, 80);
-
-  // Fig. 6: weighted median well above raw median. This world reads
-  // 1300 B / 292 B = 4.45x (the paper: ~57x at full scale); the bound sits
-  // a third below it.
-  const CrlSizeDistributions dist = BuildCrlSizeDistributions(samples);
-  EXPECT_GT(dist.weighted.Median(), dist.raw.Median());
-  EXPECT_GE(dist.weighted.Median() / dist.raw.Median(), 3.0);
-
-  // Table 1: the big CAs appear with shard counts matching their specs.
-  const auto rows = ComputeTable1(samples, *w.pipeline, *w.crawler, *w.eco);
-  ASSERT_GE(rows.size(), 9u);
-  bool found_godaddy = false;
-  for (const CaStatsRow& row : rows) {
-    if (row.name != "GoDaddy") continue;
-    found_godaddy = true;
-    // Like the paper's crawler, CRL URLs are learned from certificates, and
-    // shard counts scale with the population; GoDaddy still runs by far the
-    // most CRLs.
-    EXPECT_GT(row.num_crls, 10u);
-    EXPECT_LE(row.num_crls, 322u);
-    EXPECT_GT(row.total_certs, 500u);
-    EXPECT_GT(row.revoked_certs, 50u);
-    EXPECT_GT(row.avg_crl_size_kb, 0.5);
-  }
-  EXPECT_TRUE(found_godaddy);
-  // Sorted by cert count: GoDaddy first among named CAs.
-  EXPECT_EQ(rows[0].name, "GoDaddy");
-}
-
-TEST(CrlsetAudit, CoverageIsTiny) {
-  World& w = World::Get();
-  const EcosystemConfig& c = w.eco->config();
-  CrlsetAuditor auditor(w.eco.get(), crlset::GeneratorConfig{
-                                         .max_bytes = 250 * 1024,
-                                         .max_entries_per_crl = 60,
-                                         .filter_reason_codes = true});
-  // A short window is enough to reach steady state.
-  auditor.RunDaily(c.crawl_start, c.crawl_start + 20 * kDay);
-  ASSERT_EQ(auditor.days().size(), 21u);
-  EXPECT_GT(auditor.latest().NumEntries(), 0u);
-
-  const auto stats =
-      auditor.ComputeCoverage(c.crawl_start + 20 * kDay, *w.pipeline, *w.crawler);
-  EXPECT_GT(stats.total_revocations, 1'000u);
-  // §7.2 shape: a tiny fraction of revocations is covered.
-  const double coverage = static_cast<double>(stats.crlset_entries) /
-                          static_cast<double>(stats.total_revocations);
-  EXPECT_LT(coverage, 0.05);
-  EXPECT_GT(coverage, 0.0);
-  EXPECT_LT(stats.covered_parents, stats.total_parents / 2);
-  EXPECT_LT(stats.covered_crls, stats.total_crls);
-}
-
-TEST(CrlsetAudit, DynamicsAndWindows) {
-  World& w = World::Get();
-  const EcosystemConfig& c = w.eco->config();
-  CrlsetAuditor auditor(w.eco.get(), crlset::GeneratorConfig{
-                                         .max_bytes = 250 * 1024,
-                                         .max_entries_per_crl = 60,
-                                         .filter_reason_codes = true});
-  CrlsetAuditor::Options options;
-  options.outage_start = c.crawl_start + 30 * kDay;
-  options.outage_end = c.crawl_start + 44 * kDay;
-  auditor.RunDaily(c.crawl_start, c.crawl_start + 60 * kDay, options);
-
-  // During the outage no CRLSet additions happen (Fig. 9's gap).
-  for (const CrlsetAuditor::DayRecord& day : auditor.days()) {
-    if (day.day >= *options.outage_start && day.day < *options.outage_end) {
-      EXPECT_EQ(day.crlset_new_entries, 0u) << util::FormatDate(day.day);
-    }
-  }
-
-  // Days-to-appear: revocations appear in the CRLSet within ~a day of the
-  // CRL (Fig. 10), except those backed up behind the outage.
-  const util::Distribution appear = auditor.DaysToAppear();
-  ASSERT_GT(appear.Count(), 10u);
-  EXPECT_LE(appear.Median(), 2.0);
-}
-
-TEST(CrlsetAudit, ParentRemovalCreatesVulnerabilityWindows) {
-  World& w = World::Get();
-  const EcosystemConfig& c = w.eco->config();
-  CrlsetAuditor auditor(w.eco.get(), crlset::GeneratorConfig{
-                                         .max_bytes = 250 * 1024,
-                                         .max_entries_per_crl = 60,
-                                         .filter_reason_codes = true});
-  CrlsetAuditor::Options options;
-  options.parent_removal_date = c.crawl_start + 10 * kDay;
-  options.parent_removal_ca = "RapidSSL";
-  auditor.RunDaily(c.crawl_start, c.crawl_start + 20 * kDay, options);
-
-  // Entries removed long before their certificates expire (Fig. 10's
-  // second curve).
-  const util::Distribution windows = auditor.RemovalToExpiryDays();
-  EXPECT_GT(windows.Count(), 0u);
-  EXPECT_GT(windows.Median(), 30.0);
-
-  // Restore for other tests sharing the World.
-  w.eco->SetGoogleCrawled("RapidSSL", true);
 }
 
 // --------------------------------------------------------------- report ----
